@@ -16,9 +16,8 @@
 //   emeralds.fleet.run/1       — fleet simulation throughput
 //     (BENCH_fleet.json). The run configuration must match; the
 //     deterministic aggregates (events_total, events_per_virtual_sec) are
-//     held to rel_tolerance in both directions; the timer-wheel speedup at
-//     10k pending timers has an absolute 5x floor; wall-clock events/sec is
-//     informational only.
+//     held to rel_tolerance in both directions; the fleet digest must match
+//     exactly; wall-clock events/sec is informational only.
 // Both comparisons also re-require the candidate's own invariants
 // (conservation, zero reference mismatches) so a report that fails its own
 // contract never passes the gate.

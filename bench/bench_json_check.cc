@@ -660,9 +660,8 @@ bool CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
   return true;
 }
 
-// The fleet report must carry zero failed nodes, positive deterministic
-// aggregates, and — when the timers section is present — a wheel that beats
-// the reference sorted list by the 5x acceptance floor at 10k pending.
+// The fleet report must carry zero failed nodes and positive deterministic
+// aggregates.
 int CheckFleetRun(const char* path, const JsonValue& root) {
   if (!RequireNumbers(root, "fleet",
                       {"instances", "workers", "seed", "run_duration_ms", "slice_ms",
@@ -672,7 +671,7 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
                        "arena_high_water_bytes", "wall_seconds", "events_per_wall_sec"})) {
     return 1;
   }
-  for (const char* key : {"timer_queue", "fleet_digest", "label"}) {
+  for (const char* key : {"fleet_digest", "label"}) {
     const JsonValue* v = root.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kString) {
       std::fprintf(stderr, "FAIL: fleet missing string \"%s\"\n", key);
@@ -754,34 +753,6 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   const JsonValue* alerts = root.Find("alerts");
   if (alerts != nullptr && !CheckAlertsSection(*alerts, "alerts")) {
     return 1;
-  }
-  const JsonValue* timers = root.Find("timers");
-  if (timers != nullptr) {
-    const JsonValue* points = timers->Find("points");
-    if (points == nullptr || points->type != JsonValue::Type::kArray || points->array.empty()) {
-      std::fprintf(stderr, "FAIL: timers section missing points array\n");
-      return 1;
-    }
-    for (const JsonValue& point : points->array) {
-      if (!RequireNumbers(point, "timer point", {"pending", "speedup"})) {
-        return 1;
-      }
-      for (const char* impl : {"wheel", "list"}) {
-        const JsonValue* section = point.Find(impl);
-        if (section == nullptr ||
-            !RequireNumbers(*section, impl, {"arm_ns", "cancel_ns", "service_ns"})) {
-          return 1;
-        }
-      }
-    }
-    if (!RequireNumbers(*timers, "timers", {"speedup_10k"})) {
-      return 1;
-    }
-    if (timers->Find("speedup_10k")->number < 5.0) {
-      std::fprintf(stderr, "FAIL: wheel speedup at 10k pending is %gx (floor 5x)\n",
-                   timers->Find("speedup_10k")->number);
-      return 1;
-    }
   }
   std::printf("OK: %s (fleet run, %g nodes, %g events, 0 failures)\n", path,
               root.Find("nodes_total")->number, root.Find("events_total")->number);

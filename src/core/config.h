@@ -14,7 +14,6 @@
 #include "src/core/api.h"
 #include "src/core/ids.h"
 #include "src/core/thread_body.h"
-#include "src/core/timer.h"
 #include "src/hal/cost_model.h"
 
 namespace emeralds {
@@ -146,11 +145,6 @@ struct KernelConfig {
   // (IRQ / timer service / scheduler / syscall) exactly; without spans the
   // lateness ledger still telescopes but lumps overhead into own-execution.
   bool trace_overhead_spans = true;
-
-  // Pending-timer container for the software-timer service. Both order
-  // timers identically, so runs are bit-identical under either; the sorted
-  // list is the reference implementation for differential testing.
-  TimerQueueImpl timer_queue = TimerQueueImpl::kWheel;
 
   // Declared causal event chains (resolved against object/thread names at
   // Start(); see ChainSpec above). Token propagation itself is always on —

@@ -24,8 +24,7 @@ Kernel::Kernel(Hardware& hw, const KernelConfig& config)
     : hw_(hw),
       config_(config),
       cost_(config.cost_model),
-      trace_(config.trace_capacity),
-      soft_timers_(config.timer_queue) {
+      trace_(config.trace_capacity) {
   EM_ASSERT_MSG(config_.num_cores >= 1 && config_.num_cores <= kMaxCores,
                 "num_cores %d outside [1, %d]", config_.num_cores, kMaxCores);
   cores_.reserve(static_cast<size_t>(config_.num_cores));
@@ -984,7 +983,7 @@ void Kernel::ArmSoftTimer(SoftTimer& timer, Instant expiry) {
   }
   timer.expiry = expiry;
   timer.arm_seq = timer_seq_++;
-  soft_timers_.Insert(timer, hw_.now());
+  soft_timers_.Insert(timer);
   ProgramHardwareTimer();
 }
 

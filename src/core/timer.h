@@ -2,8 +2,9 @@
 //
 // The kernel multiplexes all time-triggered work (periodic job releases,
 // sleep expirations, receive timeouts) onto the single hardware one-shot
-// timer, keeping the pending timers in an expiry-ordered intrusive list —
-// the structure a small-memory RTOS would use.
+// timer, keeping the pending timers in one expiry-ordered intrusive list
+// (TimerQueue, src/core/timer_queue.h) — the structure a small-memory RTOS
+// would use.
 
 #ifndef SRC_CORE_TIMER_H_
 #define SRC_CORE_TIMER_H_
@@ -25,15 +26,6 @@ enum class TimerKind : uint8_t {
   kStatsSample,    // periodic KernelStats snapshot (observability sampler)
 };
 
-// Pending-timer container implementation (see src/core/timer_queue.h). Both
-// order timers identically — by (expiry, arm_seq) — so a kernel runs
-// bit-identically under either; the sorted list is kept as the reference
-// implementation for differential testing.
-enum class TimerQueueImpl : uint8_t {
-  kWheel,       // hierarchical timer wheel: O(1) arm/cancel
-  kSortedList,  // single expiry-ordered intrusive list: O(n) arm
-};
-
 struct SoftTimer {
   TimerKind kind = TimerKind::kPeriodRelease;
   Tcb* owner = nullptr;       // kPeriodRelease / kTimeout
@@ -41,13 +33,6 @@ struct SoftTimer {
   Instant expiry;
   uint64_t arm_seq = 0;  // tie-break so simultaneous expiries are deterministic
   ListNode<SoftTimer> node;
-
-  // Which TimerQueue container currently links `node` (an intrusive erase
-  // must go through the owning list). Values are TimerQueue-private: wheel
-  // level index, or one of its sentinel locations. Unused by the sorted-list
-  // implementation.
-  int8_t queue_loc = -1;
-  uint8_t wheel_slot = 0;
 
   bool armed() const { return node.linked(); }
 };

@@ -79,8 +79,8 @@ struct Node {
   std::unique_ptr<obs::TimeseriesCollector> ts;
 };
 
-// Every node's simulation is a pure function of (fleet seed, node index,
-// timer_queue): all randomness flows from this fork, and nothing host-side
+// Every node's simulation is a pure function of (fleet seed, node index):
+// all randomness flows from this fork, and nothing host-side
 // (worker id, steal order, wall time) is ever consulted.
 void BuildNode(Node& node, const FleetOptions& opt, int index) {
   Rng topo = Rng(opt.seed).Fork(static_cast<uint64_t>(index) + 1);
@@ -122,7 +122,6 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
     }
   }
   config.cost_model = CostModel::MC68040_25MHz();
-  config.timer_queue = opt.timer_queue;
   // Sized for the full event stream including kOverheadSpan records (one per
   // charged kernel advance, ~3x the rest of the stream), so a default-sized
   // node keeps a complete window and the exact-attribution oracles stay armed.
@@ -198,8 +197,8 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   }
 
   // Consumer: periodic receive with a timeout — the timeout path arms and
-  // cancels a soft timer on nearly every job, which is exactly the churn the
-  // timer wheel is meant to make cheap.
+  // cancels a soft timer on nearly every job, so the timer queue sees steady
+  // arm/cancel churn.
   {
     ThreadParams params;
     params.name = "consumer";
@@ -357,10 +356,6 @@ size_t DefaultArenaBytes() {
 
 }  // namespace
 
-const char* TimerQueueImplName(TimerQueueImpl impl) {
-  return impl == TimerQueueImpl::kWheel ? "wheel" : "sorted_list";
-}
-
 FleetResult RunFleet(const FleetOptions& options) {
   EM_ASSERT_MSG(ThreadPool::CurrentWorker() == -1,
                 "RunFleet must not be called from a pool worker");
@@ -419,7 +414,6 @@ FleetResult RunFleet(const FleetOptions& options) {
   out.instances = opt.instances;
   out.workers = resolved_workers;
   out.seed = opt.seed;
-  out.timer_queue = opt.timer_queue;
   out.wall_seconds = wall_seconds;
   out.artifacts_dir = opt.artifacts_dir;
   out.nodes.reserve(nodes.size());
@@ -576,11 +570,10 @@ std::string NodeReproCommand(const FleetOptions& options, int index) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "fleet_inspect --instances=%d --seed=%llu --run-ms=%lld --slice-ms=%lld "
-                "--timer-queue=%s --trace-capacity=%llu --node=%d",
+                "--trace-capacity=%llu --node=%d",
                 options.instances, static_cast<unsigned long long>(options.seed),
                 static_cast<long long>(options.run_duration.millis()),
                 static_cast<long long>(options.slice.millis()),
-                TimerQueueImplName(options.timer_queue),
                 static_cast<unsigned long long>(options.trace_capacity), index);
   std::string cmd = buf;
   if (options.overload_node >= 0) {

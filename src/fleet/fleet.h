@@ -10,7 +10,7 @@
 // and the pool stays balanced without any static partitioning.
 //
 // Determinism contract: a node's simulation depends only on (fleet seed,
-// node index, timer_queue impl). Host scheduling — worker count, steal
+// node index). Host scheduling — worker count, steal
 // order, slice interleaving — must not influence any simulated outcome, so
 // the whole FleetResult (per-node digests included) is bit-identical across
 // runs, worker counts, and machines. Tests enforce this.
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "src/base/time.h"
-#include "src/core/timer.h"
 #include "src/obs/alerts.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/telemetry.h"
@@ -59,8 +58,6 @@ struct FleetOptions {
   // Virtual time each node simulates, and the re-enqueue granularity.
   Duration run_duration = Milliseconds(100);
   Duration slice = Milliseconds(5);
-  // Timer fast-path under test; the whole point of the fleet bench.
-  TimerQueueImpl timer_queue = TimerQueueImpl::kWheel;
   // Per-node arena capacity; 0 sizes it from the node footprint.
   size_t arena_bytes = 0;
   // Per-node trace ring; 0 sizes it to retain the whole run. Large fleets
@@ -96,7 +93,7 @@ struct FleetOptions {
 };
 
 // One simulated node's outcome. Everything here is deterministic in
-// (fleet seed, node index, timer_queue).
+// (fleet seed, node index).
 struct NodeResult {
   uint64_t seed = 0;
   std::string scheduler;  // "EDF", "RM", "CSD-2", "CSD-3"
@@ -142,7 +139,6 @@ struct FleetResult {
   int instances = 0;
   int workers = 0;  // resolved pool width actually used
   uint64_t seed = 0;
-  TimerQueueImpl timer_queue = TimerQueueImpl::kWheel;
 
   // Aggregates over all nodes (deterministic).
   uint64_t events_total = 0;
@@ -208,15 +204,13 @@ FleetResult RunFleet(const FleetOptions& options);
 // `options` and visits the live kernel (with the filled NodeResult) before
 // the node's arena is torn down. This is the drill-down primitive behind
 /// fleet_inspect --node and the black-box recorder: because a node is a
-// pure function of (fleet seed, node index, timer_queue), the revisited
+// pure function of (fleet seed, node index), the revisited
 // state is bit-identical to what the fleet run saw.
 NodeResult InspectNode(const FleetOptions& options, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit);
 
 // One-line command that re-opens this node with the fleet_inspect CLI.
 std::string NodeReproCommand(const FleetOptions& options, int index);
-
-const char* TimerQueueImplName(TimerQueueImpl impl);
 
 }  // namespace fleet
 }  // namespace emeralds

@@ -12,19 +12,11 @@
 namespace emeralds {
 namespace fleet {
 
-double TimerBenchPoint::Speedup() const {
-  double wheel = wheel_arm_ns + wheel_cancel_ns + wheel_service_ns;
-  double list = list_arm_ns + list_cancel_ns + list_service_ns;
-  return wheel > 0 ? list / wheel : 0.0;
-}
-
-std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& result,
-                                const std::vector<TimerBenchPoint>& timers) {
+std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& result) {
   obs::Json json;
   json.OpenObject();
   json.String("schema", kFleetRunSchema);
   json.String("label", info.label);
-  json.String("timer_queue", TimerQueueImplName(result.timer_queue));
   json.Int("instances", result.instances);
   json.Int("workers", result.workers);
   json.Int("seed", static_cast<int64_t>(result.seed));
@@ -160,50 +152,17 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
     }
   }
 
-  if (!timers.empty()) {
-    double speedup_10k = 0.0;
-    json.Key("timers");
-    json.OpenObject();
-    json.Key("points");
-    json.OpenArray();
-    for (const TimerBenchPoint& point : timers) {
-      json.OpenObject();
-      json.Int("pending", point.pending);
-      json.Key("wheel");
-      json.OpenObject();
-      json.Number("arm_ns", point.wheel_arm_ns);
-      json.Number("cancel_ns", point.wheel_cancel_ns);
-      json.Number("service_ns", point.wheel_service_ns);
-      json.CloseObject();
-      json.Key("list");
-      json.OpenObject();
-      json.Number("arm_ns", point.list_arm_ns);
-      json.Number("cancel_ns", point.list_cancel_ns);
-      json.Number("service_ns", point.list_service_ns);
-      json.CloseObject();
-      json.Number("speedup", point.Speedup());
-      json.CloseObject();
-      if (point.pending == 10000) {
-        speedup_10k = point.Speedup();
-      }
-    }
-    json.CloseArray();
-    json.Number("speedup_10k", speedup_10k);
-    json.CloseObject();
-  }
-
   json.CloseObject();
   return json.str();
 }
 
 bool WriteFleetRunReportFile(const std::string& path, const FleetRunInfo& info,
-                             const FleetResult& result,
-                             const std::vector<TimerBenchPoint>& timers) {
+                             const FleetResult& result) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     return false;
   }
-  std::string report = BuildFleetRunReport(info, result, timers);
+  std::string report = BuildFleetRunReport(info, result);
   std::fwrite(report.data(), 1, report.size(), out);
   std::fputc('\n', out);
   std::fclose(out);

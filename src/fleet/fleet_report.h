@@ -1,21 +1,16 @@
 // The fleet run report: schema "emeralds.fleet.run/1".
 //
 // One JSON document per fleet run: the configuration (instances, workers,
-// timer-queue implementation, seed), the deterministic aggregates (events,
-// jobs, misses, chain SLO outcomes, the fleet digest), the machine-
-// independent throughput rate (events per simulated second — the number
-// bench_compare gates), the informational wall-clock rate (never gated),
-// and an optional "timers" section from the timer-queue microbenchmark
-// (arm/cancel/service costs at several pending-timer depths, wheel vs the
-// reference sorted list, and the 10k-pending speedup the acceptance bar
-// checks). bench_json_check validates the schema; BENCH_fleet.json is the
-// committed baseline.
+// seed), the deterministic aggregates (events, jobs, misses, chain SLO
+// outcomes, the fleet digest), the machine-independent throughput rate
+// (events per simulated second — the number bench_compare gates) and the
+// informational wall-clock rate (never gated). bench_json_check validates
+// the schema; BENCH_fleet.json is the committed baseline.
 
 #ifndef SRC_FLEET_FLEET_REPORT_H_
 #define SRC_FLEET_FLEET_REPORT_H_
 
 #include <string>
-#include <vector>
 
 #include "src/fleet/fleet.h"
 
@@ -23,21 +18,6 @@ namespace emeralds {
 namespace fleet {
 
 inline constexpr const char* kFleetRunSchema = "emeralds.fleet.run/1";
-
-// One depth point of the timer-queue microbenchmark: mean host nanoseconds
-// per operation with `pending` timers resident, for both implementations.
-struct TimerBenchPoint {
-  int pending = 0;
-  double wheel_arm_ns = 0.0;
-  double wheel_cancel_ns = 0.0;
-  double wheel_service_ns = 0.0;
-  double list_arm_ns = 0.0;
-  double list_cancel_ns = 0.0;
-  double list_service_ns = 0.0;
-
-  // list / wheel over the summed per-op costs at this depth.
-  double Speedup() const;
-};
 
 struct FleetRunInfo {
   std::string label;  // e.g. "fleet_baseline"
@@ -59,15 +39,20 @@ struct FleetRunInfo {
   double streaming_off_events_per_wall_sec = 0.0;
 };
 
-// Renders the full report. `timers` may be empty (the section is omitted);
-// when present it must contain a 10000-pending point — that speedup is the
-// gated "wheel is >= 5x the list" acceptance number.
-std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& result,
-                                const std::vector<TimerBenchPoint>& timers);
+// Renders the full report.
+std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& result);
+
+// The report once took a third argument carrying a timer microbenchmark
+// section; that section is gone. Callers still passing `{}` build against
+// this overload, which ignores it and renders the same report.
+struct NoTimerSection {};
+inline std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& result,
+                                       NoTimerSection) {
+  return BuildFleetRunReport(info, result);
+}
 
 bool WriteFleetRunReportFile(const std::string& path, const FleetRunInfo& info,
-                             const FleetResult& result,
-                             const std::vector<TimerBenchPoint>& timers);
+                             const FleetResult& result);
 
 }  // namespace fleet
 }  // namespace emeralds

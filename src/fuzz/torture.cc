@@ -385,7 +385,6 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
     }
   }
   config.cost_model = CostModel::MC68040_25MHz();
-  config.timer_queue = opt.timer_queue;
   config.num_cores = opt.num_cores;
   config.default_sem_mode = topo.Bernoulli(0.5) ? SemMode::kCse : SemMode::kStandard;
   // Sized so the default ring retains the whole run: overhead-span events
@@ -748,13 +747,12 @@ std::string ReproCommand(const TortureOptions& options) {
     std::snprintf(cores, sizeof(cores), " --num-cores=%d", options.num_cores);
   }
   std::snprintf(line, sizeof(line),
-                "torture --seed=%llu --ops=%d --op-limit=%d%s%s%s%s%s%s",
+                "torture --seed=%llu --ops=%d --op-limit=%d%s%s%s%s%s",
                 static_cast<unsigned long long>(options.seed), options.ops, limit,
                 options.inject_faults ? "" : " --no-faults",
                 options.irq_storms ? "" : " --no-irq-storms",
                 options.charge_resets ? "" : " --no-charge-resets",
                 options.tiny_trace_ring ? " --tiny-ring" : "",
-                options.timer_queue == TimerQueueImpl::kSortedList ? " --timer-queue=list" : "",
                 cores);
   return line;
 }

@@ -47,7 +47,6 @@
 
 #include "src/base/time.h"
 #include "src/core/stats.h"
-#include "src/core/timer.h"
 #include "src/obs/obs_report.h"
 #include "src/obs/trace_analyzer.h"
 
@@ -90,10 +89,6 @@ struct TortureOptions {
   bool irq_storms = true;       // host-raised IRQ bursts between slices
   bool charge_resets = true;    // mid-run ResetChargeAccounting() calls
   bool tiny_trace_ring = false; // force ring overflow (truncation fault case)
-  // Soft-timer queue implementation under test. The choice must be invisible
-  // to every oracle and to the trace digest — the differential fuzz test
-  // replays seeds under both and requires bit-identical results.
-  TimerQueueImpl timer_queue = TimerQueueImpl::kWheel;
   // Virtual cores. Generated threads are pinned round-robin (thread i on
   // core i % num_cores — no extra RNG draws, so 1-core schedules and digests
   // are bit-identical to the pre-SMP harness); the IRQ driver and the

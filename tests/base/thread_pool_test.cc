@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 namespace emeralds {
@@ -42,38 +44,44 @@ TEST(ThreadPoolTest, TasksCanSubmitTasks) {
 }
 
 TEST(ThreadPoolTest, WorkStealingBalancesOneHeavyProducer) {
-  // All tasks are submitted from outside and then one task fans out 500
-  // children from inside a single worker; the others must steal them.
+  // One task fans out 500 children into its own worker's deque, then blocks
+  // until another worker has run one of them. While the producer blocks, its
+  // worker cannot pop its own deque, so only a thief can make that happen;
+  // the bounded wait turns a pool that never steals into a failure instead
+  // of a hang.
   ThreadPool pool(4);
   std::atomic<int> count{0};
-  std::vector<std::atomic<int>> per_worker(4);
-  for (auto& c : per_worker) {
-    c.store(0);
-  }
+  std::atomic<int> stolen{0};
+  std::atomic<bool> bad_worker{false};
+  std::atomic<bool> timed_out{false};
   pool.Submit([&] {
+    const int producer = ThreadPool::CurrentWorker();
     for (int i = 0; i < 500; ++i) {
-      pool.Submit([&] {
+      pool.Submit([&, producer] {
         int w = ThreadPool::CurrentWorker();
-        ASSERT_GE(w, 0);
-        ASSERT_LT(w, 4);
-        per_worker[static_cast<size_t>(w)].fetch_add(1, std::memory_order_relaxed);
-        count.fetch_add(1, std::memory_order_relaxed);
-        // Burn a little time so a single worker cannot drain the deque
-        // before the thieves arrive.
-        volatile int sink = 0;
-        for (int spin = 0; spin < 20000; ++spin) {
-          sink += spin;
+        if (w < 0 || w >= 4) {
+          bad_worker.store(true);
         }
+        if (w != producer) {
+          stolen.fetch_add(1, std::memory_order_relaxed);
+        }
+        count.fetch_add(1, std::memory_order_relaxed);
       });
+    }
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (stolen.load() == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out.store(true);
+        break;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
   pool.Wait();
   EXPECT_EQ(count.load(), 500);
-  int workers_used = 0;
-  for (const auto& c : per_worker) {
-    workers_used += c.load() > 0 ? 1 : 0;
-  }
-  EXPECT_GT(workers_used, 1) << "no stealing happened";
+  EXPECT_FALSE(bad_worker.load());
+  EXPECT_FALSE(timed_out.load()) << "no worker stole a child within 30 s";
+  EXPECT_GT(stolen.load(), 0) << "no stealing happened";
 }
 
 TEST(ThreadPoolTest, CurrentWorkerIsMinusOneOffPool) {

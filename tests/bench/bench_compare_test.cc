@@ -1,7 +1,7 @@
 // Perf-regression gate tests: an injected scheduler-bucket regression beyond
 // tolerance must fail, within-tolerance drift must pass, the user/idle
-// buckets and wall-clock throughput must stay ungated, and a candidate that
-// violates its own invariants must never pass.
+// buckets and wall-clock throughput must stay ungated, a changed fleet digest
+// must fail, and a candidate that violates its own invariants must never pass.
 
 #include <string>
 
@@ -169,6 +169,39 @@ TEST(BenchCompareBreakdownTest, ReferenceMismatchFailsTheCandidate) {
   JsonValue base = Parse(BreakdownDoc(1000, 0.800, 5000));
   JsonValue cand = Parse(BreakdownDoc(1000, 0.800, 5000, /*mismatches=*/1));
   EXPECT_FALSE(CompareReports(base, cand, CompareOptions()).ok);
+}
+
+// --- emeralds.fleet.run/1 ---
+
+std::string FleetDoc(const char* fleet_digest) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"schema\":\"emeralds.fleet.run/1\",\"instances\":64,\"seed\":1,"
+                "\"run_duration_ms\":100,\"slice_ms\":5,\"nodes_failed\":0,"
+                "\"events_total\":122157,\"events_per_virtual_sec\":19086,"
+                "\"fleet_digest\":\"%s\"}",
+                fleet_digest);
+  return buf;
+}
+
+TEST(BenchCompareFleetTest, IdenticalReportsPass) {
+  JsonValue doc = Parse(FleetDoc("0x694861b1cb5ac0b9"));
+  CompareResult r = CompareReports(doc, doc, CompareOptions());
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
+}
+
+TEST(BenchCompareFleetTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
+  // Same aggregates, different per-node traces: the tolerance on the event
+  // counts cannot see it, the digest gate must.
+  JsonValue base = Parse(FleetDoc("0x694861b1cb5ac0b9"));
+  JsonValue cand = Parse(FleetDoc("0x9dc8f6c1e3b4c499"));
+  CompareResult r = CompareReports(base, cand, CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("fleet_digest differs"), std::string::npos) << r.failures[0];
+  EXPECT_NE(r.failures[0].find("EMERALDS_BENCH_JSON=BENCH_fleet.json build/bench/bench_fleet"),
+            std::string::npos)
+      << r.failures[0];
 }
 
 TEST(BenchCompareFilesTest, MissingFileIsAnIoFailure) {

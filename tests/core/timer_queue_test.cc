@@ -1,16 +1,17 @@
-// TimerQueue tests: the wheel and the reference sorted list must agree on
-// the exact extraction order — (expiry, arm_seq) — under arm/cancel/rearm
-// churn, including tie-breaks, far-future overflow, cascade on base advance,
-// and arms behind the wheel base. A kernel-level differential test then
-// checks the full trace stream is bit-identical across implementations.
+// TimerQueue tests: the queue must hand out pending timers in exact
+// (expiry, arm_seq) order. A property test drives it in lockstep with a
+// brute-force reference — a plain vector scanned for the minimum — under
+// random arm / re-arm / cancel / service churn that covers equal-expiry
+// tie-breaks, expiries already in the past, and far-future expiries.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/core/timer_queue.h"
-#include "tests/testing/kernel_env.h"
 
 namespace emeralds {
 namespace {
@@ -29,261 +30,159 @@ struct Rng {
   uint64_t Below(uint64_t n) { return Next() % n; }
 };
 
-// A pair of queues driven in lockstep; every mutation asserts the two report
-// the same minimum by identity (same logical timer index).
-class LockstepQueues {
+// The reference: every pending timer in an unordered vector, the minimum
+// found by a full scan. Obviously correct, and shares no code with the queue
+// beyond the SoftTimer fields it reads.
+class BruteForceQueue {
  public:
-  explicit LockstepQueues(size_t n)
-      : wheel_timers_(n),
-        list_timers_(n),
-        wheel_(TimerQueueImpl::kWheel),
-        list_(TimerQueueImpl::kSortedList) {}
-
-  void Arm(size_t i, Instant expiry, uint64_t seq, Instant now) {
-    if (wheel_timers_[i].armed()) {
-      wheel_.Remove(wheel_timers_[i]);
-      list_.Remove(list_timers_[i]);
+  void Insert(SoftTimer* timer) { pending_.push_back(timer); }
+  void Remove(SoftTimer* timer) {
+    auto it = std::find(pending_.begin(), pending_.end(), timer);
+    ASSERT_NE(it, pending_.end()) << "reference never saw this timer armed";
+    pending_.erase(it);
+  }
+  SoftTimer* Min() const {
+    SoftTimer* best = nullptr;
+    for (SoftTimer* t : pending_) {
+      if (best == nullptr || t->expiry < best->expiry ||
+          (t->expiry == best->expiry && t->arm_seq < best->arm_seq)) {
+        best = t;
+      }
     }
-    wheel_timers_[i].expiry = expiry;
-    wheel_timers_[i].arm_seq = seq;
-    list_timers_[i].expiry = expiry;
-    list_timers_[i].arm_seq = seq;
-    wheel_.Insert(wheel_timers_[i], now);
-    list_.Insert(list_timers_[i], now);
+    return best;
+  }
+  size_t size() const { return pending_.size(); }
+
+ private:
+  std::vector<SoftTimer*> pending_;
+};
+
+// The queue and the reference driven in lockstep, the way the kernel arms
+// timers: a re-arm first removes the armed timer, and every arm takes the
+// next arm_seq. Every mutation asserts both report the same minimum.
+class Lockstep {
+ public:
+  explicit Lockstep(size_t n) : timers_(n) {}
+
+  void Arm(size_t i, Instant expiry) {
+    SoftTimer& t = timers_[i];
+    if (t.armed()) {
+      queue_.Remove(t);
+      reference_.Remove(&t);
+    }
+    t.expiry = expiry;
+    t.arm_seq = seq_++;
+    queue_.Insert(t);
+    reference_.Insert(&t);
     CheckMin();
   }
 
   void Cancel(size_t i) {
-    if (!wheel_timers_[i].armed()) {
+    SoftTimer& t = timers_[i];
+    if (!t.armed()) {
       return;
     }
-    wheel_.Remove(wheel_timers_[i]);
-    list_.Remove(list_timers_[i]);
+    queue_.Remove(t);
+    reference_.Remove(&t);
     CheckMin();
   }
 
-  // Extracts every timer due at or before `now` from both queues, asserting
-  // identical extraction order. Returns the number extracted.
-  int Service(Instant now) {
-    int fired = 0;
+  // Dispatches every timer due at or before `now`, as the kernel's timer
+  // service does, and returns the indices in dispatch order.
+  std::vector<size_t> Service(Instant now) {
+    std::vector<size_t> fired;
     for (;;) {
-      SoftTimer* w = wheel_.Min();
-      SoftTimer* l = list_.Min();
-      AssertSame(w, l);
-      if (w == nullptr || w->expiry > now) {
+      CheckMin();
+      SoftTimer* t = queue_.Min();
+      if (::testing::Test::HasFatalFailure() || t == nullptr || t->expiry > now) {
         break;
       }
-      wheel_.Remove(*w);
-      list_.Remove(*l);
-      ++fired;
+      queue_.Remove(*t);
+      reference_.Remove(t);
+      fired.push_back(IndexOf(t));
     }
     return fired;
   }
 
-  void CheckMin() { AssertSame(wheel_.Min(), list_.Min()); }
+  void CheckMin() {
+    SoftTimer* got = queue_.Min();
+    SoftTimer* want = reference_.Min();
+    ASSERT_EQ(got, want) << "queue min " << Describe(got) << " != reference min "
+                         << Describe(want);
+    ASSERT_EQ(queue_.size(), reference_.size());
+    ASSERT_EQ(queue_.empty(), want == nullptr);
+  }
 
-  size_t IndexOfWheel(const SoftTimer* t) const { return t - wheel_timers_.data(); }
-  size_t IndexOfList(const SoftTimer* t) const { return t - list_timers_.data(); }
-
-  // The timers must outlive the queues: ~TimerQueue unlinks every armed
-  // timer, so the queues are declared last and destroyed first.
-  std::vector<SoftTimer> wheel_timers_;
-  std::vector<SoftTimer> list_timers_;
-  TimerQueue wheel_;
-  TimerQueue list_;
+  SoftTimer* Min() { return queue_.Min(); }
+  size_t IndexOf(const SoftTimer* t) const { return static_cast<size_t>(t - timers_.data()); }
+  size_t size() const { return queue_.size(); }
 
  private:
-  void AssertSame(const SoftTimer* w, const SoftTimer* l) {
-    ASSERT_EQ(w == nullptr, l == nullptr);
-    if (w == nullptr) {
-      return;
+  std::string Describe(const SoftTimer* t) const {
+    if (t == nullptr) {
+      return "(none)";
     }
-    ASSERT_EQ(IndexOfWheel(w), IndexOfList(l))
-        << "wheel min (expiry=" << w->expiry.nanos() << ", seq=" << w->arm_seq
-        << ") != list min (expiry=" << l->expiry.nanos() << ", seq=" << l->arm_seq << ")";
-    ASSERT_EQ(w->expiry.nanos(), l->expiry.nanos());
-    ASSERT_EQ(w->arm_seq, l->arm_seq);
+    return "#" + std::to_string(IndexOf(t)) + " (expiry=" + std::to_string(t->expiry.nanos()) +
+           ", seq=" + std::to_string(t->arm_seq) + ")";
   }
+
+  // The timers must outlive the queue: ~TimerQueue unlinks every armed
+  // timer, so the queue is declared after them and destroyed first.
+  std::vector<SoftTimer> timers_;
+  TimerQueue queue_;
+  BruteForceQueue reference_;
+  uint64_t seq_ = 0;
 };
 
 TEST(TimerQueueTest, EqualExpiriesExtractInArmOrder) {
-  LockstepQueues q(8);
+  Lockstep q(8);
   Instant now;
   Instant expiry = now + Microseconds(100);
   // Arm out of index order; extraction must follow arm_seq.
-  uint64_t seq = 0;
   for (size_t i : {3u, 0u, 7u, 1u, 5u}) {
-    q.Arm(i, expiry, seq++, now);
+    q.Arm(i, expiry);
   }
-  std::vector<size_t> order;
-  for (;;) {
-    SoftTimer* w = q.wheel_.Min();
-    if (w == nullptr) {
-      break;
-    }
-    order.push_back(q.IndexOfWheel(w));
-    q.wheel_.Remove(*w);
-    SoftTimer* l = q.list_.Min();
-    q.list_.Remove(*l);
-  }
-  EXPECT_EQ(order, (std::vector<size_t>{3, 0, 7, 1, 5}));
-}
-
-TEST(TimerQueueTest, FarFutureOverflowCascadesIn) {
-  LockstepQueues q(4);
-  Instant now;
-  uint64_t seq = 0;
-  // Beyond the outermost level span (~268 ms): lands in overflow.
-  q.Arm(0, now + Seconds(2), seq++, now);
-  q.Arm(1, now + Seconds(1), seq++, now);
-  // Near-term timers keep the wheel busy while time advances.
-  q.Arm(2, now + Milliseconds(1), seq++, now);
-  EXPECT_EQ(q.IndexOfWheel(q.wheel_.Min()), 2u);
-
-  // March time forward past the far expiries; the overflow prefix must
-  // cascade into the levels and fire in exact order.
-  Instant t = now;
-  int fired = 0;
-  uint64_t rearm = 100;
-  while (t < now + Seconds(3)) {
-    t = t + Milliseconds(7);
-    fired += q.Service(t);
-    // Churn: keep re-arming a short timer so the base keeps advancing.
-    q.Arm(3, t + Milliseconds(5), rearm++, t);
-  }
-  fired += q.Service(t);
-  EXPECT_GE(fired, 3);
-  EXPECT_FALSE(q.wheel_timers_[0].armed());
-  EXPECT_FALSE(q.wheel_timers_[1].armed());
-}
-
-TEST(TimerQueueTest, ArmBehindBaseStillOrdersExactly) {
-  LockstepQueues q(3);
-  Instant now;
-  uint64_t seq = 0;
-  q.Arm(0, now + Milliseconds(10), seq++, now);
-  // Advance the base well past t=0 by servicing at a later time.
-  Instant later = now + Milliseconds(9);
-  q.Service(later);
-  // Arm a timer whose expiry is already in the past relative to the base.
-  q.Arm(1, now + Milliseconds(1), seq++, later);
-  q.Arm(2, now + Milliseconds(20), seq++, later);
-  EXPECT_EQ(q.IndexOfWheel(q.wheel_.Min()), 1u);
-  EXPECT_EQ(q.Service(later + Milliseconds(5)), 2);  // indices 1 then 0
-  EXPECT_EQ(q.IndexOfWheel(q.wheel_.Min()), 2u);
-}
-
-// Satellite: the lazy cascade at exactly the 64-slot wrap boundary. A timer
-// armed for now + 64 granules shares a slot *index* with "now" but lives one
-// wheel lap (or one level) away; the wheel must fire it at its expiry in
-// (expiry, arm_seq) order, not a lap early or late. Pin arms at span-1, span,
-// and span+1 granules for every level span (64, 64^2, 64^3) plus an arm_seq
-// tie exactly at the span.
-TEST(TimerQueueTest, ExactWrapBoundaryFiresInOrder) {
-  constexpr int64_t kGranule = 1024;  // 1 << kGranularityShift ns
-  constexpr int64_t kSpans[] = {64, 64 * 64, 64 * 64 * 64};
-  LockstepQueues q(12);
-  Instant now;
-  uint64_t seq = 0;
-  size_t i = 0;
-  for (int64_t span : kSpans) {
-    q.Arm(i++, now + Nanoseconds((span - 1) * kGranule), seq++, now);
-    q.Arm(i++, now + Nanoseconds(span * kGranule), seq++, now);
-    q.Arm(i++, now + Nanoseconds(span * kGranule), seq++, now);  // seq tie
-    q.Arm(i++, now + Nanoseconds((span + 1) * kGranule), seq++, now);
-  }
-  // March with a stride coprime to the slot count so service instants land at
-  // every slot phase; Service() asserts extraction order against the list.
-  Instant t = now;
-  int fired = 0;
-  while (t < now + Nanoseconds((kSpans[2] + 2) * kGranule)) {
-    t = t + Nanoseconds(63 * kGranule);
-    fired += q.Service(t);
-  }
-  EXPECT_EQ(fired, 12);
-  for (size_t k = 0; k < 12; ++k) {
-    EXPECT_FALSE(q.wheel_timers_[k].armed()) << "timer " << k;
-  }
-}
-
-TEST(TimerQueueTest, WrapBoundaryAfterBaseAdvance) {
-  constexpr int64_t kGranule = 1024;
-  LockstepQueues q(4);
-  Instant now;
-  uint64_t seq = 0;
-  // Walk the base to a mid-rotation position first so the wrap lands away
-  // from slot zero.
-  q.Arm(0, now + Nanoseconds(37 * kGranule), seq++, now);
-  now = now + Nanoseconds(41 * kGranule);
-  q.Service(now);
-  // Arms exactly one full level-0 rotation ahead of the new base share a slot
-  // index with the base itself; they must not fire a lap early.
-  q.Arm(1, now + Nanoseconds(64 * kGranule), seq++, now);
-  q.Arm(2, now + Nanoseconds(64 * kGranule), seq++, now);  // arm_seq tie
-  q.Arm(3, now + Nanoseconds(63 * kGranule), seq++, now);
-  EXPECT_EQ(q.Service(now + Nanoseconds(63 * kGranule)), 1);
-  EXPECT_EQ(q.Service(now + Nanoseconds(64 * kGranule)), 2);
-  EXPECT_FALSE(q.wheel_timers_[1].armed());
-  EXPECT_FALSE(q.wheel_timers_[2].armed());
-}
-
-// Randomized variant of the boundary tests: every expiry is pinned to a wrap
-// boundary +/- one granule, so the whole schedule lives exactly where a
-// cascade bug would hide, under arm/cancel/service churn.
-TEST(TimerQueueTest, BoundaryPinnedChurnMatchesReference) {
-  constexpr int64_t kGranule = 1024;
-  constexpr int64_t kSpans[] = {64, 64 * 64, 64 * 64 * 64};
-  for (uint64_t seed = 100; seed < 110; ++seed) {
-    Rng rng(seed);
-    constexpr size_t kTimers = 32;
-    LockstepQueues q(kTimers);
-    Instant now;
-    uint64_t seq = 0;
-    for (int op = 0; op < 1500; ++op) {
-      uint64_t roll = rng.Below(100);
-      size_t i = rng.Below(kTimers);
-      if (roll < 60) {
-        int64_t span = kSpans[rng.Below(3)];
-        int64_t jitter = static_cast<int64_t>(rng.Below(3)) - 1;
-        q.Arm(i, now + Nanoseconds((span + jitter) * kGranule), seq++, now);
-      } else if (roll < 75) {
-        q.Cancel(i);
-      } else {
-        now = now + Nanoseconds(static_cast<int64_t>(rng.Below(130)) * kGranule);
-        q.Service(now);
-      }
-      if (::testing::Test::HasFatalFailure()) {
-        FAIL() << "divergence at seed " << seed << " op " << op;
-      }
-    }
-    ASSERT_EQ(q.wheel_.size(), q.list_.size());
-  }
+  // A re-arm at the same instant takes a fresh arm_seq: it now fires last.
+  q.Arm(0, expiry);
+  EXPECT_EQ(q.Service(expiry), (std::vector<size_t>{3, 7, 1, 5, 0}));
+  EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(TimerQueueTest, RandomChurnMatchesReference) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     constexpr size_t kTimers = 64;
-    LockstepQueues q(kTimers);
-    Instant now;
-    uint64_t seq = 0;
+    Lockstep q(kTimers);
+    Instant now = Instant() + Seconds(1);
+    // A handful of absolute instants that many arms share, so arm_seq
+    // tie-breaks happen constantly — including after `now` passes them.
+    const Instant shared[] = {now + Milliseconds(5), now + Milliseconds(20),
+                              now + Milliseconds(400)};
     for (int op = 0; op < 2000; ++op) {
       uint64_t roll = rng.Below(100);
       size_t i = rng.Below(kTimers);
       if (roll < 55) {
-        // Arm/rearm with a spread of horizons: sub-tick, level 0/1/2,
-        // overflow, and deliberate expiry collisions for tie-breaks.
-        uint64_t kind = rng.Below(6);
-        Duration d;
-        switch (kind) {
-          case 0: d = Nanoseconds(static_cast<int64_t>(rng.Below(1024))); break;
-          case 1: d = Microseconds(static_cast<int64_t>(rng.Below(60))); break;
-          case 2: d = Microseconds(static_cast<int64_t>(rng.Below(4000))); break;
-          case 3: d = Milliseconds(static_cast<int64_t>(rng.Below(250))); break;
-          case 4: d = Milliseconds(static_cast<int64_t>(250 + rng.Below(5000))); break;
-          default: d = Milliseconds(5);  // shared expiry: arm_seq tie-break
+        Instant expiry;
+        switch (rng.Below(6)) {
+          case 0:  // overdue: the service loop must fire it at once
+            expiry = now - Microseconds(static_cast<int64_t>(rng.Below(5000)));
+            break;
+          case 1:
+            expiry = now + Nanoseconds(static_cast<int64_t>(rng.Below(1024)));
+            break;
+          case 2:
+            expiry = now + Microseconds(static_cast<int64_t>(rng.Below(4000)));
+            break;
+          case 3:
+            expiry = now + Milliseconds(static_cast<int64_t>(rng.Below(250)));
+            break;
+          case 4:  // far future: outlives the whole run
+            expiry = now + Seconds(static_cast<int64_t>(3600 + rng.Below(86400)));
+            break;
+          default:
+            expiry = shared[rng.Below(3)];
         }
-        q.Arm(i, now + d, seq++, now);
+        q.Arm(i, expiry);
       } else if (roll < 75) {
         q.Cancel(i);
       } else {
@@ -294,96 +193,47 @@ TEST(TimerQueueTest, RandomChurnMatchesReference) {
         FAIL() << "divergence at seed " << seed << " op " << op;
       }
     }
-    ASSERT_EQ(q.wheel_.size(), q.list_.size());
   }
 }
 
-// Kernel-level differential: a timer-heavy node (user timers, sleeps,
-// receive timeouts, periodic releases, stats sampling) must produce a
-// bit-identical trace and identical counters under both implementations.
-void BuildTimerHeavyWorkload(Kernel& kernel) {
-  SemId tick = kernel.CreateSemaphore("tick", 0).value();
-  TimerId timer = kernel.CreateTimer("ticker", tick).value();
-  MailboxId mbox = kernel.CreateMailbox("mbox", 1).value();
-
-  ThreadParams pacer;
-  pacer.name = "pacer";
-  pacer.body = [tick](ThreadApi api) -> ThreadBody {
-    for (;;) {
-      Status s = co_await api.Acquire(tick);
-      if (s != Status::kOk) {
-        break;
+// Churn whose expiries sit exactly on the boundaries a sorted insert and the
+// service loop compare against: the earliest pending expiry and the current
+// time, each +/- one nanosecond. A wrong strictness in the insert scan
+// (filing a tie ahead of an earlier arm) or in the due check shows up at once.
+TEST(TimerQueueTest, BoundaryPinnedChurnMatchesReference) {
+  for (uint64_t seed = 100; seed < 110; ++seed) {
+    Rng rng(seed);
+    constexpr size_t kTimers = 32;
+    Lockstep q(kTimers);
+    Instant now = Instant() + Milliseconds(1);
+    for (int op = 0; op < 1500; ++op) {
+      uint64_t roll = rng.Below(100);
+      size_t i = rng.Below(kTimers);
+      Duration jitter = Nanoseconds(static_cast<int64_t>(rng.Below(3)) - 1);
+      const SoftTimer* min = q.Min();
+      if (roll < 60) {
+        Instant pin = min != nullptr && rng.Below(2) == 0 ? min->expiry : now;
+        q.Arm(i, pin + jitter);
+      } else if (roll < 75) {
+        q.Cancel(i);
+      } else {
+        // Step time onto the earliest pending expiry, or one nanosecond
+        // either side of it.
+        Instant target = min != nullptr ? min->expiry
+                                        : now + Microseconds(static_cast<int64_t>(1 + rng.Below(50)));
+        now = std::max(now, target + jitter);
+        for (size_t k : q.Service(now)) {
+          // The kernel re-arms periodic work straight from the service loop.
+          if (rng.Below(2) == 0) {
+            q.Arm(k, now);
+          }
+        }
       }
-      co_await api.Compute(Microseconds(40));
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "divergence at seed " << seed << " op " << op;
+      }
     }
-  };
-  kernel.CreateThread(pacer);
-
-  ThreadParams sleeper;
-  sleeper.name = "sleeper";
-  sleeper.period = Milliseconds(3);
-  sleeper.body = [](ThreadApi api) -> ThreadBody {
-    for (;;) {
-      co_await api.Sleep(Microseconds(700));
-      co_await api.Compute(Microseconds(90));
-      co_await api.WaitNextPeriod();
-    }
-  };
-  kernel.CreateThread(sleeper);
-
-  ThreadParams poller;
-  poller.name = "poller";
-  poller.period = Milliseconds(2);
-  poller.body = [mbox](ThreadApi api) -> ThreadBody {
-    uint8_t buf[4];
-    for (;;) {
-      // Nobody sends: every receive times out, exercising timeout timers.
-      co_await api.Recv(mbox, std::span<uint8_t>(buf, sizeof(buf)), Microseconds(500));
-      co_await api.WaitNextPeriod();
-    }
-  };
-  kernel.CreateThread(poller);
-
-  kernel.EnableStatsSampling(Milliseconds(5), 64);
-  kernel.Start();
-  kernel.StartTimer(timer, Microseconds(900), Microseconds(1700));
-  kernel.RunUntil(Instant() + Milliseconds(120));
-}
-
-TEST(TimerQueueTest, KernelTraceBitIdenticalAcrossImpls) {
-  KernelConfig wheel_config = CalibratedConfig(SchedulerSpec::Csd(2));
-  wheel_config.trace_capacity = 65536;
-  wheel_config.timer_queue = TimerQueueImpl::kWheel;
-  KernelConfig list_config = wheel_config;
-  list_config.timer_queue = TimerQueueImpl::kSortedList;
-
-  SimEnv wheel_env(wheel_config);
-  BuildTimerHeavyWorkload(wheel_env.k());
-  SimEnv list_env(list_config);
-  BuildTimerHeavyWorkload(list_env.k());
-
-  const TraceSink& wt = wheel_env.k().trace();
-  const TraceSink& lt = list_env.k().trace();
-  ASSERT_EQ(wt.dropped(), 0u);
-  ASSERT_EQ(wt.size(), lt.size());
-  for (size_t i = 0; i < wt.size(); ++i) {
-    const TraceEvent& a = wt.at(i);
-    const TraceEvent& b = lt.at(i);
-    ASSERT_EQ(a.time.nanos(), b.time.nanos()) << "event " << i;
-    ASSERT_EQ(a.type, b.type) << "event " << i;
-    ASSERT_EQ(a.arg0, b.arg0) << "event " << i;
-    ASSERT_EQ(a.arg1, b.arg1) << "event " << i;
-    ASSERT_EQ(a.arg2, b.arg2) << "event " << i;
   }
-
-  const KernelStats& ws = wheel_env.k().stats();
-  const KernelStats& ls = list_env.k().stats();
-  EXPECT_EQ(ws.interrupts, ls.interrupts);
-  EXPECT_EQ(ws.timer_dispatches, ls.timer_dispatches);
-  EXPECT_EQ(ws.context_switches, ls.context_switches);
-  EXPECT_EQ(ws.syscalls, ls.syscalls);
-  EXPECT_EQ(ws.cycle_total().nanos(), ls.cycle_total().nanos());
-  EXPECT_EQ(wheel_env.k().now().nanos(), list_env.k().now().nanos());
 }
 
 }  // namespace

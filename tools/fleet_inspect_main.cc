@@ -32,9 +32,9 @@
 //
 // The fleet configuration comes from the report; every field can be
 // overridden by flags (--instances, --seed, --run-ms, --slice-ms,
-// --timer-queue, --trace-capacity, --overload-node, --overload-factor), and
-// with a full flag set the report path may be omitted entirely — that is
-// the form NodeReproCommand() emits into black-box repro.txt files.
+// --trace-capacity, --overload-node, --overload-factor), and with a full
+// flag set the report path may be omitted entirely — that is the form
+// NodeReproCommand() emits into black-box repro.txt files.
 //
 // Exit status: 0 clean; 1 usage / I/O / parse failure; 2 an inspected node
 // failed an oracle (table mode: the report records failed nodes).
@@ -90,10 +90,9 @@ void PrintPercentiles(const char* title, const JsonValue& hist) {
 
 // Table mode: everything comes from the report document.
 int PrintReport(const JsonValue& root, const char* path) {
-  std::printf("%s: %s fleet, %lld nodes, seed %lld, %s timers\n", path,
-              RootString(root, "label").c_str(), static_cast<long long>(RootInt(root, "instances", 0)),
-              static_cast<long long>(RootInt(root, "seed", 0)),
-              RootString(root, "timer_queue").c_str());
+  std::printf("%s: %s fleet, %lld nodes, seed %lld\n", path, RootString(root, "label").c_str(),
+              static_cast<long long>(RootInt(root, "instances", 0)),
+              static_cast<long long>(RootInt(root, "seed", 0)));
   std::printf("  events=%lld (%.0f/virtual-sec)  jobs=%lld  misses=%lld  chain overruns=%lld\n",
               static_cast<long long>(RootInt(root, "events_total", 0)),
               RootNumber(root, "events_per_virtual_sec", 0),
@@ -256,8 +255,7 @@ constexpr const char* kUsage =
     "                      --timeseries=N | --postmortem=N | --openmetrics=OUT.txt]\n"
     "                     [--dir=DIR] [--perfetto=OUT.json]\n"
     "                     [--instances=N] [--seed=S] [--run-ms=M] [--slice-ms=K]\n"
-    "                     [--timer-queue=wheel|sorted_list] [--trace-capacity=C]\n"
-    "                     [--overload-node=I] [--overload-factor=F]\n";
+    "                     [--trace-capacity=C] [--overload-node=I] [--overload-factor=F]\n";
 
 bool FlagValue(const char* arg, const char* name, const char** value) {
   size_t len = std::strlen(name);
@@ -433,15 +431,6 @@ int Main(int argc, char** argv) {
         return status;
       }
       opt.slice = Milliseconds(value);
-    } else if (FlagValue(argv[i], "--timer-queue", &v)) {
-      if (std::strcmp(v, "wheel") == 0) {
-        opt.timer_queue = TimerQueueImpl::kWheel;
-      } else if (std::strcmp(v, "sorted_list") == 0) {
-        opt.timer_queue = TimerQueueImpl::kSortedList;
-      } else {
-        std::fprintf(stderr, "fleet_inspect: bad value '%s' for --timer-queue\n%s", v, kUsage);
-        return 1;
-      }
     } else if (FlagValue(argv[i], "--trace-capacity", &v)) {
       if (!FlagInt("--trace-capacity", v, 0, INT64_MAX, &value, &status)) {
         return status;
@@ -511,9 +500,6 @@ int Main(int argc, char** argv) {
     }
     if (opt.trace_capacity == 0) {
       opt.trace_capacity = static_cast<size_t>(RootInt(root, "trace_capacity", 0));
-    }
-    if (RootString(root, "timer_queue") == "sorted_list") {
-      opt.timer_queue = TimerQueueImpl::kSortedList;
     }
     have_config = true;
   }

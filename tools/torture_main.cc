@@ -15,8 +15,6 @@
 //                                          pool; each worker drops its first
 //                                          failure's bundle under
 //                                          <artifacts-dir>/worker-N/
-//   torture --timer-queue=list             run against the reference sorted
-//                                          timer list instead of the wheel
 //   torture --num-cores=2                  partitioned-SMP runs: generated
 //                                          threads pinned round-robin across
 //                                          N virtual cores (1 = the classic
@@ -95,15 +93,6 @@ int Run(int argc, char** argv) {
       runs = std::atoi(v);
     } else if (ParseFlag(argv[i], "--jobs", &v) && v != nullptr) {
       jobs = std::atoi(v);
-    } else if (ParseFlag(argv[i], "--timer-queue", &v) && v != nullptr) {
-      if (std::strcmp(v, "wheel") == 0) {
-        base.timer_queue = TimerQueueImpl::kWheel;
-      } else if (std::strcmp(v, "list") == 0) {
-        base.timer_queue = TimerQueueImpl::kSortedList;
-      } else {
-        std::fprintf(stderr, "--timer-queue must be wheel or list, got %s\n", v);
-        return 2;
-      }
     } else if (ParseFlag(argv[i], "--budget-seconds", &v) && v != nullptr) {
       budget_seconds = std::atof(v);
     } else if (ParseFlag(argv[i], "--json", &v) && v != nullptr) {
