@@ -272,37 +272,34 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
           NumberOr(*overhead, "ratio", 0.0), NumberOr(*overhead, "on_events_per_wall_sec", 0.0),
           NumberOr(*overhead, "off_events_per_wall_sec", 0.0));
   }
-  // Streaming-collection overhead IS gated, as a ratio: both sides of the
-  // division ran on the same host in the same process, so the ratio is
-  // machine-independent in a way the raw wall rates are not. Even best-of-3
-  // ratios of ~40 ms parallel runs still carry double-digit-percent host
-  // noise, so this gate uses its own tripwire tolerance instead of the 3%
-  // deterministic-field tolerance: it exists to catch the streaming plane
-  // becoming grossly more expensive (the always-on layer doubling in cost),
-  // not to micro-gate scheduler jitter.
-  constexpr double kStreamingRatioTolerance = 0.25;
+  // Streaming-collection overhead is a ratio of two wall-clock rates from
+  // runs of a few tens of milliseconds, so it mostly measures host noise:
+  // informational only.
   const JsonValue* streaming = candidate.Find("streaming_overhead");
-  const JsonValue* base_streaming = baseline.Find("streaming_overhead");
-  if (streaming != nullptr && base_streaming == nullptr) {
-    Notef(r, "streaming overhead ratio %.3f (baseline lacks the section, not gated)",
-          NumberOr(*streaming, "ratio", 0.0));
-  } else if (streaming == nullptr && base_streaming != nullptr) {
-    Failf(r, "baseline has a streaming_overhead section but the candidate lost it");
-  } else if (streaming != nullptr && base_streaming != nullptr) {
-    double base_ratio = NumberOr(*base_streaming, "ratio", 0.0);
-    double cand_ratio = NumberOr(*streaming, "ratio", 0.0);
-    if (base_ratio <= 0 || cand_ratio <= 0) {
-      Failf(r, "streaming_overhead ratio missing or non-positive (baseline %.3f, candidate %.3f)",
-            base_ratio, cand_ratio);
-    } else if (base_ratio - cand_ratio > kStreamingRatioTolerance * base_ratio) {
-      Failf(r, "streaming overhead regressed: ratio %.3f vs baseline %.3f (%+.1f%%, tolerance "
-               "%.0f%%)",
-            cand_ratio, base_ratio, 100.0 * (cand_ratio - base_ratio) / base_ratio,
-            100.0 * kStreamingRatioTolerance);
-    } else {
-      Notef(r, "streaming overhead ratio %.3f vs baseline %.3f (gated, within tolerance)",
-            cand_ratio, base_ratio);
-    }
+  if (streaming != nullptr) {
+    const JsonValue* base_streaming = baseline.Find("streaming_overhead");
+    Notef(r, "streaming overhead ratio %.3f vs baseline %.3f (not gated)",
+          NumberOr(*streaming, "ratio", 0.0),
+          base_streaming != nullptr ? NumberOr(*base_streaming, "ratio", 0.0) : 0.0);
+  }
+  // Trace memory per node is a deterministic work counter: the largest
+  // node's window storage may not grow past the relative tolerance.
+  auto storage_bytes_max = [](const JsonValue& report) {
+    const JsonValue* trace = report.Find("trace");
+    return trace != nullptr ? NumberOr(*trace, "storage_bytes_max", -1) : -1;
+  };
+  double base_storage = storage_bytes_max(baseline);
+  double cand_storage = storage_bytes_max(candidate);
+  if (base_storage >= 0 && cand_storage < 0) {
+    Failf(r, "baseline has trace.storage_bytes_max but the candidate does not");
+  } else if (base_storage >= 0 && cand_storage > base_storage * (1.0 + opt.rel_tolerance)) {
+    Failf(r, "trace.storage_bytes_max grew: %.0f vs baseline %.0f (%+.1f%%, tolerance %.0f%%)",
+          cand_storage, base_storage,
+          base_storage > 0 ? 100.0 * (cand_storage - base_storage) / base_storage : 0.0,
+          100.0 * opt.rel_tolerance);
+  } else if (base_storage >= 0 && cand_storage != base_storage) {
+    Notef(r, "trace.storage_bytes_max: %.0f vs baseline %.0f (within tolerance)", cand_storage,
+          base_storage);
   }
   // Wall-clock throughput is machine-dependent: informational only.
   double base_wps = NumberOr(baseline, "events_per_wall_sec", 0.0);

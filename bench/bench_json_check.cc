@@ -698,7 +698,8 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   const JsonValue* fleet_trace = root.Find("trace");
   if (fleet_trace == nullptr ||
       !RequireNumbers(*fleet_trace, "fleet trace",
-                      {"dropped_total", "worst_node", "worst_node_dropped"})) {
+                      {"dropped_total", "worst_node", "worst_node_dropped", "storage_bytes_max",
+                       "storage_bytes_worst_node"})) {
     return 1;
   }
   const JsonValue* triage = root.Find("triage");

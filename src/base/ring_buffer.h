@@ -1,8 +1,10 @@
 // Bounded FIFO ring buffer with capacity fixed at construction.
 //
-// Used by mailboxes (message queues) and trace sinks. Storage is allocated
-// once at construction ("kernel init time"); there is no allocation on the
-// send/receive paths.
+// Used by mailboxes (message queues), device receive queues, the stats
+// sampler and the telemetry window series. Storage is allocated once at
+// construction ("kernel init time"); there is no allocation on the
+// send/receive paths. Trace sinks do not use it: their window grows with
+// the records made (src/hal/trace.h).
 
 #ifndef SRC_BASE_RING_BUFFER_H_
 #define SRC_BASE_RING_BUFFER_H_
@@ -36,7 +38,7 @@ class RingBuffer {
   }
 
   // Appends `value`, evicting the oldest element if full. Returns true if an
-  // element was evicted. Used by lossy consumers such as trace sinks.
+  // element was evicted. Used by lossy consumers such as the stats sampler.
   bool push_overwrite(T value) {
     bool evicted = false;
     if (full()) {

@@ -136,11 +136,12 @@ struct KernelConfig {
   size_t max_state_messages = 64;
   size_t max_regions = 16;
 
-  // Trace ring capacity (0 disables event retention; counters still work).
+  // Trace window retention bound (0 disables event retention; counters
+  // still work). Storage grows with the records made, up to 2x the bound.
   size_t trace_capacity = 4096;
 
   // Record a kOverheadSpan trace event at the end of every non-user,
-  // non-idle clock advance. Costs ring space (roughly 3-4x event volume) but
+  // non-idle clock advance. Costs trace space (roughly 3-4x event volume) but
   // lets the deadline-miss postmortem engine attribute kernel overhead
   // (IRQ / timer service / scheduler / syscall) exactly; without spans the
   // lateness ledger still telescopes but lumps overhead into own-execution.

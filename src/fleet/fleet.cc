@@ -20,38 +20,16 @@ namespace emeralds {
 namespace fleet {
 namespace {
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 // Same digest recipe as the torture harness: the retained trace window plus
 // the reconciled counters. Equal digests == bit-identical runs.
 uint64_t DigestNode(const Kernel& kernel) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  const TraceSink& trace = kernel.trace();
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace.at(i);
-    int64_t us = e.time.micros();
-    int32_t type = static_cast<int32_t>(e.type);
-    hash = Fnv1a(hash, &us, sizeof(us));
-    hash = Fnv1a(hash, &type, sizeof(type));
-    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
-  }
   const KernelStats& s = kernel.stats();
   uint64_t counters[] = {s.context_switches, s.syscalls,         s.jobs_released,
                          s.jobs_completed,   s.deadline_misses,  s.sem_acquires,
                          s.mailbox_sends,    s.mailbox_receives, s.interrupts,
                          s.timer_dispatches, s.chain_emits,      s.chain_consumes,
                          s.chain_origins};
-  hash = Fnv1a(hash, counters, sizeof(counters));
-  return hash;
+  return Fnv1a(kernel.trace().Digest(kFnv1aOffsetBasis), counters, sizeof(counters));
 }
 
 // Workload handles, arena-resident (trivially destructible: ids + bytes).
@@ -125,6 +103,8 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   // Sized for the full event stream including kOverheadSpan records (one per
   // charged kernel advance, ~3x the rest of the stream), so a default-sized
   // node keeps a complete window and the exact-attribution oracles stay armed.
+  // The bound is generous on purpose: trace storage grows with the records
+  // the node actually makes, not with the bound.
   config.trace_capacity =
       opt.trace_capacity != 0
           ? opt.trace_capacity
@@ -254,6 +234,7 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   r.headroom_low_events = s.headroom_low_events;
   r.virtual_time = kernel.now() - Instant();
   r.trace_dropped = kernel.trace().dropped();
+  r.trace_storage_bytes = kernel.trace().storage_bytes();
   r.trace_digest = DigestNode(kernel);
 
   obs::TraceAnalysis analysis = obs::AnalyzeTrace(kernel.trace());
@@ -417,7 +398,7 @@ FleetResult RunFleet(const FleetOptions& options) {
   out.wall_seconds = wall_seconds;
   out.artifacts_dir = opt.artifacts_dir;
   out.nodes.reserve(nodes.size());
-  uint64_t digest = 0xcbf29ce484222325ULL;
+  uint64_t digest = kFnv1aOffsetBasis;
   for (size_t i = 0; i < nodes.size(); ++i) {
     const NodeResult& r = nodes[i]->result;
     out.events_total += r.events;
@@ -434,6 +415,10 @@ FleetResult RunFleet(const FleetOptions& options) {
     if (r.trace_dropped > out.trace_dropped_worst) {
       out.trace_dropped_worst = r.trace_dropped;
       out.trace_dropped_worst_node = static_cast<int>(i);
+    }
+    if (r.trace_storage_bytes > out.trace_storage_bytes_max) {
+      out.trace_storage_bytes_max = r.trace_storage_bytes;
+      out.trace_storage_bytes_worst_node = static_cast<int>(i);
     }
     out.arena_high_water = std::max(out.arena_high_water, r.arena_high_water);
     if (opt.telemetry) {

@@ -60,9 +60,12 @@ struct FleetOptions {
   Duration slice = Milliseconds(5);
   // Per-node arena capacity; 0 sizes it from the node footprint.
   size_t arena_bytes = 0;
-  // Per-node trace ring; 0 sizes it to retain the whole run. Large fleets
-  // pass a small fixed ring to bound memory — the oracles are
-  // truncation-aware, so a wrapped ring degrades checking, never correctness.
+  // Per-node trace retention bound; 0 sizes it to retain the whole run.
+  // Storage grows with the records a node makes, not with the bound, and
+  // never exceeds 2x the bound once the window wraps.
+  // Large fleets pass a small fixed bound to cap memory — the oracles are
+  // truncation-aware, so a wrapped window degrades checking, never
+  // correctness.
   size_t trace_capacity = 0;
   // Fleet telemetry plane: per-node NodeTelemetry blocks merged into
   // FleetResult::telemetry. Host-side only — collection happens after each
@@ -107,6 +110,7 @@ struct NodeResult {
   uint64_t chain_overruns = 0;  // completed chain instances past their SLO
   uint64_t trace_digest = 0;    // FNV-1a over the retained window + counters
   uint64_t trace_dropped = 0;
+  size_t trace_storage_bytes = 0;  // trace window storage at the horizon
   uint64_t headroom_low_events = 0;
   Duration virtual_time;
   size_t arena_high_water = 0;
@@ -163,6 +167,10 @@ struct FleetResult {
   uint64_t trace_dropped_total = 0;
   int trace_dropped_worst_node = -1;
   uint64_t trace_dropped_worst = 0;
+  // Trace memory per node (a deterministic work counter): the largest
+  // window storage any node held, and which node held it.
+  size_t trace_storage_bytes_max = 0;
+  int trace_storage_bytes_worst_node = -1;
   uint64_t headroom_low_total = 0;
   int nodes_anomalous = 0;
   // Fleet-merged blame tables (associative integer merge in node-index

@@ -38,13 +38,16 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("nodes_anomalous", result.nodes_anomalous);
   json.Int("headroom_low_total", static_cast<int64_t>(result.headroom_low_total));
 
-  // Silent ring truncation, surfaced: a node that quietly wrapped its trace
-  // ring has degraded oracle coverage, so the fleet owns up to it here.
+  // Silent window truncation, surfaced: a node that quietly wrapped its trace
+  // window has degraded oracle coverage, so the fleet owns up to it here,
+  // next to the trace memory the largest node held.
   json.Key("trace");
   json.OpenObject();
   json.Int("dropped_total", static_cast<int64_t>(result.trace_dropped_total));
   json.Int("worst_node", result.trace_dropped_worst_node);
   json.Int("worst_node_dropped", static_cast<int64_t>(result.trace_dropped_worst));
+  json.Int("storage_bytes_max", static_cast<int64_t>(result.trace_storage_bytes_max));
+  json.Int("storage_bytes_worst_node", result.trace_storage_bytes_worst_node);
   json.CloseObject();
   {
     char digest[32];

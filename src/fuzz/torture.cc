@@ -327,28 +327,7 @@ ThreadBodyFactory MakeTortureBody(HarnessState* st, const TortureOptions opt, Rn
   };
 }
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 uint64_t DigestRun(const Kernel& kernel) {
-  uint64_t hash = 0xcbf29ce484222325ULL;
-  const TraceSink& trace = kernel.trace();
-  for (size_t i = 0; i < trace.size(); ++i) {
-    const TraceEvent& e = trace.at(i);
-    int64_t us = e.time.micros();
-    int32_t type = static_cast<int32_t>(e.type);
-    hash = Fnv1a(hash, &us, sizeof(us));
-    hash = Fnv1a(hash, &type, sizeof(type));
-    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
-  }
   const KernelStats& s = kernel.stats();
   uint64_t counters[] = {s.context_switches, s.jobs_released,   s.jobs_completed,
                          s.deadline_misses,  s.sem_acquires,    s.mailbox_sends,
@@ -356,8 +335,7 @@ uint64_t DigestRun(const Kernel& kernel) {
                          s.smsg_read_retries, s.mailbox_truncations, s.pi_chain_limit_hits,
                          s.interrupts,       s.timer_dispatches, s.chain_emits,
                          s.chain_consumes,   s.chain_origins};
-  hash = Fnv1a(hash, counters, sizeof(counters));
-  return hash;
+  return Fnv1a(kernel.trace().Digest(kFnv1aOffsetBasis), counters, sizeof(counters));
 }
 
 // One deterministic run: build the seeded topology, interpret the schedules,
@@ -387,9 +365,10 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
   config.cost_model = CostModel::MC68040_25MHz();
   config.num_cores = opt.num_cores;
   config.default_sem_mode = topo.Bernoulli(0.5) ? SemMode::kCse : SemMode::kStandard;
-  // Sized so the default ring retains the whole run: overhead-span events
+  // Sized so the default window retains the whole run: overhead-span events
   // roughly triple the trace volume, and oracle 6's zero-unattributed demand
-  // only binds on a complete window.
+  // only binds on a complete window. This is a retention bound, not an
+  // allocation: storage grows with the records a seed actually makes.
   config.trace_capacity =
       opt.tiny_trace_ring ? 128 : std::max<size_t>(49152, static_cast<size_t>(opt.ops) * 96);
 

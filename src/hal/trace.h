@@ -1,17 +1,20 @@
 // Execution tracing.
 //
 // The trace sink records timestamped kernel events (context switches, job
-// releases, deadline misses, semaphore operations) into a bounded ring.
+// releases, deadline misses, semaphore operations) into a bounded window.
 // Figure 2's schedule trace, many integration tests, and the src/obs/
 // observability pipeline (Perfetto export, trace analyzer) are built on it.
 
 #ifndef SRC_HAL_TRACE_H_
 #define SRC_HAL_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <span>
+#include <vector>
 
-#include "src/base/ring_buffer.h"
+#include "src/base/assert.h"
 #include "src/base/time.h"
 
 namespace emeralds {
@@ -150,52 +153,90 @@ struct TraceEvent {
   int32_t arg2 = 0;
 };
 
+// FNV-1a over `len` bytes, continuing from `hash` (start a fresh digest from
+// kFnv1aOffsetBasis). The per-node and per-seed digests are built on it.
+inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
+uint64_t Fnv1a(uint64_t hash, const void* data, size_t len);
+
+// The retained window is the last `capacity` records, oldest first, held
+// contiguously so replays read it in place (events()). `capacity` is only a
+// retention bound: until the window wraps, storage grows by push_back, so it
+// holds fewer than twice the records made and less than 2 * capacity. Once
+// the window is full, each record evicts the oldest by advancing first_, and
+// when first_ reaches `capacity` the evicted prefix is erased in one move.
+// The first eviction reserves 2 * capacity records, and the window plus an
+// evicted prefix never exceeds 2 * capacity - 1 records, so storage never
+// grows past 2 * capacity.
 class TraceSink {
  public:
   // `capacity` == 0 disables recording entirely (counting still works).
-  explicit TraceSink(size_t capacity)
-      : enabled_(capacity > 0), events_(capacity > 0 ? capacity : 1) {}
+  explicit TraceSink(size_t capacity) : capacity_(capacity) {}
 
   void Record(Instant time, TraceEventType type, int32_t arg0, int32_t arg1,
               int32_t arg2 = 0) {
     ++total_recorded_;
-    if (enabled_) {
-      if (events_.push_overwrite(TraceEvent{time, type, arg0, arg1, arg2})) {
-        ++dropped_;
-      }
-    } else {
+    if (capacity_ == 0) {
       ++dropped_;
+      return;
     }
+    // Evicting inline matters: a wrapped window evicts on every record.
+    if (events_.size() - first_ == capacity_) {
+      ++dropped_;
+      if (events_.capacity() < 2 * capacity_) {
+        events_.reserve(2 * capacity_);
+      }
+      if (++first_ == capacity_) {
+        Compact();
+      }
+    }
+    events_.push_back(TraceEvent{time, type, arg0, arg1, arg2});
   }
 
   // Oldest-first access to the retained window.
-  size_t size() const { return enabled_ ? events_.size() : 0; }
-  const TraceEvent& at(size_t index) const { return events_.at(index); }
+  size_t size() const { return events_.size() - first_; }
+  const TraceEvent& at(size_t index) const {
+    EM_ASSERT(index < size());
+    return events_[first_ + index];
+  }
+  std::span<const TraceEvent> events() const {
+    return std::span<const TraceEvent>(events_).subspan(first_);
+  }
+
+  // Bytes of event storage currently allocated (at most
+  // 2 * capacity * sizeof(TraceEvent)).
+  size_t storage_bytes() const { return events_.capacity() * sizeof(TraceEvent); }
+
+  // Folds the retained window, oldest first, into an FNV-1a `hash`: per event
+  // the time in whole microseconds (int64), the type (int32), then arg0..arg2.
+  uint64_t Digest(uint64_t hash) const;
 
   uint64_t total_recorded() const { return total_recorded_; }
 
-  // Events recorded but not retained: ring evictions plus everything recorded
-  // while retention is disabled. total_recorded() == size() + dropped().
-  // Non-zero means the retained window is a *suffix* of the run and derived
-  // metrics (histograms, invariant checks) describe only that window.
+  // Events recorded but not retained: window evictions plus everything
+  // recorded while retention is disabled. total_recorded() == size() +
+  // dropped(). Non-zero means the retained window is a *suffix* of the run
+  // and derived metrics (histograms, invariant checks) describe only that
+  // window.
   uint64_t dropped() const { return dropped_; }
 
   void Clear() {
     events_.clear();
+    first_ = 0;
     total_recorded_ = 0;
     dropped_ = 0;
     epochs_ = 0;
   }
 
-  // Deliberate mid-run restart of the retained window: discards the ring
+  // Deliberate mid-run restart of the retained window: discards the window
   // contents, clears the dropped() counter (the discard was intentional, not
   // overflow), and records a kTraceEpoch marker as the new window's first
-  // event so downstream consumers can tell "ring was reset here" apart from
+  // event so downstream consumers can tell "window was reset here" apart from
   // "events were lost to overflow". total_recorded() keeps counting across
   // resets. Unlike Clear(), which wipes the sink back to construction state,
   // Reset() is the one to call while a run is in flight.
   void Reset(Instant now) {
     events_.clear();
+    first_ = 0;
     dropped_ = 0;
     ++epochs_;
     Record(now, TraceEventType::kTraceEpoch, static_cast<int32_t>(epochs_), 0);
@@ -215,8 +256,12 @@ class TraceSink {
   size_t ExportCsv(std::FILE* out) const;
 
  private:
-  bool enabled_;
-  RingBuffer<TraceEvent> events_;
+  // Erases the evicted prefix [0, first_).
+  void Compact();
+
+  size_t capacity_;
+  std::vector<TraceEvent> events_;  // [first_, size) is the retained window
+  size_t first_ = 0;
   uint64_t total_recorded_ = 0;
   uint64_t dropped_ = 0;
   uint64_t epochs_ = 0;

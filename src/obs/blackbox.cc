@@ -19,10 +19,7 @@ BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
   box.now = kernel.now();
 
   const TraceSink& sink = kernel.trace();
-  box.window.reserve(sink.size());
-  for (size_t i = 0; i < sink.size(); ++i) {
-    box.window.push_back(sink.at(i));
-  }
+  box.window.assign(sink.events().begin(), sink.events().end());
   box.dropped = sink.dropped();
   box.total_recorded = sink.total_recorded();
   box.thread_names = KernelThreadNames(kernel);

@@ -256,12 +256,7 @@ ChainAnalysis AnalyzeChains(const TraceEvent* events, size_t count, uint64_t dro
 }
 
 ChainAnalysis AnalyzeChains(const TraceSink& sink, const std::vector<ResolvedChain>& specs) {
-  std::vector<TraceEvent> events;
-  events.reserve(sink.size());
-  for (size_t i = 0; i < sink.size(); ++i) {
-    events.push_back(sink.at(i));
-  }
-  return AnalyzeChains(events.data(), events.size(), sink.dropped(), specs);
+  return AnalyzeChains(sink.events().data(), sink.size(), sink.dropped(), specs);
 }
 
 namespace {

@@ -446,11 +446,6 @@ std::vector<std::string> KernelThreadNames(const Kernel& kernel) {
 
 size_t ExportPerfettoJson(const Kernel& kernel, std::FILE* out) {
   const TraceSink& sink = kernel.trace();
-  std::vector<TraceEvent> events;
-  events.reserve(sink.size());
-  for (size_t i = 0; i < sink.size(); ++i) {
-    events.push_back(sink.at(i));
-  }
   PerfettoExportOptions options;
   options.thread_names = KernelThreadNames(kernel);
   options.dropped_events = sink.dropped();
@@ -465,7 +460,7 @@ size_t ExportPerfettoJson(const Kernel& kernel, std::FILE* out) {
       options.counter_samples.push_back(s);
     }
   }
-  return ExportPerfettoJson(events.data(), events.size(), options, out);
+  return ExportPerfettoJson(sink.events().data(), sink.size(), options, out);
 }
 
 }  // namespace obs

@@ -1,6 +1,6 @@
 // Perfetto / Chrome trace-event JSON export.
 //
-// Turns the TraceSink event ring into a JSON file loadable at
+// Turns the TraceSink event window into a JSON file loadable at
 // ui.perfetto.dev (or chrome://tracing): per-thread "running" slices built
 // from context switches, async spans for jobs (release -> complete) and
 // semaphore holds/blocks, flow arrows for priority inheritance, and instant

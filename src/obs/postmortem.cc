@@ -551,12 +551,7 @@ PostmortemAnalysis AnalyzePostmortem(const TraceEvent* events, size_t count,
 }
 
 PostmortemAnalysis AnalyzePostmortem(const TraceSink& sink) {
-  std::vector<TraceEvent> events;
-  events.reserve(sink.size());
-  for (size_t i = 0; i < sink.size(); ++i) {
-    events.push_back(sink.at(i));
-  }
-  return AnalyzePostmortem(events.data(), events.size(), sink.dropped());
+  return AnalyzePostmortem(sink.events().data(), sink.size(), sink.dropped());
 }
 
 namespace {

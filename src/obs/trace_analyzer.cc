@@ -340,12 +340,7 @@ TraceAnalysis AnalyzeTrace(const TraceEvent* events, size_t count, uint64_t drop
 }
 
 TraceAnalysis AnalyzeTrace(const TraceSink& sink) {
-  std::vector<TraceEvent> events;
-  events.reserve(sink.size());
-  for (size_t i = 0; i < sink.size(); ++i) {
-    events.push_back(sink.at(i));
-  }
-  return AnalyzeTrace(events.data(), events.size(), sink.dropped());
+  return AnalyzeTrace(sink.events().data(), sink.size(), sink.dropped());
 }
 
 }  // namespace obs

@@ -173,15 +173,25 @@ TEST(BenchCompareBreakdownTest, ReferenceMismatchFailsTheCandidate) {
 
 // --- emeralds.fleet.run/1 ---
 
-std::string FleetDoc(const char* fleet_digest) {
+// `extra` is spliced in as further top-level members (leading comma).
+std::string FleetDoc(const char* fleet_digest, const char* extra = "") {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "{\"schema\":\"emeralds.fleet.run/1\",\"instances\":64,\"seed\":1,"
                 "\"run_duration_ms\":100,\"slice_ms\":5,\"nodes_failed\":0,"
                 "\"events_total\":122157,\"events_per_virtual_sec\":19086,"
-                "\"fleet_digest\":\"%s\"}",
-                fleet_digest);
+                "\"fleet_digest\":\"%s\"%s}",
+                fleet_digest, extra);
   return buf;
+}
+
+bool HasNote(const CompareResult& r, const char* text) {
+  for (const std::string& note : r.notes) {
+    if (note.find(text) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(BenchCompareFleetTest, IdenticalReportsPass) {
@@ -202,6 +212,39 @@ TEST(BenchCompareFleetTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
   EXPECT_NE(r.failures[0].find("EMERALDS_BENCH_JSON=BENCH_fleet.json build/bench/bench_fleet"),
             std::string::npos)
       << r.failures[0];
+}
+
+TEST(BenchCompareFleetTest, StreamingOverheadRatioIsNotGated) {
+  // The ratio of two wall-clock rates from ~40 ms runs is host noise: half
+  // the baseline's ratio is a note, never a failure.
+  JsonValue base =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"streaming_overhead\":{\"ratio\":1.0}"));
+  JsonValue cand =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"streaming_overhead\":{\"ratio\":0.5}"));
+  CompareResult r = CompareReports(base, cand, CompareOptions());
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
+  EXPECT_TRUE(HasNote(r, "streaming overhead ratio 0.500 vs baseline 1.000 (not gated)"));
+}
+
+TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
+  JsonValue base =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"trace\":{\"storage_bytes_max\":196608}"));
+  // +4% per-node trace memory: over the 3% tolerance.
+  JsonValue grown =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"trace\":{\"storage_bytes_max\":204480}"));
+  CompareResult r = CompareReports(base, grown, CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("trace.storage_bytes_max grew"), std::string::npos)
+      << r.failures[0];
+
+  // Shrinking is a note; losing the field is a failure.
+  JsonValue shrunk =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"trace\":{\"storage_bytes_max\":98304}"));
+  r = CompareReports(base, shrunk, CompareOptions());
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
+  EXPECT_TRUE(HasNote(r, "trace.storage_bytes_max: 98304 vs baseline 196608"));
+  EXPECT_FALSE(CompareReports(base, Parse(FleetDoc("0x694861b1cb5ac0b9")), CompareOptions()).ok);
 }
 
 TEST(BenchCompareFilesTest, MissingFileIsAnIoFailure) {

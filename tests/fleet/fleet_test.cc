@@ -1,11 +1,13 @@
 #include "src/fleet/fleet.h"
 
+#include <algorithm>
 #include <filesystem>
 
 #include <gtest/gtest.h>
 
 #include "src/fleet/fleet_report.h"
 #include "src/fleet/openmetrics.h"
+#include "src/hal/trace.h"
 
 namespace emeralds {
 namespace fleet {
@@ -161,6 +163,31 @@ TEST(FleetTest, SustainsAThousandInstances) {
   for (const NodeResult& node : result.nodes) {
     EXPECT_GE(node.virtual_time, Milliseconds(5));
   }
+}
+
+// Trace memory follows what a node records, not its retention bound. A node
+// here records under 90 events per virtual ms and may retain 4096 + 1536 per
+// ms; storage grown by push_back holds under twice the records, so it stays
+// more than 8x below the bound. The check asserts 5x.
+TEST(FleetTest, DefaultTraceStorageFollowsTheRecords) {
+  FleetOptions opt = SmallFleet();
+  ASSERT_EQ(opt.trace_capacity, 0u);
+  FleetResult result = RunFleet(opt);
+  const size_t bound =
+      static_cast<size_t>(4096 + 1536 * opt.run_duration.millis()) * sizeof(TraceEvent);
+  size_t largest = 0;
+  for (size_t i = 0; i < result.nodes.size(); ++i) {
+    const NodeResult& node = result.nodes[i];
+    EXPECT_EQ(node.trace_dropped, 0u) << "node " << i;
+    EXPECT_GT(node.trace_storage_bytes, 0u) << "node " << i;
+    EXPECT_LE(node.trace_storage_bytes * 5, bound) << "node " << i;
+    largest = std::max(largest, node.trace_storage_bytes);
+  }
+  EXPECT_EQ(result.trace_storage_bytes_max, largest);
+  ASSERT_GE(result.trace_storage_bytes_worst_node, 0);
+  EXPECT_EQ(result.nodes[static_cast<size_t>(result.trace_storage_bytes_worst_node)]
+                .trace_storage_bytes,
+            largest);
 }
 
 // --- Streaming timeseries + alerting plane ---
@@ -360,6 +387,11 @@ TEST(FleetReportTest, ReportCarriesSchemaAndGatedFields) {
   EXPECT_NE(report.find("\"fleet_digest\":\"0x"), std::string::npos);
   EXPECT_NE(report.find("\"nodes_failed\":0"), std::string::npos);
   EXPECT_NE(report.find("\"schedulers\":{"), std::string::npos);
+  char storage[96];
+  std::snprintf(storage, sizeof(storage),
+                "\"storage_bytes_max\":%zu,\"storage_bytes_worst_node\":%d",
+                result.trace_storage_bytes_max, result.trace_storage_bytes_worst_node);
+  EXPECT_NE(report.find(storage), std::string::npos) << storage;
   EXPECT_NE(report.find("\"timeseries\":{"), std::string::npos);
   EXPECT_NE(report.find("\"schema\":\"emeralds.obs.timeseries/1\""), std::string::npos);
   EXPECT_NE(report.find("\"alerts\":{"), std::string::npos);

@@ -2,11 +2,13 @@
 // cost model, trace sink.
 
 #include <cstdio>
+#include <deque>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/base/rng.h"
 #include "src/hal/cost_model.h"
 #include "src/hal/hardware.h"
 #include "src/hal/trace.h"
@@ -291,6 +293,77 @@ TEST(TraceSinkTest, ResetOnZeroCapacitySinkStaysDisabled) {
   EXPECT_EQ(sink.epochs(), 1u);
 }
 
+bool SameEvent(const TraceEvent& a, const TraceEvent& b) {
+  return a.time == b.time && a.type == b.type && a.arg0 == b.arg0 && a.arg1 == b.arg1 &&
+         a.arg2 == b.arg2;
+}
+
+// Lockstep property test: a sink and a reference std::deque holding the last
+// `capacity` records take the same seeded Record/Reset/Clear sequence and
+// must agree on every observable after every step, through many evictions
+// and compactions of the window.
+TEST(TraceSinkTest, MatchesDequeReferenceInLockstep) {
+  for (size_t capacity : {0, 1, 2, 3, 7, 64}) {
+    SCOPED_TRACE(testing::Message() << "capacity " << capacity);
+    Rng rng(capacity + 1);
+    TraceSink sink(capacity);
+    std::deque<TraceEvent> window;
+    uint64_t total = 0;
+    uint64_t dropped = 0;
+    uint64_t epochs = 0;
+    uint64_t evictions = 0;  // across the whole run, to show the window wraps
+    auto record = [&](const TraceEvent& e) {
+      ++total;
+      if (capacity == 0) {
+        ++dropped;
+        return;
+      }
+      if (window.size() == capacity) {
+        window.pop_front();
+        ++dropped;
+        ++evictions;
+      }
+      window.push_back(e);
+    };
+    for (int step = 0; step < 20000; ++step) {
+      Instant now = Instant() + Microseconds(step);
+      int64_t op = rng.UniformInt(0, 999);
+      if (op < 1) {
+        sink.Clear();
+        window.clear();
+        total = 0;
+        dropped = 0;
+        epochs = 0;
+      } else if (op < 3) {
+        sink.Reset(now);
+        window.clear();
+        dropped = 0;
+        ++epochs;
+        record(TraceEvent{now, TraceEventType::kTraceEpoch, static_cast<int32_t>(epochs), 0, 0});
+      } else {
+        TraceEvent e{now, static_cast<TraceEventType>(rng.UniformInt(0, kNumTraceEventTypes - 1)),
+                     static_cast<int32_t>(rng.UniformInt(-1, 1000)), static_cast<int32_t>(step),
+                     static_cast<int32_t>(rng.UniformInt(0, 7))};
+        sink.Record(e.time, e.type, e.arg0, e.arg1, e.arg2);
+        record(e);
+      }
+      ASSERT_EQ(sink.size(), window.size()) << "step " << step;
+      ASSERT_EQ(sink.events().size(), window.size()) << "step " << step;
+      for (size_t i = 0; i < window.size(); ++i) {
+        ASSERT_TRUE(SameEvent(sink.at(i), window[i])) << "step " << step << " index " << i;
+        ASSERT_TRUE(SameEvent(sink.events()[i], window[i])) << "step " << step << " index " << i;
+      }
+      ASSERT_EQ(sink.dropped(), dropped) << "step " << step;
+      ASSERT_EQ(sink.total_recorded(), total) << "step " << step;
+      ASSERT_EQ(sink.epochs(), epochs) << "step " << step;
+      ASSERT_LE(sink.storage_bytes(), 2 * capacity * sizeof(TraceEvent)) << "step " << step;
+    }
+    if (capacity > 0) {
+      EXPECT_GT(evictions, 20 * capacity);
+    }
+  }
+}
+
 TEST(TraceEventTypeTest, ToStringFromStringRoundTripsAllEnumerators) {
   for (int i = 0; i < kNumTraceEventTypes; ++i) {
     TraceEventType type = static_cast<TraceEventType>(i);
@@ -400,6 +473,17 @@ TEST(TraceSinkTest, DumpNotesDroppedEvents) {
   std::string text = ReadAll(f);
   std::fclose(f);
   EXPECT_NE(text.find("3 of 5 events dropped"), std::string::npos) << text;
+}
+
+// The retention bound is not an allocation: a sink sized for a 2 s fleet
+// node (4096 + 1536 records per virtual ms) that records only 1000 events
+// holds storage for at most 2048 of them.
+TEST(TraceSinkTest, StorageFollowsRecordsNotCapacity) {
+  TraceSink sink(4096 + 1536 * 2000);
+  EXPECT_EQ(sink.storage_bytes(), 0u);
+  FillSink(sink, 1000);
+  EXPECT_EQ(sink.size(), 1000u);
+  EXPECT_LE(sink.storage_bytes(), 2048 * sizeof(TraceEvent));
 }
 
 }  // namespace

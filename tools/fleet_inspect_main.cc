@@ -104,12 +104,23 @@ int PrintReport(const JsonValue& root, const char* path) {
               static_cast<long long>(RootInt(root, "nodes_anomalous", 0)),
               RootString(root, "fleet_digest").c_str());
   if (const JsonValue* trace = root.Find("trace")) {
+    // Reports written before the storage fields existed omit them.
+    const JsonValue* storage = trace->Find("storage_bytes_max");
     int64_t dropped = RootInt(*trace, "dropped_total", 0);
-    if (dropped > 0) {
-      std::printf("  trace dropped=%lld (worst: node %lld dropped %lld)\n",
-                  static_cast<long long>(dropped),
-                  static_cast<long long>(RootInt(*trace, "worst_node", -1)),
-                  static_cast<long long>(RootInt(*trace, "worst_node_dropped", 0)));
+    if (storage != nullptr || dropped > 0) {
+      std::printf("  trace");
+      if (storage != nullptr) {
+        std::printf(" storage max=%lld B (node %lld)",
+                    static_cast<long long>(RootInt(*trace, "storage_bytes_max", 0)),
+                    static_cast<long long>(RootInt(*trace, "storage_bytes_worst_node", -1)));
+      }
+      if (dropped > 0) {
+        std::printf(" dropped=%lld (worst: node %lld dropped %lld)",
+                    static_cast<long long>(dropped),
+                    static_cast<long long>(RootInt(*trace, "worst_node", -1)),
+                    static_cast<long long>(RootInt(*trace, "worst_node_dropped", 0)));
+      }
+      std::printf("\n");
     }
   }
 
