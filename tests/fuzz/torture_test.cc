@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/fuzz/torture.h"
+#include "src/hal/trace.h"
 
 namespace emeralds {
 namespace fuzz {
@@ -115,6 +116,48 @@ TEST(TortureTest, MultiCoreSameSeedIsBitDeterministic) {
   EXPECT_EQ(a.trace_digest, b.trace_digest);
   EXPECT_EQ(a.ops_executed, b.ops_executed);
   EXPECT_EQ(a.virtual_time, b.virtual_time);
+}
+
+// Pins what a run's evaluation produces on a fixed seed list: the trace
+// digest plus the chain and postmortem outcomes, at 1, 2 and 4 cores and on
+// truncated windows. Host-side rewrites of the digest or of the trace
+// replays must leave this value unchanged.
+TEST(TortureTest, DigestsMatchGolden) {
+  uint64_t hash = kFnv1aOffsetBasis;
+  uint64_t orphan_hops = 0;
+  uint64_t misses = 0;
+  auto fold = [&hash](uint64_t v) { hash = Fnv1a(hash, &v, sizeof(v)); };
+  auto run = [&](const TortureOptions& options) {
+    TortureResult r = RunTorture(options);
+    EXPECT_TRUE(r.ok) << ReproCommand(options) << ": " << r.failure;
+    fold(r.trace_digest);
+    fold(r.chain_completed);
+    fold(r.chain_orphan_hops);
+    fold(r.postmortem_misses);
+    fold(static_cast<uint64_t>(r.postmortem_unattributed_ns));
+    orphan_hops += r.chain_orphan_hops;
+    misses += r.postmortem_misses;
+  };
+  for (int cores : {1, 2, 4}) {
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+      TortureOptions options;
+      options.seed = seed;
+      options.ops = 2000;
+      options.num_cores = cores;
+      run(options);
+    }
+  }
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    TortureOptions options;
+    options.seed = seed;
+    options.ops = 2000;
+    options.tiny_trace_ring = true;
+    run(options);
+  }
+  // The pinned runs reach truncated chains and analyzed misses.
+  EXPECT_GT(orphan_hops, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(hash, 0xc76ee6a9f7136ed5ULL);
 }
 
 TEST(TortureTest, ReproCommandNamesNumCores) {
