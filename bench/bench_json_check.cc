@@ -695,6 +695,13 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
     std::fprintf(stderr, "FAIL: fleet missing schedulers object\n");
     return 1;
   }
+  // Host evaluation cost: optional (older reports lack it), never gated.
+  const JsonValue* evaluate = root.Find("host_evaluate");
+  if (evaluate != nullptr &&
+      !RequireNumbers(*evaluate, "fleet host_evaluate",
+                      {"cpu_ns_total", "cpu_ns_max", "slowest_node"})) {
+    return 1;
+  }
   const JsonValue* fleet_trace = root.Find("trace");
   if (fleet_trace == nullptr ||
       !RequireNumbers(*fleet_trace, "fleet trace",

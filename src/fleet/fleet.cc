@@ -1,5 +1,7 @@
 #include "src/fleet/fleet.h"
 
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -11,25 +13,29 @@
 #include "src/base/thread_pool.h"
 #include "src/core/kernel.h"
 #include "src/obs/blackbox.h"
-#include "src/obs/chains.h"
 #include "src/obs/obs_report.h"
-#include "src/obs/postmortem.h"
-#include "src/obs/trace_analyzer.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace fleet {
 namespace {
 
-// Same digest recipe as the torture harness: the retained trace window plus
-// the reconciled counters. Equal digests == bit-identical runs.
-uint64_t DigestNode(const Kernel& kernel) {
+// Same digest recipe as the torture harness: the reconciled counters folded
+// onto the retained window's digest. Equal digests == bit-identical runs.
+uint64_t DigestNode(const Kernel& kernel, uint64_t window_digest) {
   const KernelStats& s = kernel.stats();
   uint64_t counters[] = {s.context_switches, s.syscalls,         s.jobs_released,
                          s.jobs_completed,   s.deadline_misses,  s.sem_acquires,
                          s.mailbox_sends,    s.mailbox_receives, s.interrupts,
                          s.timer_dispatches, s.chain_emits,      s.chain_consumes,
                          s.chain_origins};
-  return Fnv1a(kernel.trace().Digest(kFnv1aOffsetBasis), counters, sizeof(counters));
+  return Fnv1a(window_digest, counters, sizeof(counters));
+}
+
+int64_t ThreadCpuNs() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
 // Workload handles, arena-resident (trivially destructible: ids + bytes).
@@ -223,6 +229,7 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
 // the virtual clock has already reached its horizon, so nothing here can
 // perturb the simulated outcome or its digest.
 void EvaluateNode(Node& node, const FleetOptions& opt) {
+  const int64_t cpu_start = ThreadCpuNs();
   Kernel& kernel = *node.kernel;
   NodeResult& r = node.result;
   const KernelStats& s = kernel.stats();
@@ -235,16 +242,18 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
   r.virtual_time = kernel.now() - Instant();
   r.trace_dropped = kernel.trace().dropped();
   r.trace_storage_bytes = kernel.trace().storage_bytes();
-  r.trace_digest = DigestNode(kernel);
 
-  obs::TraceAnalysis analysis = obs::AnalyzeTrace(kernel.trace());
+  // One pass over the window: digest, invariants, chains and postmortem.
+  obs::TraceEvaluation eval = obs::EvaluateTrace(kernel.trace(), kernel.resolved_chains());
+  r.trace_digest = DigestNode(kernel, eval.window_digest);
+  const obs::TraceAnalysis& analysis = eval.trace;
   obs::Reconciliation reconciliation = obs::ComputeReconciliation(analysis, s);
-  obs::ChainAnalysis chains = obs::AnalyzeChains(kernel.trace(), kernel.resolved_chains());
+  const obs::ChainAnalysis& chains = eval.chains;
   for (const obs::ChainReport& c : chains.chains) {
     r.chain_completed += c.completed;
     r.chain_overruns += c.overruns;
   }
-  obs::PostmortemAnalysis postmortem = obs::AnalyzePostmortem(kernel.trace());
+  const obs::PostmortemAnalysis& postmortem = eval.postmortem;
   r.blame = postmortem.blame;
   r.postmortem_incomplete = postmortem.incomplete_misses;
   CycleConservation conservation = CheckCycleConservation(s, kernel.now());
@@ -312,6 +321,7 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
       }
     }
   }
+  r.host_evaluate_ns = ThreadCpuNs() - cpu_start;
 }
 
 // EvaluateNode plus teardown. Runs on the pool worker that executed the
@@ -426,6 +436,11 @@ FleetResult RunFleet(const FleetOptions& options) {
     }
     out.blame.Merge(r.blame);
     out.postmortem_incomplete_total += r.postmortem_incomplete;
+    out.host_evaluate_ns_total += r.host_evaluate_ns;
+    if (r.host_evaluate_ns > out.host_evaluate_ns_max) {
+      out.host_evaluate_ns_max = r.host_evaluate_ns;
+      out.host_evaluate_slowest_node = static_cast<int>(i);
+    }
     digest = Fnv1a(digest, &r.trace_digest, sizeof(r.trace_digest));
     out.nodes.push_back(r);
   }

@@ -95,8 +95,10 @@ struct FleetOptions {
   obs::AlertConfig alert_config;
 };
 
-// One simulated node's outcome. Everything here is deterministic in
-// (fleet seed, node index).
+// One simulated node's outcome. Everything here except host_evaluate_ns is
+// deterministic in (fleet seed, node index). The node's evaluation replays
+// its trace window once: the digest and the trace-invariant, chain and
+// postmortem analyses share one pass (obs::EvaluateTrace).
 struct NodeResult {
   uint64_t seed = 0;
   std::string scheduler;  // "EDF", "RM", "CSD-2", "CSD-3"
@@ -134,6 +136,10 @@ struct NodeResult {
   uint64_t timeseries_lost_samples = 0;
   uint64_t timeseries_windows_dropped = 0;
   std::vector<obs::AlertEvent> alerts;
+  // Host thread CPU time the node's evaluation took (oracles, trace replay,
+  // telemetry, streaming close), from CLOCK_THREAD_CPUTIME_ID. The one
+  // host-side field: not deterministic, never digested or compared.
+  int64_t host_evaluate_ns = 0;
 
   bool ok() const { return failure.empty(); }
   bool anomalous() const { return !anomaly.empty(); }
@@ -198,6 +204,11 @@ struct FleetResult {
   // Host-side throughput (informational; never gated — wall time is noise).
   double wall_seconds = 0.0;
   double events_per_wall_sec = 0.0;
+  // Host CPU spent evaluating nodes (NodeResult::host_evaluate_ns): summed,
+  // the largest, and the node that took it. Informational, never gated.
+  int64_t host_evaluate_ns_total = 0;
+  int64_t host_evaluate_ns_max = 0;
+  int host_evaluate_slowest_node = -1;
 
   std::vector<NodeResult> nodes;  // index order
 

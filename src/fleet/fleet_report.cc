@@ -76,9 +76,16 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
     }
   }
 
-  // Host-side throughput: honest but machine-dependent, so never gated.
+  // Host-side throughput and evaluation cost: honest but machine-dependent,
+  // so never gated.
   json.Number("wall_seconds", result.wall_seconds);
   json.Number("events_per_wall_sec", result.events_per_wall_sec);
+  json.Key("host_evaluate");
+  json.OpenObject();
+  json.Int("cpu_ns_total", result.host_evaluate_ns_total);
+  json.Int("cpu_ns_max", result.host_evaluate_ns_max);
+  json.Int("slowest_node", result.host_evaluate_slowest_node);
+  json.CloseObject();
 
   if (info.telemetry_on_events_per_wall_sec > 0 &&
       info.telemetry_off_events_per_wall_sec > 0) {

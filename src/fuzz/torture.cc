@@ -10,8 +10,7 @@
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/blackbox.h"
-#include "src/obs/chains.h"
-#include "src/obs/postmortem.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace fuzz {
@@ -327,7 +326,8 @@ ThreadBodyFactory MakeTortureBody(HarnessState* st, const TortureOptions opt, Rn
   };
 }
 
-uint64_t DigestRun(const Kernel& kernel) {
+// The reconciled counters folded onto the retained window's digest.
+uint64_t DigestRun(const Kernel& kernel, uint64_t window_digest) {
   const KernelStats& s = kernel.stats();
   uint64_t counters[] = {s.context_switches, s.jobs_released,   s.jobs_completed,
                          s.deadline_misses,  s.sem_acquires,    s.mailbox_sends,
@@ -335,7 +335,7 @@ uint64_t DigestRun(const Kernel& kernel) {
                          s.smsg_read_retries, s.mailbox_truncations, s.pi_chain_limit_hits,
                          s.interrupts,       s.timer_dispatches, s.chain_emits,
                          s.chain_consumes,   s.chain_origins};
-  return Fnv1a(kernel.trace().Digest(kFnv1aOffsetBasis), counters, sizeof(counters));
+  return Fnv1a(window_digest, counters, sizeof(counters));
 }
 
 // One deterministic run: build the seeded topology, interpret the schedules,
@@ -572,13 +572,14 @@ TortureResult RunTorture(const TortureOptions& options) {
   result.seed = options.seed;
   HarnessState st;
   DriveTorture(options, &st, [&](Kernel& kernel) {
-    obs::TraceAnalysis analysis = obs::AnalyzeTrace(kernel.trace());
+    // One pass over the window: digest, invariants, chains and postmortem.
+    obs::TraceEvaluation eval = obs::EvaluateTrace(kernel.trace(), kernel.resolved_chains());
+    const obs::TraceAnalysis& analysis = eval.trace;
     result.reconciliation = obs::ComputeReconciliation(analysis, kernel.stats());
     result.violations = analysis.violations.size();
 
     // Oracle 5: causal-token conservation (and declared-chain bookkeeping).
-    obs::ChainAnalysis chains =
-        obs::AnalyzeChains(kernel.trace(), kernel.resolved_chains());
+    const obs::ChainAnalysis& chains = eval.chains;
     result.chain_violations = chains.violations.size();
     result.chain_orphan_hops = chains.orphan_hops;
     result.chain_origins = chains.origins_minted;
@@ -594,7 +595,7 @@ TortureResult RunTorture(const TortureOptions& options) {
     // Oracle 6: conservation of lateness. Every miss ledger telescopes by
     // construction unless the engine mis-walked the trace; a complete window
     // must additionally attribute every nanosecond and match every miss.
-    obs::PostmortemAnalysis postmortem = obs::AnalyzePostmortem(kernel.trace());
+    const obs::PostmortemAnalysis& postmortem = eval.postmortem;
     result.postmortem_misses = postmortem.misses_analyzed;
     result.postmortem_conservation_failures = postmortem.conservation_failures;
     result.postmortem_unattributed_ns = postmortem.blame.unattributed_ns;
@@ -603,7 +604,7 @@ TortureResult RunTorture(const TortureOptions& options) {
 
     result.trace_retained = kernel.trace().size();
     result.trace_dropped = kernel.trace().dropped();
-    result.trace_digest = DigestRun(kernel);
+    result.trace_digest = DigestRun(kernel, eval.window_digest);
     result.virtual_time = kernel.now() - Instant();
     result.stats = kernel.stats();
 

@@ -84,31 +84,9 @@ bool TraceEventTypeFromString(const char* name, TraceEventType* out) {
   return false;
 }
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 void TraceSink::Compact() {
   events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(first_));
   first_ = 0;
-}
-
-uint64_t TraceSink::Digest(uint64_t hash) const {
-  for (const TraceEvent& e : events()) {
-    int64_t us = e.time.micros();
-    int32_t type = static_cast<int32_t>(e.type);
-    hash = Fnv1a(hash, &us, sizeof(us));
-    hash = Fnv1a(hash, &type, sizeof(type));
-    hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-    hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-    hash = Fnv1a(hash, &e.arg2, sizeof(e.arg2));
-  }
-  return hash;
 }
 
 size_t TraceSink::ExportCsv(std::FILE* out) const {

@@ -156,7 +156,28 @@ struct TraceEvent {
 // FNV-1a over `len` bytes, continuing from `hash` (start a fresh digest from
 // kFnv1aOffsetBasis). The per-node and per-seed digests are built on it.
 inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len);
+inline uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < len; ++i) {
+    hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// Folds one event into an FNV-1a `hash`: the time in whole microseconds
+// (int64), the type (int32), then arg0..arg2. A trace digest is this fold
+// over the retained window, oldest first; the per-node and per-seed digests
+// start from it.
+inline uint64_t FoldTraceEvent(uint64_t hash, const TraceEvent& e) {
+  const int64_t us = e.time.micros();
+  const int32_t type = static_cast<int32_t>(e.type);
+  hash = Fnv1a(hash, &us, sizeof(us));
+  hash = Fnv1a(hash, &type, sizeof(type));
+  hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
+  hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
+  return Fnv1a(hash, &e.arg2, sizeof(e.arg2));
+}
 
 // The retained window is the last `capacity` records, oldest first, held
 // contiguously so replays read it in place (events()). `capacity` is only a
@@ -205,10 +226,6 @@ class TraceSink {
   // Bytes of event storage currently allocated (at most
   // 2 * capacity * sizeof(TraceEvent)).
   size_t storage_bytes() const { return events_.capacity() * sizeof(TraceEvent); }
-
-  // Folds the retained window, oldest first, into an FNV-1a `hash`: per event
-  // the time in whole microseconds (int64), the type (int32), then arg0..arg2.
-  uint64_t Digest(uint64_t hash) const;
 
   uint64_t total_recorded() const { return total_recorded_; }
 

@@ -1,11 +1,12 @@
 #include "src/obs/blackbox.h"
 
 #include <filesystem>
+#include <utility>
 
 #include "src/core/kernel.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/perfetto_export.h"
-#include "src/obs/trace_analyzer.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -25,10 +26,10 @@ BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
   box.thread_names = KernelThreadNames(kernel);
   box.stats = kernel.stats();
 
-  TraceAnalysis analysis = AnalyzeTrace(sink);
-  box.chains = AnalyzeChains(sink, kernel.resolved_chains());
-  box.telemetry = CollectNodeTelemetry(kernel, analysis, box.chains);
-  box.postmortem = AnalyzePostmortem(sink);
+  TraceEvaluation eval = EvaluateTrace(sink, kernel.resolved_chains());
+  box.chains = std::move(eval.chains);
+  box.telemetry = CollectNodeTelemetry(kernel, eval.trace, box.chains);
+  box.postmortem = std::move(eval.postmortem);
 
   if (const StatsSampler* sampler = kernel.stats_sampler()) {
     box.deltas.reserve(sampler->size());

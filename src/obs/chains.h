@@ -118,10 +118,11 @@ struct ChainAnalysis {
   bool ok() const { return violations.empty(); }
 };
 
-// Replays `events[0..count)` (oldest first). `dropped_events` is
-// TraceSink::dropped(); `specs` is Kernel::resolved_chains() (or a
-// hand-built list when replaying a CSV offline). Unresolved specs still get
-// a ChainReport row (resolved = false, no instances).
+// Replays `events[0..count)` (oldest first) on the shared trace replay
+// (src/obs/trace_replay.h). `dropped_events` is TraceSink::dropped();
+// `specs` is Kernel::resolved_chains() (or a hand-built list when replaying
+// a CSV offline). Unresolved specs still get a ChainReport row
+// (resolved = false, no instances).
 ChainAnalysis AnalyzeChains(const TraceEvent* events, size_t count, uint64_t dropped_events,
                             const std::vector<ResolvedChain>& specs);
 

@@ -2,10 +2,9 @@
 
 #include "src/base/json.h"
 #include "src/core/kernel.h"
-#include "src/obs/chains.h"
 #include "src/obs/cycles_report.h"
 #include "src/obs/json_writer.h"
-#include "src/obs/postmortem.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -245,7 +244,8 @@ Reconciliation ComputeReconciliation(const TraceAnalysis& a, const KernelStats& 
 std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
                               const std::vector<ThreadId>& task_ids) {
   const TraceSink& trace = kernel.trace();
-  TraceAnalysis analysis = AnalyzeTrace(trace);
+  TraceEvaluation eval = EvaluateTrace(trace, kernel.resolved_chains());
+  const TraceAnalysis& analysis = eval.trace;
 
   Json j;
   j.OpenObject();
@@ -266,11 +266,10 @@ std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
   AppendTaskRows(j, CollectPerTaskStats(kernel, task_ids));
   AppendAnalysis(j, analysis);
   AppendReconciliation(j, analysis, kernel.stats());
-  ChainAnalysis chains = AnalyzeChains(trace, kernel.resolved_chains());
   j.Key("chains");
-  AppendChainsSection(j, chains);
+  AppendChainsSection(j, eval.chains);
   j.Key("postmortem");
-  AppendPostmortemSection(j, AnalyzePostmortem(trace), &chains);
+  AppendPostmortemSection(j, eval.postmortem, &eval.chains);
   AppendSnapshots(j, kernel.stats_sampler(), kernel.stats());
   j.CloseObject();
   return j.str() + "\n";

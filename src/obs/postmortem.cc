@@ -1,114 +1,14 @@
 #include "src/obs/postmortem.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <utility>
 
-#include "src/core/tcb.h"
-#include "src/hal/cycles.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/perfetto_export.h"
 
 namespace emeralds {
 namespace obs {
 namespace {
-
-constexpr int kMaxThreadId = 65535;
-constexpr int32_t kMaxCoreId = 255;
-
-// A job currently between release and completion, with its attribution
-// cursor and accumulating ledger.
-struct OpenJob {
-  bool open = false;
-  uint64_t number = 0;
-  Instant release;           // nominal (retroactive) release instant
-  bool has_deadline = false;
-  int64_t budget_ns = 0;     // relative deadline
-  bool missed_early = false; // kDeadlineMiss arrived while still open
-  Instant jc;                // attribution cursor: time before jc is classified
-  int64_t own_exec_ns = 0;   // scheduled time, split at finalize vs the EWMA
-  int64_t measured_cost_ns = 0;  // own_exec + overhead billed while running
-  LatenessLedger ledger;
-};
-
-struct PmThread {
-  int core = 0;
-  bool blocked = false;
-  BlockReason reason = BlockReason::kNone;
-  int32_t blocked_obj = -1;
-  bool have_last_complete = false;
-  Instant last_complete;
-  uint64_t last_number = 0;
-  bool last_has_deadline = false;
-  bool last_counted = false;  // the finalized job was already counted missed
-  bool ewma_seeded = false;
-  int64_t ewma_ns = 0;  // analyzer-side replay of the kernel's cost EWMA
-  OpenJob job;
-};
-
-void AddOverhead(LatenessLedger& ledger, int bucket, int64_t ns) {
-  switch (static_cast<CycleBucket>(bucket)) {
-    case CycleBucket::kIrq:
-      ledger.irq_ns += ns;
-      break;
-    case CycleBucket::kIpi:
-      ledger.ipi_ns += ns;
-      break;
-    case CycleBucket::kTimerSvc:
-      ledger.timer_svc_ns += ns;
-      break;
-    case CycleBucket::kSchedSelect:
-    case CycleBucket::kSchedBlock:
-    case CycleBucket::kSchedUnblock:
-    case CycleBucket::kSchedParse:
-    case CycleBucket::kContextSwitch:
-      ledger.sched_ns += ns;
-      break;
-    default:
-      // Traps, semaphore/PI/IPC bookkeeping, stats sampling.
-      ledger.syscall_ns += ns;
-      break;
-  }
-}
-
-// Largest single ledger component, named. Per-preemptor and per-lock shares
-// compete individually so "preempted by t3" can win over a bulk category.
-std::string TopBlame(const LatenessLedger& l) {
-  const char* label = "none";
-  char buf[48];
-  int64_t best = 0;
-  auto consider = [&](const char* name, int64_t v) {
-    if (v > best) {
-      best = v;
-      label = name;
-    }
-  };
-  consider("carry_in", l.carry_in_ns);
-  consider("release_latency", l.release_latency_ns);
-  consider("self_suspend", l.self_suspend_ns);
-  consider("irq", l.irq_ns);
-  consider("ipi", l.ipi_ns);
-  consider("timer_svc", l.timer_svc_ns);
-  consider("sched", l.sched_ns);
-  consider("syscall", l.syscall_ns);
-  consider("own_overrun", l.own_overrun_ns);
-  consider("own_expected", l.own_expected_ns);
-  consider("unattributed", l.unattributed_ns);
-  for (const auto& [tid, ns] : l.preemptor_ns) {
-    if (ns > best) {
-      best = ns;
-      std::snprintf(buf, sizeof(buf), "preempted_by:t%d", tid);
-      label = buf;
-    }
-  }
-  for (const auto& [sem, ns] : l.lock_ns) {
-    if (ns > best) {
-      best = ns;
-      std::snprintf(buf, sizeof(buf), "blocked_on:S%d", sem);
-      label = buf;
-    }
-  }
-  return label;
-}
 
 uint64_t FnvMix(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -157,401 +57,6 @@ uint64_t BlameTotals::Digest() const {
   mix_map(preemptor_ns);
   mix_map(lock_ns);
   return h;
-}
-
-PostmortemAnalysis AnalyzePostmortem(const TraceEvent* events, size_t count,
-                                     uint64_t dropped_events) {
-  PostmortemAnalysis out;
-  bool truncated = dropped_events > 0;
-  out.window_truncated = truncated;
-
-  std::vector<PmThread> threads;
-  std::vector<int32_t> open_tids;
-  auto track = [&](int32_t id) -> PmThread* {
-    if (id < 0 || id > kMaxThreadId) {
-      return nullptr;
-    }
-    if (static_cast<size_t>(id) >= threads.size()) {
-      threads.resize(id + 1);
-    }
-    return &threads[id];
-  };
-
-  std::vector<int32_t> running;
-  std::vector<char> running_known;
-  auto core_slot = [&](int32_t core) -> int32_t {
-    if (core < 0 || core > kMaxCoreId) {
-      return -1;
-    }
-    if (static_cast<size_t>(core) >= running.size()) {
-      // A complete trace starts idle on every core.
-      running.resize(core + 1, -1);
-      running_known.resize(core + 1, dropped_events == 0 ? 1 : 0);
-    }
-    return core;
-  };
-
-  Instant cursor;       // max non-release event time processed so far
-  bool have_cursor = false;
-  Instant last_time;
-
-  // Classifies the gap (job.jc, T] for one open job; exact partition of the
-  // gap, so per-job sums telescope by construction.
-  auto attribute = [&](int32_t tid, PmThread& th, Instant t, bool is_span, int span_core,
-                       int span_bucket, int64_t span_ns) {
-    OpenJob& job = th.job;
-    int64_t g = (t - job.jc).nanos();
-    if (g <= 0) {
-      return;
-    }
-    LatenessLedger& l = job.ledger;
-    if (th.blocked) {
-      switch (th.reason) {
-        case BlockReason::kWaitSem:
-        case BlockReason::kPreAcquire:
-          l.lock_blocked_ns += g;
-          if (th.blocked_obj >= 0) {
-            l.lock_ns[th.blocked_obj] += g;
-          }
-          break;
-        case BlockReason::kWaitPeriod:
-          // Released but the wake has not landed yet (timer service / CSE
-          // release window): still latency of getting the job going.
-          l.release_latency_ns += g;
-          break;
-        default:
-          l.self_suspend_ns += g;
-          break;
-      }
-    } else {
-      // The min() clamp keeps microsecond-truncated CSV replays exact: a
-      // span can only shrink to the gap, never overdraw it.
-      int64_t span_part =
-          (is_span && span_core == th.core) ? std::min(g, span_ns) : 0;
-      if (span_part > 0) {
-        AddOverhead(l, span_bucket, span_part);
-      }
-      int64_t residue = g - span_part;
-      if (residue > 0) {
-        int32_t c = core_slot(th.core);
-        bool known = c >= 0 && running_known[c];
-        int32_t runner = c >= 0 ? running[c] : -1;
-        if (known && runner == tid) {
-          job.own_exec_ns += residue;
-          job.measured_cost_ns += residue;
-        } else if (known && runner >= 0) {
-          l.preemption_ns += residue;
-          l.preemptor_ns[runner] += residue;
-        } else if (known) {
-          // Ready with an idle core: the scheduler is in transit.
-          l.sched_ns += residue;
-        } else {
-          l.unattributed_ns += residue;
-        }
-      }
-      if (span_part > 0) {
-        int32_t c = core_slot(th.core);
-        if (c >= 0 && running_known[c] && running[c] == tid) {
-          // Overhead billed while scheduled counts toward the measured job
-          // cost, matching the kernel's bill-to-current EWMA semantics.
-          job.measured_cost_ns += span_part;
-        }
-      }
-    }
-    job.jc = t;
-  };
-
-  auto close_open_job = [&](int32_t tid, PmThread& th, bool count_incomplete_miss) {
-    if (!th.job.open) {
-      return;
-    }
-    if (count_incomplete_miss) {
-      bool missed = th.job.missed_early;
-      if (!missed && th.job.has_deadline && have_cursor) {
-        missed = (cursor - th.job.release).nanos() > th.job.budget_ns;
-      }
-      if (missed) {
-        ++out.incomplete_misses;
-      }
-    }
-    th.job = OpenJob();
-    open_tids.erase(std::find(open_tids.begin(), open_tids.end(), tid));
-  };
-
-  auto finalize_job = [&](int32_t tid, PmThread& th, Instant completion) {
-    OpenJob& job = th.job;
-    LatenessLedger& l = job.ledger;
-    int64_t response = (completion - job.release).nanos();
-    // Split scheduled execution against the replayed EWMA. The split
-    // partitions own_exec exactly, so conservation never depends on the
-    // predictor's accuracy.
-    int64_t expected = th.ewma_seeded ? th.ewma_ns : job.measured_cost_ns;
-    l.own_expected_ns = std::min(job.own_exec_ns, std::max<int64_t>(0, expected));
-    l.own_overrun_ns = job.own_exec_ns - l.own_expected_ns;
-    if (th.ewma_seeded) {
-      th.ewma_ns += (job.measured_cost_ns - th.ewma_ns) / 4;
-    } else {
-      th.ewma_ns = job.measured_cost_ns;
-      th.ewma_seeded = true;
-    }
-
-    bool missed = job.missed_early ||
-                  (job.has_deadline && response > job.budget_ns);
-    th.have_last_complete = true;
-    th.last_complete = completion;
-    th.last_number = job.number;
-    th.last_has_deadline = job.has_deadline;
-    th.last_counted = missed;
-    if (missed) {
-      if (!job.has_deadline) {
-        // Legacy trace (no encoded deadline): the miss is real but the
-        // tardiness target is unknown, so it is counted, not attributed.
-        ++out.deadline_unknown;
-      } else {
-        int64_t sum = l.sum_ns();
-        bool conserved = sum == response;
-        if (!conserved) {
-          ++out.conservation_failures;
-          ++out.blame.conservation_failures;
-        }
-        ++out.misses_analyzed;
-        ++out.blame.misses_analyzed;
-        int64_t tardiness = response - job.budget_ns;
-        out.blame.tardiness_ns += tardiness;
-        out.blame.unattributed_ns += l.unattributed_ns;
-        ++out.blame.victim_misses[tid];
-        out.blame.victim_tardiness_ns[tid] += tardiness;
-        for (const auto& [k, v] : l.preemptor_ns) {
-          out.blame.preemptor_ns[k] += v;
-        }
-        for (const auto& [k, v] : l.lock_ns) {
-          out.blame.lock_ns[k] += v;
-        }
-        if (out.misses.size() < kMaxJobPostmortems) {
-          JobPostmortem rec;
-          rec.thread_id = tid;
-          rec.job_number = job.number;
-          rec.release = job.release;
-          rec.completion = completion;
-          rec.has_deadline = true;
-          rec.deadline_budget_ns = job.budget_ns;
-          rec.response_ns = response;
-          rec.tardiness_ns = tardiness;
-          rec.conserved = conserved;
-          rec.ledger = l;
-          rec.top_blame = TopBlame(rec.ledger);
-          out.misses.push_back(std::move(rec));
-        } else {
-          ++out.records_dropped;
-        }
-      }
-    }
-    th.job = OpenJob();
-    open_tids.erase(std::find(open_tids.begin(), open_tids.end(), tid));
-  };
-
-  for (size_t i = 0; i < count; ++i) {
-    const TraceEvent& e = events[i];
-    last_time = e.time;
-    if (e.type != TraceEventType::kJobRelease) {
-      // Gap attribution for every open job up to this event's time.
-      // kJobRelease is exempt: it carries the retroactive nominal release.
-      bool is_span = e.type == TraceEventType::kOverheadSpan;
-      int span_core = is_span ? OverheadSpanCore(e.arg0) : -1;
-      int span_bucket = is_span ? OverheadSpanBucket(e.arg0) : -1;
-      int64_t span_ns = is_span ? e.arg1 : 0;
-      for (int32_t tid : open_tids) {
-        attribute(tid, threads[tid], e.time, is_span, span_core, span_bucket, span_ns);
-      }
-      if (!have_cursor || e.time > cursor) {
-        cursor = e.time;
-        have_cursor = true;
-      }
-    }
-
-    switch (e.type) {
-      case TraceEventType::kContextSwitch: {
-        int32_t c = core_slot(e.arg2);
-        if (c >= 0) {
-          running[c] = e.arg1;
-          running_known[c] = 1;
-        }
-        PmThread* in = track(e.arg1);
-        if (in != nullptr) {
-          if (e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
-            in->core = e.arg2;
-          }
-          in->blocked = false;  // a blocked thread cannot be switched in
-        }
-        PmThread* outg = track(e.arg0);
-        if (outg != nullptr && e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
-          outg->core = e.arg2;
-        }
-        break;
-      }
-      case TraceEventType::kJobRelease: {
-        PmThread* th = track(e.arg0);
-        if (th == nullptr) {
-          break;
-        }
-        // A release over a still-open job only happens on corrupted or
-        // truncated streams; discard the stale job.
-        close_open_job(e.arg0, *th, true);
-        OpenJob& job = th->job;
-        job.open = true;
-        job.number = static_cast<uint64_t>(e.arg1);
-        job.release = e.time;
-        if (e.arg2 > 0) {
-          job.has_deadline = true;
-          job.budget_ns = e.arg2;
-        } else if (e.arg2 < 0) {
-          job.has_deadline = true;
-          job.budget_ns = -static_cast<int64_t>(e.arg2) * 1000;
-        }
-        Instant prev = th->have_last_complete ? th->last_complete : e.time;
-        Instant base = std::max(e.time, prev);
-        Instant jc0 = base;
-        if (have_cursor && cursor > jc0) {
-          jc0 = cursor;
-        }
-        job.jc = jc0;
-        LatenessLedger& l = job.ledger;
-        if (prev > e.time) {
-          l.carry_in_ns = (prev - e.time).nanos();
-        }
-        int64_t latency = (jc0 - base).nanos();
-        if (!th->have_last_complete && truncated) {
-          // Pre-window history is unknown: the lump between the retroactive
-          // release and the stream cursor cannot be attributed honestly.
-          l.unattributed_ns += latency;
-        } else {
-          l.release_latency_ns += latency;
-        }
-        open_tids.push_back(e.arg0);
-        break;
-      }
-      case TraceEventType::kJobComplete: {
-        PmThread* th = track(e.arg0);
-        if (th == nullptr) {
-          break;
-        }
-        if (th->job.open && th->job.number == static_cast<uint64_t>(e.arg1)) {
-          finalize_job(e.arg0, *th, e.time);
-        } else {
-          // Complete with no visible release (truncated window): remember
-          // the completion so the next release's carry-in is still exact.
-          close_open_job(e.arg0, *th, true);
-          th->have_last_complete = true;
-          th->last_complete = e.time;
-          th->last_number = static_cast<uint64_t>(e.arg1);
-          th->last_has_deadline = false;
-          th->last_counted = false;
-        }
-        break;
-      }
-      case TraceEventType::kDeadlineMiss: {
-        PmThread* th = track(e.arg0);
-        if (th == nullptr) {
-          break;
-        }
-        if (th->job.open && th->job.number == static_cast<uint64_t>(e.arg1)) {
-          th->job.missed_early = true;
-        } else if (th->have_last_complete &&
-                   th->last_number == static_cast<uint64_t>(e.arg1)) {
-          // The completion-path miss lands just after kJobComplete. Already
-          // counted via the deadline check at finalize — unless the trace
-          // carried no deadline, where the event is the only miss signal.
-          if (!th->last_counted && !th->last_has_deadline) {
-            ++out.deadline_unknown;
-            th->last_counted = true;
-          }
-        } else {
-          ++out.unmatched_misses;
-        }
-        break;
-      }
-      case TraceEventType::kThreadBlock: {
-        PmThread* th = track(e.arg0);
-        if (th != nullptr) {
-          th->blocked = true;
-          th->reason = static_cast<BlockReason>(e.arg1);
-          th->blocked_obj = e.arg2;
-        }
-        break;
-      }
-      case TraceEventType::kThreadReady: {
-        PmThread* th = track(e.arg0);
-        if (th != nullptr) {
-          th->blocked = false;
-          th->reason = BlockReason::kNone;
-          th->blocked_obj = -1;
-          if (e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
-            th->core = e.arg2;
-          }
-        }
-        break;
-      }
-      case TraceEventType::kSemCseEarlyPi: {
-        // The woken thread stays blocked, but its wait flips from the period
-        // grid to the contended lock — from here the time is PI blocking.
-        PmThread* th = track(e.arg0);
-        if (th != nullptr) {
-          th->blocked = true;
-          th->reason = BlockReason::kWaitSem;
-          th->blocked_obj = e.arg1;
-        }
-        break;
-      }
-      case TraceEventType::kThreadExit: {
-        PmThread* th = track(e.arg0);
-        if (th != nullptr) {
-          close_open_job(e.arg0, *th, true);
-          th->blocked = false;
-          int32_t c = core_slot(e.arg2);
-          if (c >= 0 && running_known[c] && running[c] == e.arg0) {
-            running[c] = -1;
-          }
-        }
-        break;
-      }
-      case TraceEventType::kTraceEpoch:
-        // Mid-run sink reset: every open job and scheduler state predates a
-        // discarded window. Start over, truncated.
-        truncated = true;
-        out.window_truncated = true;
-        for (int32_t tid : std::vector<int32_t>(open_tids)) {
-          close_open_job(tid, threads[tid], true);
-        }
-        for (PmThread& th : threads) {
-          th.blocked = false;
-        }
-        for (size_t c = 0; c < running.size(); ++c) {
-          running_known[c] = 0;
-        }
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Horizon: jobs still open are incomplete; a passed deadline among them is
-  // a known miss without a completion to attribute.
-  for (int32_t tid : std::vector<int32_t>(open_tids)) {
-    PmThread& th = threads[tid];
-    bool missed = th.job.missed_early;
-    if (!missed && th.job.has_deadline) {
-      missed = (last_time - th.job.release).nanos() > th.job.budget_ns;
-    }
-    if (missed) {
-      ++out.incomplete_misses;
-    }
-    th.job = OpenJob();
-  }
-  return out;
-}
-
-PostmortemAnalysis AnalyzePostmortem(const TraceSink& sink) {
-  return AnalyzePostmortem(sink.events().data(), sink.size(), sink.dropped());
 }
 
 namespace {

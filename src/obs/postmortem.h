@@ -126,8 +126,8 @@ struct PostmortemAnalysis {
   bool ok() const { return conservation_failures == 0; }
 };
 
-// Replays `events[0..count)` (oldest first). `dropped_events` is
-// TraceSink::dropped().
+// Replays `events[0..count)` (oldest first) on the shared trace replay
+// (src/obs/trace_replay.h). `dropped_events` is TraceSink::dropped().
 PostmortemAnalysis AnalyzePostmortem(const TraceEvent* events, size_t count,
                                      uint64_t dropped_events);
 

@@ -121,8 +121,9 @@ struct TraceAnalysis {
   }
 };
 
-// Replays `events[0..count)` (oldest first). `dropped_events` is the number
-// of events lost ahead of the window (TraceSink::dropped()).
+// Replays `events[0..count)` (oldest first) on the shared trace replay
+// (src/obs/trace_replay.h). `dropped_events` is the number of events lost
+// ahead of the window (TraceSink::dropped()).
 TraceAnalysis AnalyzeTrace(const TraceEvent* events, size_t count, uint64_t dropped_events);
 
 // Convenience overload over a live sink's retained window.

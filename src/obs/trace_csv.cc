@@ -1,7 +1,9 @@
 #include "src/obs/trace_csv.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace emeralds {
 namespace obs {
@@ -36,9 +38,13 @@ int SplitRow(char* row, char* fields[5]) {
   return n >= 4 ? n : 0;
 }
 
-bool ParseInt(const char* s, long long* out) {
+// Parses a whole field as a base-10 integer; false when it is not one.
+// `*in_range` is false when the value does not fit in a long long.
+bool ParseInt(const char* s, long long* out, bool* in_range) {
   char* end = nullptr;
+  errno = 0;
   *out = std::strtoll(s, &end, 10);
+  *in_range = errno != ERANGE;
   return end != s && *end == '\0';
 }
 
@@ -88,25 +94,34 @@ bool ImportTraceCsv(const std::string& text, TraceCsvImport* out, std::string* e
     if (num_fields == 0) {
       return Fail(error, line_no, "expected 4 or 5 comma-separated fields");
     }
+    // Instants are int64 nanoseconds and args int32: refuse what the
+    // trace cannot represent rather than wrap or truncate it.
+    constexpr long long kMaxTimeUs = std::numeric_limits<int64_t>::max() / 1000;
     long long time_us = 0;
-    long long arg0 = 0;
-    long long arg1 = 0;
-    long long arg2 = 0;
-    if (!ParseInt(fields[0], &time_us)) {
+    bool in_range = true;
+    if (!ParseInt(fields[0], &time_us, &in_range)) {
       return Fail(error, line_no, "bad time_us");
+    }
+    if (!in_range || time_us > kMaxTimeUs || time_us < -kMaxTimeUs) {
+      return Fail(error, line_no, "time_us out of range");
     }
     TraceEvent e;
     if (!TraceEventTypeFromString(fields[1], &e.type)) {
       return Fail(error, line_no, "unknown event type");
     }
-    if (!ParseInt(fields[2], &arg0) || !ParseInt(fields[3], &arg1) ||
-        (num_fields == 5 && !ParseInt(fields[4], &arg2))) {
-      return Fail(error, line_no, "bad arg");
+    int32_t* args[] = {&e.arg0, &e.arg1, &e.arg2};
+    for (int k = 0; k + 2 < num_fields; ++k) {
+      long long arg = 0;
+      if (!ParseInt(fields[k + 2], &arg, &in_range)) {
+        return Fail(error, line_no, "bad arg");
+      }
+      if (!in_range || arg < std::numeric_limits<int32_t>::min() ||
+          arg > std::numeric_limits<int32_t>::max()) {
+        return Fail(error, line_no, "arg out of range");
+      }
+      *args[k] = static_cast<int32_t>(arg);
     }
     e.time = Instant::FromNanos(time_us * 1000);
-    e.arg0 = static_cast<int32_t>(arg0);
-    e.arg1 = static_cast<int32_t>(arg1);
-    e.arg2 = static_cast<int32_t>(arg2);
     out->events.push_back(e);
   }
   if (!saw_header) {

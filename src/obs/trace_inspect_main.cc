@@ -31,12 +31,10 @@
 #include <map>
 
 #include "src/base/json.h"
-#include "src/obs/chains.h"
 #include "src/obs/obs_report.h"
 #include "src/obs/perfetto_export.h"
-#include "src/obs/postmortem.h"
-#include "src/obs/trace_analyzer.h"
 #include "src/obs/trace_csv.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -197,9 +195,7 @@ bool PrintCyclesBreakdown(const JsonValue& root) {
 // conservation and summarizes traffic per endpoint, so a corrupted or
 // kernel-buggy stream fails here exactly like it does under the in-process
 // analyzer. Returns false on any chain violation.
-bool PrintChains(const TraceCsvImport& import) {
-  ChainAnalysis chains =
-      AnalyzeChains(import.events.data(), import.events.size(), import.dropped, {});
+bool PrintChains(const TraceCsvImport& import, const ChainAnalysis& chains) {
   std::printf("chains: %" PRIu64 " emits, %" PRIu64 " consumes, %" PRIu64
               " origins minted%s\n",
               chains.chain_emits, chains.chain_consumes, chains.origins_minted,
@@ -285,8 +281,11 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  TraceAnalysis analysis =
-      AnalyzeTrace(import.events.data(), import.events.size(), import.dropped);
+  // One pass: invariants, chains and postmortem (late jobs also become
+  // Perfetto annotation slices on the victims' tracks).
+  TraceEvaluation eval = EvaluateTrace(import.events, import.dropped, {});
+  const TraceAnalysis& analysis = eval.trace;
+  const PostmortemAnalysis& postmortem = eval.postmortem;
   std::printf("%s: %zu events (%" PRIu64 " dropped before window)\n", csv_path,
               import.events.size(), import.dropped);
   PrintAnalysis(analysis);
@@ -303,20 +302,12 @@ int Main(int argc, char** argv) {
     std::printf("invariants: ok\n");
   }
 
-  if (show_chains && !PrintChains(import) && status == 0) {
+  if (show_chains && !PrintChains(import, eval.chains) && status == 0) {
     status = 2;
   }
 
-  // Computed for --postmortem and for --perfetto (late jobs become annotation
-  // slices on the victims' tracks either way).
-  PostmortemAnalysis postmortem;
-  if (show_postmortem || perfetto_path != nullptr || postmortem_json_path != nullptr) {
-    postmortem = AnalyzePostmortem(import.events.data(), import.events.size(), import.dropped);
-  }
   if (show_postmortem) {
-    ChainAnalysis chains =
-        AnalyzeChains(import.events.data(), import.events.size(), import.dropped, {});
-    PrintPostmortem(stdout, postmortem, &chains);
+    PrintPostmortem(stdout, postmortem, &eval.chains);
     if (!postmortem.ok() && status == 0) {
       status = 2;  // a ledger failed to telescope: the engine's hard invariant
     }
@@ -327,9 +318,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "trace_inspect: cannot open %s\n", postmortem_json_path);
       return 1;
     }
-    ChainAnalysis chains =
-        AnalyzeChains(import.events.data(), import.events.size(), import.dropped, {});
-    std::string doc = BuildPostmortemReport(csv_path, postmortem, &chains);
+    std::string doc = BuildPostmortemReport(csv_path, postmortem, &eval.chains);
     std::fwrite(doc.data(), 1, doc.size(), jf);
     std::fclose(jf);
     std::printf("postmortem: wrote %" PRIu64 " analyzed miss(es) to %s\n",

@@ -226,6 +226,18 @@ TEST(BenchCompareFleetTest, StreamingOverheadRatioIsNotGated) {
   EXPECT_TRUE(HasNote(r, "streaming overhead ratio 0.500 vs baseline 1.000 (not gated)"));
 }
 
+TEST(BenchCompareFleetTest, HostEvaluateCostIsNotGated) {
+  // Host CPU per node evaluation depends on the machine: a hundredfold rise
+  // is neither a failure nor a note.
+  JsonValue base =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"host_evaluate\":{\"cpu_ns_total\":1000000}"));
+  JsonValue cand =
+      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"host_evaluate\":{\"cpu_ns_total\":100000000}"));
+  CompareResult r = CompareReports(base, cand, CompareOptions());
+  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
+  EXPECT_FALSE(HasNote(r, "host_evaluate"));
+}
+
 TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
   JsonValue base =
       Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"trace\":{\"storage_bytes_max\":196608}"));

@@ -3,6 +3,7 @@
 // Perfetto export well-formedness, stats snapshots, and the obs run report.
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -449,6 +450,26 @@ TEST(TraceCsvTest, RejectsMalformedInput) {
   EXPECT_FALSE(ImportTraceCsv(std::string("time_us,event,arg0,arg1\nx,irq,0,0\n"), &import,
                               &error));
   EXPECT_FALSE(ImportTraceCsv(std::string(""), &import, &error));
+  // Values the trace cannot represent: a time whose nanoseconds overflow
+  // int64, a time strtoll saturates, an arg past int32.
+  EXPECT_FALSE(ImportTraceCsv(
+      std::string("time_us,event,arg0,arg1,arg2\n99999999999999999,job_release,1,1,0\n"),
+      &import, &error));
+  EXPECT_EQ(error, "line 2: time_us out of range");
+  EXPECT_FALSE(ImportTraceCsv(
+      std::string("time_us,event,arg0,arg1,arg2\n0,irq,0,0,0\n12345678901234567890,irq,0,0,0\n"),
+      &import, &error));
+  EXPECT_EQ(error, "line 3: time_us out of range");
+  EXPECT_FALSE(ImportTraceCsv(std::string("time_us,event,arg0,arg1\n1,irq,0,4294967297\n"),
+                              &import, &error));
+  EXPECT_EQ(error, "line 2: arg out of range");
+  // The extremes that do fit still import.
+  ASSERT_TRUE(ImportTraceCsv(std::string("time_us,event,arg0,arg1,arg2\n"
+                                         "-9223372036854775,irq,-2147483648,2147483647,0\n"),
+                             &import, &error))
+      << error;
+  EXPECT_EQ(import.events[0].time.nanos(), -9223372036854775000LL);
+  EXPECT_EQ(import.events[0].arg0, std::numeric_limits<int32_t>::min());
 }
 
 TEST(TraceCsvTest, ImportedCorruptionIsFlaggedByAnalyzer) {

@@ -12,6 +12,7 @@
 #include "src/core/tcb.h"
 #include "src/hal/cycles.h"
 #include "src/obs/postmortem.h"
+#include "src/obs/trace_analyzer.h"
 #include "src/obs/trace_csv.h"
 #include "tests/testing/kernel_env.h"
 
@@ -162,6 +163,32 @@ TEST(PostmortemTest, TruncatedWindowDegradesToUnmatched) {
   EXPECT_EQ(a.misses_analyzed, 0u);
   EXPECT_EQ(a.unmatched_misses, 1u);
   EXPECT_EQ(a.conservation_failures, 0u);
+}
+
+// A sink reset mid-window: the postmortem engine forgets which thread each
+// core ran, so time after the marker is unattributed until a switch shows
+// the runner again. The trace analyzer keeps the runner across the marker
+// and still checks switch pairing against it.
+TEST(PostmortemTest, EpochMarkerForgetsRunnersOnlyForThePostmortem) {
+  std::vector<TraceEvent> ev = {
+      Ev(0, TraceEventType::kContextSwitch, -1, 1),
+      Ev(5, TraceEventType::kTraceEpoch, 1, 0),
+      Ev(6, TraceEventType::kJobRelease, 1, 2, 1000),
+      Ev(12, TraceEventType::kJobComplete, 1, 2),
+      Ev(14, TraceEventType::kContextSwitch, 2, -1),  // thread 1 was running
+  };
+  PostmortemAnalysis pm = AnalyzePostmortem(ev.data(), ev.size(), 0);
+  EXPECT_TRUE(pm.window_truncated);
+  ASSERT_EQ(pm.misses_analyzed, 1u);
+  EXPECT_TRUE(pm.misses[0].conserved);
+  EXPECT_EQ(pm.misses[0].ledger.unattributed_ns, 6000);
+  EXPECT_EQ(pm.misses[0].ledger.own_expected_ns + pm.misses[0].ledger.own_overrun_ns, 0);
+
+  TraceAnalysis trace = AnalyzeTrace(ev.data(), ev.size(), 0);
+  EXPECT_EQ(trace.trace_epochs, 1u);
+  ASSERT_EQ(trace.violations.size(), 1u);
+  EXPECT_EQ(trace.violations[0].kind, InvariantKind::kSwitchPairing);
+  EXPECT_EQ(trace.violations[0].event_index, 4u);
 }
 
 // --- Live kernel runs ---

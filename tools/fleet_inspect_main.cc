@@ -124,6 +124,14 @@ int PrintReport(const JsonValue& root, const char* path) {
     }
   }
 
+  // Reports written before evaluation cost was measured omit it.
+  if (const JsonValue* evaluate = root.Find("host_evaluate")) {
+    std::printf("  host evaluate cpu total=%.1f ms max=%.2f ms (node %lld)\n",
+                RootNumber(*evaluate, "cpu_ns_total", 0) / 1e6,
+                RootNumber(*evaluate, "cpu_ns_max", 0) / 1e6,
+                static_cast<long long>(RootInt(*evaluate, "slowest_node", -1)));
+  }
+
   if (const JsonValue* telemetry = root.Find("telemetry")) {
     std::printf("telemetry (%s, %lld nodes):\n", RootString(*telemetry, "schema").c_str(),
                 static_cast<long long>(RootInt(*telemetry, "nodes_collected", 0)));
