@@ -265,23 +265,6 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
       }
     }
   }
-  // Telemetry collection overhead rides on wall clock: informational only.
-  const JsonValue* overhead = candidate.Find("telemetry_overhead");
-  if (overhead != nullptr) {
-    Notef(r, "telemetry overhead ratio %.3f (on %.0f vs off %.0f events/s wall, not gated)",
-          NumberOr(*overhead, "ratio", 0.0), NumberOr(*overhead, "on_events_per_wall_sec", 0.0),
-          NumberOr(*overhead, "off_events_per_wall_sec", 0.0));
-  }
-  // Streaming-collection overhead is a ratio of two wall-clock rates from
-  // runs of a few tens of milliseconds, so it mostly measures host noise:
-  // informational only.
-  const JsonValue* streaming = candidate.Find("streaming_overhead");
-  if (streaming != nullptr) {
-    const JsonValue* base_streaming = baseline.Find("streaming_overhead");
-    Notef(r, "streaming overhead ratio %.3f vs baseline %.3f (not gated)",
-          NumberOr(*streaming, "ratio", 0.0),
-          base_streaming != nullptr ? NumberOr(*base_streaming, "ratio", 0.0) : 0.0);
-  }
   // Trace memory per node is a deterministic work counter: the largest
   // node's window storage may not grow past the relative tolerance.
   auto storage_bytes_max = [](const JsonValue& report) {

@@ -18,8 +18,8 @@
 //     deterministic aggregates (events_total, events_per_virtual_sec) are
 //     held to rel_tolerance in both directions; the fleet digest must match
 //     exactly; the largest node's trace storage (trace.storage_bytes_max)
-//     may grow at most rel_tolerance; wall-clock events/sec and the
-//     streaming-overhead ratio are informational only.
+//     may grow at most rel_tolerance; wall-clock events/sec is
+//     informational only.
 // Both comparisons also re-require the candidate's own invariants
 // (conservation, zero reference mismatches) so a report that fails its own
 // contract never passes the gate.

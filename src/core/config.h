@@ -140,13 +140,6 @@ struct KernelConfig {
   // still work). Storage grows with the records made, up to 2x the bound.
   size_t trace_capacity = 4096;
 
-  // Record a kOverheadSpan trace event at the end of every non-user,
-  // non-idle clock advance. Costs trace space (roughly 3-4x event volume) but
-  // lets the deadline-miss postmortem engine attribute kernel overhead
-  // (IRQ / timer service / scheduler / syscall) exactly; without spans the
-  // lateness ledger still telescopes but lumps overhead into own-execution.
-  bool trace_overhead_spans = true;
-
   // Declared causal event chains (resolved against object/thread names at
   // Start(); see ChainSpec above). Token propagation itself is always on —
   // the specs only drive the chain-latency reports and SLO checks.

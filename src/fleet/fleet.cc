@@ -46,10 +46,15 @@ struct NodeState {
   uint8_t payload[8] = {};
 };
 
+// Top-level node state only; kernel-internal containers (ready queues,
+// trace ring, TCBs) still come from the heap — the arena isolates and
+// batch-frees the objects the fleet itself places.
+constexpr size_t kNodeArenaBytes = sizeof(Hardware) + sizeof(Kernel) + sizeof(NodeState) + 512;
+
 // One simulated node: its arena owns the Hardware, the Kernel, and the
 // workload handles; the control block itself is tiny and heap-held.
 struct Node {
-  explicit Node(size_t arena_bytes) : arena(arena_bytes) {}
+  Node() : arena(kNodeArenaBytes) {}
 
   Arena arena;
   Hardware* hw = nullptr;
@@ -70,9 +75,7 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   Rng topo = Rng(opt.seed).Fork(static_cast<uint64_t>(index) + 1);
   node.index = index;
   node.result.seed = opt.seed;
-  if (opt.timeseries) {
-    node.ts = std::make_unique<obs::TimeseriesCollector>(opt.timeseries_options);
-  }
+  node.ts = std::make_unique<obs::TimeseriesCollector>(kTimeseriesOptions);
   // Overload injection: the multiplier is applied *after* every topology
   // draw below, so the Rng stream — and therefore every other node — is
   // bit-identical whether or not this node is the designated victim.
@@ -224,14 +227,14 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   node.end = Instant() + opt.run_duration;
 }
 
-// Applies the six per-node oracles, scores the anomaly triage, and (when
-// enabled) collects the node's telemetry block. Pure read of kernel state:
-// the virtual clock has already reached its horizon, so nothing here can
-// perturb the simulated outcome or its digest.
-void EvaluateNode(Node& node, const FleetOptions& opt) {
+// Applies the six per-node oracles, scores the anomaly triage, collects the
+// node's telemetry block, and closes its window series under the alert
+// rules. The kernel has reached its horizon and is only read, so nothing
+// here can perturb the simulated outcome or its digest.
+void EvaluateNode(const Kernel& kernel, int index, obs::TimeseriesCollector* ts,
+                  NodeResult* result) {
   const int64_t cpu_start = ThreadCpuNs();
-  Kernel& kernel = *node.kernel;
-  NodeResult& r = node.result;
+  NodeResult& r = *result;
   const KernelStats& s = kernel.stats();
 
   r.events = s.context_switches + s.syscalls + s.interrupts + s.timer_dispatches;
@@ -302,32 +305,26 @@ void EvaluateNode(Node& node, const FleetOptions& opt) {
     r.anomaly = "low deadline headroom";
   }
 
-  if (opt.telemetry) {
-    r.telemetry = obs::CollectNodeTelemetry(kernel, analysis, chains);
-  }
+  r.telemetry = obs::CollectNodeTelemetry(kernel, analysis, chains);
 
   // Streaming plane: close the window series at the horizon (synthesizing
   // the tail interval), snapshot it into the result, and run the node-local
-  // alert rules over it. Reads only — the digest was taken above.
-  if (node.ts != nullptr) {
-    node.ts->Finish(kernel);
-    r.windows = node.ts->Snapshot();
-    r.timeseries_lost_samples = node.ts->lost_samples();
-    r.timeseries_windows_dropped = node.ts->windows_dropped();
-    if (opt.alerts) {
-      obs::AlertEngine engine(opt.alert_config);
-      for (const obs::TelemetryWindow& w : r.windows) {
-        engine.Observe(w, node.index, &r.alerts);
-      }
-    }
+  // alert rules over it.
+  ts->Finish(kernel);
+  r.windows = ts->Snapshot();
+  r.timeseries_lost_samples = ts->lost_samples();
+  r.timeseries_windows_dropped = ts->windows_dropped();
+  obs::AlertEngine engine(kAlertConfig);
+  for (const obs::TelemetryWindow& w : r.windows) {
+    engine.Observe(w, index, &r.alerts);
   }
   r.host_evaluate_ns = ThreadCpuNs() - cpu_start;
 }
 
 // EvaluateNode plus teardown. Runs on the pool worker that executed the
 // node's final slice.
-void FinishNode(Node& node, const FleetOptions& opt) {
-  EvaluateNode(node, opt);
+void FinishNode(Node& node) {
+  EvaluateNode(*node.kernel, node.index, node.ts.get(), &node.result);
   node.ts.reset();
   // Reclaim the node's entire footprint in one shot; record the high-water
   // mark first so arenas can be sized from measured fleets.
@@ -338,29 +335,17 @@ void FinishNode(Node& node, const FleetOptions& opt) {
   node.st = nullptr;
 }
 
-size_t DefaultArenaBytes() {
-  // Top-level node state only; kernel-internal containers (ready queues,
-  // trace ring, TCBs) still come from the heap — the arena isolates and
-  // batch-frees the objects the fleet itself places.
-  return sizeof(Hardware) + sizeof(Kernel) + sizeof(NodeState) + 512;
-}
-
 }  // namespace
 
-FleetResult RunFleet(const FleetOptions& options) {
+FleetResult RunFleet(const FleetOptions& opt) {
   EM_ASSERT_MSG(ThreadPool::CurrentWorker() == -1,
                 "RunFleet must not be called from a pool worker");
-  EM_ASSERT(options.instances > 0);
-
-  FleetOptions opt = options;
-  if (opt.arena_bytes == 0) {
-    opt.arena_bytes = DefaultArenaBytes();
-  }
+  EM_ASSERT(opt.instances > 0);
 
   std::vector<std::unique_ptr<Node>> nodes;
   nodes.reserve(static_cast<size_t>(opt.instances));
   for (int i = 0; i < opt.instances; ++i) {
-    nodes.push_back(std::make_unique<Node>(opt.arena_bytes));
+    nodes.push_back(std::make_unique<Node>());
   }
 
   auto wall_start = std::chrono::steady_clock::now();
@@ -380,17 +365,14 @@ FleetResult RunFleet(const FleetOptions& options) {
       Kernel& kernel = *node.kernel;
       Instant target = std::min(node.end, kernel.now() + opt.slice);
       kernel.RunUntil(target);
-      if (node.ts != nullptr) {
-        // Drain the snapshot ring at every slice boundary: the window series
-        // materializes while the fleet runs, and the drain schedule is part
-        // of the node's deterministic replay contract (InspectNode mirrors
-        // it). Read-only on the kernel, so the digest cannot move.
-        node.ts->Collect(kernel);
-      }
+      // Drain the snapshot ring at every slice boundary: the window series
+      // materializes while the fleet runs, and the drain schedule is part of
+      // the node's deterministic replay contract (InspectNode mirrors it).
+      node.ts->Collect(kernel);
       if (kernel.now() < node.end) {
         pool.Submit([&step, index] { step(index); });
       } else {
-        FinishNode(node, opt);
+        FinishNode(node);
       }
     };
     for (int i = 0; i < opt.instances; ++i) {
@@ -431,9 +413,7 @@ FleetResult RunFleet(const FleetOptions& options) {
       out.trace_storage_bytes_worst_node = static_cast<int>(i);
     }
     out.arena_high_water = std::max(out.arena_high_water, r.arena_high_water);
-    if (opt.telemetry) {
-      obs::MergeNodeTelemetry(&out.telemetry, r.telemetry, static_cast<int>(i));
-    }
+    obs::MergeNodeTelemetry(&out.telemetry, r.telemetry, static_cast<int>(i));
     out.blame.Merge(r.blame);
     out.postmortem_incomplete_total += r.postmortem_incomplete;
     out.host_evaluate_ns_total += r.host_evaluate_ns;
@@ -457,36 +437,28 @@ FleetResult RunFleet(const FleetOptions& options) {
   // per-node series and the full alert stream is canonicalized. A firing
   // alert marks its node anomalous — that is what routes an alerting node
   // into the black-box selection below even when every oracle passed.
-  if (opt.timeseries) {
-    out.timeseries_options = opt.timeseries_options;
-    out.alert_config = opt.alert_config;
-    std::vector<const std::vector<obs::TelemetryWindow>*> series;
-    series.reserve(out.nodes.size());
-    for (const NodeResult& r : out.nodes) {
-      series.push_back(&r.windows);
-      out.timeseries_lost_samples += r.timeseries_lost_samples;
-      out.timeseries_windows_dropped += r.timeseries_windows_dropped;
+  std::vector<const std::vector<obs::TelemetryWindow>*> series;
+  series.reserve(out.nodes.size());
+  for (const NodeResult& r : out.nodes) {
+    series.push_back(&r.windows);
+    out.timeseries_lost_samples += r.timeseries_lost_samples;
+    out.timeseries_windows_dropped += r.timeseries_windows_dropped;
+    out.alerts.insert(out.alerts.end(), r.alerts.begin(), r.alerts.end());
+  }
+  out.windows = obs::MergeWindowSeries(series);
+  obs::EvaluateFleetOutlierAlerts(series, kAlertConfig, &out.alerts);
+  obs::SortAlertEvents(&out.alerts);
+  for (const obs::AlertEvent& e : out.alerts) {
+    if (!e.firing) {
+      continue;
     }
-    out.windows = obs::MergeWindowSeries(series);
-    if (opt.alerts) {
-      for (const NodeResult& r : out.nodes) {
-        out.alerts.insert(out.alerts.end(), r.alerts.begin(), r.alerts.end());
-      }
-      obs::EvaluateFleetOutlierAlerts(series, opt.alert_config, &out.alerts);
-      obs::SortAlertEvents(&out.alerts);
-      for (const obs::AlertEvent& e : out.alerts) {
-        if (!e.firing) {
-          continue;
-        }
-        ++out.alerts_fired;
-        if (e.node >= 0 && e.node < static_cast<int>(out.nodes.size())) {
-          NodeResult& nr = out.nodes[static_cast<size_t>(e.node)];
-          nr.anomaly_score += 500000;
-          if (nr.anomaly.empty()) {
-            nr.anomaly = std::string("alert firing: ") + obs::AlertRuleName(e.rule);
-            ++out.nodes_anomalous;
-          }
-        }
+    ++out.alerts_fired;
+    if (e.node >= 0 && e.node < static_cast<int>(out.nodes.size())) {
+      NodeResult& nr = out.nodes[static_cast<size_t>(e.node)];
+      nr.anomaly_score += 500000;
+      if (nr.anomaly.empty()) {
+        nr.anomaly = std::string("alert firing: ") + obs::AlertRuleName(e.rule);
+        ++out.nodes_anomalous;
       }
     }
   }
@@ -534,14 +506,10 @@ FleetResult RunFleet(const FleetOptions& options) {
   return out;
 }
 
-NodeResult InspectNode(const FleetOptions& options, int index,
+NodeResult InspectNode(const FleetOptions& opt, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit) {
-  EM_ASSERT(index >= 0 && index < options.instances);
-  FleetOptions opt = options;
-  if (opt.arena_bytes == 0) {
-    opt.arena_bytes = DefaultArenaBytes();
-  }
-  Node node(opt.arena_bytes);
+  EM_ASSERT(index >= 0 && index < opt.instances);
+  Node node;
   BuildNode(node, opt, index);
   // Slice-stepped exactly like the fleet run — not one shot — so the
   // streaming collector drains at the same instants and the replayed window
@@ -550,11 +518,9 @@ NodeResult InspectNode(const FleetOptions& options, int index,
   while (node.kernel->now() < node.end) {
     Instant target = std::min(node.end, node.kernel->now() + opt.slice);
     node.kernel->RunUntil(target);
-    if (node.ts != nullptr) {
-      node.ts->Collect(*node.kernel);
-    }
+    node.ts->Collect(*node.kernel);
   }
-  EvaluateNode(node, opt);
+  EvaluateNode(*node.kernel, index, node.ts.get(), &node.result);
   if (visit) {
     visit(*node.kernel, node.result);
   }

@@ -15,6 +15,11 @@
 // the whole FleetResult (per-node digests included) is bit-identical across
 // runs, worker counts, and machines. Tests enforce this.
 //
+// Every node is observed the same way: a telemetry block, a streaming
+// window series drained at each slice boundary, and the alert engine over
+// that series. Observers take the kernel as `const Kernel&`, so none can
+// change a run; the golden digests would catch one that did.
+//
 // Per-node oracles, mirroring the torture harness (the syscall fault oracle
 // is torture-specific; the fleet adds a progress oracle in its place):
 //   1. obs::AnalyzeTrace reports zero structural invariant violations;
@@ -50,6 +55,10 @@ class Kernel;
 
 namespace fleet {
 
+// The streaming window grid and the alert rules every fleet node runs.
+inline constexpr obs::TimeseriesOptions kTimeseriesOptions{};
+inline constexpr obs::AlertConfig kAlertConfig{};
+
 struct FleetOptions {
   int instances = 16;
   // Host pool width; <= 0 uses std::thread::hardware_concurrency().
@@ -58,8 +67,6 @@ struct FleetOptions {
   // Virtual time each node simulates, and the re-enqueue granularity.
   Duration run_duration = Milliseconds(100);
   Duration slice = Milliseconds(5);
-  // Per-node arena capacity; 0 sizes it from the node footprint.
-  size_t arena_bytes = 0;
   // Per-node trace retention bound; 0 sizes it to retain the whole run.
   // Storage grows with the records a node makes, not with the bound, and
   // never exceeds 2x the bound once the window wraps.
@@ -67,11 +74,6 @@ struct FleetOptions {
   // truncation-aware, so a wrapped window degrades checking, never
   // correctness.
   size_t trace_capacity = 0;
-  // Fleet telemetry plane: per-node NodeTelemetry blocks merged into
-  // FleetResult::telemetry. Host-side only — collection happens after each
-  // node reaches its virtual horizon, so digests are bit-identical with
-  // telemetry on or off (tested).
-  bool telemetry = true;
   // Black-box flight recorder: when non-empty, the worst `max_blackboxes`
   // anomalous nodes (by anomaly_score, worst first) are re-run serially
   // after the fleet drains — a node is a pure function of (seed, index), so
@@ -84,15 +86,6 @@ struct FleetOptions {
   // every other node is untouched). -1 = none.
   int overload_node = -1;
   int overload_factor = 8;
-  // Streaming telemetry plane: per-node TelemetryWindow series folded from
-  // the snapshot ring at every slice boundary (so the series exists while
-  // the fleet runs), plus the per-window alert engine over it. Host-side
-  // reads only — digests are bit-identical with streaming on or off
-  // (tested), and the alert event stream itself is worker-count-invariant.
-  bool timeseries = true;
-  obs::TimeseriesOptions timeseries_options;
-  bool alerts = true;
-  obs::AlertConfig alert_config;
 };
 
 // One simulated node's outcome. Everything here except host_evaluate_ns is
@@ -127,11 +120,11 @@ struct NodeResult {
   // misses, chain SLO overruns, and headroom-low events.
   std::string anomaly;
   uint64_t anomaly_score = 0;
-  // Telemetry block (collected iff FleetOptions::telemetry).
+  // Telemetry block, merged into FleetResult::telemetry.
   obs::NodeTelemetry telemetry;
-  // Streaming telemetry (collected iff FleetOptions::timeseries): the
-  // retained window series plus explicit-degradation counters, and the
-  // node-local alert events (iff FleetOptions::alerts).
+  // Streaming telemetry: the retained window series (folded from the
+  // snapshot ring at every slice boundary) plus explicit-degradation
+  // counters, and the node-local alert events.
   std::vector<obs::TelemetryWindow> windows;
   uint64_t timeseries_lost_samples = 0;
   uint64_t timeseries_windows_dropped = 0;
@@ -166,8 +159,7 @@ struct FleetResult {
   uint64_t fleet_digest = 0;
   size_t arena_high_water = 0;  // max across nodes
 
-  // Fleet telemetry plane (merged per-node blocks; nodes_collected == 0
-  // when FleetOptions::telemetry was off).
+  // Fleet telemetry plane (merged per-node blocks).
   obs::FleetTelemetry telemetry;
   // Silent ring truncation, surfaced: totals plus the worst offender.
   uint64_t trace_dropped_total = 0;
@@ -194,9 +186,6 @@ struct FleetResult {
   uint64_t timeseries_lost_samples = 0;
   uint64_t timeseries_windows_dropped = 0;
   uint64_t alerts_fired = 0;  // firing events in `alerts`
-  // Echo of the streaming config the run used (the report embeds it).
-  obs::TimeseriesOptions timeseries_options;
-  obs::AlertConfig alert_config;
   // Nodes whose black-box bundles were written (worst first), and where.
   std::vector<int> blackbox_nodes;
   std::string artifacts_dir;

@@ -87,43 +87,19 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("slowest_node", result.host_evaluate_slowest_node);
   json.CloseObject();
 
-  if (info.telemetry_on_events_per_wall_sec > 0 &&
-      info.telemetry_off_events_per_wall_sec > 0) {
-    json.Key("telemetry_overhead");
-    json.OpenObject();
-    json.Number("on_events_per_wall_sec", info.telemetry_on_events_per_wall_sec);
-    json.Number("off_events_per_wall_sec", info.telemetry_off_events_per_wall_sec);
-    json.Number("ratio", info.telemetry_on_events_per_wall_sec /
-                             info.telemetry_off_events_per_wall_sec);
-    json.CloseObject();
-  }
-
-  if (info.streaming_on_events_per_wall_sec > 0 &&
-      info.streaming_off_events_per_wall_sec > 0) {
-    json.Key("streaming_overhead");
-    json.OpenObject();
-    json.Number("on_events_per_wall_sec", info.streaming_on_events_per_wall_sec);
-    json.Number("off_events_per_wall_sec", info.streaming_off_events_per_wall_sec);
-    json.Number("ratio", info.streaming_on_events_per_wall_sec /
-                             info.streaming_off_events_per_wall_sec);
-    json.CloseObject();
-  }
-
   // Fleet telemetry plane: exact-bucket percentile tables over the merged
   // per-node histograms (schema "emeralds.fleet.telemetry/1").
-  if (result.telemetry.nodes_collected > 0) {
-    json.Key("telemetry");
-    obs::AppendFleetTelemetrySection(json, result.telemetry);
-  }
+  json.Key("telemetry");
+  obs::AppendFleetTelemetrySection(json, result.telemetry);
 
   // Streaming plane: the fleet-merged window series (every node's same-index
   // windows merged via the lossless histogram Merge) and the canonical alert
   // event stream with exact virtual timestamps.
   if (!result.windows.empty()) {
-    obs::AppendTimeseriesSection(json, result.windows, result.timeseries_options.window,
+    obs::AppendTimeseriesSection(json, result.windows, kTimeseriesOptions.window,
                                  result.timeseries_lost_samples,
                                  result.timeseries_windows_dropped);
-    obs::AppendAlertsSection(json, result.alerts, result.alert_config);
+    obs::AppendAlertsSection(json, result.alerts, kAlertConfig);
   }
 
   // Deadline-miss postmortem: the fleet-merged blame tables. Thread and

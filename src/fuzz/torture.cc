@@ -94,7 +94,7 @@ struct ThreadRole {
   int writer_smsg = -1;     // index into smsgs this thread publishes, or -1
 };
 
-OpKind PickOp(Rng* rng, const TortureOptions& opt, const ThreadRole& role) {
+OpKind PickOp(Rng* rng, const ThreadRole& role) {
   int weights[kNumOpKinds] = {};
   weights[static_cast<int>(OpKind::kCompute)] = 16;
   weights[static_cast<int>(OpKind::kSleep)] = 10;
@@ -108,11 +108,9 @@ OpKind PickOp(Rng* rng, const TortureOptions& opt, const ThreadRole& role) {
   weights[static_cast<int>(OpKind::kStateWrite)] = role.writer_smsg >= 0 ? 8 : 0;
   weights[static_cast<int>(OpKind::kTimerWait)] = 1;
   weights[static_cast<int>(OpKind::kIrqWait)] = role.irq_driver ? 40 : 0;
-  if (opt.inject_faults) {
-    weights[static_cast<int>(OpKind::kFaultBadHandle)] = 4;
-    weights[static_cast<int>(OpKind::kFaultPermission)] = role.in_proc_b ? 4 : 0;
-    weights[static_cast<int>(OpKind::kFaultOversized)] = role.writer_smsg >= 0 ? 2 : 0;
-  }
+  weights[static_cast<int>(OpKind::kFaultBadHandle)] = 4;
+  weights[static_cast<int>(OpKind::kFaultPermission)] = role.in_proc_b ? 4 : 0;
+  weights[static_cast<int>(OpKind::kFaultOversized)] = role.writer_smsg >= 0 ? 2 : 0;
   int total = 0;
   for (int w : weights) {
     total += w;
@@ -130,14 +128,13 @@ OpKind PickOp(Rng* rng, const TortureOptions& opt, const ThreadRole& role) {
 // The generated thread body: an interpreter drawing ops from its private Rng
 // stream until the *global* budget is spent. Budget consumption happens in
 // executive order, so (seed, limit) fully determines every schedule.
-ThreadBodyFactory MakeTortureBody(HarnessState* st, const TortureOptions opt, Rng stream,
-                                  ThreadRole role) {
-  return [st, opt, stream, role](ThreadApi api) -> ThreadBody {
+ThreadBodyFactory MakeTortureBody(HarnessState* st, Rng stream, ThreadRole role) {
+  return [st, stream, role](ThreadApi api) -> ThreadBody {
     Rng rng = stream;
     std::array<uint8_t, 192> scratch{};
     while (st->executed < st->limit) {
       ++st->executed;
-      OpKind op = PickOp(&rng, opt, role);
+      OpKind op = PickOp(&rng, role);
       ++st->coverage.op_counts[static_cast<int>(op)];
       switch (op) {
         case OpKind::kCompute:
@@ -471,7 +468,7 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
     // RNG draw: at num_cores == 1 every thread lands on core 0 and the
     // schedule replays bit-identically to the single-core harness.
     params.core = i % opt.num_cores;
-    params.body = MakeTortureBody(st, opt, root.Fork(1000 + static_cast<uint64_t>(i)), role);
+    params.body = MakeTortureBody(st, root.Fork(1000 + static_cast<uint64_t>(i)), role);
     if (role.periodic) {
       params.period = Microseconds(kPeriodsUs[topo.UniformInt(0, 5)]);
       params.first_release = Microseconds(topo.UniformInt(0, 1000));
@@ -489,7 +486,7 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
     ThreadParams params;
     params.name = "fuzz_irq";
     params.process = proc_a;
-    params.body = MakeTortureBody(st, opt, root.Fork(2000), role);
+    params.body = MakeTortureBody(st, root.Fork(2000), role);
     ThreadId driver = kernel.CreateThread(params).value();
     kernel.BindIrqThread(driver, st->irq_line);
   }
@@ -527,18 +524,21 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
   kernel.Start();
 
   bool timer_running = false;
-  Instant end = Instant() + opt.max_run_time;
+  // Virtual-time cap; the run ends earlier once the op budget drains. Blocked
+  // threads (condvar waits, forever-receives) make op throughput bursty, so
+  // the cap leaves generous headroom.
+  const Instant end = Instant() + Seconds(20);
   int drain = -1;
   while (kernel.now() < end) {
     Instant next = std::min(end, kernel.now() + Milliseconds(1));
     kernel.RunUntil(next);
     // Host-side injections at the slice boundary, all drawn from the
     // dedicated injection stream so they replay exactly.
-    if (opt.irq_storms && inject.Bernoulli(0.25)) {
+    if (inject.Bernoulli(0.25)) {
       hw.irq().Raise(st->irq_line);
       ++st->coverage.irq_storms;
     }
-    if (opt.charge_resets && inject.Bernoulli(0.04)) {
+    if (inject.Bernoulli(0.04)) {
       kernel.ResetChargeAccounting();
       ++st->coverage.charge_resets;
     }
@@ -726,14 +726,9 @@ std::string ReproCommand(const TortureOptions& options) {
   if (options.num_cores != 1) {
     std::snprintf(cores, sizeof(cores), " --num-cores=%d", options.num_cores);
   }
-  std::snprintf(line, sizeof(line),
-                "torture --seed=%llu --ops=%d --op-limit=%d%s%s%s%s%s",
+  std::snprintf(line, sizeof(line), "torture --seed=%llu --ops=%d --op-limit=%d%s%s",
                 static_cast<unsigned long long>(options.seed), options.ops, limit,
-                options.inject_faults ? "" : " --no-faults",
-                options.irq_storms ? "" : " --no-irq-storms",
-                options.charge_resets ? "" : " --no-charge-resets",
-                options.tiny_trace_ring ? " --tiny-ring" : "",
-                cores);
+                options.tiny_trace_ring ? " --tiny-ring" : "", cores);
   return line;
 }
 

@@ -85,9 +85,6 @@ struct TortureOptions {
   // Replay cap for shrinking: execute only the first `op_limit` operations
   // of the schedule (< 0 means `ops`). Same seed + same limit => same run.
   int op_limit = -1;
-  bool inject_faults = true;    // include the kFault* ops in schedules
-  bool irq_storms = true;       // host-raised IRQ bursts between slices
-  bool charge_resets = true;    // mid-run ResetChargeAccounting() calls
   bool tiny_trace_ring = false; // force ring overflow (truncation fault case)
   // Virtual cores. Generated threads are pinned round-robin (thread i on
   // core i % num_cores — no extra RNG draws, so 1-core schedules and digests
@@ -95,10 +92,6 @@ struct TortureOptions {
   // shepherd stay on the boot core. All five oracles run core-aware, and
   // oracle 4 additionally holds each core's own ledger to wall time.
   int num_cores = 1;
-  // Virtual-time cap; the run ends earlier once the op budget drains. Blocked
-  // threads (condvar waits, forever-receives) make op throughput bursty, so
-  // the default leaves generous headroom.
-  Duration max_run_time = Seconds(20);
 };
 
 // Per-run coverage: which operations actually executed and which statuses

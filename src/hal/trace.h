@@ -179,6 +179,11 @@ inline uint64_t FoldTraceEvent(uint64_t hash, const TraceEvent& e) {
   return Fnv1a(hash, &e.arg2, sizeof(e.arg2));
 }
 
+// Writes `events` as CSV (header time_us,event,arg0,arg1,arg2, one row per
+// event), then a "# dropped=N" comment line when `dropped` > 0: the format
+// obs::ImportTraceCsv reads back. Returns the number of data rows written.
+size_t WriteTraceCsv(std::FILE* out, std::span<const TraceEvent> events, uint64_t dropped);
+
 // The retained window is the last `capacity` records, oldest first, held
 // contiguously so replays read it in place (events()). `capacity` is only a
 // retention bound: until the window wraps, storage grows by push_back, so it
@@ -266,11 +271,10 @@ class TraceSink {
   // (default stdout), followed by a drop note when events were lost.
   void Dump(std::FILE* out = stdout) const;
 
-  // Writes the retained events as CSV (time_us,event,arg0,arg1,arg2) to
-  // `out`, for external plotting (Gantt charts of the schedule) and
-  // trace_inspect replay. When events were dropped, a trailing "# dropped=N"
-  // comment line records the loss. Returns the number of data rows written.
-  size_t ExportCsv(std::FILE* out) const;
+  // Writes the retained window and its drop count with WriteTraceCsv, for
+  // external plotting (Gantt charts of the schedule) and trace_inspect
+  // replay. Returns the number of data rows written.
+  size_t ExportCsv(std::FILE* out) const { return WriteTraceCsv(out, events(), dropped_); }
 
  private:
   // Erases the evicted prefix [0, first_).

@@ -39,12 +39,8 @@ const char* AlertRuleName(AlertRuleKind kind) {
       return "deadline_miss_burn";
     case AlertRuleKind::kChainOverrunBurn:
       return "chain_overrun_burn";
-    case AlertRuleKind::kHeadroomMin:
-      return "headroom_min";
     case AlertRuleKind::kTraceDrops:
       return "trace_drops";
-    case AlertRuleKind::kIpiShare:
-      return "ipi_share";
     case AlertRuleKind::kFleetOutlier:
       return "fleet_outlier";
   }
@@ -148,21 +144,6 @@ void AlertEngine::Observe(const TelemetryWindow& w, int node, std::vector<AlertE
   ObserveBurn(config_.chain_burn, AlertRuleKind::kChainOverrunBurn, w.chain_e2e_overruns,
               w.chain_e2e_completed, w, node, &chain_, out);
 
-  if (config_.headroom_rule && w.headroom.count() > 0) {
-    // The carried min is the cumulative minimum up to this window — a
-    // conservative bound that never un-fires earlier than the true
-    // per-window minimum would.
-    bool low = w.headroom.min() < config_.headroom_min;
-    if (low && !headroom_firing_) {
-      headroom_firing_ = true;
-      out->push_back(MakeEvent(AlertRuleKind::kHeadroomMin, node, w, true,
-                               static_cast<uint64_t>(w.headroom_low_events), 0));
-    } else if (!low && headroom_firing_) {
-      headroom_firing_ = false;
-      out->push_back(MakeEvent(AlertRuleKind::kHeadroomMin, node, w, false, 0, 0));
-    }
-  }
-
   if (config_.trace_drop_rule) {
     bool over = w.trace_dropped > config_.trace_drop_limit;
     if (over && !trace_firing_) {
@@ -173,27 +154,12 @@ void AlertEngine::Observe(const TelemetryWindow& w, int node, std::vector<AlertE
       out->push_back(MakeEvent(AlertRuleKind::kTraceDrops, node, w, false, w.trace_dropped, 0));
     }
   }
-
-  if (config_.ipi_share_rule) {
-    uint64_t ipi = static_cast<uint64_t>(w.cycles.buckets[static_cast<int>(CycleBucket::kIpi)]
-                                             .nanos());
-    uint64_t all = static_cast<uint64_t>(w.cycles.total().nanos());
-    bool over = all > 0 && static_cast<unsigned __int128>(ipi) * 1000000 >
-                               static_cast<unsigned __int128>(all) * config_.ipi_share_ppm;
-    if (over && !ipi_firing_) {
-      ipi_firing_ = true;
-      out->push_back(MakeEvent(AlertRuleKind::kIpiShare, node, w, true, ipi, all));
-    } else if (!over && ipi_firing_) {
-      ipi_firing_ = false;
-      out->push_back(MakeEvent(AlertRuleKind::kIpiShare, node, w, false, ipi, all));
-    }
-  }
 }
 
 void EvaluateFleetOutlierAlerts(
     const std::vector<const std::vector<TelemetryWindow>*>& per_node,
     const AlertConfig& config, std::vector<AlertEvent>* out) {
-  if (!config.fleet_outlier_rule || per_node.empty()) {
+  if (per_node.empty()) {
     return;
   }
   // Index the series: window index -> (node -> window).

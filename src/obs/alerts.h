@@ -66,32 +66,25 @@ struct AlertConfig {
   // chain SLOs routinely (~11% in the committed baseline), so the budget is
   // wide: 5% budget at 10x burn fires only past a 50% overrun share.
   BurnRule chain_burn{true, 50000, 10, 16};
-  // Threshold rules — opt-in (disabled by default).
-  bool headroom_rule = false;
-  Duration headroom_min;  // fire when a window's observed headroom min < this
+  // Trace-drop threshold rule — opt-in (disabled by default).
   bool trace_drop_rule = false;
   uint64_t trace_drop_limit = 0;  // fire when window trace drops > limit
-  bool ipi_share_rule = false;
-  uint64_t ipi_share_ppm = 0;  // fire when kIpi share of window cycles > ppm
-  // Fleet outlier rule: per window, a node whose deadline-miss count is a
-  // robust outlier above the fleet median (and at least `outlier_floor`, so
-  // a single stray miss over an all-zero fleet cannot fire) — the triage
-  // math applied online.
-  bool fleet_outlier_rule = true;
+  // Fleet outlier rule (always on): per window, a node whose deadline-miss
+  // count is a robust outlier above the fleet median (and at least
+  // `outlier_floor`, so a single stray miss over an all-zero fleet cannot
+  // fire) — the triage math applied online.
   uint64_t outlier_floor = 3;
 };
 
 // --- Events ---
 
+// The order is the canonical event order within a window (SortAlertEvents).
 enum class AlertRuleKind : int {
   kDeadlineMissBurn = 0,
   kChainOverrunBurn = 1,
-  kHeadroomMin = 2,
-  kTraceDrops = 3,
-  kIpiShare = 4,
-  kFleetOutlier = 5,
+  kTraceDrops = 2,
+  kFleetOutlier = 3,
 };
-inline constexpr int kNumAlertRuleKinds = 6;
 
 const char* AlertRuleName(AlertRuleKind kind);
 
@@ -119,7 +112,7 @@ void SortAlertEvents(std::vector<AlertEvent>* events);
 
 // --- Node-local engine ---
 
-// Feed windows in index order; node-local rules (burn + thresholds) append
+// Feed windows in index order; node-local rules (burn + trace drops) append
 // their fire/resolve events. Stateful: firing alerts persist across windows
 // until resolved.
 class AlertEngine {
@@ -141,9 +134,7 @@ class AlertEngine {
   AlertConfig config_;
   BurnState miss_;
   BurnState chain_;
-  bool headroom_firing_ = false;
   bool trace_firing_ = false;
-  bool ipi_firing_ = false;
 };
 
 // --- Fleet outlier rule ---

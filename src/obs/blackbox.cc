@@ -41,25 +41,6 @@ BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
   return box;
 }
 
-bool WriteTraceCsvFile(const std::string& path, const TraceEvent* events, size_t count,
-                       uint64_t dropped) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    return false;
-  }
-  std::fprintf(out, "time_us,event,arg0,arg1,arg2\n");
-  for (size_t i = 0; i < count; ++i) {
-    const TraceEvent& e = events[i];
-    std::fprintf(out, "%lld,%s,%d,%d,%d\n", static_cast<long long>(e.time.micros()),
-                 TraceEventTypeToString(e.type), e.arg0, e.arg1, e.arg2);
-  }
-  if (dropped > 0) {
-    std::fprintf(out, "# dropped=%llu\n", static_cast<unsigned long long>(dropped));
-  }
-  std::fclose(out);
-  return true;
-}
-
 std::string BuildBlackBoxReport(const BlackBoxSnapshot& box) {
   Json j;
   j.OpenObject();
@@ -130,9 +111,13 @@ bool WriteBlackBoxBundle(const BlackBoxSnapshot& box, const std::string& dir) {
                  box.reason.c_str());
     std::fclose(out);
   }
-  if (!WriteTraceCsvFile(dir + "/trace.csv", box.window.data(), box.window.size(),
-                         box.dropped)) {
-    return false;
+  {
+    std::FILE* out = std::fopen((dir + "/trace.csv").c_str(), "w");
+    if (out == nullptr) {
+      return false;
+    }
+    WriteTraceCsv(out, box.window, box.dropped);
+    std::fclose(out);
   }
   {
     std::FILE* out = std::fopen((dir + "/blackbox.json").c_str(), "w");

@@ -9,7 +9,7 @@
 // and WriteBlackBoxBundle lays it out as an inspectable artifact directory:
 //
 //   <dir>/repro.txt       one-line repro command + the anomaly reason
-//   <dir>/trace.csv       the trace window, TraceSink::ExportCsv format
+//   <dir>/trace.csv       the trace window, WriteTraceCsv format
 //                         (re-importable by obs::ImportTraceCsv and every
 //                         CSV-consuming tool: trace_inspect, fleet_inspect)
 //   <dir>/blackbox.json   machine-readable snapshot: stats counters, the
@@ -63,11 +63,6 @@ struct BlackBoxSnapshot {
 // capturing at the end of a deterministic run cannot change its digest.
 BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
                                  std::string reason, std::string repro);
-
-// Writes an event window in TraceSink::ExportCsv format (header, rows,
-// "# dropped=N" trailer when dropped > 0).
-bool WriteTraceCsvFile(const std::string& path, const TraceEvent* events, size_t count,
-                       uint64_t dropped);
 
 // The blackbox.json document.
 std::string BuildBlackBoxReport(const BlackBoxSnapshot& box);

@@ -318,23 +318,10 @@ void ExportWindow(EventWriter& w, const TraceEvent* events, size_t count,
         std::snprintf(name, sizeof(name), "trace epoch %d", e.arg0);
         w.Instant(ts, 0, name, "trace");
         break;
-      case TraceEventType::kOverheadSpan: {
-        if (!options.overhead_slices) {
-          break;
-        }
-        // Recorded at the *end* of the charge; the slice covers the advance.
-        double dur_us = static_cast<double>(e.arg1) / 1e3;
-        int tid = e.arg2 > 0 ? e.arg2 - 1 : 0;
-        std::snprintf(name, sizeof(name), "overhead: %s (core %d)",
-                      CycleBucketToString(static_cast<CycleBucket>(OverheadSpanBucket(e.arg0))),
-                      OverheadSpanCore(e.arg0));
-        w.Open("X", ts - dur_us, tid);
-        w.Field("name", name);
-        w.Field("cat", "overhead");
-        w.Dur(dur_us);
-        w.Close();
+      case TraceEventType::kOverheadSpan:
+        // Overhead spans feed the postmortem's lateness ledgers; they are
+        // two thirds of the stream and would bury the timeline.
         break;
-      }
       case TraceEventType::kThreadBlock:
       case TraceEventType::kThreadReady: {
         // Wait spans (block -> ready) per reason. Semaphore waits already

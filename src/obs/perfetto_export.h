@@ -72,10 +72,6 @@ struct PerfettoExportOptions {
   std::vector<PerfettoInstantMarker> instants;
   // Annotation slices (postmortem late-job overlays).
   std::vector<PerfettoAnnotationSlice> annotations;
-  // Render kOverheadSpan events as per-thread kernel-overhead slices. Off by
-  // default: span volume is several times the rest of the stream and most
-  // viewers only need them when chasing a specific postmortem.
-  bool overhead_slices = false;
 };
 
 // Writes the event window as Chrome trace-event JSON to `out`. Returns the

@@ -18,9 +18,10 @@
 // Attribution is gap-based: between consecutive events every open job's
 // elapsed time is classified by the victim's scheduler state (running /
 // ready / blocked-and-why), with kOverheadSpan events carving the kernel's
-// charged advances on the victim's core out of the gap. Without spans
-// (KernelConfig::trace_overhead_spans = false, or a pre-span trace) the
-// ledger still telescopes but overhead lands in own-execution / preemption.
+// charged advances on the victim's core out of the gap. The kernel records
+// a span for every charged advance; on a trace without spans (one imported
+// from an older build) the ledger still telescopes but overhead lands in
+// own-execution / preemption.
 
 #ifndef SRC_OBS_POSTMORTEM_H_
 #define SRC_OBS_POSTMORTEM_H_

@@ -11,9 +11,9 @@
 // average of per-node percentiles.
 //
 // Collection is zero-virtual-cost by construction: CollectNodeTelemetry
-// only *reads* kernel state after the run has reached its horizon (it never
-// advances the virtual clock or records events), so fleet digests are
-// bit-identical with telemetry on or off. Tests enforce this.
+// only *reads* kernel state (a const Kernel&) after the run has reached its
+// horizon; it never advances the virtual clock or records events. Every
+// fleet run collects it, and the golden fleet digests pin the runs.
 
 #ifndef SRC_OBS_TELEMETRY_H_
 #define SRC_OBS_TELEMETRY_H_

@@ -1,4 +1,5 @@
-// Importer for TraceSink::ExportCsv output.
+// Importer for WriteTraceCsv output (TraceSink::ExportCsv and the trace.csv
+// of black-box bundles).
 //
 // The CSV export (time_us,event,arg0,arg1,arg2 plus an optional trailing
 // "# dropped=N" comment; legacy 4-field rows import with arg2 = 0) is the
@@ -23,7 +24,7 @@ struct TraceCsvImport {
   uint64_t dropped = 0;            // from the "# dropped=N" trailer, if any
 };
 
-// Parses ExportCsv output from `text`. Returns false on malformed input with
+// Parses WriteTraceCsv output from `text`. Returns false on malformed input with
 // a line-numbered message in *error (out is left partially filled).
 bool ImportTraceCsv(const std::string& text, TraceCsvImport* out, std::string* error);
 

@@ -214,18 +214,6 @@ TEST(BenchCompareFleetTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
       << r.failures[0];
 }
 
-TEST(BenchCompareFleetTest, StreamingOverheadRatioIsNotGated) {
-  // The ratio of two wall-clock rates from ~40 ms runs is host noise: half
-  // the baseline's ratio is a note, never a failure.
-  JsonValue base =
-      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"streaming_overhead\":{\"ratio\":1.0}"));
-  JsonValue cand =
-      Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"streaming_overhead\":{\"ratio\":0.5}"));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
-  EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
-  EXPECT_TRUE(HasNote(r, "streaming overhead ratio 0.500 vs baseline 1.000 (not gated)"));
-}
-
 TEST(BenchCompareFleetTest, HostEvaluateCostIsNotGated) {
   // Host CPU per node evaluation depends on the machine: a hundredfold rise
   // is neither a failure nor a note.

@@ -78,55 +78,50 @@ TEST(FleetTest, CoversAllFourSchedulerVariants) {
 // The determinism contract: host scheduling must not leak into simulated
 // outcomes, so the digest is identical across repeated runs AND across
 // worker counts (1 worker serializes everything; 8 maximizes stealing).
+// Every run carries the telemetry and streaming planes, so this also pins
+// them: the merged telemetry covers every node and job with deterministic
+// percentile tables, and the merged window series loses no samples and
+// telescopes exactly to the run totals.
 TEST(FleetTest, DigestIsStableAcrossRunsAndWorkerCounts) {
   FleetOptions opt = SmallFleet();
   FleetResult first = RunFleet(opt);
   FleetResult second = RunFleet(opt);
   EXPECT_EQ(first.fleet_digest, second.fleet_digest);
   EXPECT_EQ(first.events_total, second.events_total);
-
-  opt.workers = 1;
-  FleetResult serial = RunFleet(opt);
-  opt.workers = 8;
-  FleetResult wide = RunFleet(opt);
-  EXPECT_EQ(serial.fleet_digest, first.fleet_digest);
-  EXPECT_EQ(wide.fleet_digest, first.fleet_digest);
-  for (size_t i = 0; i < first.nodes.size(); ++i) {
-    EXPECT_EQ(serial.nodes[i].trace_digest, first.nodes[i].trace_digest) << "node " << i;
-  }
-  // The merged blame ledger carries the same contract: node ledgers merge
-  // in node-index order, so the digest is bit-identical across worker
-  // counts and repeated runs.
-  EXPECT_EQ(serial.blame_digest, first.blame_digest);
-  EXPECT_EQ(wide.blame_digest, first.blame_digest);
   EXPECT_EQ(second.blame_digest, first.blame_digest);
-  EXPECT_EQ(serial.blame.misses_analyzed, wide.blame.misses_analyzed);
-  EXPECT_EQ(serial.blame.tardiness_ns, wide.blame.tardiness_ns);
-}
 
-// Telemetry collection is a pure host-side read after each node's virtual
-// horizon: digests must be bit-identical with it on or off, and — with it
-// on — across worker counts. This is the zero-virtual-cost guarantee the
-// telemetry plane is built on.
-TEST(FleetTest, TelemetryCollectionNeverPerturbsTheDigest) {
-  FleetOptions opt = SmallFleet();
-  opt.telemetry = false;
-  FleetResult off = RunFleet(opt);
-  EXPECT_EQ(off.telemetry.nodes_collected, 0);
-
-  opt.telemetry = true;
   for (int workers : {1, 2, 8}) {
     opt.workers = workers;
-    FleetResult on = RunFleet(opt);
-    EXPECT_EQ(on.fleet_digest, off.fleet_digest) << workers << " workers";
-    EXPECT_EQ(on.events_total, off.events_total) << workers << " workers";
-    EXPECT_EQ(on.telemetry.nodes_collected, opt.instances) << workers << " workers";
-    EXPECT_EQ(on.telemetry.jobs_completed, on.jobs_completed) << workers << " workers";
-    EXPECT_GT(on.telemetry.response.count(), 0u) << workers << " workers";
-    // The merged percentile tables are themselves deterministic.
-    EXPECT_EQ(on.telemetry.response.PercentileBound(0.99),
-              RunFleet(opt).telemetry.response.PercentileBound(0.99))
+    FleetResult r = RunFleet(opt);
+    EXPECT_EQ(r.fleet_digest, first.fleet_digest) << workers << " workers";
+    EXPECT_EQ(r.events_total, first.events_total) << workers << " workers";
+    for (size_t i = 0; i < first.nodes.size(); ++i) {
+      EXPECT_EQ(r.nodes[i].trace_digest, first.nodes[i].trace_digest)
+          << workers << " workers, node " << i;
+    }
+    // The merged blame ledger carries the same contract: node ledgers merge
+    // in node-index order.
+    EXPECT_EQ(r.blame_digest, first.blame_digest) << workers << " workers";
+    EXPECT_EQ(r.blame.misses_analyzed, first.blame.misses_analyzed) << workers << " workers";
+    EXPECT_EQ(r.blame.tardiness_ns, first.blame.tardiness_ns) << workers << " workers";
+
+    EXPECT_EQ(r.telemetry.nodes_collected, opt.instances) << workers << " workers";
+    EXPECT_EQ(r.telemetry.jobs_completed, r.jobs_completed) << workers << " workers";
+    EXPECT_GT(r.telemetry.response.count(), 0u) << workers << " workers";
+    EXPECT_EQ(r.telemetry.response.PercentileBound(0.99),
+              first.telemetry.response.PercentileBound(0.99))
         << workers << " workers";
+
+    ASSERT_FALSE(r.windows.empty()) << workers << " workers";
+    EXPECT_EQ(r.timeseries_lost_samples, 0u) << workers << " workers";
+    uint64_t jobs = 0;
+    uint64_t misses = 0;
+    for (const obs::TelemetryWindow& w : r.windows) {
+      jobs += w.jobs_completed;
+      misses += w.deadline_misses;
+    }
+    EXPECT_EQ(jobs, r.jobs_completed) << workers << " workers";
+    EXPECT_EQ(misses, r.deadline_misses) << workers << " workers";
   }
 }
 
@@ -269,39 +264,6 @@ void ExpectAlertsEqual(const std::vector<obs::AlertEvent>& a,
   ASSERT_EQ(a.size(), b.size()) << what;
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_TRUE(a[i] == b[i]) << what << " event " << i;
-  }
-}
-
-// The streaming plane drains snapshot rings at slice boundaries while the
-// fleet runs — still a pure host-side read, so the digest must be
-// bit-identical with it on or off, at any worker count.
-TEST(FleetTest, StreamingCollectionNeverPerturbsTheDigest) {
-  FleetOptions opt = SmallFleet();
-  opt.timeseries = false;
-  opt.alerts = false;
-  FleetResult off = RunFleet(opt);
-  EXPECT_TRUE(off.windows.empty());
-  EXPECT_TRUE(off.alerts.empty());
-
-  opt.timeseries = true;
-  opt.alerts = true;
-  for (int workers : {1, 2, 8}) {
-    opt.workers = workers;
-    FleetResult on = RunFleet(opt);
-    EXPECT_EQ(on.fleet_digest, off.fleet_digest) << workers << " workers";
-    EXPECT_EQ(on.events_total, off.events_total) << workers << " workers";
-    ASSERT_FALSE(on.windows.empty()) << workers << " workers";
-    EXPECT_EQ(on.timeseries_lost_samples, 0u) << workers << " workers";
-    // Fleet-level telescoping: the merged window deltas reproduce the run
-    // totals exactly.
-    uint64_t jobs = 0;
-    uint64_t misses = 0;
-    for (const obs::TelemetryWindow& w : on.windows) {
-      jobs += w.jobs_completed;
-      misses += w.deadline_misses;
-    }
-    EXPECT_EQ(jobs, on.jobs_completed) << workers << " workers";
-    EXPECT_EQ(misses, on.deadline_misses) << workers << " workers";
   }
 }
 

@@ -335,8 +335,6 @@ TEST(ChainReferenceTest, OverloadedFleetNodeMatchesTheReference) {
   opt.seed = 5;
   opt.run_duration = Milliseconds(400);
   opt.overload_node = 2;
-  opt.telemetry = false;
-  opt.timeseries = false;
   for (int index : {0, 2}) {
     fleet::InspectNode(opt, index, [&](const Kernel& kernel, const fleet::NodeResult& r) {
       const std::vector<ResolvedChain>& specs = kernel.resolved_chains();

@@ -40,16 +40,14 @@
 // failed an oracle (table mode: the report records failed nodes).
 
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include <cerrno>
-#include <climits>
-
 #include "src/base/json.h"
+#include "src/base/parse.h"
 #include "src/core/kernel.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/fleet_report.h"
@@ -250,7 +248,7 @@ void PrintNodeResult(int index, const NodeResult& r) {
               r.chain_overruns, r.headroom_low_events);
   std::printf("  digest=0x%016llx  trace dropped=%" PRIu64 "\n",
               static_cast<unsigned long long>(r.trace_digest), r.trace_dropped);
-  if (r.telemetry.collected && r.telemetry.response.count() > 0) {
+  if (r.telemetry.response.count() > 0) {
     std::printf("  response: n=%" PRIu64 " p50<=%.0fus p99<=%.0fus max=%.0fus\n",
                 r.telemetry.response.count(),
                 r.telemetry.response.PercentileBound(0.5).micros_f(),
@@ -283,23 +281,6 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
     return true;
   }
   return false;
-}
-
-// Strict integer parse: the whole string must be a base-10 integer in
-// [min, max]. Rejects empty strings, trailing junk ("3x", "1,2"), and
-// overflow — std::atoi silently accepted all of those.
-bool ParseInt(const char* s, int64_t min, int64_t max, int64_t* out) {
-  if (s == nullptr || *s == '\0') {
-    return false;
-  }
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0' || v < min || v > max) {
-    return false;
-  }
-  *out = v;
-  return true;
 }
 
 // One flag value as an int, or a printed error + usage. Returns false on
@@ -563,7 +544,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
     NodeResult result = InspectNode(opt, timeseries_node, nullptr);
-    PrintWindowSeries(timeseries_node, result, opt.timeseries_options.window);
+    PrintWindowSeries(timeseries_node, result, kTimeseriesOptions.window);
     return result.ok() ? 0 : 2;
   }
 

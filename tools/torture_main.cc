@@ -3,6 +3,7 @@
 //   torture --seed=7 --ops=2000            one run, verbose result
 //   torture --runs=20 --ops=10000          seed sweep (seeds 1..20)
 //   torture --budget-seconds=60            sweep until the wall-clock budget
+//                                          (whole seconds)
 //   torture --seed=7 --check-determinism   run twice, compare trace digests
 //   torture --seed=7 --trace-csv=out.csv   export the run's trace
 //   torture --runs=8 --json=report.json    machine-readable report
@@ -23,15 +24,18 @@
 //
 // On failure: prints the one-line repro command, shrinks the op budget by
 // bisection, and exits 1. Runs are deterministic per (seed, options), so a
-// --jobs sweep reports exactly what the serial sweep would.
+// --jobs sweep reports exactly what the serial sweep would. A numeric flag
+// whose value is not a whole number in range ("abc", "12abc", "--runs=0")
+// is an error: exit 2, naming the flag.
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/base/parse.h"
 #include "src/base/thread_pool.h"
 #include "src/core/config.h"
 #include "src/fuzz/torture.h"
@@ -56,6 +60,19 @@ bool ParseFlag(const char* arg, const char* name, const char** value) {
   return false;
 }
 
+// Strict numeric flag value: on anything but an integer in [min, max],
+// prints an error naming the flag and returns false.
+bool IntFlag(const char* flag, const char* value, int min, int max, int* out) {
+  int64_t parsed = 0;
+  if (!ParseInt(value, min, max, &parsed)) {
+    std::fprintf(stderr, "torture: bad value '%s' for %s (want integer in [%d, %d])\n", value,
+                 flag, min, max);
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
 void PrintResult(const TortureOptions& options, const TortureResult& result) {
   std::printf("seed=%llu %s ops=%d vtime=%lldus trace=%llu(+%llu dropped) digest=%016llx\n",
               static_cast<unsigned long long>(result.seed), result.ok ? "OK" : "FAIL",
@@ -73,7 +90,7 @@ int Run(int argc, char** argv) {
   TortureOptions base;
   int runs = 1;
   int jobs = 1;
-  double budget_seconds = 0;
+  int budget_seconds = 0;
   const char* json_path = nullptr;
   const char* csv_path = nullptr;
   const char* artifacts_dir = nullptr;
@@ -83,34 +100,40 @@ int Run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* v = nullptr;
     if (ParseFlag(argv[i], "--seed", &v) && v != nullptr) {
-      base.seed = std::strtoull(v, nullptr, 10);
+      if (!ParseUint64(v, &base.seed)) {
+        std::fprintf(stderr, "torture: bad value '%s' for --seed (want integer in [0, %llu])\n",
+                     v, ULLONG_MAX);
+        return 2;
+      }
       seed_given = true;
     } else if (ParseFlag(argv[i], "--ops", &v) && v != nullptr) {
-      base.ops = std::atoi(v);
+      if (!IntFlag("--ops", v, 1, INT_MAX, &base.ops)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--op-limit", &v) && v != nullptr) {
-      base.op_limit = std::atoi(v);
+      if (!IntFlag("--op-limit", v, 1, INT_MAX, &base.op_limit)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--runs", &v) && v != nullptr) {
-      runs = std::atoi(v);
+      if (!IntFlag("--runs", v, 1, INT_MAX, &runs)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--jobs", &v) && v != nullptr) {
-      jobs = std::atoi(v);
+      if (!IntFlag("--jobs", v, 1, 1024, &jobs)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--budget-seconds", &v) && v != nullptr) {
-      budget_seconds = std::atof(v);
+      if (!IntFlag("--budget-seconds", v, 1, INT_MAX, &budget_seconds)) {
+        return 2;
+      }
     } else if (ParseFlag(argv[i], "--json", &v) && v != nullptr) {
       json_path = v;
     } else if (ParseFlag(argv[i], "--trace-csv", &v) && v != nullptr) {
       csv_path = v;
     } else if (ParseFlag(argv[i], "--artifacts-dir", &v) && v != nullptr) {
       artifacts_dir = v;
-    } else if (ParseFlag(argv[i], "--no-faults", &v)) {
-      base.inject_faults = false;
-    } else if (ParseFlag(argv[i], "--no-irq-storms", &v)) {
-      base.irq_storms = false;
-    } else if (ParseFlag(argv[i], "--no-charge-resets", &v)) {
-      base.charge_resets = false;
     } else if (ParseFlag(argv[i], "--num-cores", &v) && v != nullptr) {
-      base.num_cores = std::atoi(v);
-      if (base.num_cores < 1 || base.num_cores > kMaxCores) {
-        std::fprintf(stderr, "--num-cores must be in [1, %d], got %s\n", kMaxCores, v);
+      if (!IntFlag("--num-cores", v, 1, kMaxCores, &base.num_cores)) {
         return 2;
       }
     } else if (ParseFlag(argv[i], "--tiny-ring", &v)) {
