@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <string>
 
 namespace emeralds {
 namespace bench {
@@ -36,6 +37,26 @@ bool BoolOr(const JsonValue& obj, const char* key, bool fallback) {
   return v != nullptr && v->type == JsonValue::Type::kBool ? v->boolean : fallback;
 }
 
+const char* StringOr(const JsonValue& obj, const char* key, const char* fallback) {
+  const JsonValue* v = obj.Find(key);
+  return v != nullptr && v->type == JsonValue::Type::kString ? v->string.c_str() : fallback;
+}
+
+// A run's "digest" (its trace window folded with its kernel counters) gates
+// exactly: any change of simulated behaviour moves it, even one that keeps
+// every other value inside its tolerance. Baselines written before runs
+// carried a digest are not gated on it.
+void CompareDigest(const JsonValue& baseline, const JsonValue& candidate, const char* what,
+                   const char* regenerate, CompareResult* r) {
+  const char* base = StringOr(baseline, "digest", nullptr);
+  const char* cand = StringOr(candidate, "digest", "(none)");
+  if (base != nullptr && std::string(base) != cand) {
+    Failf(r, "%s digest differs (baseline %s vs candidate %s): simulated behaviour changed; if "
+             "intended, regenerate the baseline with %s",
+          what, base, cand, regenerate);
+  }
+}
+
 // --- emeralds.obs.cycles/1 ---
 
 // Buckets excluded from the growth gate: user time belongs to the workload,
@@ -58,6 +79,8 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
     Failf(r, "candidate ledger not conserved (residual %.0f ns, unattributed %.0f ns)",
           NumberOr(*cand_c, "residual_ns", -1), NumberOr(*cand_c, "clock_unattributed_ns", -1));
   }
+  CompareDigest(baseline, candidate, "cycle ledger run",
+                "EMERALDS_BENCH_JSON=BENCH_cycles.json build/bench/bench_cycles", r);
   double base_elapsed = NumberOr(*base_c, "elapsed_ns", -1);
   double cand_elapsed = NumberOr(*cand_c, "elapsed_ns", -2);
   if (base_elapsed != cand_elapsed) {
@@ -155,11 +178,6 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
 }
 
 // --- emeralds.fleet.run/1 ---
-
-const char* StringOr(const JsonValue& obj, const char* key, const char* fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kString ? v->string.c_str() : fallback;
-}
 
 void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
                   const CompareOptions& opt, CompareResult* r) {
@@ -322,6 +340,9 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
     if (!BoolOr(cand, "conserved", false)) {
       Failf(r, "%.0f-core candidate run is not cycle-conserved", cores);
     }
+    char what[32];
+    std::snprintf(what, sizeof(what), "%.0f-core run", cores);
+    CompareDigest(base, cand, what, "EMERALDS_BENCH_JSON=BENCH_smp.json build/bench/bench_smp", r);
     for (const char* key : {"user_ns", "idle_ns", "ipis", "jobs_completed"}) {
       double base_v = NumberOr(base, key, -1);
       double cand_v = NumberOr(cand, key, -2);

@@ -3,9 +3,10 @@
 // Compares a freshly produced report against the baseline committed at the
 // repo root, dispatching on the schema tag:
 //   emeralds.obs.cycles/1      — per-bucket cycle-attribution ledger
-//     (BENCH_cycles.json). The run is pure virtual time, so elapsed_ns must
-//     match exactly and every kernel-overhead bucket may grow at most
-//     rel_tolerance (plus a small absolute slack for near-zero buckets).
+//     (BENCH_cycles.json). The run is pure virtual time, so its digest and
+//     elapsed_ns must match exactly and every kernel-overhead bucket may
+//     grow at most rel_tolerance (plus a small absolute slack for near-zero
+//     buckets).
 //     The user and idle buckets are excluded: user time is the workload's,
 //     and idle is the complement that *shrinks* when the kernel regresses.
 //   emeralds.bench.breakdown/1 — CSD partition-search perf trajectory
@@ -20,7 +21,11 @@
 //     exactly; the largest node's trace storage (trace.storage_bytes_max)
 //     may grow at most rel_tolerance; wall-clock events/sec is
 //     informational only.
-// Both comparisons also re-require the candidate's own invariants
+//   emeralds.bench.smp/1       — partitioned-SMP throughput and admission
+//     (BENCH_smp.json). Each core count's run digest must match exactly;
+//     its throughput integers are held to rel_tolerance, the 2-core scaling
+//     floor is absolute, and admission counts must match exactly.
+// Every comparison also re-requires the candidate's own invariants
 // (conservation, zero reference mismatches) so a report that fails its own
 // contract never passes the gate.
 

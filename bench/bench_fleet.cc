@@ -73,7 +73,6 @@ int Run() {
   info.label = "fleet_baseline";
   info.run_duration = opt.run_duration;
   info.slice = opt.slice;
-  info.trace_capacity = opt.trace_capacity;
   const char* env = std::getenv("EMERALDS_BENCH_JSON");
   std::string path = env != nullptr ? env : "BENCH_fleet.json";
   if (!fleet::WriteFleetRunReportFile(path, info, result)) {

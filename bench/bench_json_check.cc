@@ -40,6 +40,18 @@ bool RequireNumbers(const JsonValue& obj, const char* section,
   return true;
 }
 
+// A run digest: "0x" and 16 lowercase hex digits.
+bool RequireDigest(const JsonValue& obj, const char* ctx) {
+  const JsonValue* v = obj.Find("digest");
+  if (v == nullptr || v->type != JsonValue::Type::kString || v->string.size() != 18 ||
+      v->string.compare(0, 2, "0x") != 0 ||
+      v->string.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
+    std::fprintf(stderr, "FAIL: %s missing \"digest\" (0x and 16 hex digits)\n", ctx);
+    return false;
+  }
+  return true;
+}
+
 // Substantive validation of a "cycles" section (embedded in obs.run or the
 // standalone obs.cycles document): conservation must be asserted AND the
 // integers must back it up (residual exactly zero, ledger total == elapsed).
@@ -184,6 +196,9 @@ int CheckObsChains(const char* path, const JsonValue& root) {
 }
 
 int CheckObsCycles(const char* path, const JsonValue& root) {
+  if (!RequireDigest(root, "cycles report")) {
+    return 1;
+  }
   const JsonValue* cycles = root.Find("cycles");
   if (cycles == nullptr || cycles->type != JsonValue::Type::kObject) {
     std::fprintf(stderr, "FAIL: missing \"cycles\" object\n");
@@ -844,6 +859,9 @@ int CheckBenchSmp(const char* path, const JsonValue& root) {
     if (!RequireNumbers(row, "smp throughput row",
                         {"num_cores", "user_ns", "idle_ns", "ipis", "context_switches",
                          "jobs_completed"})) {
+      return 1;
+    }
+    if (!RequireDigest(row, "smp throughput row")) {
       return 1;
     }
     const double cores = row.Find("num_cores")->number;

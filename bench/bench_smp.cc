@@ -20,6 +20,7 @@
 //
 // Pure virtual time, so every number is bit-identical across machines and CI
 // diffs the report against the committed BENCH_smp.json with bench_compare.
+// Each throughput row carries its run's digest, which must match exactly.
 // Exit status 1 when a conservation, scaling, or monotonicity bar fails.
 
 #include <cstdio>
@@ -32,6 +33,8 @@
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/json_writer.h"
+#include "src/obs/obs_report.h"
+#include "src/obs/trace_replay.h"
 #include "src/workload/workload.h"
 
 namespace emeralds {
@@ -56,6 +59,9 @@ struct ThroughputRow {
   uint64_t deadline_misses = 0;
   bool conserved = false;
   std::vector<CycleConservation> per_core;
+  // Trace window digest folded with the kernel counters: any change of
+  // simulated behaviour moves it.
+  uint64_t digest = 0;
 };
 
 ThroughputRow RunSaturated(int num_cores) {
@@ -92,6 +98,8 @@ ThroughputRow RunSaturated(int num_cores) {
   row.context_switches = s.context_switches;
   row.jobs_completed = s.jobs_completed;
   row.deadline_misses = s.deadline_misses;
+  row.digest = obs::FoldKernelCounters(
+      obs::EvaluateTrace(kernel.trace(), kernel.resolved_chains()).window_digest, s);
   CycleConservation total = CheckCycleConservation(s, kernel.now());
   row.conserved = total.exact();
   for (int c = 0; c < num_cores; ++c) {
@@ -196,6 +204,7 @@ int Run() {
     j.Int("jobs_completed", static_cast<int64_t>(row.jobs_completed));
     j.Int("deadline_misses", static_cast<int64_t>(row.deadline_misses));
     j.Bool("conserved", row.conserved);
+    j.Digest("digest", row.digest);
     j.Key("cores");
     j.OpenArray();
     for (size_t c = 0; c < row.per_core.size(); ++c) {

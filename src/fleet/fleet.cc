@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 #include "src/base/arena.h"
@@ -19,18 +20,6 @@
 namespace emeralds {
 namespace fleet {
 namespace {
-
-// Same digest recipe as the torture harness: the reconciled counters folded
-// onto the retained window's digest. Equal digests == bit-identical runs.
-uint64_t DigestNode(const Kernel& kernel, uint64_t window_digest) {
-  const KernelStats& s = kernel.stats();
-  uint64_t counters[] = {s.context_switches, s.syscalls,         s.jobs_released,
-                         s.jobs_completed,   s.deadline_misses,  s.sem_acquires,
-                         s.mailbox_sends,    s.mailbox_receives, s.interrupts,
-                         s.timer_dispatches, s.chain_emits,      s.chain_consumes,
-                         s.chain_origins};
-  return Fnv1a(window_digest, counters, sizeof(counters));
-}
 
 int64_t ThreadCpuNs() {
   timespec ts{};
@@ -66,6 +55,9 @@ struct Node {
   // Streaming telemetry collector (heap, not arena: it outlives the arena
   // Reset in FinishNode only long enough to be snapshotted into the result).
   std::unique_ptr<obs::TimeseriesCollector> ts;
+  // The node's trace evaluation, fed the records of every slice (heap, like
+  // `ts`; it reads the kernel's resolved chains until the horizon).
+  std::unique_ptr<obs::TraceEvaluator> evaluator;
 };
 
 // Every node's simulation is a pure function of (fleet seed, node index):
@@ -109,15 +101,10 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
     }
   }
   config.cost_model = CostModel::MC68040_25MHz();
-  // Sized for the full event stream including kOverheadSpan records (one per
-  // charged kernel advance, ~3x the rest of the stream), so a default-sized
-  // node keeps a complete window and the exact-attribution oracles stay armed.
-  // The bound is generous on purpose: trace storage grows with the records
-  // the node actually makes, not with the bound.
-  config.trace_capacity =
-      opt.trace_capacity != 0
-          ? opt.trace_capacity
-          : static_cast<size_t>(4096 + opt.run_duration.millis() * 1536);
+  // The window never evicts: the fleet drains it at every slice boundary, so
+  // storage follows the largest slice, and InspectNode keeps the whole run.
+  // Either way every oracle sees a complete trace.
+  config.trace_capacity = std::numeric_limits<size_t>::max();
 
   // Declared causal chains: the timer's tick into the pacer, and the
   // producer's release through the mailbox. Both carry SLOs so the fleet
@@ -140,6 +127,7 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   node.hw = node.arena.New<Hardware>();
   node.kernel = node.arena.New<Kernel>(*node.hw, config);
   Kernel& kernel = *node.kernel;
+  node.evaluator = std::make_unique<obs::TraceEvaluator>(0, kernel.resolved_chains());
   NodeState* st = node.arena.New<NodeState>();
   node.st = st;
 
@@ -227,12 +215,21 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
   node.end = Instant() + opt.run_duration;
 }
 
-// Applies the six per-node oracles, scores the anomaly triage, collects the
-// node's telemetry block, and closes its window series under the alert
-// rules. The kernel has reached its horizon and is only read, so nothing
-// here can perturb the simulated outcome or its digest.
-void EvaluateNode(const Kernel& kernel, int index, obs::TimeseriesCollector* ts,
-                  NodeResult* result) {
+// Feeds the records the node made since the last feed to its evaluator. The
+// thread CPU it takes counts as evaluation.
+void FeedTrace(Node& node) {
+  const int64_t cpu_start = ThreadCpuNs();
+  node.evaluator->Feed(node.kernel->trace().events());
+  node.result.host_evaluate_ns += ThreadCpuNs() - cpu_start;
+}
+
+// Closes the node's trace evaluation, applies the six per-node oracles,
+// scores the anomaly triage, collects the node's telemetry block, and closes
+// its window series under the alert rules. The kernel has reached its
+// horizon and is only read, so nothing here can perturb the simulated
+// outcome or its digest.
+void EvaluateNode(const Kernel& kernel, int index, obs::TraceEvaluator* evaluator,
+                  obs::TimeseriesCollector* ts, NodeResult* result) {
   const int64_t cpu_start = ThreadCpuNs();
   NodeResult& r = *result;
   const KernelStats& s = kernel.stats();
@@ -246,9 +243,9 @@ void EvaluateNode(const Kernel& kernel, int index, obs::TimeseriesCollector* ts,
   r.trace_dropped = kernel.trace().dropped();
   r.trace_storage_bytes = kernel.trace().storage_bytes();
 
-  // One pass over the window: digest, invariants, chains and postmortem.
-  obs::TraceEvaluation eval = obs::EvaluateTrace(kernel.trace(), kernel.resolved_chains());
-  r.trace_digest = DigestNode(kernel, eval.window_digest);
+  // Digest, invariants, chains and postmortem over every record the node made.
+  obs::TraceEvaluation eval = evaluator->Finish();
+  r.trace_digest = obs::FoldKernelCounters(eval.window_digest, s);
   const obs::TraceAnalysis& analysis = eval.trace;
   obs::Reconciliation reconciliation = obs::ComputeReconciliation(analysis, s);
   const obs::ChainAnalysis& chains = eval.chains;
@@ -318,13 +315,14 @@ void EvaluateNode(const Kernel& kernel, int index, obs::TimeseriesCollector* ts,
   for (const obs::TelemetryWindow& w : r.windows) {
     engine.Observe(w, index, &r.alerts);
   }
-  r.host_evaluate_ns = ThreadCpuNs() - cpu_start;
+  r.host_evaluate_ns += ThreadCpuNs() - cpu_start;
 }
 
 // EvaluateNode plus teardown. Runs on the pool worker that executed the
 // node's final slice.
 void FinishNode(Node& node) {
-  EvaluateNode(*node.kernel, node.index, node.ts.get(), &node.result);
+  EvaluateNode(*node.kernel, node.index, node.evaluator.get(), node.ts.get(), &node.result);
+  node.evaluator.reset();
   node.ts.reset();
   // Reclaim the node's entire footprint in one shot; record the high-water
   // mark first so arenas can be sized from measured fleets.
@@ -369,6 +367,10 @@ FleetResult RunFleet(const FleetOptions& opt) {
       // materializes while the fleet runs, and the drain schedule is part of
       // the node's deterministic replay contract (InspectNode mirrors it).
       node.ts->Collect(kernel);
+      // Evaluate the slice's trace records, then drop them: the node keeps
+      // no whole-run trace, only its largest slice's storage.
+      FeedTrace(node);
+      kernel.trace().Drain();
       if (kernel.now() < node.end) {
         pool.Submit([&step, index] { step(index); });
       } else {
@@ -492,6 +494,8 @@ FleetResult RunFleet(const FleetOptions& opt) {
       std::string dir = opt.artifacts_dir + "/" + label;
       const NodeResult& fleet_view = out.nodes[static_cast<size_t>(index)];
       InspectNode(opt, index, [&](const Kernel& kernel, const NodeResult& r) {
+        // Also checks the fleet's streamed evaluation against the re-run's
+        // one-pass evaluation.
         EM_ASSERT_MSG(r.trace_digest == fleet_view.trace_digest,
                       "black-box re-run diverged from the fleet run");
         // The fleet-side anomaly carries alert-triggered reasons the
@@ -520,7 +524,11 @@ NodeResult InspectNode(const FleetOptions& opt, int index,
     node.kernel->RunUntil(target);
     node.ts->Collect(*node.kernel);
   }
-  EvaluateNode(*node.kernel, index, node.ts.get(), &node.result);
+  // The whole window stays for the visitor (Perfetto, CSV, black-box
+  // bundles) and is evaluated in one pass, so a caller comparing this digest
+  // with the fleet's checks the streamed evaluation against the one-pass one.
+  FeedTrace(node);
+  EvaluateNode(*node.kernel, index, node.evaluator.get(), node.ts.get(), &node.result);
   if (visit) {
     visit(*node.kernel, node.result);
   }
@@ -535,12 +543,10 @@ NodeResult InspectNode(const FleetOptions& opt, int index,
 std::string NodeReproCommand(const FleetOptions& options, int index) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "fleet_inspect --instances=%d --seed=%llu --run-ms=%lld --slice-ms=%lld "
-                "--trace-capacity=%llu --node=%d",
+                "fleet_inspect --instances=%d --seed=%llu --run-ms=%lld --slice-ms=%lld --node=%d",
                 options.instances, static_cast<unsigned long long>(options.seed),
                 static_cast<long long>(options.run_duration.millis()),
-                static_cast<long long>(options.slice.millis()),
-                static_cast<unsigned long long>(options.trace_capacity), index);
+                static_cast<long long>(options.slice.millis()), index);
   std::string cmd = buf;
   if (options.overload_node >= 0) {
     std::snprintf(buf, sizeof(buf), " --overload-node=%d --overload-factor=%d",

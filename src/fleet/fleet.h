@@ -20,6 +20,13 @@
 // that series. Observers take the kernel as `const Kernel&`, so none can
 // change a run; the golden digests would catch one that did.
 //
+// A node is evaluated slice by slice. At each slice boundary its new trace
+// records go to its obs::TraceEvaluator (digest, invariants, chains,
+// postmortem), and then the trace window is drained. The node keeps no
+// whole-run trace: its trace storage follows its largest slice, and since
+// the window never evicts, every oracle sees the complete run. InspectNode
+// keeps the whole window for its visitor and evaluates it in one pass.
+//
 // Per-node oracles, mirroring the torture harness (the syscall fault oracle
 // is torture-specific; the fleet adds a progress oracle in its place):
 //   1. obs::AnalyzeTrace reports zero structural invariant violations;
@@ -64,16 +71,11 @@ struct FleetOptions {
   // Host pool width; <= 0 uses std::thread::hardware_concurrency().
   int workers = 0;
   uint64_t seed = 1;
-  // Virtual time each node simulates, and the re-enqueue granularity.
+  // Virtual time each node simulates, and the re-enqueue granularity. A
+  // slice is also the unit of trace evaluation: a node holds one slice's
+  // trace records at a time.
   Duration run_duration = Milliseconds(100);
   Duration slice = Milliseconds(5);
-  // Per-node trace retention bound; 0 sizes it to retain the whole run.
-  // Storage grows with the records a node makes, not with the bound, and
-  // never exceeds 2x the bound once the window wraps.
-  // Large fleets pass a small fixed bound to cap memory — the oracles are
-  // truncation-aware, so a wrapped window degrades checking, never
-  // correctness.
-  size_t trace_capacity = 0;
   // Black-box flight recorder: when non-empty, the worst `max_blackboxes`
   // anomalous nodes (by anomaly_score, worst first) are re-run serially
   // after the fleet drains — a node is a pure function of (seed, index), so
@@ -89,9 +91,10 @@ struct FleetOptions {
 };
 
 // One simulated node's outcome. Everything here except host_evaluate_ns is
-// deterministic in (fleet seed, node index). The node's evaluation replays
-// its trace window once: the digest and the trace-invariant, chain and
-// postmortem analyses share one pass (obs::EvaluateTrace).
+// deterministic in (fleet seed, node index). The node's evaluation reads
+// every trace record once: the digest and the trace-invariant, chain and
+// postmortem analyses share one obs::TraceEvaluator, fed at each slice
+// boundary.
 struct NodeResult {
   uint64_t seed = 0;
   std::string scheduler;  // "EDF", "RM", "CSD-2", "CSD-3"
@@ -103,9 +106,12 @@ struct NodeResult {
   uint64_t timer_dispatches = 0;
   uint64_t chain_completed = 0;
   uint64_t chain_overruns = 0;  // completed chain instances past their SLO
-  uint64_t trace_digest = 0;    // FNV-1a over the retained window + counters
-  uint64_t trace_dropped = 0;
-  size_t trace_storage_bytes = 0;  // trace window storage at the horizon
+  uint64_t trace_digest = 0;    // FNV-1a over every trace record + counters
+  uint64_t trace_dropped = 0;   // always 0: the window never evicts
+  // Trace window storage at the horizon. In the fleet it is the largest
+  // slice's, since the window is drained at every slice boundary; from
+  // InspectNode it is the whole run's.
+  size_t trace_storage_bytes = 0;
   uint64_t headroom_low_events = 0;
   Duration virtual_time;
   size_t arena_high_water = 0;
@@ -129,9 +135,10 @@ struct NodeResult {
   uint64_t timeseries_lost_samples = 0;
   uint64_t timeseries_windows_dropped = 0;
   std::vector<obs::AlertEvent> alerts;
-  // Host thread CPU time the node's evaluation took (oracles, trace replay,
-  // telemetry, streaming close), from CLOCK_THREAD_CPUTIME_ID. The one
-  // host-side field: not deterministic, never digested or compared.
+  // Host thread CPU time the node's evaluation took (every slice's trace
+  // feed, then the oracles, telemetry and streaming close at the horizon),
+  // from CLOCK_THREAD_CPUTIME_ID. The one host-side field: not
+  // deterministic, never digested or compared.
   int64_t host_evaluate_ns = 0;
 
   bool ok() const { return failure.empty(); }
@@ -161,12 +168,14 @@ struct FleetResult {
 
   // Fleet telemetry plane (merged per-node blocks).
   obs::FleetTelemetry telemetry;
-  // Silent ring truncation, surfaced: totals plus the worst offender.
+  // Trace drops, totals plus the worst offender. Fleet windows never evict,
+  // so these stay 0; the report, OpenMetrics and triage keep their fields.
   uint64_t trace_dropped_total = 0;
   int trace_dropped_worst_node = -1;
   uint64_t trace_dropped_worst = 0;
   // Trace memory per node (a deterministic work counter): the largest
-  // window storage any node held, and which node held it.
+  // window storage any node held, i.e. its largest slice's, and which node
+  // held it.
   size_t trace_storage_bytes_max = 0;
   int trace_storage_bytes_worst_node = -1;
   uint64_t headroom_low_total = 0;
@@ -211,9 +220,11 @@ FleetResult RunFleet(const FleetOptions& options);
 // Deterministically re-runs node `index` of the fleet described by
 // `options` and visits the live kernel (with the filled NodeResult) before
 // the node's arena is torn down. This is the drill-down primitive behind
-/// fleet_inspect --node and the black-box recorder: because a node is a
+// fleet_inspect --node and the black-box recorder: because a node is a
 // pure function of (fleet seed, node index), the revisited
-// state is bit-identical to what the fleet run saw.
+// state is bit-identical to what the fleet run saw. The kernel keeps the
+// node's whole trace window, evaluated in one pass, so the result's
+// trace_digest equals the fleet's streamed one.
 NodeResult InspectNode(const FleetOptions& options, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit);
 

@@ -22,7 +22,6 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("seed", static_cast<int64_t>(result.seed));
   json.Number("run_duration_ms", info.run_duration.millis_f());
   json.Number("slice_ms", info.slice.millis_f());
-  json.Int("trace_capacity", static_cast<int64_t>(info.trace_capacity));
 
   // Deterministic aggregates: identical across machines and worker counts.
   json.Int("events_total", static_cast<int64_t>(result.events_total));
@@ -38,9 +37,8 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("nodes_anomalous", result.nodes_anomalous);
   json.Int("headroom_low_total", static_cast<int64_t>(result.headroom_low_total));
 
-  // Silent window truncation, surfaced: a node that quietly wrapped its trace
-  // window has degraded oracle coverage, so the fleet owns up to it here,
-  // next to the trace memory the largest node held.
+  // Trace drops (always 0: fleet windows never evict; the fields keep the
+  // report's schema) next to the trace memory the largest node held.
   json.Key("trace");
   json.OpenObject();
   json.Int("dropped_total", static_cast<int64_t>(result.trace_dropped_total));
@@ -49,12 +47,7 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("storage_bytes_max", static_cast<int64_t>(result.trace_storage_bytes_max));
   json.Int("storage_bytes_worst_node", result.trace_storage_bytes_worst_node);
   json.CloseObject();
-  {
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "0x%016llx",
-                  static_cast<unsigned long long>(result.fleet_digest));
-    json.String("fleet_digest", digest);
-  }
+  json.Digest("fleet_digest", result.fleet_digest);
   json.Int("arena_high_water_bytes", static_cast<int64_t>(result.arena_high_water));
 
   {
@@ -107,12 +100,7 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   // so the merge reads as "which role / which lock hurts fleet-wide".
   json.Key("postmortem");
   json.OpenObject();
-  {
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "0x%016llx",
-                  static_cast<unsigned long long>(result.blame_digest));
-    json.String("blame_digest", digest);
-  }
+  json.Digest("blame_digest", result.blame_digest);
   json.Int("incomplete_misses", static_cast<int64_t>(result.postmortem_incomplete_total));
   json.Key("blame");
   obs::AppendBlameTotals(json, result.blame);

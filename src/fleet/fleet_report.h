@@ -25,9 +25,6 @@ struct FleetRunInfo {
   std::string label;  // e.g. "fleet_baseline"
   Duration run_duration;
   Duration slice;
-  // Echoed so fleet_inspect can rebuild the exact FleetOptions from the
-  // report alone (0 = the kernel's retain-everything default).
-  size_t trace_capacity = 0;
 };
 
 // Renders the full report.

@@ -234,11 +234,11 @@ class TraceSink {
 
   uint64_t total_recorded() const { return total_recorded_; }
 
-  // Events recorded but not retained: window evictions plus everything
-  // recorded while retention is disabled. total_recorded() == size() +
-  // dropped(). Non-zero means the retained window is a *suffix* of the run
-  // and derived metrics (histograms, invariant checks) describe only that
-  // window.
+  // Events recorded but neither retained nor drained: window evictions plus
+  // everything recorded while retention is disabled. total_recorded() ==
+  // size() + dropped() + the records Drain() emptied. Non-zero means the
+  // retained window is a *suffix* of the run and derived metrics
+  // (histograms, invariant checks) describe only that window.
   uint64_t dropped() const { return dropped_; }
 
   void Clear() {
@@ -262,6 +262,17 @@ class TraceSink {
     dropped_ = 0;
     ++epochs_;
     Record(now, TraceEventType::kTraceEpoch, static_cast<int32_t>(epochs_), 0);
+  }
+
+  // Empties the window once its consumer has read every record in it (a
+  // fleet node feeds each slice's records to its evaluator), and keeps the
+  // storage for the records that follow. Drained records count as neither
+  // retained nor dropped. A sink that dropped records must not be drained:
+  // its consumer would take a truncated run for a whole one.
+  void Drain() {
+    EM_ASSERT_MSG(dropped_ == 0, "drained a trace window that dropped records");
+    events_.clear();
+    first_ = 0;
   }
 
   // Number of Reset() calls since construction / Clear().

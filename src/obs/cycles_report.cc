@@ -6,6 +6,8 @@
 #include "src/core/scheduler.h"
 #include "src/core/taskset_runner.h"
 #include "src/obs/json_writer.h"
+#include "src/obs/obs_report.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace obs {
@@ -102,6 +104,9 @@ std::string BuildCyclesReport(const std::string& label, const std::string& sched
   j.String("schema", kObsCyclesSchema);
   j.String("label", label);
   j.String("scheduler", scheduler);
+  j.Digest("digest",
+           FoldKernelCounters(EvaluateTrace(kernel.trace(), kernel.resolved_chains()).window_digest,
+                              kernel.stats()));
   AppendCyclesSection(j, kernel);
 
   j.Key("tasks");

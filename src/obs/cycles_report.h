@@ -2,8 +2,10 @@
 //
 // JSON export of the kernel's virtual-cycle ledger: per-bucket totals,
 // per-band scheduler splits (the runtime Figure 3-5 breakdown), per-task
-// ledgers with the deadline-headroom monitor's outputs, and the conservation
-// check (bucket sum == elapsed virtual time, exact to the tick). All cycle
+// ledgers with the deadline-headroom monitor's outputs, the conservation
+// check (bucket sum == elapsed virtual time, exact to the tick), and the
+// run's digest (trace window digest folded with the kernel counters, which
+// bench_compare requires to match exactly). All cycle
 // values are emitted as integer nanoseconds so exactness survives the JSON
 // round trip — this is the document bench_compare gates CI on
 // (BENCH_cycles.json), and the same section is embedded in the

@@ -6,6 +6,7 @@
 #define SRC_OBS_JSON_WRITER_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "src/base/json.h"
@@ -46,6 +47,12 @@ class Json {
     Key(name);
     out_ += value ? "true" : "false";
     need_comma_ = true;
+  }
+  // A 64-bit digest as a "0x"-prefixed, 16-digit hex string.
+  void Digest(const char* name, uint64_t value) {
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016llx", static_cast<unsigned long long>(value));
+    String(name, hex);
   }
   void IntElem(int64_t value) {
     Sep();

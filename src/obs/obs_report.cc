@@ -241,6 +241,15 @@ Reconciliation ComputeReconciliation(const TraceAnalysis& a, const KernelStats& 
   return r;
 }
 
+uint64_t FoldKernelCounters(uint64_t window_digest, const KernelStats& s) {
+  uint64_t counters[] = {s.context_switches, s.syscalls,         s.jobs_released,
+                         s.jobs_completed,   s.deadline_misses,  s.sem_acquires,
+                         s.mailbox_sends,    s.mailbox_receives, s.interrupts,
+                         s.timer_dispatches, s.chain_emits,      s.chain_consumes,
+                         s.chain_origins};
+  return Fnv1a(window_digest, counters, sizeof(counters));
+}
+
 std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,
                               const std::vector<ThreadId>& task_ids) {
   const TraceSink& trace = kernel.trace();

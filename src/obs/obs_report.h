@@ -58,6 +58,12 @@ struct Reconciliation {
 
 Reconciliation ComputeReconciliation(const TraceAnalysis& analysis, const KernelStats& stats);
 
+// Folds the run's kernel counters onto `window_digest`, the digest of its
+// trace (TraceEvaluation::window_digest). Equal results mean bit-identical
+// runs: a fleet node's digest, and the digest the cycle and SMP benches
+// report per run.
+uint64_t FoldKernelCounters(uint64_t window_digest, const KernelStats& stats);
+
 // Renders the full report as a JSON string. `task_ids` selects the taskset
 // threads for the per-task rows (pass {} to skip them). The trace analysis is
 // recomputed here from the kernel's retained trace window.

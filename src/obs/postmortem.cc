@@ -1,24 +1,15 @@
 #include "src/obs/postmortem.h"
 
+#include <bit>
 #include <cstdio>
 #include <utility>
 
+#include "src/hal/trace.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/perfetto_export.h"
 
 namespace emeralds {
 namespace obs {
-namespace {
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 void BlameTotals::Merge(const BlameTotals& other) {
   misses_analyzed += other.misses_analyzed;
@@ -39,17 +30,25 @@ void BlameTotals::Merge(const BlameTotals& other) {
   }
 }
 
+// The digest folds each value's bytes least significant first. Fnv1a reads
+// them in memory order, which is the same order only on little-endian hosts.
+static_assert(std::endian::native == std::endian::little,
+              "BlameTotals::Digest folds uint64_t values as little-endian bytes");
+
 uint64_t BlameTotals::Digest() const {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  h = FnvMix(h, misses_analyzed);
-  h = FnvMix(h, conservation_failures);
-  h = FnvMix(h, static_cast<uint64_t>(tardiness_ns));
-  h = FnvMix(h, static_cast<uint64_t>(unattributed_ns));
+  // Not kFnv1aOffsetBasis: this seed is the FNV-1a offset basis missing its
+  // last decimal digit. Every blame_digest ever reported starts from it.
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) { h = Fnv1a(h, &v, sizeof(v)); };
+  mix(misses_analyzed);
+  mix(conservation_failures);
+  mix(static_cast<uint64_t>(tardiness_ns));
+  mix(static_cast<uint64_t>(unattributed_ns));
   auto mix_map = [&](const auto& m) {
-    h = FnvMix(h, m.size());
+    mix(m.size());
     for (const auto& [k, v] : m) {
-      h = FnvMix(h, static_cast<uint64_t>(k));
-      h = FnvMix(h, static_cast<uint64_t>(v));
+      mix(static_cast<uint64_t>(k));
+      mix(static_cast<uint64_t>(v));
     }
   };
   mix_map(victim_misses);

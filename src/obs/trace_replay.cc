@@ -27,14 +27,15 @@ std::string Describe(const char* fmt, long long a, long long b, long long c = 0)
 }
 
 // The cursor every visitor shares: the event index, the per-core runner
-// table, events dropped ahead of the window, and sink-reset markers passed.
+// table, events dropped ahead of the first record, and sink-reset markers
+// passed. It carries all of it from one Feed to the next.
 class TraceReplay {
  public:
   static constexpr uint64_t kUnknown = UINT64_MAX;
-  // Which thread a core runs, as far as the window shows.
+  // Which thread a core runs, as far as the records show.
   struct CoreRunner {
     int32_t thread = -1;  // -1 = idle
-    // epochs() when the window established `thread`: from the start when
+    // epochs() when the records established `thread`: from the start when
     // nothing was dropped (every core starts idle), else at the core's
     // first switch. The postmortem engine forgets runners at a sink reset,
     // so it trusts only `since == epochs()`.
@@ -42,35 +43,45 @@ class TraceReplay {
     bool known() const { return since != kUnknown; }
   };
 
-  TraceReplay(std::span<const TraceEvent> window, uint64_t dropped_events)
-      : window_(window), dropped_(dropped_events) {}
+  explicit TraceReplay(uint64_t dropped_events) : dropped_(dropped_events) {}
 
-  // Hands every event to each visitor in argument order, then calls each
-  // visitor's Finish. Visitors see the runner table as it was before the
-  // event. Their OnEvent is always_inline, so all of their work shares one
-  // loop body (an out-of-line call per event made the standalone analyzer
-  // ~1.7x slower). Locals drive the loop: members the visitors' calls could
-  // reach would be reloaded on every event.
+  // Hands every event of `batch` to each visitor in argument order. Visitors
+  // see the runner table as it was before the event. Their OnEvent is
+  // always_inline, so all of their work shares one loop body (an out-of-line
+  // call per event made the standalone analyzer ~1.7x slower). Locals drive
+  // the loop: members the visitors' calls could reach would be reloaded on
+  // every event.
   template <typename... Visitors>
-  void Run(Visitors&... visitors) {
-    const TraceEvent* const events = window_.data();
-    const size_t count = window_.size();
+  void Feed(std::span<const TraceEvent> batch, Visitors&... visitors) {
+    const TraceEvent* const events = batch.data();
+    const size_t count = batch.size();
+    const size_t first = index_;
     for (size_t i = 0; i < count; ++i) {
-      index_ = i;
+      index_ = first + i;
       (visitors.OnEvent(*this, events[i]), ...);
       Advance(events[i]);
     }
+    index_ = first + count;
+    if (count > 0) {
+      last_time_ = events[count - 1].time;
+    }
+  }
+
+  // Calls each visitor's Finish once every batch is fed.
+  template <typename... Visitors>
+  void Finish(Visitors&... visitors) {
     (visitors.Finish(*this), ...);
   }
 
-  size_t index() const { return index_; }  // of the event being visited
+  // Of the event being visited, counted from the first record fed.
+  size_t index() const { return index_; }
   uint64_t dropped_events() const { return dropped_; }
   // kTraceEpoch markers before the current event; all of them in Finish.
   uint64_t epochs() const { return epochs_; }
   // Nothing dropped and no sink reset; final only in Finish.
   bool whole_run() const { return dropped_ == 0 && epochs_ == 0; }
-  Instant last_time() const { return window_.empty() ? Instant() : window_.back().time; }
-  std::span<const TraceEvent> window() const { return window_; }
+  // Time of the last record fed.
+  Instant last_time() const { return last_time_; }
   const std::vector<CoreRunner>& cores() const { return cores_; }
 
   // The slot of `core`, created idle on first use; nullptr past kMaxCoreId.
@@ -112,9 +123,9 @@ class TraceReplay {
     }
   }
 
-  std::span<const TraceEvent> window_;
   uint64_t dropped_;
-  size_t index_ = 0;
+  size_t index_ = 0;  // between batches: the number of records fed
+  Instant last_time_;
   uint64_t epochs_ = 0;
   std::vector<CoreRunner> cores_;
 };
@@ -399,9 +410,10 @@ class TraceAnalyzerVisitor {
 
 // --- Causal-token conservation and declared chains (AnalyzeChains) --------
 
-// The pass only notes where the chain events are. All chain state is keyed
-// by token origin, so Finish replays one origin at a time, in trace order,
-// with a small local state instead of maps of every in-flight token.
+// The pass keeps the well-formed chain events decoded, so Finish reads no
+// window. All chain state is keyed by token origin, so Finish replays one
+// origin at a time, in trace order, with a small local state instead of maps
+// of every in-flight token.
 class ChainVisitor {
  public:
   explicit ChainVisitor(const std::vector<ResolvedChain>& specs) : specs_(specs) {}
@@ -410,7 +422,9 @@ class ChainVisitor {
     if (e.type != TraceEventType::kChainEmit && e.type != TraceEventType::kChainConsume) {
       return;
     }
-    const Token t = TokenAt(replay.window(), replay.index());
+    const Token t{static_cast<uint32_t>(e.arg0), e.arg1, static_cast<uint16_t>(ChainHopOf(e.arg2)),
+                  e.type == TraceEventType::kChainConsume, ChainActorOf(e.arg2), replay.index(),
+                  e.time};
     if (t.origin == 0 || t.hop > kMaxChainHops) {
       Violate(ChainViolationKind::kMalformedToken, t.index,
               Describe("origin %lld hop %lld at endpoint %lld", t.origin, t.hop, t.endpoint));
@@ -423,7 +437,7 @@ class ChainVisitor {
       return;
     }
     EM_ASSERT(t.index <= UINT32_MAX);
-    order_.push_back((static_cast<uint64_t>(t.origin) << 32) | t.index);
+    tokens_.push_back(t);
   }
 
   void Finish(TraceReplay& replay) {
@@ -449,12 +463,17 @@ class ChainVisitor {
       }
     }
     // Sorted keys group the tokens by origin, in trace order within one.
-    std::sort(order_.begin(), order_.end());
-    for (size_t begin = 0, end = 0; begin < order_.size(); begin = end) {
-      while (end < order_.size() && (order_[end] >> 32) == (order_[begin] >> 32)) {
+    std::vector<uint64_t> order;  // (origin << 32 | position in tokens_) per token
+    order.reserve(tokens_.size());
+    for (size_t i = 0; i < tokens_.size(); ++i) {
+      order.push_back((static_cast<uint64_t>(tokens_[i].origin) << 32) | i);
+    }
+    std::sort(order.begin(), order.end());
+    for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
+      while (end < order.size() && (order[end] >> 32) == (order[begin] >> 32)) {
         ++end;
       }
-      ReplayOrigin(replay.window(), order_.data() + begin, order_.data() + end);
+      ReplayOrigin(order.data() + begin, order.data() + end);
     }
     std::sort(out_.violations.begin(), out_.violations.end(),
               [](const ChainViolation& a, const ChainViolation& b) {
@@ -480,15 +499,9 @@ class ChainVisitor {
     uint16_t hop;
     bool consume;
     int actor;
-    size_t index;  // position in the window
+    size_t index;  // of the event, counted from the first record fed
     Instant time;
   };
-
-  static Token TokenAt(std::span<const TraceEvent> window, size_t index) {
-    const TraceEvent& e = window[index];
-    return Token{static_cast<uint32_t>(e.arg0), e.arg1, static_cast<uint16_t>(ChainHopOf(e.arg2)),
-                 e.type == TraceEventType::kChainConsume, ChainActorOf(e.arg2), index, e.time};
-  }
 
   // An emitted (endpoint, hop) of the origin being replayed. After sorting,
   // the first emit of each pair leads its run and stands for it: a consume
@@ -497,7 +510,7 @@ class ChainVisitor {
   struct EmitKey {
     int32_t endpoint;
     uint16_t hop;
-    uint32_t index;  // position in the window
+    uint32_t index;  // Token::index of the emit
     bool consumed;
   };
 
@@ -528,11 +541,10 @@ class ChainVisitor {
   }
 
   // Replays one origin's tokens, given as sort keys in trace order.
-  void ReplayOrigin(std::span<const TraceEvent> window, const uint64_t* first,
-                    const uint64_t* last) {
+  void ReplayOrigin(const uint64_t* first, const uint64_t* last) {
     keys_.clear();
     for (const uint64_t* k = first; k != last; ++k) {
-      const Token t = TokenAt(window, static_cast<uint32_t>(*k));
+      const Token& t = tokens_[static_cast<uint32_t>(*k)];
       if (!t.consume) {
         keys_.push_back(EmitKey{t.endpoint, t.hop, static_cast<uint32_t>(t.index), false});
       }
@@ -548,7 +560,7 @@ class ChainVisitor {
     }
     bool minted = false;
     for (const uint64_t* k = first; k != last; ++k) {
-      const Token t = TokenAt(window, static_cast<uint32_t>(*k));
+      const Token& t = tokens_[static_cast<uint32_t>(*k)];
       if (!t.consume) {
         if (t.hop == 0 && minted) {
           Violate(ChainViolationKind::kOriginReuse, t.index,
@@ -669,7 +681,7 @@ class ChainVisitor {
 
   const std::vector<ResolvedChain>& specs_;
   ChainAnalysis out_;
-  std::vector<uint64_t> order_;    // (origin << 32 | window index) per token
+  std::vector<Token> tokens_;      // well-formed chain events, in trace order
   std::vector<EmitKey> keys_;      // reused by ReplayOrigin
   std::vector<Tracker> trackers_;  // one per spec
 };
@@ -1138,11 +1150,41 @@ class PostmortemVisitor {
 // One analysis alone on the shared cursor.
 template <typename Visitor>
 auto RunAlone(std::span<const TraceEvent> window, uint64_t dropped_events, Visitor visitor) {
-  TraceReplay(window, dropped_events).Run(visitor);
+  TraceReplay replay(dropped_events);
+  replay.Feed(window, visitor);
+  replay.Finish(visitor);
   return std::move(visitor.analysis());
 }
 
 }  // namespace
+
+struct TraceEvaluator::Passes {
+  Passes(uint64_t dropped_events, const std::vector<ResolvedChain>& specs)
+      : replay(dropped_events), chains(specs) {}
+
+  TraceReplay replay;
+  WindowDigest digest;
+  TraceAnalyzerVisitor trace;
+  ChainVisitor chains;
+  PostmortemVisitor postmortem;
+};
+
+TraceEvaluator::TraceEvaluator(uint64_t dropped_events, const std::vector<ResolvedChain>& specs)
+    : passes_(std::make_unique<Passes>(dropped_events, specs)) {}
+
+TraceEvaluator::~TraceEvaluator() = default;
+
+void TraceEvaluator::Feed(std::span<const TraceEvent> batch) {
+  Passes& p = *passes_;
+  p.replay.Feed(batch, p.digest, p.trace, p.chains, p.postmortem);
+}
+
+TraceEvaluation TraceEvaluator::Finish() {
+  Passes& p = *passes_;
+  p.replay.Finish(p.digest, p.trace, p.chains, p.postmortem);
+  return TraceEvaluation{p.digest.hash, std::move(p.trace.analysis()),
+                         std::move(p.chains.analysis()), std::move(p.postmortem.analysis())};
+}
 
 TraceAnalysis AnalyzeTrace(const TraceEvent* events, size_t count, uint64_t dropped_events) {
   return RunAlone({events, count}, dropped_events, TraceAnalyzerVisitor());
@@ -1172,13 +1214,9 @@ PostmortemAnalysis AnalyzePostmortem(const TraceSink& sink) {
 
 TraceEvaluation EvaluateTrace(std::span<const TraceEvent> window, uint64_t dropped_events,
                               const std::vector<ResolvedChain>& specs) {
-  WindowDigest digest;
-  TraceAnalyzerVisitor trace;
-  ChainVisitor chains(specs);
-  PostmortemVisitor postmortem;
-  TraceReplay(window, dropped_events).Run(digest, trace, chains, postmortem);
-  return TraceEvaluation{digest.hash, std::move(trace.analysis()), std::move(chains.analysis()),
-                         std::move(postmortem.analysis())};
+  TraceEvaluator evaluator(dropped_events, specs);
+  evaluator.Feed(window);
+  return evaluator.Finish();
 }
 
 TraceEvaluation EvaluateTrace(const TraceSink& sink, const std::vector<ResolvedChain>& specs) {

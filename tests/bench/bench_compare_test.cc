@@ -1,7 +1,8 @@
 // Perf-regression gate tests: an injected scheduler-bucket regression beyond
 // tolerance must fail, within-tolerance drift must pass, the user/idle
-// buckets and wall-clock throughput must stay ungated, a changed fleet digest
-// must fail, and a candidate that violates its own invariants must never pass.
+// buckets and wall-clock throughput must stay ungated, a changed fleet,
+// cycle-ledger or SMP run digest must fail, and a candidate that violates
+// its own invariants must never pass.
 
 #include <string>
 
@@ -39,6 +40,11 @@ std::string CyclesDoc(long long select_ns, long long user_ns, long long idle_ns,
                 "\"syscall\":10000000,\"idle\":%lld}}}",
                 conserved ? "true" : "false", user_ns, select_ns, idle_ns);
   return buf;
+}
+
+// `doc` with a top-level "digest" member.
+std::string WithDigest(const std::string& doc, const char* digest) {
+  return "{\"digest\":\"" + std::string(digest) + "\"," + doc.substr(1);
 }
 
 TEST(BenchCompareCyclesTest, IdenticalReportsPass) {
@@ -107,6 +113,24 @@ TEST(BenchCompareCyclesTest, ElapsedMismatchFails) {
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("elapsed_ns differs"), std::string::npos) << r.failures[0];
+}
+
+TEST(BenchCompareCyclesTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
+  // The same ledger from a different simulated run: only the digest sees it.
+  const std::string doc = CyclesDoc(60000000, 900000000, 980000000);
+  JsonValue base = Parse(WithDigest(doc, "0x1111111111111111"));
+  CompareResult r =
+      CompareReports(base, Parse(WithDigest(doc, "0x2222222222222222")), CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("cycle ledger run digest differs"), std::string::npos)
+      << r.failures[0];
+  EXPECT_NE(r.failures[0].find("EMERALDS_BENCH_JSON=BENCH_cycles.json build/bench/bench_cycles"),
+            std::string::npos)
+      << r.failures[0];
+  // An equal digest passes; a candidate without one fails.
+  EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
+  EXPECT_FALSE(CompareReports(base, Parse(doc), CompareOptions()).ok);
 }
 
 TEST(BenchCompareCyclesTest, SchemaMismatchFails) {
@@ -245,6 +269,34 @@ TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_TRUE(HasNote(r, "trace.storage_bytes_max: 98304 vs baseline 196608"));
   EXPECT_FALSE(CompareReports(base, Parse(FleetDoc("0x694861b1cb5ac0b9")), CompareOptions()).ok);
+}
+
+// --- emeralds.bench.smp/1 ---
+
+// A 1- and 2-core throughput report; the caller picks the 2-core run digest.
+std::string SmpDoc(const char* two_core_digest) {
+  return std::string(
+             "{\"schema\":\"emeralds.bench.smp/1\",\"ratio_2core\":2.0,\"throughput\":["
+             "{\"num_cores\":1,\"user_ns\":600000000,\"idle_ns\":0,\"ipis\":0,"
+             "\"jobs_completed\":200,\"conserved\":true,\"digest\":\"0x1111111111111111\"},"
+             "{\"num_cores\":2,\"user_ns\":1200000000,\"idle_ns\":0,\"ipis\":40,"
+             "\"jobs_completed\":400,\"conserved\":true,\"digest\":\"") +
+         two_core_digest +
+         "\"}],\"admission\":{\"points\":[{\"admitted_1core\":3,\"admitted_2core\":5,"
+         "\"admitted_4core\":8}]}}";
+}
+
+TEST(BenchCompareSmpTest, DigestChangeFails) {
+  JsonValue base = Parse(SmpDoc("0x2222222222222222"));
+  CompareResult same = CompareReports(base, base, CompareOptions());
+  EXPECT_TRUE(same.ok) << (same.failures.empty() ? "" : same.failures[0]);
+  CompareResult r = CompareReports(base, Parse(SmpDoc("0x3333333333333333")), CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("2-core run digest differs"), std::string::npos) << r.failures[0];
+  EXPECT_NE(r.failures[0].find("EMERALDS_BENCH_JSON=BENCH_smp.json build/bench/bench_smp"),
+            std::string::npos)
+      << r.failures[0];
 }
 
 TEST(BenchCompareFilesTest, MissingFileIsAnIoFailure) {

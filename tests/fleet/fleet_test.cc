@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/kernel.h"
 #include "src/fleet/fleet_report.h"
 #include "src/fleet/openmetrics.h"
 #include "src/hal/trace.h"
@@ -188,7 +189,8 @@ TEST(FleetTest, SeedChangesTheFleet) {
 }
 
 // The acceptance bar: >= 1000 concurrent kernel instances in one process.
-// A small trace ring bounds memory; the oracles are truncation-aware.
+// Each node holds one slice of trace at a time, and every oracle checks its
+// whole run.
 TEST(FleetTest, SustainsAThousandInstances) {
   FleetOptions opt;
   opt.instances = 1000;
@@ -196,7 +198,6 @@ TEST(FleetTest, SustainsAThousandInstances) {
   opt.seed = 7;
   opt.run_duration = Milliseconds(5);
   opt.slice = Milliseconds(1);
-  opt.trace_capacity = 2048;
   FleetResult result = RunFleet(opt);
   ASSERT_EQ(result.nodes.size(), 1000u);
   EXPECT_EQ(result.nodes_failed, 0) << [&] {
@@ -213,22 +214,24 @@ TEST(FleetTest, SustainsAThousandInstances) {
   }
 }
 
-// Trace memory follows what a node records, not its retention bound. A node
-// here records under 90 events per virtual ms and may retain 4096 + 1536 per
-// ms; storage grown by push_back holds under twice the records, so it stays
-// more than 8x below the bound. The check asserts 5x.
-TEST(FleetTest, DefaultTraceStorageFollowsTheRecords) {
+// A fleet node streams its trace: it holds one slice of records at a time
+// and drops none. A 50 ms node of ten 5 ms slices keeps under a quarter of
+// the storage its whole run needs, which InspectNode still holds.
+TEST(FleetTest, NodesKeepOneSliceOfTraceAndDropNothing) {
   FleetOptions opt = SmallFleet();
-  ASSERT_EQ(opt.trace_capacity, 0u);
   FleetResult result = RunFleet(opt);
-  const size_t bound =
-      static_cast<size_t>(4096 + 1536 * opt.run_duration.millis()) * sizeof(TraceEvent);
   size_t largest = 0;
   for (size_t i = 0; i < result.nodes.size(); ++i) {
     const NodeResult& node = result.nodes[i];
     EXPECT_EQ(node.trace_dropped, 0u) << "node " << i;
     EXPECT_GT(node.trace_storage_bytes, 0u) << "node " << i;
-    EXPECT_LE(node.trace_storage_bytes * 5, bound) << "node " << i;
+    NodeResult inspected =
+        InspectNode(opt, static_cast<int>(i), [&](const Kernel& kernel, const NodeResult&) {
+          EXPECT_EQ(kernel.trace().dropped(), 0u) << "node " << i;
+          EXPECT_EQ(kernel.trace().size(), kernel.trace().total_recorded()) << "node " << i;
+        });
+    EXPECT_EQ(inspected.trace_digest, node.trace_digest) << "node " << i;
+    EXPECT_LE(node.trace_storage_bytes * 4, inspected.trace_storage_bytes) << "node " << i;
     largest = std::max(largest, node.trace_storage_bytes);
   }
   EXPECT_EQ(result.trace_storage_bytes_max, largest);

@@ -486,5 +486,29 @@ TEST(TraceSinkTest, StorageFollowsRecordsNotCapacity) {
   EXPECT_LE(sink.storage_bytes(), 2048 * sizeof(TraceEvent));
 }
 
+// A drained window keeps its storage for the records that follow, and the
+// drained records count as neither retained nor dropped.
+TEST(TraceSinkTest, DrainKeepsStorageAndDropsNothing) {
+  TraceSink sink(4096);
+  FillSink(sink, 300);
+  const size_t storage = sink.storage_bytes();
+  sink.Drain();
+  EXPECT_EQ(sink.size(), 0u);
+  EXPECT_EQ(sink.dropped(), 0u);
+  EXPECT_EQ(sink.storage_bytes(), storage);
+  FillSink(sink, 200);
+  EXPECT_EQ(sink.size(), 200u);
+  EXPECT_EQ(sink.at(0).arg1, 0);
+  EXPECT_EQ(sink.storage_bytes(), storage);
+  EXPECT_EQ(sink.total_recorded(), sink.size() + sink.dropped() + 300);
+}
+
+// A consumer of a drained sink must have seen the whole run.
+TEST(TraceSinkDeathTest, DrainAfterDroppedRecordsPanics) {
+  TraceSink sink(4);
+  FillSink(sink, 5);
+  EXPECT_DEATH(sink.Drain(), "drained a trace window that dropped records");
+}
+
 }  // namespace
 }  // namespace emeralds

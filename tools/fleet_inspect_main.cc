@@ -32,7 +32,7 @@
 //
 // The fleet configuration comes from the report; every field can be
 // overridden by flags (--instances, --seed, --run-ms, --slice-ms,
-// --trace-capacity, --overload-node, --overload-factor), and with a full
+// --overload-node, --overload-factor), and with a full
 // flag set the report path may be omitted entirely — that is the form
 // NodeReproCommand() emits into black-box repro.txt files.
 //
@@ -272,7 +272,7 @@ constexpr const char* kUsage =
     "                      --timeseries=N | --postmortem=N | --openmetrics=OUT.txt]\n"
     "                     [--dir=DIR] [--perfetto=OUT.json]\n"
     "                     [--instances=N] [--seed=S] [--run-ms=M] [--slice-ms=K]\n"
-    "                     [--trace-capacity=C] [--overload-node=I] [--overload-factor=F]\n";
+    "                     [--overload-node=I] [--overload-factor=F]\n";
 
 bool FlagValue(const char* arg, const char* name, const char** value) {
   size_t len = std::strlen(name);
@@ -431,11 +431,6 @@ int Main(int argc, char** argv) {
         return status;
       }
       opt.slice = Milliseconds(value);
-    } else if (FlagValue(argv[i], "--trace-capacity", &v)) {
-      if (!FlagInt("--trace-capacity", v, 0, INT64_MAX, &value, &status)) {
-        return status;
-      }
-      opt.trace_capacity = static_cast<size_t>(value);
     } else if (FlagValue(argv[i], "--overload-node", &v)) {
       if (!FlagInt("--overload-node", v, -1, INT_MAX, &value, &status)) {
         return status;
@@ -497,9 +492,6 @@ int Main(int argc, char** argv) {
     }
     if (opt.slice == Milliseconds(5)) {
       opt.slice = Milliseconds(static_cast<int64_t>(RootNumber(root, "slice_ms", 5)));
-    }
-    if (opt.trace_capacity == 0) {
-      opt.trace_capacity = static_cast<size_t>(RootInt(root, "trace_capacity", 0));
     }
     have_config = true;
   }
