@@ -10,7 +10,7 @@ namespace bench {
 namespace {
 
 void Failf(CompareResult* r, const char* fmt, ...) {
-  char buf[256];
+  char buf[512];
   va_list args;
   va_start(args, fmt);
   std::vsnprintf(buf, sizeof(buf), fmt, args);
@@ -179,6 +179,47 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
 
 // --- emeralds.fleet.run/1 ---
 
+// The fleet's trace record mix (trace.records_by_type) gates exactly: the
+// fleet is deterministic, so a changed count is a changed run, and growth is
+// trace bloat. A type on one side only counts 0 on the other. Returns true
+// when the baseline has the mix and the candidate's equals it.
+bool CompareRecordMix(const JsonValue& baseline, const JsonValue& candidate, CompareResult* r) {
+  auto mix_of = [](const JsonValue& report) -> const JsonValue* {
+    const JsonValue* trace = report.Find("trace");
+    const JsonValue* mix = trace != nullptr ? trace->Find("records_by_type") : nullptr;
+    return mix != nullptr && mix->type == JsonValue::Type::kObject ? mix : nullptr;
+  };
+  const JsonValue* base = mix_of(baseline);
+  const JsonValue* cand = mix_of(candidate);
+  if (base == nullptr) {
+    return false;
+  }
+  if (cand == nullptr) {
+    Failf(r, "baseline has trace.records_by_type but the candidate does not");
+    return false;
+  }
+  bool equal = true;
+  auto check = [&](const std::string& type) {
+    double base_count = NumberOr(*base, type.c_str(), 0.0);
+    double cand_count = NumberOr(*cand, type.c_str(), 0.0);
+    if (cand_count != base_count) {
+      Failf(r, "trace records of type %s: %.0f vs baseline %.0f (the record mix is "
+               "deterministic; a changed count is a changed run)",
+            type.c_str(), cand_count, base_count);
+      equal = false;
+    }
+  };
+  for (const auto& member : base->object) {
+    check(member.first);
+  }
+  for (const auto& member : cand->object) {
+    if (base->Find(member.first) == nullptr) {
+      check(member.first);
+    }
+  }
+  return equal;
+}
+
 void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
                   const CompareOptions& opt, CompareResult* r) {
   // The candidate must pass its own oracles before any baseline comparison.
@@ -216,13 +257,20 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
     }
   }
   // The fleet digest covers every node's trace, so any change in simulated
-  // behavior moves it — the aggregate tolerance above cannot mask it.
+  // behavior moves it — the aggregate tolerance above cannot mask it. When
+  // the record mix is equal, the failure says so: the same records by type
+  // with a different digest means their contents, or the digest's
+  // encoding, changed.
+  const bool same_mix = CompareRecordMix(baseline, candidate, r);
   if (std::string(StringOr(baseline, "fleet_digest", "?")) !=
       StringOr(candidate, "fleet_digest", "??")) {
-    Failf(r, "fleet_digest differs (baseline %s vs candidate %s): per-node traces changed; if "
-             "the change is intended, regenerate the baseline with "
+    Failf(r, "fleet_digest differs (baseline %s vs candidate %s): %s; if the change is "
+             "intended, regenerate the baseline with "
              "EMERALDS_BENCH_JSON=BENCH_fleet.json build/bench/bench_fleet",
-          StringOr(baseline, "fleet_digest", "?"), StringOr(candidate, "fleet_digest", "??"));
+          StringOr(baseline, "fleet_digest", "?"), StringOr(candidate, "fleet_digest", "??"),
+          same_mix ? "the trace records are unchanged (trace.records_by_type is equal), so "
+                     "their contents or the digest's encoding changed"
+                   : "per-node traces changed");
   }
   for (const char* key : {"deadline_misses", "chain_overruns"}) {
     double base = NumberOr(baseline, key, 0.0);

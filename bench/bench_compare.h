@@ -17,8 +17,10 @@
 //   emeralds.fleet.run/1       — fleet simulation throughput
 //     (BENCH_fleet.json). The run configuration must match; the
 //     deterministic aggregates (events_total, events_per_virtual_sec) are
-//     held to rel_tolerance in both directions; the fleet digest must match
-//     exactly; the largest node's trace storage (trace.storage_bytes_max)
+//     held to rel_tolerance in both directions; the fleet digest and the
+//     trace record mix (trace.records_by_type, one count per event type)
+//     must match exactly, and a digest failure says when the mix is
+//     unchanged; the largest node's trace storage (trace.storage_bytes_max)
 //     may grow at most rel_tolerance; wall-clock events/sec is
 //     informational only.
 //   emeralds.bench.smp/1       — partitioned-SMP throughput and admission

@@ -11,7 +11,8 @@
 // gates it against the committed BENCH_fleet.json baseline with
 // bench_compare: the deterministic aggregate rates are held to 3%, the
 // largest node's trace storage may grow at most 3%, and the fleet digest
-// must match exactly. Wall-clock throughput is reported but never gated.
+// and the trace record mix by event type must match exactly. Wall-clock
+// throughput is reported but never gated.
 //
 // Output: $EMERALDS_BENCH_JSON (default BENCH_fleet.json in the working
 // directory). Exit status is nonzero when a node fails its oracles, so the

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bench/bench_report.h"
+#include "src/hal/trace.h"
 
 namespace {
 
@@ -723,6 +724,21 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
                       {"dropped_total", "worst_node", "worst_node_dropped", "storage_bytes_max",
                        "storage_bytes_worst_node"})) {
     return 1;
+  }
+  // The fleet's record mix: one count per event type, and no other key.
+  const JsonValue* mix = fleet_trace->Find("records_by_type");
+  if (mix == nullptr || mix->type != JsonValue::Type::kObject ||
+      mix->object.size() != static_cast<size_t>(emeralds::kNumTraceEventTypes)) {
+    std::fprintf(stderr, "FAIL: fleet trace missing records_by_type {%d event types}\n",
+                 emeralds::kNumTraceEventTypes);
+    return 1;
+  }
+  for (int t = 0; t < emeralds::kNumTraceEventTypes; ++t) {
+    if (!RequireNumbers(*mix, "fleet trace records_by_type",
+                        {emeralds::TraceEventTypeToString(
+                            static_cast<emeralds::TraceEventType>(t))})) {
+      return 1;
+    }
   }
   const JsonValue* triage = root.Find("triage");
   if (triage == nullptr || triage->type != JsonValue::Type::kObject ||

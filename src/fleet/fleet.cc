@@ -246,6 +246,7 @@ void EvaluateNode(const Kernel& kernel, int index, obs::TraceEvaluator* evaluato
   // Digest, invariants, chains and postmortem over every record the node made.
   obs::TraceEvaluation eval = evaluator->Finish();
   r.trace_digest = obs::FoldKernelCounters(eval.window_digest, s);
+  r.records_by_type = eval.records_by_type;
   const obs::TraceAnalysis& analysis = eval.trace;
   obs::Reconciliation reconciliation = obs::ComputeReconciliation(analysis, s);
   const obs::ChainAnalysis& chains = eval.chains;
@@ -414,6 +415,9 @@ FleetResult RunFleet(const FleetOptions& opt) {
       out.trace_storage_bytes_max = r.trace_storage_bytes;
       out.trace_storage_bytes_worst_node = static_cast<int>(i);
     }
+    for (size_t t = 0; t < r.records_by_type.size(); ++t) {
+      out.records_by_type[t] += r.records_by_type[t];
+    }
     out.arena_high_water = std::max(out.arena_high_water, r.arena_high_water);
     obs::MergeNodeTelemetry(&out.telemetry, r.telemetry, static_cast<int>(i));
     out.blame.Merge(r.blame);
@@ -423,7 +427,7 @@ FleetResult RunFleet(const FleetOptions& opt) {
       out.host_evaluate_ns_max = r.host_evaluate_ns;
       out.host_evaluate_slowest_node = static_cast<int>(i);
     }
-    digest = Fnv1a(digest, &r.trace_digest, sizeof(r.trace_digest));
+    digest = FoldWord(digest, r.trace_digest);
     out.nodes.push_back(r);
   }
   out.fleet_digest = digest;

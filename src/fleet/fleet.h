@@ -45,12 +45,14 @@
 #ifndef SRC_FLEET_FLEET_H_
 #define SRC_FLEET_FLEET_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "src/base/time.h"
+#include "src/hal/trace.h"
 #include "src/obs/alerts.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/telemetry.h"
@@ -106,8 +108,12 @@ struct NodeResult {
   uint64_t timer_dispatches = 0;
   uint64_t chain_completed = 0;
   uint64_t chain_overruns = 0;  // completed chain instances past their SLO
-  uint64_t trace_digest = 0;    // FNV-1a over every trace record + counters
-  uint64_t trace_dropped = 0;   // always 0: the window never evicts
+  // FoldTraceEvent over every trace record, then the kernel counters
+  // (obs::FoldKernelCounters).
+  uint64_t trace_digest = 0;
+  // Every trace record the node made, counted by TraceEventType.
+  std::array<uint64_t, kNumTraceEventTypes> records_by_type{};
+  uint64_t trace_dropped = 0;  // always 0: the window never evicts
   // Trace window storage at the horizon. In the fleet it is the largest
   // slice's, since the window is drained at every slice boundary; from
   // InspectNode it is the whole run's.
@@ -161,8 +167,9 @@ struct FleetResult {
   Duration virtual_time_total;  // sum of per-node simulated time
   // events_total / virtual seconds: the gated, machine-independent rate.
   double events_per_virtual_sec = 0.0;
-  // FNV-1a over the per-node digests in index order: one number that equals
-  // iff every node's run was bit-identical.
+  // The per-node digests folded in index order (FoldWord, from
+  // kFnv1aOffsetBasis): one number that equals iff every node's run was
+  // bit-identical.
   uint64_t fleet_digest = 0;
   size_t arena_high_water = 0;  // max across nodes
 
@@ -178,6 +185,9 @@ struct FleetResult {
   // held it.
   size_t trace_storage_bytes_max = 0;
   int trace_storage_bytes_worst_node = -1;
+  // The nodes' records_by_type summed: the fleet's trace record mix, gated
+  // exactly against the baseline.
+  std::array<uint64_t, kNumTraceEventTypes> records_by_type{};
   uint64_t headroom_low_total = 0;
   int nodes_anomalous = 0;
   // Fleet-merged blame tables (associative integer merge in node-index

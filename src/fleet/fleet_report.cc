@@ -38,7 +38,8 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("headroom_low_total", static_cast<int64_t>(result.headroom_low_total));
 
   // Trace drops (always 0: fleet windows never evict; the fields keep the
-  // report's schema) next to the trace memory the largest node held.
+  // report's schema) next to the trace memory the largest node held and the
+  // fleet's record mix, one key per event type.
   json.Key("trace");
   json.OpenObject();
   json.Int("dropped_total", static_cast<int64_t>(result.trace_dropped_total));
@@ -46,6 +47,13 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("worst_node_dropped", static_cast<int64_t>(result.trace_dropped_worst));
   json.Int("storage_bytes_max", static_cast<int64_t>(result.trace_storage_bytes_max));
   json.Int("storage_bytes_worst_node", result.trace_storage_bytes_worst_node);
+  json.Key("records_by_type");
+  json.OpenObject();
+  for (size_t t = 0; t < result.records_by_type.size(); ++t) {
+    json.Int(TraceEventTypeToString(static_cast<TraceEventType>(t)),
+             static_cast<int64_t>(result.records_by_type[t]));
+  }
+  json.CloseObject();
   json.CloseObject();
   json.Digest("fleet_digest", result.fleet_digest);
   json.Int("arena_high_water_bytes", static_cast<int64_t>(result.arena_high_water));

@@ -10,6 +10,7 @@
 #include "src/core/kernel.h"
 #include "src/hal/hardware.h"
 #include "src/obs/blackbox.h"
+#include "src/obs/obs_report.h"
 #include "src/obs/trace_replay.h"
 
 namespace emeralds {
@@ -323,18 +324,6 @@ ThreadBodyFactory MakeTortureBody(HarnessState* st, Rng stream, ThreadRole role)
   };
 }
 
-// The reconciled counters folded onto the retained window's digest.
-uint64_t DigestRun(const Kernel& kernel, uint64_t window_digest) {
-  const KernelStats& s = kernel.stats();
-  uint64_t counters[] = {s.context_switches, s.jobs_released,   s.jobs_completed,
-                         s.deadline_misses,  s.sem_acquires,    s.mailbox_sends,
-                         s.mailbox_receives, s.smsg_writes,     s.smsg_reads,
-                         s.smsg_read_retries, s.mailbox_truncations, s.pi_chain_limit_hits,
-                         s.interrupts,       s.timer_dispatches, s.chain_emits,
-                         s.chain_consumes,   s.chain_origins};
-  return Fnv1a(window_digest, counters, sizeof(counters));
-}
-
 // One deterministic run: build the seeded topology, interpret the schedules,
 // inject host-side events at slice boundaries, then return the still-live
 // kernel to the caller's continuation via `finish`.
@@ -604,7 +593,7 @@ TortureResult RunTorture(const TortureOptions& options) {
 
     result.trace_retained = kernel.trace().size();
     result.trace_dropped = kernel.trace().dropped();
-    result.trace_digest = DigestRun(kernel, eval.window_digest);
+    result.trace_digest = obs::FoldKernelCounters(eval.window_digest, kernel.stats());
     result.virtual_time = kernel.now() - Instant();
     result.stats = kernel.stats();
 

@@ -132,8 +132,9 @@ struct TortureResult {
   int64_t postmortem_unattributed_ns = 0;
   uint64_t postmortem_unmatched = 0;
   uint64_t postmortem_incomplete = 0;
-  // FNV-1a over the retained trace window (time, type, args) and the
-  // reconciled counters: equal digests == bit-identical runs.
+  // The retained trace window's digest (FoldTraceEvent per record) with the
+  // kernel counters folded on (obs::FoldKernelCounters): equal digests ==
+  // bit-identical runs.
   uint64_t trace_digest = 0;
   uint64_t trace_retained = 0;
   uint64_t trace_dropped = 0;

@@ -153,8 +153,9 @@ struct TraceEvent {
   int32_t arg2 = 0;
 };
 
-// FNV-1a over `len` bytes, continuing from `hash` (start a fresh digest from
-// kFnv1aOffsetBasis). The per-node and per-seed digests are built on it.
+// FNV-1a over `len` bytes, continuing from `hash`. Its one caller is
+// BlameTotals::Digest: every blame_digest ever reported is built on it, and
+// the benchmark's outcome references pin them. New digests use FoldWord.
 inline constexpr uint64_t kFnv1aOffsetBasis = 0xcbf29ce484222325ULL;
 inline uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
   const auto* bytes = static_cast<const uint8_t*>(data);
@@ -165,18 +166,33 @@ inline uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
   return hash;
 }
 
-// Folds one event into an FNV-1a `hash`: the time in whole microseconds
-// (int64), the type (int32), then arg0..arg2. A trace digest is this fold
-// over the retained window, oldest first; the per-node and per-seed digests
-// start from it.
+// One 64-bit step of the run digests: xor `word` in, multiply by the odd
+// constant 2^64 / golden ratio, then fold the high half into the low. Each
+// of the three operations is a bijection, so for a given `hash` two
+// different words always leave different results, and for a given word two
+// different hashes do too. Start a digest from kFnv1aOffsetBasis.
+inline uint64_t FoldWord(uint64_t hash, uint64_t word) {
+  hash ^= word;
+  hash *= 0x9e3779b97f4a7c15ULL;
+  return hash ^ (hash >> 32);
+}
+
+// Folds one event into a digest as three FoldWord steps: the time in whole
+// microseconds; arg0 in the low half of a word with the type in the high
+// half; arg1 in the low half of a word with arg2 in the high half. Every
+// field lands in exactly one word, so changing any one field changes the
+// result. The type must stay in the high half: a multiply passes a
+// difference in bit 63 through unchanged, and the fold then copies it to
+// bit 31, so with the type low and arg0 high, flipping the sign bits of
+// arg0, arg1 and arg2 together would cancel. A trace digest is this fold
+// over the window, oldest first, from kFnv1aOffsetBasis; the per-node and
+// per-seed digests start from it.
 inline uint64_t FoldTraceEvent(uint64_t hash, const TraceEvent& e) {
-  const int64_t us = e.time.micros();
-  const int32_t type = static_cast<int32_t>(e.type);
-  hash = Fnv1a(hash, &us, sizeof(us));
-  hash = Fnv1a(hash, &type, sizeof(type));
-  hash = Fnv1a(hash, &e.arg0, sizeof(e.arg0));
-  hash = Fnv1a(hash, &e.arg1, sizeof(e.arg1));
-  return Fnv1a(hash, &e.arg2, sizeof(e.arg2));
+  const uint64_t type = static_cast<uint8_t>(e.type);
+  hash = FoldWord(hash, static_cast<uint64_t>(e.time.micros()));
+  hash = FoldWord(hash, static_cast<uint32_t>(e.arg0) | type << 32);
+  return FoldWord(hash, static_cast<uint32_t>(e.arg1) |
+                            static_cast<uint64_t>(static_cast<uint32_t>(e.arg2)) << 32);
 }
 
 // Writes `events` as CSV (header time_us,event,arg0,arg1,arg2, one row per

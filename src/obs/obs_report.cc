@@ -242,12 +242,17 @@ Reconciliation ComputeReconciliation(const TraceAnalysis& a, const KernelStats& 
 }
 
 uint64_t FoldKernelCounters(uint64_t window_digest, const KernelStats& s) {
-  uint64_t counters[] = {s.context_switches, s.syscalls,         s.jobs_released,
-                         s.jobs_completed,   s.deadline_misses,  s.sem_acquires,
-                         s.mailbox_sends,    s.mailbox_receives, s.interrupts,
-                         s.timer_dispatches, s.chain_emits,      s.chain_consumes,
-                         s.chain_origins};
-  return Fnv1a(window_digest, counters, sizeof(counters));
+  const uint64_t counters[] = {s.context_switches,  s.syscalls,           s.jobs_released,
+                               s.jobs_completed,    s.deadline_misses,    s.sem_acquires,
+                               s.mailbox_sends,     s.mailbox_receives,   s.interrupts,
+                               s.timer_dispatches,  s.chain_emits,        s.chain_consumes,
+                               s.chain_origins,     s.smsg_writes,        s.smsg_reads,
+                               s.smsg_read_retries, s.mailbox_truncations, s.pi_chain_limit_hits};
+  uint64_t hash = window_digest;
+  for (uint64_t counter : counters) {
+    hash = FoldWord(hash, counter);
+  }
+  return hash;
 }
 
 std::string BuildObsRunReport(const ObsRunInfo& info, const Kernel& kernel,

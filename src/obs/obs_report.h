@@ -59,9 +59,10 @@ struct Reconciliation {
 Reconciliation ComputeReconciliation(const TraceAnalysis& analysis, const KernelStats& stats);
 
 // Folds the run's kernel counters onto `window_digest`, the digest of its
-// trace (TraceEvaluation::window_digest). Equal results mean bit-identical
-// runs: a fleet node's digest, and the digest the cycle and SMP benches
-// report per run.
+// trace (TraceEvaluation::window_digest), one FoldWord step per counter.
+// Equal results mean bit-identical runs. It is the one counter fold: a
+// fleet node's digest, a torture run's, and the digest the cycle and SMP
+// benches report per run.
 uint64_t FoldKernelCounters(uint64_t window_digest, const KernelStats& stats);
 
 // Renders the full report as a JSON string. `task_ids` selects the taskset

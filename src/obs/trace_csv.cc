@@ -1,5 +1,6 @@
 #include "src/obs/trace_csv.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -48,6 +49,18 @@ bool ParseInt(const char* s, long long* out, bool* in_range) {
   return end != s && *end == '\0';
 }
 
+// Parses a whole field as a base-10 count: digits only, no sign, and it must
+// fit in a uint64_t.
+bool ParseCount(const char* s, uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(*s))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(s, &end, 10);
+  return errno != ERANGE && *end == '\0';
+}
+
 }  // namespace
 
 bool ImportTraceCsv(const std::string& text, TraceCsvImport* out, std::string* error) {
@@ -69,12 +82,18 @@ bool ImportTraceCsv(const std::string& text, TraceCsvImport* out, std::string* e
     if (line.empty()) {
       continue;
     }
+    // The row parsers read C strings: a NUL byte would end a row early and
+    // hide the bytes after it.
+    if (line.find('\0') != std::string::npos) {
+      return Fail(error, line_no, "NUL byte");
+    }
     if (line[0] == '#') {
-      unsigned long long dropped = 0;
-      if (std::sscanf(line.c_str(), "# dropped=%llu", &dropped) == 1) {
-        out->dropped = dropped;
+      constexpr char kDropped[] = "# dropped=";
+      if (line.compare(0, sizeof(kDropped) - 1, kDropped) == 0 &&
+          !ParseCount(line.c_str() + sizeof(kDropped) - 1, &out->dropped)) {
+        return Fail(error, line_no, "bad dropped count");
       }
-      continue;  // unknown comments are ignored
+      continue;  // other comments are ignored
     }
     if (!saw_header) {
       if (line != "time_us,event,arg0,arg1,arg2" && line != "time_us,event,arg0,arg1") {

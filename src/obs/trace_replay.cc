@@ -130,10 +130,15 @@ class TraceReplay {
   std::vector<CoreRunner> cores_;
 };
 
-// Folds the window into an FNV-1a digest, one FoldTraceEvent per event.
+// Folds the window into its digest, one FoldTraceEvent per event, and
+// counts the events by type.
 struct WindowDigest {
   uint64_t hash = kFnv1aOffsetBasis;
-  void OnEvent(TraceReplay&, const TraceEvent& e) { hash = FoldTraceEvent(hash, e); }
+  std::array<uint64_t, kNumTraceEventTypes> records_by_type{};
+  void OnEvent(TraceReplay&, const TraceEvent& e) {
+    hash = FoldTraceEvent(hash, e);
+    ++records_by_type[static_cast<size_t>(e.type)];
+  }
   void Finish(TraceReplay&) {}
 };
 
@@ -1182,7 +1187,7 @@ void TraceEvaluator::Feed(std::span<const TraceEvent> batch) {
 TraceEvaluation TraceEvaluator::Finish() {
   Passes& p = *passes_;
   p.replay.Finish(p.digest, p.trace, p.chains, p.postmortem);
-  return TraceEvaluation{p.digest.hash, std::move(p.trace.analysis()),
+  return TraceEvaluation{p.digest.hash, p.digest.records_by_type, std::move(p.trace.analysis()),
                          std::move(p.chains.analysis()), std::move(p.postmortem.analysis())};
 }
 

@@ -1,21 +1,24 @@
 // One pass over a trace for every analysis of it, fed in batches.
 //
 // The replay walks the records oldest first and hands each one to the
-// window digest, the trace analyzer (AnalyzeTrace), the chain analyzer
-// (AnalyzeChains) and the postmortem engine (AnalyzePostmortem). One cursor
+// window digest and record count, the trace analyzer (AnalyzeTrace), the
+// chain analyzer (AnalyzeChains) and the postmortem engine
+// (AnalyzePostmortem). One cursor
 // holds what they all need: the event index, the per-core runner table, the
 // thread/core id guards, events dropped ahead of the first record and
 // sink-reset epoch markers. The cursor and every visitor carry their state
 // from one batch to the next, so a window fed whole, one record at a time or
 // in the slices a fleet node records between drains yields the same
 // TraceEvaluation. The visitors are bound at compile time, so one loop body
-// holds all their work, and the digest's dependent multiply chain hides most
-// of the analyses' cost. Each Analyze* call runs its own visitor alone on
-// the same cursor and returns what EvaluateTrace returns for it.
+// holds all their work. The digest costs three multiplies per record
+// (FoldTraceEvent), so the fused pass costs about what the three analyses
+// cost alone. Each Analyze* call runs its own visitor alone on the same
+// cursor and returns what EvaluateTrace returns for it.
 
 #ifndef SRC_OBS_TRACE_REPLAY_H_
 #define SRC_OBS_TRACE_REPLAY_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -31,7 +34,11 @@ namespace obs {
 
 // Everything a node's evaluation reads from its trace.
 struct TraceEvaluation {
-  uint64_t window_digest = 0;  // FoldTraceEvent over the records, from kFnv1aOffsetBasis
+  // FoldTraceEvent over the records, oldest first, from kFnv1aOffsetBasis.
+  uint64_t window_digest = 0;
+  // The records fed, counted by TraceEventType: a deterministic work
+  // counter, so a changed record mix is a changed run.
+  std::array<uint64_t, kNumTraceEventTypes> records_by_type{};
   TraceAnalysis trace;
   ChainAnalysis chains;
   PostmortemAnalysis postmortem;

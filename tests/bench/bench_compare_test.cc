@@ -1,8 +1,8 @@
 // Perf-regression gate tests: an injected scheduler-bucket regression beyond
 // tolerance must fail, within-tolerance drift must pass, the user/idle
 // buckets and wall-clock throughput must stay ungated, a changed fleet,
-// cycle-ledger or SMP run digest must fail, and a candidate that violates
-// its own invariants must never pass.
+// cycle-ledger or SMP run digest and a changed fleet record mix must fail,
+// and a candidate that violates its own invariants must never pass.
 
 #include <string>
 
@@ -269,6 +269,56 @@ TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_TRUE(HasNote(r, "trace.storage_bytes_max: 98304 vs baseline 196608"));
   EXPECT_FALSE(CompareReports(base, Parse(FleetDoc("0x694861b1cb5ac0b9")), CompareOptions()).ok);
+}
+
+// The trace record mix gates exactly, naming the type and both counts; a
+// digest failure over an equal mix says the records are unchanged.
+TEST(BenchCompareFleetTest, RecordMixChangeFailsAndAnEqualMixIsNamedInTheDigestFailure) {
+  const char* mix = ",\"trace\":{\"records_by_type\":{\"context_switch\":100,\"irq\":5}}";
+  JsonValue base = Parse(FleetDoc("0x1111111111111111", mix));
+  CompareResult same = CompareReports(base, base, CompareOptions());
+  EXPECT_TRUE(same.ok) << (same.failures.empty() ? "" : same.failures[0]);
+
+  JsonValue more_irqs = Parse(FleetDoc(
+      "0x1111111111111111", ",\"trace\":{\"records_by_type\":{\"context_switch\":100,\"irq\":6}}"));
+  CompareResult r = CompareReports(base, more_irqs, CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("trace records of type irq: 6 vs baseline 5"), std::string::npos)
+      << r.failures[0];
+
+  // A type only the candidate has counts against 0.
+  JsonValue new_type = Parse(FleetDoc(
+      "0x1111111111111111",
+      ",\"trace\":{\"records_by_type\":{\"context_switch\":100,\"irq\":5,\"msg_send\":2}}"));
+  r = CompareReports(base, new_type, CompareOptions());
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("trace records of type msg_send: 2 vs baseline 0"),
+            std::string::npos)
+      << r.failures[0];
+
+  // Same records by type, different digest: the failure says so.
+  r = CompareReports(base, Parse(FleetDoc("0x2222222222222222", mix)), CompareOptions());
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("fleet_digest differs"), std::string::npos) << r.failures[0];
+  EXPECT_NE(r.failures[0].find("the trace records are unchanged"), std::string::npos)
+      << r.failures[0];
+
+  // A changed mix and digest: two failures, and the digest one does not
+  // claim the records are unchanged.
+  r = CompareReports(base, Parse(FleetDoc("0x2222222222222222",
+                                          ",\"trace\":{\"records_by_type\":{"
+                                          "\"context_switch\":101,\"irq\":5}}")),
+                     CompareOptions());
+  ASSERT_EQ(r.failures.size(), 2u);
+  EXPECT_NE(r.failures[1].find("per-node traces changed"), std::string::npos) << r.failures[1];
+
+  // Losing the section fails.
+  r = CompareReports(base, Parse(FleetDoc("0x1111111111111111")), CompareOptions());
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("baseline has trace.records_by_type but the candidate does not"),
+            std::string::npos)
+      << r.failures[0];
 }
 
 // --- emeralds.bench.smp/1 ---

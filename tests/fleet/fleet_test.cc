@@ -1,6 +1,7 @@
 #include "src/fleet/fleet.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 
 #include <gtest/gtest.h>
@@ -127,8 +128,12 @@ TEST(FleetTest, DigestIsStableAcrossRunsAndWorkerCounts) {
 }
 
 // Pins an overloaded fleet's outcome: the fleet digest and a non-empty
-// blame ledger. Host-side rewrites of the digest or of the trace replays
-// must leave every value unchanged.
+// blame ledger. A host-side rewrite of the trace replays must leave every
+// value unchanged. A change of the digest's encoding (FoldTraceEvent,
+// FoldKernelCounters, the fleet combine) moves fleet_digest alone; re-pin
+// it only after showing, with old and new folds computed side by side,
+// that the old -> new map of node digests is one-to-one. blame_digest
+// stays on FNV-1a and must never move.
 TEST(FleetTest, OverloadedFleetMatchesGolden) {
   FleetOptions opt;
   opt.instances = 16;
@@ -140,7 +145,7 @@ TEST(FleetTest, OverloadedFleetMatchesGolden) {
   FleetResult result = RunFleet(opt);
   EXPECT_EQ(result.nodes_failed, 0);
   EXPECT_GT(result.blame.misses_analyzed, 0u);
-  EXPECT_EQ(result.fleet_digest, 0x645ec2202884e256ULL);
+  EXPECT_EQ(result.fleet_digest, 0x0085744b71739dc2ULL);
   EXPECT_EQ(result.blame_digest, 0xb823deafe9c443d9ULL);
   EXPECT_EQ(result.deadline_misses, 86u);
   EXPECT_EQ(result.chain_completed, 6161u);
@@ -239,6 +244,38 @@ TEST(FleetTest, NodesKeepOneSliceOfTraceAndDropNothing) {
   EXPECT_EQ(result.nodes[static_cast<size_t>(result.trace_storage_bytes_worst_node)]
                 .trace_storage_bytes,
             largest);
+}
+
+// A node's record mix counts every record it made by type: the fleet's
+// slice-by-slice count equals a direct count over InspectNode's whole
+// window, and the fleet's mix is the sum of its nodes'.
+TEST(FleetTest, RecordMixCountsEveryRecordOfTheNode) {
+  FleetOptions opt = SmallFleet();
+  FleetResult result = RunFleet(opt);
+  std::array<uint64_t, kNumTraceEventTypes> sum{};
+  for (const NodeResult& node : result.nodes) {
+    for (size_t t = 0; t < sum.size(); ++t) {
+      sum[t] += node.records_by_type[t];
+    }
+  }
+  EXPECT_EQ(result.records_by_type, sum);
+  for (int index : {0, 3}) {
+    const NodeResult& streamed = result.nodes[static_cast<size_t>(index)];
+    InspectNode(opt, index, [&](const Kernel& kernel, const NodeResult& inspected) {
+      std::array<uint64_t, kNumTraceEventTypes> direct{};
+      for (const TraceEvent& e : kernel.trace().events()) {
+        ++direct[static_cast<size_t>(e.type)];
+      }
+      EXPECT_EQ(streamed.records_by_type, direct) << "node " << index;
+      EXPECT_EQ(inspected.records_by_type, direct) << "node " << index;
+      uint64_t total = 0;
+      for (uint64_t count : direct) {
+        total += count;
+      }
+      EXPECT_EQ(total, kernel.trace().total_recorded()) << "node " << index;
+      EXPECT_GT(direct[static_cast<size_t>(TraceEventType::kOverheadSpan)], 0u);
+    });
+  }
 }
 
 // --- Streaming timeseries + alerting plane ---
@@ -410,6 +447,11 @@ TEST(FleetReportTest, ReportCarriesSchemaAndGatedFields) {
                 "\"storage_bytes_max\":%zu,\"storage_bytes_worst_node\":%d",
                 result.trace_storage_bytes_max, result.trace_storage_bytes_worst_node);
   EXPECT_NE(report.find(storage), std::string::npos) << storage;
+  char mix[96];
+  std::snprintf(mix, sizeof(mix), "\"records_by_type\":{\"context_switch\":%llu,",
+                static_cast<unsigned long long>(result.records_by_type[0]));
+  EXPECT_NE(report.find(mix), std::string::npos) << mix;
+  EXPECT_NE(report.find("\"thread_ready\":"), std::string::npos);
   EXPECT_NE(report.find("\"timeseries\":{"), std::string::npos);
   EXPECT_NE(report.find("\"schema\":\"emeralds.obs.timeseries/1\""), std::string::npos);
   EXPECT_NE(report.find("\"alerts\":{"), std::string::npos);

@@ -1,9 +1,10 @@
 // Virtual hardware tests: clock, hardware timers, interrupt controller,
-// cost model, trace sink.
+// cost model, trace sink, and the trace digest's fold.
 
 #include <cstdio>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -384,6 +385,111 @@ TEST(TraceEventTypeTest, ToStringFromStringRoundTripsAllEnumerators) {
   TraceEventType unused;
   EXPECT_FALSE(TraceEventTypeFromString("not_an_event", &unused));
   EXPECT_FALSE(TraceEventTypeFromString("", &unused));
+}
+
+// --- The trace digest's fold (FoldTraceEvent) ---
+
+uint64_t FoldWindow(const std::vector<TraceEvent>& window) {
+  uint64_t hash = kFnv1aOffsetBasis;
+  for (const TraceEvent& e : window) {
+    hash = FoldTraceEvent(hash, e);
+  }
+  return hash;
+}
+
+// A record with every field drawn at random: a time under 2^40 us, any type,
+// and args spanning all 32 bits.
+TraceEvent RandomRecord(Rng& rng) {
+  return TraceEvent{Instant() + Microseconds(rng.UniformInt(0, (int64_t{1} << 40) - 1)),
+                    static_cast<TraceEventType>(rng.UniformInt(0, kNumTraceEventTypes - 1)),
+                    static_cast<int32_t>(static_cast<uint32_t>(rng.Next())),
+                    static_cast<int32_t>(static_cast<uint32_t>(rng.Next())),
+                    static_cast<int32_t>(static_cast<uint32_t>(rng.Next()))};
+}
+
+// Every field lands in one word of a bijective step, so changing any one
+// field of a record changes its fold, whatever the record and start value.
+TEST(TraceDigestTest, ChangingAnyOneFieldChangesTheFold) {
+  Rng rng(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const uint64_t start = rng.Next();
+    const TraceEvent e = RandomRecord(rng);
+    const uint64_t base = FoldTraceEvent(start, e);
+    for (int arg = 0; arg < 3; ++arg) {
+      for (int bit = 0; bit < 32; ++bit) {
+        TraceEvent changed = e;
+        int32_t* args[] = {&changed.arg0, &changed.arg1, &changed.arg2};
+        *args[arg] = static_cast<int32_t>(static_cast<uint32_t>(*args[arg]) ^ (1u << bit));
+        ASSERT_NE(FoldTraceEvent(start, changed), base) << "arg" << arg << " bit " << bit;
+      }
+    }
+    for (int k = 0; k < 40; ++k) {
+      for (int64_t sign : {1, -1}) {
+        TraceEvent changed = e;
+        changed.time = e.time + Microseconds(sign * (int64_t{1} << k));
+        ASSERT_NE(FoldTraceEvent(start, changed), base) << "time " << sign << " * 2^" << k;
+      }
+    }
+    for (int t = 0; t < kNumTraceEventTypes; ++t) {
+      if (t == static_cast<int>(e.type)) {
+        continue;
+      }
+      TraceEvent changed = e;
+      changed.type = static_cast<TraceEventType>(t);
+      ASSERT_NE(FoldTraceEvent(start, changed), base) << "type " << t;
+    }
+  }
+}
+
+// A multiply passes a difference in bit 63 through unchanged, and the step's
+// fold copies it to bit 31. With the type in the low half of the arg0 word
+// (arg0's sign bit at bit 63), flipping the sign bits of arg0, arg1 and arg2
+// together would cancel in the next word. With the type high it must not.
+TEST(TraceDigestTest, FlippingAllThreeArgSignBitsChangesTheFold) {
+  Rng rng(23);
+  for (int trial = 0; trial < 10000; ++trial) {
+    const uint64_t start = rng.Next();
+    const TraceEvent e = RandomRecord(rng);
+    TraceEvent flipped = e;
+    for (int32_t* arg : {&flipped.arg0, &flipped.arg1, &flipped.arg2}) {
+      *arg = static_cast<int32_t>(static_cast<uint32_t>(*arg) ^ 0x80000000u);
+    }
+    ASSERT_NE(FoldTraceEvent(start, flipped), FoldTraceEvent(start, e)) << "trial " << trial;
+  }
+}
+
+TEST(TraceDigestTest, SwappingTwoDistinctAdjacentRecordsChangesTheDigest) {
+  Rng rng(29);
+  std::vector<TraceEvent> window;
+  for (int i = 0; i < 64; ++i) {
+    window.push_back(RandomRecord(rng));
+  }
+  // Also neighbours that differ in one field only.
+  window.push_back(window.back());
+  window.back().arg2 ^= 1;
+  window.push_back(window.back());
+  window.back().type = TraceEventType::kIrq;
+  const uint64_t digest = FoldWindow(window);
+  for (size_t i = 0; i + 1 < window.size(); ++i) {
+    if (SameEvent(window[i], window[i + 1])) {
+      continue;
+    }
+    std::vector<TraceEvent> swapped = window;
+    std::swap(swapped[i], swapped[i + 1]);
+    EXPECT_NE(FoldWindow(swapped), digest) << "swapped records " << i << " and " << i + 1;
+  }
+}
+
+// A known answer: an edit of FoldWord or FoldTraceEvent fails here, by name,
+// before it moves any golden run digest.
+TEST(TraceDigestTest, FixedWindowFoldsToItsKnownAnswer) {
+  const std::vector<TraceEvent> window = {
+      {Instant() + Microseconds(1), TraceEventType::kJobRelease, 3, 1, 0},
+      {Instant() + Microseconds(250), TraceEventType::kContextSwitch, -1, 3, 0},
+      {Instant() + Microseconds(1250), TraceEventType::kOverheadSpan, OverheadSpanPack(2, 1),
+       -1000, 4},
+  };
+  EXPECT_EQ(FoldWindow(window), 0x1777a092248fc3efULL);
 }
 
 // Reads `f` back into a string (the CSV/dump tests write to tmpfile()).

@@ -463,6 +463,24 @@ TEST(TraceCsvTest, RejectsMalformedInput) {
   EXPECT_FALSE(ImportTraceCsv(std::string("time_us,event,arg0,arg1\n1,irq,0,4294967297\n"),
                               &import, &error));
   EXPECT_EQ(error, "line 2: arg out of range");
+  // A NUL byte inside a row, and a drop trailer that is not a plain count:
+  // once accepted, as one event and as 2^64 - 1 or 5 dropped.
+  EXPECT_FALSE(ImportTraceCsv(
+      std::string("time_us,event,arg0,arg1,arg2\n0,irq,1,2,3\0junk,,,\n", 49), &import, &error));
+  EXPECT_EQ(error, "line 2: NUL byte");
+  for (const char* trailer : {"# dropped=-1\n", "# dropped=5x\n", "# dropped=\n",
+                              "# dropped=99999999999999999999\n"}) {
+    EXPECT_FALSE(ImportTraceCsv(std::string("time_us,event,arg0,arg1,arg2\n0,irq,1,2,3\n") +
+                                    trailer,
+                                &import, &error))
+        << trailer;
+    EXPECT_EQ(error, "line 3: bad dropped count") << trailer;
+  }
+  ASSERT_TRUE(ImportTraceCsv(std::string("time_us,event,arg0,arg1,arg2\n0,irq,1,2,3\n"
+                                         "# dropped=18446744073709551615\n"),
+                             &import, &error))
+      << error;
+  EXPECT_EQ(import.dropped, std::numeric_limits<uint64_t>::max());
   // The extremes that do fit still import.
   ASSERT_TRUE(ImportTraceCsv(std::string("time_us,event,arg0,arg1,arg2\n"
                                          "-9223372036854775,irq,-2147483648,2147483647,0\n"),

@@ -144,6 +144,7 @@ void ExpectPostmortemsEqual(const PostmortemAnalysis& got, const PostmortemAnaly
 void ExpectEvaluationsEqual(const TraceEvaluation& got, const TraceEvaluation& want,
                             const std::string& what) {
   EXPECT_EQ(got.window_digest, want.window_digest) << what;
+  EXPECT_EQ(got.records_by_type, want.records_by_type) << what;
   ExpectTraceAnalysesEqual(got.trace, want.trace, what + " trace");
   ExpectChainAnalysesEqual(got.chains, want.chains, what + " chains");
   ExpectPostmortemsEqual(got.postmortem, want.postmortem, what + " postmortem");
