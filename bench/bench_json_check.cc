@@ -454,9 +454,9 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
 
 // The merged fleet telemetry section (schema emeralds.fleet.telemetry/1):
 // exact-bucket percentile tables over the whole fleet. Structural plus the
-// one substantive check that matters — the section must actually cover
-// nodes, not be an empty shell.
-bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx) {
+// one substantive check that matters — the merge must cover every node, so
+// its counters equal the report's own totals.
+bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const JsonValue& root) {
   const JsonValue* schema = telemetry.Find("schema");
   if (schema == nullptr || schema->type != JsonValue::Type::kString ||
       schema->string != "emeralds.fleet.telemetry/1") {
@@ -464,9 +464,16 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx) {
     return false;
   }
   if (!RequireNumbers(telemetry, ctx,
-                      {"nodes_collected", "jobs_completed", "deadline_misses",
-                       "chain_overruns", "stats_snapshot_drops"})) {
+                      {"jobs_completed", "deadline_misses", "chain_overruns",
+                       "stats_snapshot_drops"})) {
     return false;
+  }
+  for (const char* key : {"jobs_completed", "deadline_misses", "chain_overruns"}) {
+    if (telemetry.Find(key)->number != root.Find(key)->number) {
+      std::fprintf(stderr, "FAIL: %s %s=%g but the report's total is %g\n", ctx, key,
+                   telemetry.Find(key)->number, root.Find(key)->number);
+      return false;
+    }
   }
   const JsonValue* core_cycles = telemetry.Find("core_cycles_us");
   if (core_cycles == nullptr || core_cycles->type != JsonValue::Type::kArray ||
@@ -474,20 +481,10 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx) {
     std::fprintf(stderr, "FAIL: %s missing core_cycles_us array\n", ctx);
     return false;
   }
-  if (telemetry.Find("nodes_collected")->number <= 0.0) {
-    std::fprintf(stderr, "FAIL: %s covers no nodes\n", ctx);
-    return false;
-  }
   const JsonValue* headroom = telemetry.Find("headroom");
   if (headroom == nullptr ||
       !RequireNumbers(*headroom, "telemetry headroom",
                       {"min_us", "min_node", "low_events_total"})) {
-    return false;
-  }
-  const JsonValue* trace = telemetry.Find("trace");
-  if (trace == nullptr ||
-      !RequireNumbers(*trace, "telemetry trace",
-                      {"dropped_total", "worst_node", "worst_node_dropped"})) {
     return false;
   }
   const JsonValue* cycles = telemetry.Find("cycles");
@@ -567,7 +564,7 @@ bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValu
                         {"index", "start_us", "end_us", "samples", "jobs_released",
                          "jobs_completed", "deadline_misses", "context_switches",
                          "interrupts", "timer_dispatches", "chain_origins",
-                         "chain_e2e_completed", "chain_e2e_overruns", "trace_dropped",
+                         "chain_e2e_completed", "chain_e2e_overruns",
                          "stats_snapshot_drops"})) {
       return false;
     }
@@ -684,13 +681,21 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
                        "events_total", "virtual_ms_total", "events_per_virtual_sec",
                        "jobs_completed", "deadline_misses", "timer_dispatches",
                        "chain_completed", "chain_overruns", "nodes_total", "nodes_failed",
-                       "arena_high_water_bytes", "wall_seconds", "events_per_wall_sec"})) {
+                       "wall_seconds", "events_per_wall_sec"})) {
     return 1;
   }
   for (const char* key : {"fleet_digest", "label"}) {
     const JsonValue* v = root.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kString) {
       std::fprintf(stderr, "FAIL: fleet missing string \"%s\"\n", key);
+      return 1;
+    }
+  }
+  // Every fleet run measures its evaluation cost and carries telemetry, a
+  // window series and an alert stream.
+  for (const char* key : {"host_evaluate", "telemetry", "timeseries", "alerts"}) {
+    if (root.Find(key) == nullptr) {
+      std::fprintf(stderr, "FAIL: fleet missing \"%s\" section\n", key);
       return 1;
     }
   }
@@ -711,18 +716,15 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
     std::fprintf(stderr, "FAIL: fleet missing schedulers object\n");
     return 1;
   }
-  // Host evaluation cost: optional (older reports lack it), never gated.
-  const JsonValue* evaluate = root.Find("host_evaluate");
-  if (evaluate != nullptr &&
-      !RequireNumbers(*evaluate, "fleet host_evaluate",
+  // Host evaluation cost: never gated.
+  if (!RequireNumbers(*root.Find("host_evaluate"), "fleet host_evaluate",
                       {"cpu_ns_total", "cpu_ns_max", "slowest_node"})) {
     return 1;
   }
   const JsonValue* fleet_trace = root.Find("trace");
   if (fleet_trace == nullptr ||
       !RequireNumbers(*fleet_trace, "fleet trace",
-                      {"dropped_total", "worst_node", "worst_node_dropped", "storage_bytes_max",
-                       "storage_bytes_worst_node"})) {
+                      {"storage_bytes_max", "storage_bytes_worst_node"})) {
     return 1;
   }
   // The fleet's record mix: one count per event type, and no other key.
@@ -781,16 +783,9 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
                  fleet_blame->Find("conservation_failures")->number);
     return 1;
   }
-  const JsonValue* telemetry = root.Find("telemetry");
-  if (telemetry != nullptr && !CheckTelemetrySection(*telemetry, "telemetry")) {
-    return 1;
-  }
-  const JsonValue* timeseries = root.Find("timeseries");
-  if (timeseries != nullptr && !CheckTimeseriesSection(*timeseries, "timeseries", &root)) {
-    return 1;
-  }
-  const JsonValue* alerts = root.Find("alerts");
-  if (alerts != nullptr && !CheckAlertsSection(*alerts, "alerts")) {
+  if (!CheckTelemetrySection(*root.Find("telemetry"), "telemetry", root) ||
+      !CheckTimeseriesSection(*root.Find("timeseries"), "timeseries", &root) ||
+      !CheckAlertsSection(*root.Find("alerts"), "alerts")) {
     return 1;
   }
   std::printf("OK: %s (fleet run, %g nodes, %g events, 0 failures)\n", path,

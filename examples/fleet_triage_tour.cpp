@@ -50,7 +50,7 @@ int main() {
   // first log2 bucket whose cumulative count covers the fraction, clamped by
   // the exact max — a guaranteed upper bound on the true percentile.
   const obs::FleetTelemetry& t = result.telemetry;
-  std::printf("\nmerged job response times (%d nodes, %llu samples):\n", t.nodes_collected,
+  std::printf("\nmerged job response times (%d nodes, %llu samples):\n", result.instances,
               static_cast<unsigned long long>(t.response.count()));
   for (double fraction : {0.5, 0.9, 0.99}) {
     std::printf("  p%-4g <= %6lld us\n", fraction * 100,

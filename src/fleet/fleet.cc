@@ -8,7 +8,6 @@
 #include <limits>
 #include <memory>
 
-#include "src/base/arena.h"
 #include "src/base/assert.h"
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
@@ -27,7 +26,7 @@ int64_t ThreadCpuNs() {
   return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
 }
 
-// Workload handles, arena-resident (trivially destructible: ids + bytes).
+// Workload handles the thread bodies read through a pointer.
 struct NodeState {
   SemId tick_sem;
   TimerId timer;
@@ -35,28 +34,17 @@ struct NodeState {
   uint8_t payload[8] = {};
 };
 
-// Top-level node state only; kernel-internal containers (ready queues,
-// trace ring, TCBs) still come from the heap — the arena isolates and
-// batch-frees the objects the fleet itself places.
-constexpr size_t kNodeArenaBytes = sizeof(Hardware) + sizeof(Kernel) + sizeof(NodeState) + 512;
-
-// One simulated node: its arena owns the Hardware, the Kernel, and the
-// workload handles; the control block itself is tiny and heap-held.
+// One simulated node. Members are destroyed in reverse order: the
+// evaluator (which reads the kernel's resolved chains) and the collector
+// go first, then the kernel, and only then the workload handles its thread
+// bodies point at and the hardware it runs on.
 struct Node {
-  Node() : arena(kNodeArenaBytes) {}
-
-  Arena arena;
-  Hardware* hw = nullptr;
-  Kernel* kernel = nullptr;
-  NodeState* st = nullptr;
+  std::unique_ptr<Hardware> hw;
+  NodeState st;
+  std::unique_ptr<Kernel> kernel;
   Instant end;
-  int index = -1;
   NodeResult result;
-  // Streaming telemetry collector (heap, not arena: it outlives the arena
-  // Reset in FinishNode only long enough to be snapshotted into the result).
   std::unique_ptr<obs::TimeseriesCollector> ts;
-  // The node's trace evaluation, fed the records of every slice (heap, like
-  // `ts`; it reads the kernel's resolved chains until the horizon).
   std::unique_ptr<obs::TraceEvaluator> evaluator;
 };
 
@@ -65,8 +53,6 @@ struct Node {
 // (worker id, steal order, wall time) is ever consulted.
 void BuildNode(Node& node, const FleetOptions& opt, int index) {
   Rng topo = Rng(opt.seed).Fork(static_cast<uint64_t>(index) + 1);
-  node.index = index;
-  node.result.seed = opt.seed;
   node.ts = std::make_unique<obs::TimeseriesCollector>(kTimeseriesOptions);
   // Overload injection: the multiplier is applied *after* every topology
   // draw below, so the Rng stream — and therefore every other node — is
@@ -124,12 +110,11 @@ void BuildNode(Node& node, const FleetOptions& opt, int index) {
     config.chains.push_back(pipe);
   }
 
-  node.hw = node.arena.New<Hardware>();
-  node.kernel = node.arena.New<Kernel>(*node.hw, config);
+  node.hw = std::make_unique<Hardware>();
+  node.kernel = std::make_unique<Kernel>(*node.hw, config);
   Kernel& kernel = *node.kernel;
   node.evaluator = std::make_unique<obs::TraceEvaluator>(0, kernel.resolved_chains());
-  NodeState* st = node.arena.New<NodeState>();
-  node.st = st;
+  NodeState* st = &node.st;
 
   st->tick_sem = kernel.CreateSemaphore("tick_sem", 0).value();
   st->mbox = kernel.CreateMailbox("pipe", static_cast<size_t>(topo.UniformInt(2, 4))).value();
@@ -228,10 +213,10 @@ void FeedTrace(Node& node) {
 // its window series under the alert rules. The kernel has reached its
 // horizon and is only read, so nothing here can perturb the simulated
 // outcome or its digest.
-void EvaluateNode(const Kernel& kernel, int index, obs::TraceEvaluator* evaluator,
-                  obs::TimeseriesCollector* ts, NodeResult* result) {
+void EvaluateNode(Node& node, int index) {
   const int64_t cpu_start = ThreadCpuNs();
-  NodeResult& r = *result;
+  const Kernel& kernel = *node.kernel;
+  NodeResult& r = node.result;
   const KernelStats& s = kernel.stats();
 
   r.events = s.context_switches + s.syscalls + s.interrupts + s.timer_dispatches;
@@ -240,11 +225,10 @@ void EvaluateNode(const Kernel& kernel, int index, obs::TraceEvaluator* evaluato
   r.timer_dispatches = s.timer_dispatches;
   r.headroom_low_events = s.headroom_low_events;
   r.virtual_time = kernel.now() - Instant();
-  r.trace_dropped = kernel.trace().dropped();
   r.trace_storage_bytes = kernel.trace().storage_bytes();
 
   // Digest, invariants, chains and postmortem over every record the node made.
-  obs::TraceEvaluation eval = evaluator->Finish();
+  obs::TraceEvaluation eval = node.evaluator->Finish();
   r.trace_digest = obs::FoldKernelCounters(eval.window_digest, s);
   r.records_by_type = eval.records_by_type;
   const obs::TraceAnalysis& analysis = eval.trace;
@@ -263,10 +247,8 @@ void EvaluateNode(const Kernel& kernel, int index, obs::TraceEvaluator* evaluato
 
   if (!analysis.violations.empty()) {
     r.failure = "trace invariant violated: " + analysis.violations[0].detail;
-  } else if (r.trace_dropped == 0 && (!reconciliation.checked || !reconciliation.ok())) {
+  } else if (!reconciliation.checked || !reconciliation.ok()) {
     r.failure = "reconciliation mismatch (trace vs kernel counters)";
-  } else if (r.trace_dropped > 0 && reconciliation.checked) {
-    r.failure = "reconciliation claimed a truncated trace was checked";
   } else if (conservation.residual.nanos() != 0 || unattributed != 0) {
     char buf[128];
     std::snprintf(buf, sizeof(buf),
@@ -308,30 +290,15 @@ void EvaluateNode(const Kernel& kernel, int index, obs::TraceEvaluator* evaluato
   // Streaming plane: close the window series at the horizon (synthesizing
   // the tail interval), snapshot it into the result, and run the node-local
   // alert rules over it.
-  ts->Finish(kernel);
-  r.windows = ts->Snapshot();
-  r.timeseries_lost_samples = ts->lost_samples();
-  r.timeseries_windows_dropped = ts->windows_dropped();
+  node.ts->Finish(kernel);
+  r.windows = node.ts->Snapshot();
+  r.timeseries_lost_samples = node.ts->lost_samples();
+  r.timeseries_windows_dropped = node.ts->windows_dropped();
   obs::AlertEngine engine(kAlertConfig);
   for (const obs::TelemetryWindow& w : r.windows) {
     engine.Observe(w, index, &r.alerts);
   }
   r.host_evaluate_ns += ThreadCpuNs() - cpu_start;
-}
-
-// EvaluateNode plus teardown. Runs on the pool worker that executed the
-// node's final slice.
-void FinishNode(Node& node) {
-  EvaluateNode(*node.kernel, node.index, node.evaluator.get(), node.ts.get(), &node.result);
-  node.evaluator.reset();
-  node.ts.reset();
-  // Reclaim the node's entire footprint in one shot; record the high-water
-  // mark first so arenas can be sized from measured fleets.
-  node.arena.Reset();
-  node.result.arena_high_water = node.arena.high_water();
-  node.hw = nullptr;
-  node.kernel = nullptr;
-  node.st = nullptr;
 }
 
 }  // namespace
@@ -341,11 +308,9 @@ FleetResult RunFleet(const FleetOptions& opt) {
                 "RunFleet must not be called from a pool worker");
   EM_ASSERT(opt.instances > 0);
 
-  std::vector<std::unique_ptr<Node>> nodes;
-  nodes.reserve(static_cast<size_t>(opt.instances));
-  for (int i = 0; i < opt.instances; ++i) {
-    nodes.push_back(std::make_unique<Node>());
-  }
+  const size_t instances = static_cast<size_t>(opt.instances);
+  std::vector<std::unique_ptr<Node>> nodes(instances);
+  std::vector<NodeResult> results(instances);
 
   auto wall_start = std::chrono::steady_clock::now();
   int resolved_workers = 0;
@@ -357,10 +322,12 @@ FleetResult RunFleet(const FleetOptions& opt) {
     // parallel. `step` outlives every task because pool.Wait() (via the
     // pool's scoped destruction) covers transitively submitted work.
     std::function<void(int)> step = [&](int index) {
-      Node& node = *nodes[static_cast<size_t>(index)];
-      if (node.kernel == nullptr) {
-        BuildNode(node, opt, index);
+      std::unique_ptr<Node>& slot = nodes[static_cast<size_t>(index)];
+      if (slot == nullptr) {
+        slot = std::make_unique<Node>();
+        BuildNode(*slot, opt, index);
       }
+      Node& node = *slot;
       Kernel& kernel = *node.kernel;
       Instant target = std::min(node.end, kernel.now() + opt.slice);
       kernel.RunUntil(target);
@@ -375,7 +342,11 @@ FleetResult RunFleet(const FleetOptions& opt) {
       if (kernel.now() < node.end) {
         pool.Submit([&step, index] { step(index); });
       } else {
-        FinishNode(node);
+        // Evaluate on the worker that ran the final slice, then free the
+        // node: memory is the budget at fleet scale.
+        EvaluateNode(node, index);
+        results[static_cast<size_t>(index)] = std::move(node.result);
+        slot.reset();
       }
     };
     for (int i = 0; i < opt.instances; ++i) {
@@ -392,10 +363,9 @@ FleetResult RunFleet(const FleetOptions& opt) {
   out.seed = opt.seed;
   out.wall_seconds = wall_seconds;
   out.artifacts_dir = opt.artifacts_dir;
-  out.nodes.reserve(nodes.size());
   uint64_t digest = kFnv1aOffsetBasis;
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    const NodeResult& r = nodes[i]->result;
+  for (size_t i = 0; i < results.size(); ++i) {
+    const NodeResult& r = results[i];
     out.events_total += r.events;
     out.jobs_completed += r.jobs_completed;
     out.deadline_misses += r.deadline_misses;
@@ -406,11 +376,6 @@ FleetResult RunFleet(const FleetOptions& opt) {
     out.nodes_failed += r.ok() ? 0 : 1;
     out.nodes_anomalous += r.anomalous() ? 1 : 0;
     out.headroom_low_total += r.headroom_low_events;
-    out.trace_dropped_total += r.trace_dropped;
-    if (r.trace_dropped > out.trace_dropped_worst) {
-      out.trace_dropped_worst = r.trace_dropped;
-      out.trace_dropped_worst_node = static_cast<int>(i);
-    }
     if (r.trace_storage_bytes > out.trace_storage_bytes_max) {
       out.trace_storage_bytes_max = r.trace_storage_bytes;
       out.trace_storage_bytes_worst_node = static_cast<int>(i);
@@ -418,7 +383,6 @@ FleetResult RunFleet(const FleetOptions& opt) {
     for (size_t t = 0; t < r.records_by_type.size(); ++t) {
       out.records_by_type[t] += r.records_by_type[t];
     }
-    out.arena_high_water = std::max(out.arena_high_water, r.arena_high_water);
     obs::MergeNodeTelemetry(&out.telemetry, r.telemetry, static_cast<int>(i));
     out.blame.Merge(r.blame);
     out.postmortem_incomplete_total += r.postmortem_incomplete;
@@ -428,8 +392,8 @@ FleetResult RunFleet(const FleetOptions& opt) {
       out.host_evaluate_slowest_node = static_cast<int>(i);
     }
     digest = FoldWord(digest, r.trace_digest);
-    out.nodes.push_back(r);
   }
+  out.nodes = std::move(results);
   out.fleet_digest = digest;
   out.blame_digest = out.blame.Digest();
   double virtual_seconds = static_cast<double>(out.virtual_time_total.nanos()) / 1e9;
@@ -532,16 +496,24 @@ NodeResult InspectNode(const FleetOptions& opt, int index,
   // bundles) and is evaluated in one pass, so a caller comparing this digest
   // with the fleet's checks the streamed evaluation against the one-pass one.
   FeedTrace(node);
-  EvaluateNode(*node.kernel, index, node.evaluator.get(), node.ts.get(), &node.result);
+  EvaluateNode(node, index);
   if (visit) {
     visit(*node.kernel, node.result);
   }
-  node.arena.Reset();
-  node.result.arena_high_water = node.arena.high_water();
-  node.hw = nullptr;
-  node.kernel = nullptr;
-  node.st = nullptr;
-  return node.result;
+  return std::move(node.result);
+}
+
+obs::PerfettoExportOptions NodePerfettoOptions(const Kernel& kernel, const NodeResult& result,
+                                               int index) {
+  obs::PerfettoExportOptions options;
+  options.process_name = "node-" + std::to_string(index);
+  options.pid = index + 1;
+  options.thread_names = obs::KernelThreadNames(kernel);
+  for (const obs::AlertEvent& e : result.alerts) {
+    options.instants.push_back(obs::PerfettoInstantMarker{
+        e.time, std::string(obs::AlertRuleName(e.rule)) + (e.firing ? " FIRING" : " resolved")});
+  }
+  return options;
 }
 
 std::string NodeReproCommand(const FleetOptions& options, int index) {

@@ -1,13 +1,12 @@
 // Fleet-scale simulation: many independent kernel instances on one host.
 //
 // RunFleet() instantiates `instances` fully independent simulated nodes —
-// each its own Hardware + Kernel + seeded workload, arena-backed so a node's
-// top-level state lives in one contiguous block (cache-isolated from its
-// neighbors, torn down with a single Reset) — and drives them across a
-// work-stealing host thread pool. A node executes in virtual-time slices:
-// each slice is one pool task that advances the kernel by `slice` and
-// re-enqueues itself, so long-running nodes migrate freely between workers
-// and the pool stays balanced without any static partitioning.
+// each its own Hardware + Kernel + seeded workload, freed as soon as the
+// node has been evaluated — and drives them across a work-stealing host
+// thread pool. A node executes in virtual-time slices: each slice is one
+// pool task that advances the kernel by `slice` and re-enqueues itself, so
+// long-running nodes migrate freely between workers and the pool stays
+// balanced without any static partitioning.
 //
 // Determinism contract: a node's simulation depends only on (fleet seed,
 // node index). Host scheduling — worker count, steal
@@ -30,8 +29,8 @@
 // Per-node oracles, mirroring the torture harness (the syscall fault oracle
 // is torture-specific; the fleet adds a progress oracle in its place):
 //   1. obs::AnalyzeTrace reports zero structural invariant violations;
-//   2. obs::ComputeReconciliation agrees with the kernel's counters on an
-//      untruncated trace, and refuses to check a truncated one;
+//   2. obs::ComputeReconciliation checks the trace against the kernel's
+//      counters and agrees (the window never evicts, so it always checks);
 //   3. the cycle-attribution ledger conserves exactly (bucket sum == elapsed
 //      virtual time; no unattributed clock advance);
 //   4. causal-token conservation over the declared chains (zero chain
@@ -54,6 +53,7 @@
 #include "src/base/time.h"
 #include "src/hal/trace.h"
 #include "src/obs/alerts.h"
+#include "src/obs/perfetto_export.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/timeseries.h"
@@ -98,7 +98,6 @@ struct FleetOptions {
 // postmortem analyses share one obs::TraceEvaluator, fed at each slice
 // boundary.
 struct NodeResult {
-  uint64_t seed = 0;
   std::string scheduler;  // "EDF", "RM", "CSD-2", "CSD-3"
   // context_switches + syscalls + interrupts + timer_dispatches: the unit
   // the fleet benchmark rates in events/sec.
@@ -113,14 +112,12 @@ struct NodeResult {
   uint64_t trace_digest = 0;
   // Every trace record the node made, counted by TraceEventType.
   std::array<uint64_t, kNumTraceEventTypes> records_by_type{};
-  uint64_t trace_dropped = 0;  // always 0: the window never evicts
   // Trace window storage at the horizon. In the fleet it is the largest
   // slice's, since the window is drained at every slice boundary; from
   // InspectNode it is the whole run's.
   size_t trace_storage_bytes = 0;
   uint64_t headroom_low_events = 0;
   Duration virtual_time;
-  size_t arena_high_water = 0;
   // First failing oracle in human-readable form; empty when all six pass.
   std::string failure;
   // Deadline-miss postmortem: this node's blame ledger totals (mergeable,
@@ -171,15 +168,9 @@ struct FleetResult {
   // kFnv1aOffsetBasis): one number that equals iff every node's run was
   // bit-identical.
   uint64_t fleet_digest = 0;
-  size_t arena_high_water = 0;  // max across nodes
 
   // Fleet telemetry plane (merged per-node blocks).
   obs::FleetTelemetry telemetry;
-  // Trace drops, totals plus the worst offender. Fleet windows never evict,
-  // so these stay 0; the report, OpenMetrics and triage keep their fields.
-  uint64_t trace_dropped_total = 0;
-  int trace_dropped_worst_node = -1;
-  uint64_t trace_dropped_worst = 0;
   // Trace memory per node (a deterministic work counter): the largest
   // window storage any node held, i.e. its largest slice's, and which node
   // held it.
@@ -229,7 +220,7 @@ FleetResult RunFleet(const FleetOptions& options);
 
 // Deterministically re-runs node `index` of the fleet described by
 // `options` and visits the live kernel (with the filled NodeResult) before
-// the node's arena is torn down. This is the drill-down primitive behind
+// the node is torn down. This is the drill-down primitive behind
 // fleet_inspect --node and the black-box recorder: because a node is a
 // pure function of (fleet seed, node index), the revisited
 // state is bit-identical to what the fleet run saw. The kernel keeps the
@@ -237,6 +228,13 @@ FleetResult RunFleet(const FleetOptions& options);
 // trace_digest equals the fleet's streamed one.
 NodeResult InspectNode(const FleetOptions& options, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit);
+
+// How fleet_inspect draws node `index` from an InspectNode visit: its own
+// process (pid index + 1, named "node-<index>") with the kernel's thread
+// names, and the node's alert transitions as instant markers next to the
+// trace slices that caused them.
+obs::PerfettoExportOptions NodePerfettoOptions(const Kernel& kernel, const NodeResult& result,
+                                               int index);
 
 // One-line command that re-opens this node with the fleet_inspect CLI.
 std::string NodeReproCommand(const FleetOptions& options, int index);

@@ -37,14 +37,10 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.Int("nodes_anomalous", result.nodes_anomalous);
   json.Int("headroom_low_total", static_cast<int64_t>(result.headroom_low_total));
 
-  // Trace drops (always 0: fleet windows never evict; the fields keep the
-  // report's schema) next to the trace memory the largest node held and the
-  // fleet's record mix, one key per event type.
+  // The trace memory the largest node held and the fleet's record mix, one
+  // key per event type.
   json.Key("trace");
   json.OpenObject();
-  json.Int("dropped_total", static_cast<int64_t>(result.trace_dropped_total));
-  json.Int("worst_node", result.trace_dropped_worst_node);
-  json.Int("worst_node_dropped", static_cast<int64_t>(result.trace_dropped_worst));
   json.Int("storage_bytes_max", static_cast<int64_t>(result.trace_storage_bytes_max));
   json.Int("storage_bytes_worst_node", result.trace_storage_bytes_worst_node);
   json.Key("records_by_type");
@@ -56,7 +52,6 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   json.CloseObject();
   json.CloseObject();
   json.Digest("fleet_digest", result.fleet_digest);
-  json.Int("arena_high_water_bytes", static_cast<int64_t>(result.arena_high_water));
 
   {
     std::map<std::string, int64_t> schedulers;
@@ -96,12 +91,10 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   // Streaming plane: the fleet-merged window series (every node's same-index
   // windows merged via the lossless histogram Merge) and the canonical alert
   // event stream with exact virtual timestamps.
-  if (!result.windows.empty()) {
-    obs::AppendTimeseriesSection(json, result.windows, kTimeseriesOptions.window,
-                                 result.timeseries_lost_samples,
-                                 result.timeseries_windows_dropped);
-    obs::AppendAlertsSection(json, result.alerts, kAlertConfig);
-  }
+  obs::AppendTimeseriesSection(json, result.windows, kTimeseriesOptions.window,
+                               result.timeseries_lost_samples,
+                               result.timeseries_windows_dropped);
+  obs::AppendAlertsSection(json, result.alerts, kAlertConfig);
 
   // Deadline-miss postmortem: the fleet-merged blame tables. Thread and
   // semaphore ids are node-local roles (every node runs the same topology),

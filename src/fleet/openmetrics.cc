@@ -87,8 +87,6 @@ std::string BuildOpenMetricsExposition(const FleetResult& result) {
           result.chain_overruns);
   Counter(&out, "emeralds_headroom_low", "Jobs predicted to finish with low slack",
           result.headroom_low_total);
-  Counter(&out, "emeralds_trace_dropped", "Trace events evicted by ring wrap",
-          result.trace_dropped_total);
   Counter(&out, "emeralds_timeseries_lost_samples",
           "Snapshot-ring samples lost before the streaming drain",
           result.timeseries_lost_samples);

@@ -67,7 +67,6 @@ FleetTriage ComputeFleetTriage(const FleetResult& fleet, int top_k) {
       {"deadline_misses", [](const NodeResult& r) { return r.deadline_misses; }},
       {"chain_overruns", [](const NodeResult& r) { return r.chain_overruns; }},
       {"headroom_low_events", [](const NodeResult& r) { return r.headroom_low_events; }},
-      {"trace_dropped", [](const NodeResult& r) { return r.trace_dropped; }},
       {"blamed_tardiness_us",
        [](const NodeResult& r) {
          return static_cast<uint64_t>(r.blame.tardiness_ns / 1000);

@@ -39,8 +39,6 @@ const char* AlertRuleName(AlertRuleKind kind) {
       return "deadline_miss_burn";
     case AlertRuleKind::kChainOverrunBurn:
       return "chain_overrun_burn";
-    case AlertRuleKind::kTraceDrops:
-      return "trace_drops";
     case AlertRuleKind::kFleetOutlier:
       return "fleet_outlier";
   }
@@ -143,17 +141,6 @@ void AlertEngine::Observe(const TelemetryWindow& w, int node, std::vector<AlertE
               w.jobs_completed, w, node, &miss_, out);
   ObserveBurn(config_.chain_burn, AlertRuleKind::kChainOverrunBurn, w.chain_e2e_overruns,
               w.chain_e2e_completed, w, node, &chain_, out);
-
-  if (config_.trace_drop_rule) {
-    bool over = w.trace_dropped > config_.trace_drop_limit;
-    if (over && !trace_firing_) {
-      trace_firing_ = true;
-      out->push_back(MakeEvent(AlertRuleKind::kTraceDrops, node, w, true, w.trace_dropped, 0));
-    } else if (!over && trace_firing_) {
-      trace_firing_ = false;
-      out->push_back(MakeEvent(AlertRuleKind::kTraceDrops, node, w, false, w.trace_dropped, 0));
-    }
-  }
 }
 
 void EvaluateFleetOutlierAlerts(

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/time.h"
@@ -66,9 +67,6 @@ struct AlertConfig {
   // chain SLOs routinely (~11% in the committed baseline), so the budget is
   // wide: 5% budget at 10x burn fires only past a 50% overrun share.
   BurnRule chain_burn{true, 50000, 10, 16};
-  // Trace-drop threshold rule — opt-in (disabled by default).
-  bool trace_drop_rule = false;
-  uint64_t trace_drop_limit = 0;  // fire when window trace drops > limit
   // Fleet outlier rule (always on): per window, a node whose deadline-miss
   // count is a robust outlier above the fleet median (and at least
   // `outlier_floor`, so a single stray miss over an all-zero fleet cannot
@@ -82,8 +80,7 @@ struct AlertConfig {
 enum class AlertRuleKind : int {
   kDeadlineMissBurn = 0,
   kChainOverrunBurn = 1,
-  kTraceDrops = 2,
-  kFleetOutlier = 3,
+  kFleetOutlier = 2,
 };
 
 const char* AlertRuleName(AlertRuleKind kind);
@@ -95,8 +92,8 @@ struct AlertEvent {
   Instant time;        // exact virtual timestamp: the window's upper edge
   bool firing = true;  // false: the alert resolved at this window
   // Rule-specific evidence: numerator/denominator for burn rules (bad,
-  // total over the fast window), observed value (and 0) for threshold and
-  // outlier rules.
+  // total over the fast window); for the outlier rule, the node's miss
+  // count and the fleet median.
   uint64_t value = 0;
   uint64_t total = 0;
 
@@ -112,9 +109,9 @@ void SortAlertEvents(std::vector<AlertEvent>* events);
 
 // --- Node-local engine ---
 
-// Feed windows in index order; node-local rules (burn + trace drops) append
-// their fire/resolve events. Stateful: firing alerts persist across windows
-// until resolved.
+// Feed windows in index order; the node-local burn rules append their
+// fire/resolve events. Stateful: firing alerts persist across windows until
+// resolved.
 class AlertEngine {
  public:
   explicit AlertEngine(const AlertConfig& config);
@@ -134,7 +131,6 @@ class AlertEngine {
   AlertConfig config_;
   BurnState miss_;
   BurnState chain_;
-  bool trace_firing_ = false;
 };
 
 // --- Fleet outlier rule ---

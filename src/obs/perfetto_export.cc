@@ -160,6 +160,18 @@ void ExportWindow(EventWriter& w, const TraceEvent* events, size_t count,
     }
     return &running[id];
   };
+  // Ends thread `id`'s open running slice at `ts`.
+  auto end_running = [&](int32_t id, double ts) {
+    OpenSlice* s = slice(id);
+    if (s != nullptr && s->open) {
+      w.Open("X", TsUs(s->since), id);
+      w.Field("name", "running");
+      w.Field("cat", "sched");
+      w.Dur(ts - TsUs(s->since));
+      w.Close();
+      s->open = false;
+    }
+  };
   // Open block spans per thread (semaphore id, or -1): the resolving
   // acquire closes the span before opening the hold span.
   std::vector<int32_t> blocked_on;
@@ -180,15 +192,7 @@ void ExportWindow(EventWriter& w, const TraceEvent* events, size_t count,
     double ts = TsUs(e.time);
     switch (e.type) {
       case TraceEventType::kContextSwitch: {
-        OpenSlice* outgoing = slice(e.arg0);
-        if (outgoing != nullptr && outgoing->open) {
-          w.Open("X", TsUs(outgoing->since), e.arg0);
-          w.Field("name", "running");
-          w.Field("cat", "sched");
-          w.Dur(ts - TsUs(outgoing->since));
-          w.Close();
-          outgoing->open = false;
-        }
+        end_running(e.arg0, ts);
         OpenSlice* incoming = slice(e.arg1);
         if (incoming != nullptr) {
           incoming->open = true;
@@ -279,6 +283,9 @@ void ExportWindow(EventWriter& w, const TraceEvent* events, size_t count,
         w.Instant(ts, e.arg0, name, "ipc");
         break;
       case TraceEventType::kThreadExit:
+        // An exiting thread leaves its core without a context switch (the
+        // next switch names no outgoing thread), so its slice ends here.
+        end_running(e.arg0, ts);
         w.Instant(ts, e.arg0, "thread exit", "sched");
         break;
       case TraceEventType::kPiChainLimit:
@@ -400,12 +407,7 @@ void ExportWindow(EventWriter& w, const TraceEvent* events, size_t count,
 
 size_t ExportPerfettoJson(const TraceEvent* events, size_t count,
                           const PerfettoExportOptions& options, std::FILE* out) {
-  std::fputs("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n", out);
-  EventWriter w(out);
-  uint64_t flow_counter = 0;
-  ExportWindow(w, events, count, options, &flow_counter);
-  std::fputs("\n]}\n", out);
-  return w.count();
+  return ExportPerfettoJsonMulti({PerfettoWindow{events, count, options}}, out);
 }
 
 size_t ExportPerfettoJsonMulti(const std::vector<PerfettoWindow>& windows, std::FILE* out) {

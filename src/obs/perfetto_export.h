@@ -74,8 +74,9 @@ struct PerfettoExportOptions {
   std::vector<PerfettoAnnotationSlice> annotations;
 };
 
-// Writes the event window as Chrome trace-event JSON to `out`. Returns the
-// number of traceEvents entries emitted (0 only for an empty window).
+// Writes the event window as Chrome trace-event JSON to `out`: the
+// one-window case of ExportPerfettoJsonMulti. Returns the number of
+// traceEvents entries emitted.
 size_t ExportPerfettoJson(const TraceEvent* events, size_t count,
                           const PerfettoExportOptions& options, std::FILE* out);
 

@@ -11,13 +11,10 @@ namespace obs {
 NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& analysis,
                                    const ChainAnalysis& chains) {
   NodeTelemetry t;
-  t.collected = true;
-
   const KernelStats& s = kernel.stats();
   t.jobs_completed = s.jobs_completed;
   t.deadline_misses = s.deadline_misses;
   t.headroom_low_events = s.headroom_low_events;
-  t.trace_dropped = kernel.trace().dropped();
   t.stats_snapshot_drops = s.stats_snapshot_drops;
   for (int b = 0; b < kNumCycleBuckets; ++b) {
     t.cycles[b] = s.cycles.buckets[b];
@@ -69,10 +66,6 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
 }
 
 void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int node_index) {
-  if (!node.collected) {
-    return;
-  }
-  ++fleet->nodes_collected;
   fleet->jobs_completed += node.jobs_completed;
   fleet->deadline_misses += node.deadline_misses;
   fleet->chain_overruns += node.chain_overruns;
@@ -82,11 +75,6 @@ void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int no
     fleet->headroom_seen = true;
     fleet->headroom_min = node.headroom_min;
     fleet->headroom_min_node = node_index;
-  }
-  fleet->trace_dropped_total += node.trace_dropped;
-  if (node.trace_dropped > fleet->trace_dropped_worst) {
-    fleet->trace_dropped_worst = node.trace_dropped;
-    fleet->trace_dropped_worst_node = node_index;
   }
   fleet->stats_snapshot_drops_total += node.stats_snapshot_drops;
   for (int b = 0; b < kNumCycleBuckets; ++b) {
@@ -201,7 +189,6 @@ void AppendCycles(Json& j, const Duration (&cycles)[kNumCycleBuckets], Duration 
 
 void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
   j.OpenObject();
-  j.Bool("collected", t.collected);
   j.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
   j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
   j.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));
@@ -211,7 +198,6 @@ void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
   j.Number("min_us", t.headroom_seen ? t.headroom_min.micros_f() : 0.0);
   j.Int("low_events", static_cast<int64_t>(t.headroom_low_events));
   j.CloseObject();
-  j.Int("trace_dropped", static_cast<int64_t>(t.trace_dropped));
   j.Int("stats_snapshot_drops", static_cast<int64_t>(t.stats_snapshot_drops));
   AppendCycles(j, t.cycles, t.cycles_total);
   AppendCoreCycles(j, t.core_cycles, t.num_cores);
@@ -228,7 +214,6 @@ void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
 void AppendFleetTelemetrySection(Json& j, const FleetTelemetry& t) {
   j.OpenObject();
   j.String("schema", kFleetTelemetrySchema);
-  j.Int("nodes_collected", t.nodes_collected);
   j.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
   j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
   j.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));
@@ -238,12 +223,6 @@ void AppendFleetTelemetrySection(Json& j, const FleetTelemetry& t) {
   j.Number("min_us", t.headroom_seen ? t.headroom_min.micros_f() : 0.0);
   j.Int("min_node", t.headroom_min_node);
   j.Int("low_events_total", static_cast<int64_t>(t.headroom_low_total));
-  j.CloseObject();
-  j.Key("trace");
-  j.OpenObject();
-  j.Int("dropped_total", static_cast<int64_t>(t.trace_dropped_total));
-  j.Int("worst_node", t.trace_dropped_worst_node);
-  j.Int("worst_node_dropped", static_cast<int64_t>(t.trace_dropped_worst));
   j.CloseObject();
   j.Int("stats_snapshot_drops", static_cast<int64_t>(t.stats_snapshot_drops_total));
   AppendCycles(j, t.cycles, t.cycles_total);

@@ -2,13 +2,13 @@
 //
 // Per-node, the kernel already produces everything a production operator
 // wants — chain e2e/per-hop latency histograms, deadline headroom minima,
-// SLO overrun counts, the per-CycleBucket attribution ledger, trace-ring
-// drop counts. What was missing is the *mergeable* form: NodeTelemetry is
-// the compact host-side block one node contributes, and FleetTelemetry is
-// the lossless merge of thousands of them. Because Log2Histogram::Merge is
-// a bucket-wise sum, the merged percentile tables are bucket-exact — the
-// fleet p99 is computed over the union of every node's samples, not an
-// average of per-node percentiles.
+// SLO overrun counts, the per-CycleBucket attribution ledger. What was
+// missing is the *mergeable* form: NodeTelemetry is the compact host-side
+// block one node contributes, and FleetTelemetry is the lossless merge of
+// thousands of them. Because Log2Histogram::Merge is a bucket-wise sum, the
+// merged percentile tables are bucket-exact — the fleet p99 is computed
+// over the union of every node's samples, not an average of per-node
+// percentiles.
 //
 // Collection is zero-virtual-cost by construction: CollectNodeTelemetry
 // only *reads* kernel state (a const Kernel&) after the run has reached its
@@ -63,12 +63,10 @@ struct ChainTelemetry {
 // it merges losslessly: counters add, histograms bucket-sum, minima take
 // the min.
 struct NodeTelemetry {
-  bool collected = false;
   uint64_t jobs_completed = 0;
   uint64_t deadline_misses = 0;
   uint64_t chain_overruns = 0;
   uint64_t headroom_low_events = 0;
-  uint64_t trace_dropped = 0;
   // Snapshot-ring evictions before the host drained them: the time-series
   // windows spanning these are lower bounds, so the loss is owned up to here.
   uint64_t stats_snapshot_drops = 0;
@@ -86,10 +84,9 @@ struct NodeTelemetry {
   std::vector<ChainTelemetry> chains;
 };
 
-// Fleet-wide merge of NodeTelemetry blocks plus the worst-offender indices
-// the triage layer and the report surface.
+// Fleet-wide merge of NodeTelemetry blocks plus the node with the least
+// headroom, which the report surfaces.
 struct FleetTelemetry {
-  int nodes_collected = 0;
   uint64_t jobs_completed = 0;
   uint64_t deadline_misses = 0;
   uint64_t chain_overruns = 0;
@@ -97,9 +94,6 @@ struct FleetTelemetry {
   bool headroom_seen = false;
   Duration headroom_min;
   int headroom_min_node = -1;
-  uint64_t trace_dropped_total = 0;
-  int trace_dropped_worst_node = -1;
-  uint64_t trace_dropped_worst = 0;
   uint64_t stats_snapshot_drops_total = 0;
   Duration cycles[kNumCycleBuckets] = {};
   Duration cycles_total;
@@ -116,7 +110,7 @@ struct FleetTelemetry {
 NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& analysis,
                                    const ChainAnalysis& chains);
 
-// Merges `node` (identified by `node_index` for worst-offender tracking)
+// Merges `node` (identified by `node_index` for the headroom minimum)
 // into `fleet`. Chains merge by name; hops merge positionally.
 void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int node_index);
 

@@ -25,7 +25,6 @@ void TelemetryWindow::MergeFrom(const TelemetryWindow& other) {
   chain_e2e_completed += other.chain_e2e_completed;
   chain_e2e_overruns += other.chain_e2e_overruns;
   chain_origins += other.chain_origins;
-  trace_dropped += other.trace_dropped;
   stats_snapshot_drops += other.stats_snapshot_drops;
   compute_time += other.compute_time;
   idle_time += other.idle_time;
@@ -63,14 +62,6 @@ void TimeseriesCollector::StartWindow(int64_t index) {
 void TimeseriesCollector::CloseWindow() {
   if (cur_.index <= gap_through_) {
     cur_.gap = true;
-  }
-  for (auto it = pending_trace_drops_.begin(); it != pending_trace_drops_.end();) {
-    if (it->first <= cur_.index) {
-      cur_.trace_dropped += it->second;
-      it = pending_trace_drops_.erase(it);
-    } else {
-      ++it;
-    }
   }
   if (windows_.push_overwrite(cur_)) {
     ++windows_dropped_;
@@ -130,14 +121,6 @@ void TimeseriesCollector::ProcessDelta(const StatsDelta& d) {
 void TimeseriesCollector::Collect(const Kernel& kernel) {
   if (finished_) {
     return;
-  }
-  // Attribute trace evictions since the last drain to the window containing
-  // this drain instant. Drains happen on the deterministic slice schedule,
-  // so replays reproduce the attribution exactly.
-  uint64_t td = kernel.trace().dropped();
-  if (td > last_trace_dropped_) {
-    pending_trace_drops_.emplace_back(IndexOf(kernel.now()), td - last_trace_dropped_);
-    last_trace_dropped_ = td;
   }
   const StatsSampler* sampler = kernel.stats_sampler();
   if (sampler == nullptr) {
@@ -239,7 +222,6 @@ void AppendTelemetryWindow(Json& j, const TelemetryWindow& w) {
   j.Int("chain_e2e_completed", static_cast<int64_t>(w.chain_e2e_completed));
   j.Int("chain_e2e_overruns", static_cast<int64_t>(w.chain_e2e_overruns));
   j.Int("chain_origins", static_cast<int64_t>(w.chain_origins));
-  j.Int("trace_dropped", static_cast<int64_t>(w.trace_dropped));
   j.Int("stats_snapshot_drops", static_cast<int64_t>(w.stats_snapshot_drops));
   j.Number("compute_ms", w.compute_time.micros_f() / 1e3);
   j.Number("idle_ms", w.idle_time.micros_f() / 1e3);

@@ -19,7 +19,6 @@
 #define SRC_OBS_TIMESERIES_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "src/base/log2_histogram.h"
@@ -72,7 +71,6 @@ struct TelemetryWindow {
   // chain_e2e_completed the series shows in-flight growth — the streaming
   // analog of AnalyzeChains' per-chain incomplete_instances count.
   uint64_t chain_origins = 0;
-  uint64_t trace_dropped = 0;        // trace evictions observed at drains in this window
   uint64_t stats_snapshot_drops = 0;
   Duration compute_time;
   Duration idle_time;
@@ -94,9 +92,7 @@ class TimeseriesCollector {
  public:
   explicit TimeseriesCollector(const TimeseriesOptions& options);
 
-  // Drains snapshots that arrived since the last drain. Also attributes any
-  // new TraceSink evictions to the window containing the drain instant (the
-  // drain schedule is part of the deterministic replay contract).
+  // Drains snapshots that arrived since the last drain.
   void Collect(const Kernel& kernel);
 
   // Final drain + synthesizes the tail interval (last snapshot, horizon]
@@ -136,9 +132,6 @@ class TimeseriesCollector {
   uint64_t lost_samples_ = 0;
   bool gap_pending_ = false;
   int64_t gap_through_ = -1;  // windows up to this index are gap-marked
-
-  uint64_t last_trace_dropped_ = 0;
-  std::vector<std::pair<int64_t, uint64_t>> pending_trace_drops_;
 };
 
 // Merges per-node window series by index: the result holds one window per

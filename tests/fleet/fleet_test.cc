@@ -56,7 +56,6 @@ TEST(FleetTest, AggregatesSumTheNodes) {
   EXPECT_EQ(result.jobs_completed, jobs);
   EXPECT_EQ(result.virtual_time_total, virtual_time);
   EXPECT_GT(result.events_per_virtual_sec, 0.0);
-  EXPECT_GT(result.arena_high_water, 0u);
 }
 
 TEST(FleetTest, CoversAllFourSchedulerVariants) {
@@ -107,7 +106,6 @@ TEST(FleetTest, DigestIsStableAcrossRunsAndWorkerCounts) {
     EXPECT_EQ(r.blame.misses_analyzed, first.blame.misses_analyzed) << workers << " workers";
     EXPECT_EQ(r.blame.tardiness_ns, first.blame.tardiness_ns) << workers << " workers";
 
-    EXPECT_EQ(r.telemetry.nodes_collected, opt.instances) << workers << " workers";
     EXPECT_EQ(r.telemetry.jobs_completed, r.jobs_completed) << workers << " workers";
     EXPECT_GT(r.telemetry.response.count(), 0u) << workers << " workers";
     EXPECT_EQ(r.telemetry.response.PercentileBound(0.99),
@@ -228,7 +226,7 @@ TEST(FleetTest, NodesKeepOneSliceOfTraceAndDropNothing) {
   size_t largest = 0;
   for (size_t i = 0; i < result.nodes.size(); ++i) {
     const NodeResult& node = result.nodes[i];
-    EXPECT_EQ(node.trace_dropped, 0u) << "node " << i;
+    EXPECT_TRUE(node.ok()) << "node " << i << ": " << node.failure;
     EXPECT_GT(node.trace_storage_bytes, 0u) << "node " << i;
     NodeResult inspected =
         InspectNode(opt, static_cast<int>(i), [&](const Kernel& kernel, const NodeResult&) {

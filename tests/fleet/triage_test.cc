@@ -12,9 +12,10 @@
 #include <string>
 
 #include "src/base/json.h"
+#include "src/core/kernel.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/fleet_report.h"
-#include "src/obs/blackbox.h"
+#include "src/hal/trace.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/perfetto_export.h"
 #include "src/obs/trace_csv.h"
@@ -151,16 +152,11 @@ TEST(FleetTriageTest, InspectNodeReplaysAndExportsPerfetto) {
   std::string perfetto_path = testing::TempDir() + "emeralds_triage_node.perfetto.json";
   NodeResult replay = InspectNode(opt, kSickNode, [&](const Kernel& kernel,
                                                       const NodeResult& r) {
-    obs::BlackBoxSnapshot box = obs::CaptureBlackBox(kernel, "node-5", r.anomaly,
-                                                     NodeReproCommand(opt, kSickNode));
-    obs::PerfettoExportOptions po;
-    po.process_name = "node-5";
-    po.pid = kSickNode + 1;
-    po.thread_names = box.thread_names;
-    po.dropped_events = box.dropped;
     std::FILE* out = std::fopen(perfetto_path.c_str(), "w");
     ASSERT_NE(out, nullptr);
-    size_t entries = obs::ExportPerfettoJson(box.window.data(), box.window.size(), po, out);
+    size_t entries =
+        obs::ExportPerfettoJson(kernel.trace().events().data(), kernel.trace().size(),
+                                NodePerfettoOptions(kernel, r, kSickNode), out);
     std::fclose(out);
     EXPECT_GT(entries, 0u);
   });
@@ -177,6 +173,38 @@ TEST(FleetTriageTest, InspectNodeReplaysAndExportsPerfetto) {
   EXPECT_NE(text.find("p6.job"), std::string::npos);
   EXPECT_NE(text.find("\"node-5\""), std::string::npos);
   std::filesystem::remove(perfetto_path);
+}
+
+// The Perfetto JSON of the golden overloaded fleet's sick node, drawn as
+// fleet_inspect --node draws it (both alert instants included), folded into
+// one pinned digest. The exporter's rewrite as a TraceReplay visitor must
+// keep these bytes.
+TEST(PerfettoPinTest, OverloadedFleetNode) {
+  FleetOptions opt;  // FleetTest.OverloadedFleetMatchesGolden's fleet
+  opt.instances = 16;
+  opt.seed = 11;
+  opt.run_duration = Milliseconds(200);
+  opt.overload_node = 6;
+  opt.overload_factor = 8;
+  std::string text;
+  size_t alerts = 0;
+  InspectNode(opt, 6, [&](const Kernel& kernel, const NodeResult& r) {
+    alerts = r.alerts.size();
+    std::FILE* out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    obs::ExportPerfettoJson(kernel.trace().events().data(), kernel.trace().size(),
+                            NodePerfettoOptions(kernel, r, 6), out);
+    std::rewind(out);
+    char buf[4096];
+    size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), out)) > 0) {
+      text.append(buf, n);
+    }
+    std::fclose(out);
+  });
+  EXPECT_EQ(alerts, 2u);
+  EXPECT_EQ(text.size(), 124796u);
+  EXPECT_EQ(Fnv1a(kFnv1aOffsetBasis, text.data(), text.size()), 0x7dfcc438611948acULL);
 }
 
 }  // namespace

@@ -1,11 +1,19 @@
 // Fixed-seed regression tests over the torture harness: a small sweep that
 // must stay clean, determinism (same seed => same digest), the tiny-ring
-// truncation contract, fault-injection coverage, and the shrinking bisector.
+// truncation contract, fault-injection coverage, the shrinking bisector, and
+// the pinned Perfetto JSON of one torture window.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "src/fuzz/torture.h"
 #include "src/hal/trace.h"
+#include "src/obs/perfetto_export.h"
+#include "src/obs/postmortem.h"
+#include "src/obs/trace_csv.h"
+#include "src/obs/trace_replay.h"
 
 namespace emeralds {
 namespace fuzz {
@@ -306,6 +314,45 @@ TEST(TortureTest, ReportCarriesSchemaAndRuns) {
   EXPECT_NE(report.find("\"totals\""), std::string::npos);
   EXPECT_NE(report.find("\"repro\""), std::string::npos);
   EXPECT_NE(report.find("\"chains\""), std::string::npos);
+}
+
+// The Perfetto JSON trace_inspect --perfetto writes for one torture window
+// (threads exit in it; late jobs become postmortem annotations), folded into
+// one pinned digest. The exporter's rewrite as a TraceReplay visitor must
+// keep these bytes.
+TEST(PerfettoPinTest, TortureWindow) {
+  TortureOptions options;
+  options.seed = 5;
+  options.ops = 2000;
+  std::string csv_path = testing::TempDir() + "emeralds_perfetto_pin.csv";
+  ASSERT_TRUE(ExportTortureTraceCsv(options, csv_path));
+  std::FILE* csv = std::fopen(csv_path.c_str(), "r");
+  ASSERT_NE(csv, nullptr);
+  obs::TraceCsvImport import;
+  std::string error;
+  bool imported = obs::ImportTraceCsv(csv, &import, &error);
+  std::fclose(csv);
+  std::remove(csv_path.c_str());
+  ASSERT_TRUE(imported) << error;
+
+  obs::PerfettoExportOptions po;
+  po.dropped_events = import.dropped;
+  po.annotations = obs::PostmortemAnnotations(
+      obs::EvaluateTrace(import.events, import.dropped, {}).postmortem);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  obs::ExportPerfettoJson(import.events.data(), import.events.size(), po, out);
+  std::rewind(out);
+  std::string text;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), out)) > 0) {
+    text.append(buf, n);
+  }
+  std::fclose(out);
+  EXPECT_EQ(import.events.size(), 22443u);
+  EXPECT_EQ(text.size(), 775333u);
+  EXPECT_EQ(Fnv1a(kFnv1aOffsetBasis, text.data(), text.size()), 0xaf46f2bd38988e64ULL);
 }
 
 }  // namespace

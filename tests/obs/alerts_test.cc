@@ -131,34 +131,6 @@ TEST(AlertEngineTest, StreamIsDeterministic) {
   }
 }
 
-// --- Threshold rules (opt-in) ---
-
-TEST(AlertEngineTest, TraceDropRuleFiresAndResolves) {
-  AlertConfig config;
-  config.miss_burn.enabled = false;
-  config.chain_burn.enabled = false;
-  config.trace_drop_rule = true;
-  config.trace_drop_limit = 100;
-  AlertEngine engine(config);
-  std::vector<AlertEvent> out;
-
-  TelemetryWindow quiet = Window(0, 10, 0);
-  TelemetryWindow noisy = Window(1, 10, 0);
-  noisy.trace_dropped = 250;
-  TelemetryWindow calm = Window(2, 10, 0);
-
-  engine.Observe(quiet, 0, &out);
-  engine.Observe(noisy, 0, &out);
-  engine.Observe(calm, 0, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].rule, AlertRuleKind::kTraceDrops);
-  EXPECT_TRUE(out[0].firing);
-  EXPECT_EQ(out[0].window, 1);
-  EXPECT_EQ(out[0].value, 250u);
-  EXPECT_FALSE(out[1].firing);
-  EXPECT_EQ(out[1].window, 2);
-}
-
 // --- Robust statistics (shared with fleet triage) ---
 
 TEST(RobustStatsTest, MedianAndMadGoldens) {

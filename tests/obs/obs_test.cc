@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -562,6 +563,42 @@ TEST(PerfettoExportTest, EmitsParsableJsonWithExpectedEntries) {
   EXPECT_TRUE(saw_thread_name);
   EXPECT_TRUE(saw_running_slice);
   EXPECT_TRUE(saw_flow_start);
+}
+
+// An exiting thread leaves its core without a context switch: the next
+// switch names no outgoing thread. Its running slice must end at the exit,
+// not run on to the window's last event over whatever ran next.
+TEST(PerfettoExportTest, ExitedThreadSliceEndsAtExit) {
+  std::vector<TraceEvent> ev = {
+      Ev(0, TraceEventType::kContextSwitch, -1, 1),
+      Ev(7, TraceEventType::kThreadExit, 1, 0),
+      Ev(9, TraceEventType::kContextSwitch, -1, 2),
+      Ev(20, TraceEventType::kContextSwitch, 2, -1),
+  };
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  ExportPerfettoJson(ev.data(), ev.size(), PerfettoExportOptions{}, f);
+  std::rewind(f);
+  std::string text;
+  char buf[1024];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    text.append(buf, n);
+  }
+  std::fclose(f);
+
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(JsonParse(text, &root, &error)) << error << "\n" << text;
+  std::vector<std::pair<double, double>> t1_slices;  // (ts, dur) in us
+  for (const JsonValue& e : root.Find("traceEvents")->array) {
+    if (e.Find("ph")->string == "X" && e.Find("tid")->number == 1.0) {
+      t1_slices.emplace_back(e.Find("ts")->number, e.Find("dur")->number);
+    }
+  }
+  ASSERT_EQ(t1_slices.size(), 1u) << text;
+  EXPECT_EQ(t1_slices[0].first, 0.0);
+  EXPECT_EQ(t1_slices[0].second, 7.0);
 }
 
 TEST(PerfettoExportTest, KernelOverloadUsesThreadNames) {

@@ -138,13 +138,11 @@ TEST(HistogramMergeTest, PercentileBoundBoundsTheTruePercentile) {
 }
 
 NodeTelemetry MakeNode(const char* chain_name, int64_t deadline_us, uint64_t overruns,
-                       uint64_t dropped, int64_t headroom_us) {
+                       int64_t headroom_us) {
   NodeTelemetry t;
-  t.collected = true;
   t.jobs_completed = 10;
   t.deadline_misses = 1;
   t.chain_overruns = overruns;
-  t.trace_dropped = dropped;
   t.headroom_seen = true;
   t.headroom_min = Microseconds(headroom_us);
   t.response.Add(Microseconds(100));
@@ -165,14 +163,10 @@ NodeTelemetry MakeNode(const char* chain_name, int64_t deadline_us, uint64_t ove
 
 TEST(FleetTelemetryMergeTest, MergesChainsByNameAndTracksWorstNodes) {
   FleetTelemetry fleet;
-  MergeNodeTelemetry(&fleet, MakeNode("pipe", 3000, 2, 0, 500), 0);
-  MergeNodeTelemetry(&fleet, MakeNode("pipe", 5000, 1, 40, 80), 1);
-  MergeNodeTelemetry(&fleet, MakeNode("tick", 5000, 0, 10, 900), 2);
+  MergeNodeTelemetry(&fleet, MakeNode("pipe", 3000, 2, 500), 0);
+  MergeNodeTelemetry(&fleet, MakeNode("pipe", 5000, 1, 80), 1);
+  MergeNodeTelemetry(&fleet, MakeNode("tick", 5000, 0, 900), 2);
 
-  NodeTelemetry uncollected;  // telemetry off: must not contribute
-  MergeNodeTelemetry(&fleet, uncollected, 3);
-
-  EXPECT_EQ(fleet.nodes_collected, 3);
   EXPECT_EQ(fleet.jobs_completed, 30u);
   EXPECT_EQ(fleet.deadline_misses, 3u);
   EXPECT_EQ(fleet.chain_overruns, 3u);
@@ -192,14 +186,11 @@ TEST(FleetTelemetryMergeTest, MergesChainsByNameAndTracksWorstNodes) {
   EXPECT_EQ(pipe.hops[0].queue.count(), 2u);
   EXPECT_EQ(fleet.chains[1].name, "tick");
 
-  // Worst-node tracking: the minimum headroom and the heaviest trace drop
-  // carry the node index that produced them.
+  // Worst-node tracking: the minimum headroom carries the node index that
+  // produced it.
   EXPECT_TRUE(fleet.headroom_seen);
   EXPECT_EQ(fleet.headroom_min, Microseconds(80));
   EXPECT_EQ(fleet.headroom_min_node, 1);
-  EXPECT_EQ(fleet.trace_dropped_total, 50u);
-  EXPECT_EQ(fleet.trace_dropped_worst, 40u);
-  EXPECT_EQ(fleet.trace_dropped_worst_node, 1);
 }
 
 }  // namespace

@@ -101,25 +101,12 @@ int PrintReport(const JsonValue& root, const char* path) {
               static_cast<long long>(RootInt(root, "nodes_failed", 0)),
               static_cast<long long>(RootInt(root, "nodes_anomalous", 0)),
               RootString(root, "fleet_digest").c_str());
-  if (const JsonValue* trace = root.Find("trace")) {
-    // Reports written before the storage fields existed omit them.
-    const JsonValue* storage = trace->Find("storage_bytes_max");
-    int64_t dropped = RootInt(*trace, "dropped_total", 0);
-    if (storage != nullptr || dropped > 0) {
-      std::printf("  trace");
-      if (storage != nullptr) {
-        std::printf(" storage max=%lld B (node %lld)",
-                    static_cast<long long>(RootInt(*trace, "storage_bytes_max", 0)),
-                    static_cast<long long>(RootInt(*trace, "storage_bytes_worst_node", -1)));
-      }
-      if (dropped > 0) {
-        std::printf(" dropped=%lld (worst: node %lld dropped %lld)",
-                    static_cast<long long>(dropped),
-                    static_cast<long long>(RootInt(*trace, "worst_node", -1)),
-                    static_cast<long long>(RootInt(*trace, "worst_node_dropped", 0)));
-      }
-      std::printf("\n");
-    }
+  // Reports written before the storage fields existed omit them.
+  const JsonValue* trace = root.Find("trace");
+  if (trace != nullptr && trace->Find("storage_bytes_max") != nullptr) {
+    std::printf("  trace storage max=%lld B (node %lld)\n",
+                static_cast<long long>(RootInt(*trace, "storage_bytes_max", 0)),
+                static_cast<long long>(RootInt(*trace, "storage_bytes_worst_node", -1)));
   }
 
   // Reports written before evaluation cost was measured omit it.
@@ -132,7 +119,7 @@ int PrintReport(const JsonValue& root, const char* path) {
 
   if (const JsonValue* telemetry = root.Find("telemetry")) {
     std::printf("telemetry (%s, %lld nodes):\n", RootString(*telemetry, "schema").c_str(),
-                static_cast<long long>(RootInt(*telemetry, "nodes_collected", 0)));
+                static_cast<long long>(RootInt(root, "instances", 0)));
     std::printf("  snapshot drops=%lld\n",
                 static_cast<long long>(RootInt(*telemetry, "stats_snapshot_drops", 0)));
     if (const JsonValue* cycles = telemetry->Find("core_cycles_us")) {
@@ -246,8 +233,7 @@ void PrintNodeResult(int index, const NodeResult& r) {
               " misses, %" PRIu64 " chain overruns, %" PRIu64 " headroom-low\n",
               index, r.scheduler.c_str(), r.events, r.jobs_completed, r.deadline_misses,
               r.chain_overruns, r.headroom_low_events);
-  std::printf("  digest=0x%016llx  trace dropped=%" PRIu64 "\n",
-              static_cast<unsigned long long>(r.trace_digest), r.trace_dropped);
+  std::printf("  digest=0x%016llx\n", static_cast<unsigned long long>(r.trace_digest));
   if (r.telemetry.response.count() > 0) {
     std::printf("  response: n=%" PRIu64 " p50<=%.0fus p99<=%.0fus max=%.0fus\n",
                 r.telemetry.response.count(),
@@ -581,8 +567,8 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  std::vector<std::vector<TraceEvent>> windows(targets.size());
-  std::vector<obs::PerfettoExportOptions> window_options(targets.size());
+  std::vector<std::vector<TraceEvent>> events(targets.size());
+  std::vector<obs::PerfettoWindow> windows(targets.size());
   for (size_t i = 0; i < targets.size(); ++i) {
     int index = targets[i];
     NodeResult result = InspectNode(opt, index, [&](const Kernel& kernel, const NodeResult& r) {
@@ -590,21 +576,8 @@ int Main(int argc, char** argv) {
           kernel, "node-" + std::to_string(index),
           r.anomalous() ? r.anomaly : std::string("manual inspection"),
           NodeReproCommand(opt, index));
-      windows[i] = box.window;
-      obs::PerfettoExportOptions& po = window_options[i];
-      po.process_name = "node-" + std::to_string(index);
-      po.pid = index + 1;
-      po.thread_names = box.thread_names;
-      po.dropped_events = box.dropped;
-      // Alert fire/resolve transitions become instant markers on the node's
-      // timeline, next to the trace slices that caused them.
-      for (const obs::AlertEvent& e : r.alerts) {
-        obs::PerfettoInstantMarker m;
-        m.time = e.time;
-        m.name = std::string(obs::AlertRuleName(e.rule)) +
-                 (e.firing ? " FIRING" : " resolved");
-        po.instants.push_back(m);
-      }
+      events[i] = box.window;
+      windows[i] = {events[i].data(), events[i].size(), NodePerfettoOptions(kernel, r, index)};
       if (dir != nullptr) {
         std::string bundle_dir = std::string(dir) + "/node-" + std::to_string(index);
         if (obs::WriteBlackBoxBundle(box, bundle_dir)) {
@@ -629,19 +602,7 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "fleet_inspect: cannot open %s\n", perfetto_path);
       return 1;
     }
-    size_t entries = 0;
-    if (targets.size() == 1) {
-      entries = obs::ExportPerfettoJson(windows[0].data(), windows[0].size(),
-                                        window_options[0], pf);
-    } else {
-      std::vector<obs::PerfettoWindow> merged(targets.size());
-      for (size_t i = 0; i < targets.size(); ++i) {
-        merged[i].events = windows[i].data();
-        merged[i].count = windows[i].size();
-        merged[i].options = window_options[i];
-      }
-      entries = obs::ExportPerfettoJsonMulti(merged, pf);
-    }
+    size_t entries = obs::ExportPerfettoJsonMulti(windows, pf);
     std::fclose(pf);
     std::printf("perfetto: wrote %zu entries (%zu node%s) to %s\n", entries, targets.size(),
                 targets.size() == 1 ? "" : "s", perfetto_path);
