@@ -124,6 +124,43 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
 
 // --- emeralds.bench.breakdown/1 ---
 
+// A point's average breakdown per policy gates exactly: the search is
+// deterministic, so a faster search must return the same breakdowns at the
+// same evaluation count. A policy on one side only is a difference too.
+// Baselines without the section are not gated on it.
+void CompareBreakdownPct(const JsonValue& base, const JsonValue& cand, double n,
+                         CompareResult* r) {
+  const JsonValue* base_pct = base.Find("avg_breakdown_pct");
+  if (base_pct == nullptr || base_pct->type != JsonValue::Type::kObject) {
+    return;
+  }
+  const JsonValue* cand_pct = cand.Find("avg_breakdown_pct");
+  if (cand_pct == nullptr || cand_pct->type != JsonValue::Type::kObject) {
+    Failf(r, "n=%.0f: candidate has no avg_breakdown_pct", n);
+    return;
+  }
+  auto check = [&](const std::string& policy) {
+    const JsonValue* b = base_pct->Find(policy);
+    const JsonValue* c = cand_pct->Find(policy);
+    if (b == nullptr || c == nullptr) {
+      Failf(r, "n=%.0f: %s avg_breakdown_pct present only in the %s", n, policy.c_str(),
+            b == nullptr ? "candidate" : "baseline");
+    } else if (b->number != c->number) {
+      Failf(r, "n=%.0f: %s avg_breakdown_pct %.10g vs baseline %.10g (the search is "
+               "deterministic; a changed breakdown is a changed verdict)",
+            n, policy.c_str(), c->number, b->number);
+    }
+  };
+  for (const auto& member : base_pct->object) {
+    check(member.first);
+  }
+  for (const auto& member : cand_pct->object) {
+    if (base_pct->Find(member.first) == nullptr) {
+      check(member.first);
+    }
+  }
+}
+
 void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
                       const CompareOptions& opt, CompareResult* r) {
   const JsonValue* base_p = baseline.Find("points");
@@ -152,6 +189,7 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
       Failf(r, "n=%.0f: candidate has %.0f reference mismatches", n,
             NumberOr(cand, "reference_mismatches", -1));
     }
+    CompareBreakdownPct(base, cand, n, r);
     const JsonValue* base_e = base.Find("evals");
     const JsonValue* cand_e = cand.Find("evals");
     double base_full = base_e != nullptr ? NumberOr(*base_e, "full_evals", -1) : -1;

@@ -10,10 +10,12 @@
 //     The user and idle buckets are excluded: user time is the workload's,
 //     and idle is the complement that *shrinks* when the kernel regresses.
 //   emeralds.bench.breakdown/1 — CSD partition-search perf trajectory
-//     (BENCH_breakdown.json). Work counters (full_evals) may grow at most
-//     rel_tolerance and eval_reduction may shrink at most rel_tolerance;
-//     wall-clock fields (wall_seconds, workloads_per_sec) are machine-
-//     dependent and deliberately not gated.
+//     (BENCH_breakdown.json). Each point's avg_breakdown_pct must match
+//     exactly, policy by policy (the search is deterministic); work
+//     counters (full_evals) may grow at most rel_tolerance and
+//     eval_reduction may shrink at most rel_tolerance; wall-clock fields
+//     (wall_seconds, workloads_per_sec) are machine-dependent and
+//     deliberately not gated.
 //   emeralds.fleet.run/1       — fleet simulation throughput
 //     (BENCH_fleet.json). The run configuration must match; the
 //     deterministic aggregates (events_total, events_per_virtual_sec) are

@@ -1,6 +1,7 @@
 #include "src/analysis/csd_evaluator.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/base/assert.h"
 #include "src/base/math.h"
@@ -58,14 +59,21 @@ CsdEvaluator::CsdEvaluator(const TaskSet& sorted_tasks, int queues, const Overhe
     inv_period_prefix_[i + 1] =
         inv_period_prefix_[i] + 1.0 / static_cast<double>(period_ns_[i]);
   }
+  lb_dp_oh_.assign(n_ + 1, 0);
+  lb_fp_oh_.assign(n_ + 1, 0);
+  for (int r = 1; r <= n_; ++r) {
+    lb_dp_oh_[r] = model_.CsdDpOverheadLowerBound(x_, r).nanos();
+  }
+  for (int r = 0; r < n_; ++r) {
+    lb_fp_oh_[r] = model_.CsdFpOverheadLowerBound(x_, r, n_ - r).nanos();
+  }
   base_cost_.resize(n_);
   base_cost_prefix_.assign(n_ + 1, 0);
   base_util_prefix_.assign(n_ + 1, 0.0);
-  lb_dp_oh_.assign(n_ + 1, 0);
-  lb_fp_oh_.assign(n_ + 1, 0);
   dp_util_lb_.assign(n_ + 1, 0.0);
   dp_util_cut_.assign(n_ + 1, 0.0);
-  fp_verdict_.assign(n_ + 1, 0);
+  fp_verdict_.assign(n_ + 1, kBoundUnknown);
+  bound_cost_.resize(n_);
   cost_scratch_.resize(n_);
 }
 
@@ -88,12 +96,6 @@ void CsdEvaluator::EnsureBoundTables(double scale) {
     return;
   }
   EnsureScaleTables(scale);
-  for (int r = 1; r <= n_; ++r) {
-    lb_dp_oh_[r] = model_.CsdDpOverheadLowerBound(x_, r).nanos();
-  }
-  for (int r = 0; r < n_; ++r) {
-    lb_fp_oh_[r] = model_.CsdFpOverheadLowerBound(x_, r, n_ - r).nanos();
-  }
   for (int r = 0; r <= n_; ++r) {
     dp_util_lb_[r] = base_util_prefix_[r] +
                      static_cast<double>(lb_dp_oh_[r]) * inv_period_prefix_[r];
@@ -108,45 +110,46 @@ void CsdEvaluator::EnsureBoundTables(double scale) {
     dp_util_cut_[v] =
         base_util_prefix_[v] + static_cast<double>(suffix_min) * inv_period_prefix_[v];
   }
-  std::fill(fp_verdict_.begin(), fp_verdict_.end(), 0);
+  // FpBoundFails verdicts. The bound's costs, round(wcet * s) plus a
+  // scale-free overhead, never fall as s rises, and each response-time
+  // iterate is monotone in the costs. So an overshoot at s recurs at every
+  // larger scale, at the same iteration or earlier: no larger-cost iteration
+  // can converge first, since its fixed point would bound the smaller-cost
+  // iterates below the deadline. The search's probe only rises, so keep the
+  // failures and forget only the passes; a falling scale forgets both.
+  if (scale > bound_scale_) {
+    std::replace(fp_verdict_.begin(), fp_verdict_.end(), kBoundPasses, kBoundUnknown);
+  } else {
+    std::fill(fp_verdict_.begin(), fp_verdict_.end(), kBoundUnknown);
+  }
   bound_scale_ = scale;
 }
 
 bool CsdEvaluator::FpBoundFails(int r) {
-  if (fp_verdict_[r] != 0) {
-    return fp_verdict_[r] == 2;
+  if (fp_verdict_[r] != kBoundUnknown) {
+    return fp_verdict_[r] == kBoundFails;
   }
   // Response-time analysis for every FP-band task i >= r with lower-bound
   // costs: itself and FP interferers at lb_fp_oh_[r], DP interferers at
   // lb_dp_oh_[r]. A definite deadline overshoot proves the real partition's
-  // RTA (with costs at least as large) fails too. Longest-period tasks fail
-  // first in practice, so scan from the bottom and stop at the first failure.
+  // RTA (with costs at least as large) fails too; an undecided iteration
+  // proves nothing, since the real test might still converge. Longest-period
+  // tasks fail first in practice, so scan from the bottom and stop at the
+  // first failure.
   const int64_t dp_oh = r > 0 ? lb_dp_oh_[r] : 0;
   const int64_t fp_oh = lb_fp_oh_[r];
+  for (int j = 0; j < n_; ++j) {
+    bound_cost_[j] = base_cost_[j] + (j < r ? dp_oh : fp_oh);
+  }
+  const std::span<const int64_t> costs(bound_cost_);
+  const std::span<const int64_t> periods(period_ns_);
   bool fail = false;
   for (int i = n_ - 1; i >= r && !fail; --i) {
     ++stats_->bound_evals;
-    int64_t own = base_cost_[i] + fp_oh;
-    int64_t response = own;
-    for (int iter = 0; iter < kMaxBusyIterations; ++iter) {
-      int64_t next = own;
-      for (int j = 0; j < i; ++j) {
-        next += CeilDiv(response, period_ns_[j]) * (base_cost_[j] + (j < r ? dp_oh : fp_oh));
-      }
-      if (next > deadline_ns_[i]) {
-        fail = true;
-        break;
-      }
-      if (next == response) {
-        break;
-      }
-      response = next;
-      // Non-convergence within the iteration budget is NOT treated as a
-      // failure: the reference test might still converge with its larger
-      // costs, so only a definite deadline overshoot may prune.
-    }
+    fail = ResponseTime(bound_cost_[i], deadline_ns_[i], costs.first(i), periods.first(i)) ==
+           RtaVerdict::kOvershoots;
   }
-  fp_verdict_[r] = fail ? 2 : 1;
+  fp_verdict_[r] = fail ? kBoundFails : kBoundPasses;
   return fail;
 }
 

@@ -124,8 +124,8 @@ class CsdEvaluator : public CsdEngine {
   // Rebuilds the per-scale tables (scaled base costs and their prefix sums)
   // when `scale` differs from the cached one.
   void EnsureScaleTables(double scale);
-  // Rebuilds the pruning tables (per-FP-start overhead lower bounds and the
-  // derived DP-prefix utilization bounds) at the search's probe scale.
+  // Rebuilds the pruning tables (the DP-prefix utilization bounds) at the
+  // search's probe scale; FpBoundFails failures survive a rising scale.
   void EnsureBoundTables(double scale);
   // true => some FP-band task of a partition with FP start `r` provably
   // misses its deadline at bound_scale_ (lazy, memoized per r).
@@ -158,15 +158,21 @@ class CsdEvaluator : public CsdEngine {
   std::vector<int64_t> base_cost_prefix_;   // int64 prefix sums of base_cost_
   std::vector<double> base_util_prefix_;    // prefix sums of base_cost_/period
 
+  // Scale-free per-task overhead lower bounds, indexed by the FP start r.
+  std::vector<int64_t> lb_dp_oh_;  // DP-task overhead lower bound, dp_total = r
+  std::vector<int64_t> lb_fp_oh_;  // FP-task overhead lower bound, fp_length = n - r
+
   // Pruning tables valid at bound_scale_, indexed by the FP start r.
+  static constexpr uint8_t kBoundUnknown = 0;
+  static constexpr uint8_t kBoundPasses = 1;
+  static constexpr uint8_t kBoundFails = 2;
   double bound_scale_ = -1.0;
-  std::vector<int64_t> lb_dp_oh_;    // DP-task overhead lower bound, dp_total = r
-  std::vector<int64_t> lb_fp_oh_;    // FP-task overhead lower bound, fp_length = n - r
   std::vector<double> dp_util_lb_;   // utilization lower bound of tasks 0..r
   std::vector<double> dp_util_cut_;  // min over r' >= r of dp_util_lb_ terms (subtree cut)
-  std::vector<uint8_t> fp_verdict_;  // lazy FpBoundFails memo: 0 unknown, 1 pass, 2 fail
+  std::vector<uint8_t> fp_verdict_;  // lazy FpBoundFails memo; fails survive a rising scale
 
   // Scratch buffers reused across queries.
+  std::vector<int64_t> bound_cost_;  // FpBoundFails' lower-bound cost per task
   std::vector<int64_t> band_oh_;
   std::vector<int> dp_lengths_scratch_;
   std::vector<int64_t> cost_scratch_;

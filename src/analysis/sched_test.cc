@@ -14,25 +14,108 @@ int64_t ScaledCost(const PeriodicTask& task, double scale, Duration overhead) {
   return static_cast<int64_t>(c + 0.5) + overhead.nanos();
 }
 
+// One band task's next absolute deadline in the merged processor-demand
+// sweep.
+struct PendingDeadline {
+  int64_t at;
+  int task;
+};
+
+// Restores the min-heap order on `at` below slot `i`.
+void SiftDown(std::vector<PendingDeadline>& heap, size_t i) {
+  const size_t size = heap.size();
+  const PendingDeadline moving = heap[i];
+  for (size_t child = 2 * i + 1; child < size; child = 2 * i + 1) {
+    if (child + 1 < size && heap[child + 1].at < heap[child].at) {
+      ++child;
+    }
+    if (heap[child].at >= moving.at) {
+      break;
+    }
+    heap[i] = heap[child];
+    i = child;
+  }
+  heap[i] = moving;
+}
+
+// Processor-demand test of the lower DP band band_start..band_end-1: every
+// absolute deadline t <= window of a band task needs
+//   sum over band deadlines d <= t of the task's cost
+//     + sum over higher-band tasks i of ceil(t / T_i) * C_i  <=  t.
+// More than kMaxDemandPoints such deadlines, counted in closed form, reject
+// the band (conservative). The verdict is "no such t fails", so neither the
+// order of the points nor duplicates matter. The band tasks' deadline
+// progressions are merged in time order through a heap of at most one entry
+// per task, and a running sum of their costs is the band's demand at t; the
+// check runs at the last deadline of each equal-time run, once every cost
+// due at t is in the sum.
+bool BandDemandFeasible(const TaskSet& sorted_tasks, int band_start, int band_end,
+                        int64_t window, const std::vector<int64_t>& cost_ns) {
+  std::vector<PendingDeadline> heap;
+  heap.reserve(band_end - band_start);
+  int64_t points = 0;
+  for (int i = band_start; i < band_end; ++i) {
+    int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
+    if (deadline <= window) {
+      points += FloorDiv(window - deadline, sorted_tasks.tasks[i].period.nanos()) + 1;
+      heap.push_back({deadline, i});
+    }
+  }
+  if (points > static_cast<int64_t>(kMaxDemandPoints)) {
+    return false;
+  }
+  for (size_t i = heap.size() / 2; i-- > 0;) {
+    SiftDown(heap, i);
+  }
+  int64_t band_demand = 0;
+  while (!heap.empty()) {
+    const int64_t t = heap[0].at;
+    const int task = heap[0].task;
+    band_demand += cost_ns[task];
+    const int64_t next = t + sorted_tasks.tasks[task].period.nanos();
+    if (next <= window) {
+      heap[0].at = next;
+    } else {
+      heap[0] = heap.back();
+      heap.pop_back();
+    }
+    if (!heap.empty()) {
+      SiftDown(heap, 0);
+      if (heap[0].at == t) {
+        continue;  // another band deadline at t
+      }
+    }
+    int64_t demand = band_demand;
+    for (int i = 0; i < band_start; ++i) {
+      demand += CeilDiv(t, sorted_tasks.tasks[i].period.nanos()) * cost_ns[i];
+    }
+    if (demand > t) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
-bool ResponseTimeWithin(int64_t own_cost_ns, int64_t deadline_ns,
-                        const std::vector<std::pair<int64_t, int64_t>>& interferers) {
+RtaVerdict ResponseTime(int64_t own_cost_ns, int64_t deadline_ns,
+                        std::span<const int64_t> costs_ns, std::span<const int64_t> periods_ns) {
+  EM_ASSERT(costs_ns.size() == periods_ns.size());
   int64_t response = own_cost_ns;
   for (int iter = 0; iter < kMaxBusyIterations; ++iter) {
     int64_t next = own_cost_ns;
-    for (const auto& [cost, period] : interferers) {
-      next += CeilDiv(response, period) * cost;
+    for (size_t j = 0; j < costs_ns.size(); ++j) {
+      next += CeilDiv(response, periods_ns[j]) * costs_ns[j];
     }
     if (next > deadline_ns) {
-      return false;
+      return RtaVerdict::kOvershoots;
     }
     if (next == response) {
-      return true;
+      return RtaVerdict::kMeets;
     }
     response = next;
   }
-  return false;  // no convergence within budget: treat as infeasible
+  return RtaVerdict::kUndecided;
 }
 
 bool EdfFeasible(const TaskSet& tasks, double scale, const OverheadModel& model) {
@@ -57,17 +140,12 @@ bool RmFeasible(const TaskSet& sorted_tasks, double scale, const OverheadModel& 
     return true;
   }
   Duration overhead = model.RmTaskOverhead(n, heap);
-  std::vector<std::pair<int64_t, int64_t>> higher;
-  higher.reserve(n);
+  std::vector<int64_t> cost_ns(n);
   for (int i = 0; i < n; ++i) {
-    const PeriodicTask& task = sorted_tasks.tasks[i];
-    int64_t cost = ScaledCost(task, scale, overhead);
-    if (!ResponseTimeWithin(cost, task.deadline.nanos(), higher)) {
-      return false;
-    }
-    higher.emplace_back(cost, task.period.nanos());
+    cost_ns[i] = ScaledCost(sorted_tasks.tasks[i], scale, overhead);
   }
-  return true;
+  // RM is the FP stage with every task in the FP band.
+  return CsdFpRtaFeasible(sorted_tasks, 0, cost_ns);
 }
 
 bool CsdFeasible(const TaskSet& sorted_tasks, const std::vector<int>& band_sizes, double scale,
@@ -170,36 +248,8 @@ bool CsdDemandAndRtaFeasible(const TaskSet& sorted_tasks, const std::vector<int>
       if (!converged) {
         return false;
       }
-      // Test points: absolute deadlines of this band's tasks within the
-      // window.
-      std::vector<int64_t> points;
-      for (int i = band_start; i < band_end; ++i) {
-        int64_t period = sorted_tasks.tasks[i].period.nanos();
-        int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
-        for (int64_t d = deadline; d <= window; d += period) {
-          points.push_back(d);
-          if (points.size() > kMaxDemandPoints) {
-            return false;  // conservative
-          }
-        }
-      }
-      std::sort(points.begin(), points.end());
-      points.erase(std::unique(points.begin(), points.end()), points.end());
-      for (int64_t t : points) {
-        int64_t demand = 0;
-        for (int i = band_start; i < band_end; ++i) {
-          int64_t period = sorted_tasks.tasks[i].period.nanos();
-          int64_t deadline = sorted_tasks.tasks[i].deadline.nanos();
-          if (t >= deadline) {
-            demand += (FloorDiv(t - deadline, period) + 1) * cost_ns[i];
-          }
-        }
-        for (int i = 0; i < band_start; ++i) {
-          demand += CeilDiv(t, sorted_tasks.tasks[i].period.nanos()) * cost_ns[i];
-        }
-        if (demand > t) {
-          return false;
-        }
+      if (!BandDemandFeasible(sorted_tasks, band_start, band_end, window, cost_ns)) {
+        return false;
       }
     }
     band_start = band_end;
@@ -212,16 +262,20 @@ bool CsdDemandAndRtaFeasible(const TaskSet& sorted_tasks, const std::vector<int>
 bool CsdFpRtaFeasible(const TaskSet& sorted_tasks, int fp_start,
                       const std::vector<int64_t>& cost_ns) {
   int n = sorted_tasks.size();
-  std::vector<std::pair<int64_t, int64_t>> interferers;
-  interferers.reserve(n);
-  for (int i = 0; i < fp_start; ++i) {
-    interferers.emplace_back(cost_ns[i], sorted_tasks.tasks[i].period.nanos());
+  std::vector<int64_t> period_ns(n);
+  for (int i = 0; i < n; ++i) {
+    period_ns[i] = sorted_tasks.tasks[i].period.nanos();
   }
-  for (int i = fp_start; i < n; ++i) {
-    if (!ResponseTimeWithin(cost_ns[i], sorted_tasks.tasks[i].deadline.nanos(), interferers)) {
+  // A conjunction of per-task tests, each reading only the tasks above it:
+  // the order cannot change the verdict. Infeasible bands fail mostly at
+  // the bottom, so test the longest period first.
+  const std::span<const int64_t> costs(cost_ns);
+  const std::span<const int64_t> periods(period_ns);
+  for (int i = n - 1; i >= fp_start; --i) {
+    if (ResponseTime(cost_ns[i], sorted_tasks.tasks[i].deadline.nanos(), costs.first(i),
+                     periods.first(i)) != RtaVerdict::kMeets) {
       return false;
     }
-    interferers.emplace_back(cost_ns[i], sorted_tasks.tasks[i].period.nanos());
   }
   return true;
 }

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/analysis/overhead.h"
@@ -61,15 +62,25 @@ bool CsdDemandAndRtaFeasible(const TaskSet& sorted_tasks, const std::vector<int>
 // CsdDemandAndRtaFeasible): tasks fp_start..n-1 against interference from
 // every task above them. All-int64, so any caller with identical costs gets
 // the identical verdict; the optimized engine runs it as an exact prefilter
-// before paying the processor-demand stage.
+// before paying the processor-demand stage, and RmFeasible is its
+// fp_start == 0 case.
 bool CsdFpRtaFeasible(const TaskSet& sorted_tasks, int fp_start,
                       const std::vector<int64_t>& cost_ns);
 
-// Shared helper: response-time analysis for one task given higher-priority
-// interferers (costs in nanoseconds). Returns false on divergence past the
-// deadline.
-bool ResponseTimeWithin(int64_t own_cost_ns, int64_t deadline_ns,
-                        const std::vector<std::pair<int64_t, int64_t>>& interferers);
+// Outcome of one task's response-time iteration.
+enum class RtaVerdict {
+  kMeets,       // the iteration converged at or before the deadline
+  kOvershoots,  // an iterate passed the deadline: the task misses it
+  kUndecided,   // neither within kMaxBusyIterations
+};
+
+// Response-time analysis for one task of cost `own_cost_ns` and relative
+// deadline `deadline_ns` against the higher-priority tasks j, of cost
+// costs_ns[j] and period periods_ns[j] (spans of equal length). The exact
+// tests (RmFeasible, CsdFpRtaFeasible) treat kUndecided as a miss; the
+// evaluator's lower bound prunes only on kOvershoots.
+RtaVerdict ResponseTime(int64_t own_cost_ns, int64_t deadline_ns,
+                        std::span<const int64_t> costs_ns, std::span<const int64_t> periods_ns);
 
 }  // namespace emeralds
 

@@ -121,11 +121,21 @@ TEST(SchedTestTest, OverheadsShrinkFeasibleRegion) {
 TEST(SchedTestTest, ResponseTimeAnalysisBasics) {
   // Task with cost 2, deadline 10, one interferer (cost 3, period 5):
   // R = 2 + ceil(5/5)*3 = 5 <= 10.
-  EXPECT_TRUE(ResponseTimeWithin(2, 10, {{3, 5}}));
+  const int64_t cost[] = {3};
+  const int64_t period[] = {5};
+  EXPECT_EQ(ResponseTime(2, 10, cost, period), RtaVerdict::kMeets);
   // Tighter deadline fails (R = 5 > 4).
-  EXPECT_FALSE(ResponseTimeWithin(2, 4, {{3, 5}}));
-  // Over-utilized interference diverges and is rejected.
-  EXPECT_FALSE(ResponseTimeWithin(1, 1000000, {{6, 5}}));
+  EXPECT_EQ(ResponseTime(2, 4, cost, period), RtaVerdict::kOvershoots);
+  // Over-utilized interference diverges past the deadline.
+  const int64_t heavy_cost[] = {6};
+  EXPECT_EQ(ResponseTime(1, 1000000, heavy_cost, period), RtaVerdict::kOvershoots);
+  // Interference at 99% utilization: the fixed point R = 10000 + ceil(R/100) * 99
+  // is 1,000,000, but each iterate closes only 1% of the gap, so 256 iterates
+  // neither converge nor pass the deadline.
+  const int64_t slow_cost[] = {99};
+  const int64_t slow_period[] = {100};
+  EXPECT_EQ(ResponseTime(10000, 2000000, slow_cost, slow_period), RtaVerdict::kUndecided);
+  EXPECT_EQ(ResponseTime(10000, 100000, slow_cost, slow_period), RtaVerdict::kOvershoots);
 }
 
 // --- Breakdown ---

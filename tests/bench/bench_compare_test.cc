@@ -1,8 +1,9 @@
 // Perf-regression gate tests: an injected scheduler-bucket regression beyond
 // tolerance must fail, within-tolerance drift must pass, the user/idle
 // buckets and wall-clock throughput must stay ungated, a changed fleet,
-// cycle-ledger or SMP run digest and a changed fleet record mix must fail,
-// and a candidate that violates its own invariants must never pass.
+// cycle-ledger or SMP run digest, a changed breakdown and a changed fleet
+// record mix must fail, and a candidate that violates its own invariants
+// must never pass.
 
 #include <string>
 
@@ -187,6 +188,38 @@ TEST(BenchCompareBreakdownTest, WallClockThroughputIsNotGated) {
   CompareResult r = CompareReports(base, cand, CompareOptions());
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_FALSE(r.notes.empty());
+}
+
+// `doc` with its point's "avg_breakdown_pct" set to the object `pct`.
+std::string WithBreakdownPct(const std::string& doc, const std::string& pct) {
+  const std::string at = "\"n\":10,";
+  const size_t cut = doc.find(at) + at.size();
+  return doc.substr(0, cut) + "\"avg_breakdown_pct\":" + pct + "," + doc.substr(cut);
+}
+
+TEST(BenchCompareBreakdownTest, ChangedBreakdownFailsAndNamesThePoint) {
+  const std::string doc = BreakdownDoc(1000, 0.800, 5000);
+  JsonValue base = Parse(WithBreakdownPct(doc, "{\"CSD-3\":98.79632813,\"EDF\":97.5}"));
+  EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
+  // The same evaluation count with a breakdown one digit off still fails.
+  CompareResult r = CompareReports(
+      base, Parse(WithBreakdownPct(doc, "{\"CSD-3\":98.79632814,\"EDF\":97.5}")),
+      CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("n=10: CSD-3 avg_breakdown_pct 98.79632814 vs baseline "
+                               "98.79632813"),
+            std::string::npos)
+      << r.failures[0];
+  // A candidate missing a policy, or the whole section, fails too.
+  CompareResult missing =
+      CompareReports(base, Parse(WithBreakdownPct(doc, "{\"EDF\":97.5}")), CompareOptions());
+  EXPECT_FALSE(missing.ok);
+  ASSERT_EQ(missing.failures.size(), 1u);
+  EXPECT_NE(missing.failures[0].find("CSD-3 avg_breakdown_pct present only in the baseline"),
+            std::string::npos)
+      << missing.failures[0];
+  EXPECT_FALSE(CompareReports(base, Parse(doc), CompareOptions()).ok);
 }
 
 TEST(BenchCompareBreakdownTest, ReferenceMismatchFailsTheCandidate) {
