@@ -654,13 +654,18 @@ TortureResult RunTorture(const TortureOptions& options) {
   return result;
 }
 
+void InspectTorture(const TortureOptions& options,
+                    const std::function<void(const Kernel&)>& inspect) {
+  HarnessState st;
+  DriveTorture(options, &st, [&](Kernel& kernel) { inspect(kernel); });
+}
+
 bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     return false;
   }
-  HarnessState st;
-  DriveTorture(options, &st, [&](Kernel& kernel) { kernel.trace().ExportCsv(out); });
+  InspectTorture(options, [&](const Kernel& kernel) { kernel.trace().ExportCsv(out); });
   std::fclose(out);
   return true;
 }
@@ -675,8 +680,7 @@ bool ExportTortureBlackBox(const TortureOptions& options, const TortureResult& r
     repro += "\n" + extra_repro;
   }
   bool ok = false;
-  HarnessState st;
-  DriveTorture(options, &st, [&](Kernel& kernel) {
+  InspectTorture(options, [&](const Kernel& kernel) {
     obs::BlackBoxSnapshot box = obs::CaptureBlackBox(
         kernel, label, result.failure.empty() ? "manual export" : result.failure, repro);
     ok = obs::WriteBlackBoxBundle(box, dir);

@@ -11,10 +11,12 @@
 // deterministic, the same (seed, op budget) always produces bit-identical
 // traces; TortureResult::trace_digest makes that checkable in one compare.
 //
-// Six oracles run after every run:
-//   1. obs::AnalyzeTrace over the retained trace must report zero structural
-//      invariant violations (truncation-aware, so a deliberately tiny ring is
-//      a fault case, not a false positive);
+// Six oracles run after every run. Oracles 1, 2, 5 and 6 read one
+// obs::EvaluateTrace pass over the retained trace window, which also folds
+// the window digest:
+//   1. its trace analysis must report zero structural invariant violations
+//      (truncation-aware, so a deliberately tiny ring is a fault case, not a
+//      false positive);
 //   2. obs::ComputeReconciliation must agree with the kernel's own counters
 //      whenever the trace was not truncated — and must *refuse* to check
 //      (checked == false) when it was;
@@ -24,18 +26,18 @@
 //      virtual time since the charge epoch, exact to the tick, and no clock
 //      advance may bypass the kernel's charging paths. Unlike oracle 2 this
 //      is trace-independent, so it is enforced even on a truncated ring;
-//   5. causal-token conservation: obs::AnalyzeChains over the declared chain
+//   5. causal-token conservation: its chain analysis over the declared chain
 //      topology must report zero chain violations — every consumed token was
 //      emitted, hop counts advance by exactly one, origins are minted once.
 //      On a truncated ring orphan hops are tolerated (the emit predates the
 //      window) but malformed tokens still fail;
-//   6. conservation of lateness: obs::AnalyzePostmortem over every deadline
-//      miss must produce a blame ledger that telescopes exactly to
-//      completion - release, and on an untruncated ring nothing may land in
-//      the unattributed bucket and no miss may go unmatched.
+//   6. conservation of lateness: its postmortem must give every deadline
+//      miss a blame ledger that telescopes exactly to completion - release,
+//      and on an untruncated ring nothing may land in the unattributed bucket
+//      and no miss may go unmatched.
 //
 // A failing seed is shrunk by bisecting the global operation budget
-// (BisectFailingOpLimit) and reported as a one-line repro command.
+// (ShrinkFailingRun) and reported as a one-line repro command.
 
 #ifndef SRC_FUZZ_TORTURE_H_
 #define SRC_FUZZ_TORTURE_H_
@@ -89,7 +91,7 @@ struct TortureOptions {
   // Virtual cores. Generated threads are pinned round-robin (thread i on
   // core i % num_cores — no extra RNG draws, so 1-core schedules and digests
   // are bit-identical to the pre-SMP harness); the IRQ driver and the
-  // shepherd stay on the boot core. All five oracles run core-aware, and
+  // shepherd stay on the boot core. All six oracles run core-aware, and
   // oracle 4 additionally holds each core's own ledger to wall time.
   int num_cores = 1;
 };
@@ -145,6 +147,11 @@ struct TortureResult {
 
 // Runs one seeded torture run to completion and applies the oracles.
 TortureResult RunTorture(const TortureOptions& options);
+
+// Runs one seed to completion and hands the finished kernel, trace window
+// included, to `inspect` (re-runs the seed; cheap and deterministic).
+void InspectTorture(const TortureOptions& options,
+                    const std::function<void(const Kernel&)>& inspect);
 
 // Writes the trace CSV of one run to `path` (re-runs the seed; cheap and
 // deterministic). Returns false when the file cannot be created.

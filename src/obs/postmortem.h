@@ -15,13 +15,19 @@
 // windows (ring overflow, mid-run sink Reset, legacy imports) degrade to a
 // counted `unattributed_ns` — never to a silently wrong ledger.
 //
-// Attribution is gap-based: between consecutive events every open job's
-// elapsed time is classified by the victim's scheduler state (running /
-// ready / blocked-and-why), with kOverheadSpan events carving the kernel's
-// charged advances on the victim's core out of the gap. The kernel records
-// a span for every charged advance; on a trace without spans (one imported
-// from an older build) the ledger still telescopes but overhead lands in
-// own-execution / preemption.
+// Attribution is gap-based: every open job's elapsed time is classified by
+// the victim's scheduler state (running / ready / blocked-and-why), with
+// kOverheadSpan events carving the kernel's charged advances on the victim's
+// core out of each gap between records. The kernel records a span for every
+// charged advance; on a trace without spans (one imported from an older
+// build) the ledger still telescopes but overhead lands in own-execution /
+// preemption. A job is settled only at the records that can change its
+// classification: those naming its thread, switches and exits on its core
+// while it is runnable, and sink resets. Per-core running sums of what the
+// spans carved, snapshotted at each settle, bill the overhead in between, so
+// the replay costs O(1) per record however many jobs are open. A job
+// released ahead of the stream cursor is walked record by record until the
+// cursor reaches it.
 
 #ifndef SRC_OBS_POSTMORTEM_H_
 #define SRC_OBS_POSTMORTEM_H_

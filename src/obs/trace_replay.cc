@@ -693,28 +693,58 @@ class ChainVisitor {
 
 // --- Deadline-miss postmortem (AnalyzePostmortem) --------------------------
 
-void AddOverhead(LatenessLedger& ledger, int bucket, int64_t ns) {
+// The ledger fields kernel overhead is billed to, in SpanSums::field order.
+constexpr std::array<int64_t LatenessLedger::*, 5> kOverheadFields = {
+    &LatenessLedger::irq_ns, &LatenessLedger::ipi_ns, &LatenessLedger::timer_svc_ns,
+    &LatenessLedger::sched_ns, &LatenessLedger::syscall_ns};
+
+// What kOverheadSpan records carved out of the gaps they end: the sum of
+// min(gap, span), negative on a corrupt span, and of its positive parts, in
+// total and per kOverheadFields entry.
+struct SpanSums {
+  int64_t carved = 0;
+  int64_t positive = 0;
+  std::array<int64_t, kOverheadFields.size()> field{};
+
+  SpanSums Since(const SpanSums& snap) const {
+    SpanSums d{carved - snap.carved, positive - snap.positive, {}};
+    for (size_t f = 0; f < field.size(); ++f) {
+      d.field[f] = field[f] - snap.field[f];
+    }
+    return d;
+  }
+};
+
+constexpr SpanSums kNoSpans{};
+
+// The kOverheadFields entry a cycle bucket's overhead is billed to.
+size_t OverheadField(int bucket) {
   switch (static_cast<CycleBucket>(bucket)) {
     case CycleBucket::kIrq:
-      ledger.irq_ns += ns;
-      break;
+      return 0;
     case CycleBucket::kIpi:
-      ledger.ipi_ns += ns;
-      break;
+      return 1;
     case CycleBucket::kTimerSvc:
-      ledger.timer_svc_ns += ns;
-      break;
+      return 2;
     case CycleBucket::kSchedSelect:
     case CycleBucket::kSchedBlock:
     case CycleBucket::kSchedUnblock:
     case CycleBucket::kSchedParse:
     case CycleBucket::kContextSwitch:
-      ledger.sched_ns += ns;
-      break;
+      return 3;
     default:
       // Traps, semaphore/PI/IPC bookkeeping, stats sampling.
-      ledger.syscall_ns += ns;
-      break;
+      return 4;
+  }
+}
+
+// Adds one span's carve of a gap; its positive part is billed to the span's
+// bucket.
+void AddOverhead(SpanSums& sums, int bucket, int64_t part) {
+  sums.carved += part;
+  if (part > 0) {
+    sums.positive += part;
+    sums.field[OverheadField(bucket)] += part;
   }
 }
 
@@ -758,36 +788,65 @@ std::string TopBlame(const LatenessLedger& l) {
   return label;
 }
 
-// Attribution is gap-based: between consecutive events every open job's
-// elapsed time is classified by the victim's scheduler state.
+// Attribution is gap-based: every open job's time from its release to its
+// completion is classified by the victim's scheduler state, with the spans
+// kOverheadSpan records carve out of the gaps on its core billed as overhead.
+// That classification can change only at a record naming the thread (switch
+// in or out, release, complete, block, ready, CSE early PI, exit), at a
+// switch or exit on its core while it is runnable, and at a sink reset, so a
+// job is settled only there: the cursor time since its last settle, less
+// what the spans on its core carved meanwhile, goes to its state. Every
+// settled job's attribution cursor `jc` sits at the stream cursor, so each
+// gap is the same for all of them and per-core running sums of the carves,
+// snapshotted at each settle, give every job's share exactly. A job released
+// ahead of the cursor is walked record by record until the cursor reaches
+// its `jc`.
 class PostmortemVisitor {
  public:
   [[gnu::always_inline]] void OnEvent(TraceReplay& replay, const TraceEvent& e) {
     if (e.type != TraceEventType::kJobRelease) {
-      // Gap attribution for every open job up to this event's time.
       // kJobRelease is exempt: it carries the retroactive nominal release.
-      for (int32_t tid : open_tids_) {
-        Attribute(replay, tid, threads_[tid], e);
+      // A span carves min(gap, span) out of the gap it ends on its core; the
+      // clamp keeps microsecond-truncated CSV replays exact, since a span can
+      // only shrink to its gap, never overdraw it.
+      if (e.type == TraceEventType::kOverheadSpan && have_cursor_ && e.time > cursor_) {
+        const size_t core = static_cast<size_t>(OverheadSpanCore(e.arg0));
+        if (core >= core_spans_.size()) {
+          core_spans_.resize(core + 1);
+        }
+        AddOverhead(core_spans_[core], OverheadSpanBucket(e.arg0),
+                    std::min<int64_t>((e.time - cursor_).nanos(), e.arg1));
       }
       if (!have_cursor_ || e.time > cursor_) {
         cursor_ = e.time;
         have_cursor_ = true;
+      }
+      if (!ahead_tids_.empty()) [[unlikely]] {
+        WalkAhead(replay, e);
       }
     }
 
     switch (e.type) {
       case TraceEventType::kContextSwitch: {
         // The cursor records the new runner once every visitor has seen it.
+        const bool core_ok = e.arg2 >= 0 && e.arg2 <= kMaxCoreId;
+        if (core_ok) {
+          SettleCore(replay, e.arg2);
+        }
         Thread* in = track(e.arg1);
         if (in != nullptr) {
-          if (e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
+          Settle(replay, e.arg1, *in);
+          if (core_ok) {
             in->core = e.arg2;
           }
           in->blocked = false;  // a blocked thread cannot be switched in
+          Resnap(*in);
         }
         Thread* outg = track(e.arg0);
-        if (outg != nullptr && e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
+        if (outg != nullptr && core_ok) {
+          Settle(replay, e.arg0, *outg);
           outg->core = e.arg2;
+          Resnap(*outg);
         }
         break;
       }
@@ -797,7 +856,9 @@ class PostmortemVisitor {
           break;
         }
         // A release over a still-open job only happens on corrupted or
-        // truncated streams; discard the stale job.
+        // truncated streams; discard the stale job, settled first so that
+        // any runner slot it touches is created in this epoch.
+        Settle(replay, e.arg0, *th);
         CloseOpenJob(e.arg0, *th);
         OpenJob& job = th->job;
         job.open = true;
@@ -831,6 +892,12 @@ class PostmortemVisitor {
           l.release_latency_ns += latency;
         }
         open_tids_.push_back(e.arg0);
+        job.synced = have_cursor_ && jc0 == cursor_;
+        if (job.synced) {
+          job.snap = SpansOn(th->core);
+        } else {
+          ahead_tids_.push_back(e.arg0);
+        }
         break;
       }
       case TraceEventType::kJobComplete: {
@@ -838,6 +905,7 @@ class PostmortemVisitor {
         if (th == nullptr) {
           break;
         }
+        Settle(replay, e.arg0, *th);
         if (th->job.open && th->job.number == static_cast<uint64_t>(e.arg1)) {
           FinalizeJob(e.arg0, *th, e.time);
         } else {
@@ -875,6 +943,7 @@ class PostmortemVisitor {
       case TraceEventType::kThreadBlock: {
         Thread* th = track(e.arg0);
         if (th != nullptr) {
+          Settle(replay, e.arg0, *th);
           th->blocked = true;
           th->reason = static_cast<BlockReason>(e.arg1);
           th->blocked_obj = e.arg2;
@@ -884,12 +953,14 @@ class PostmortemVisitor {
       case TraceEventType::kThreadReady: {
         Thread* th = track(e.arg0);
         if (th != nullptr) {
+          Settle(replay, e.arg0, *th);
           th->blocked = false;
           th->reason = BlockReason::kNone;
           th->blocked_obj = -1;
           if (e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
             th->core = e.arg2;
           }
+          Resnap(*th);
         }
         break;
       }
@@ -898,6 +969,7 @@ class PostmortemVisitor {
         // grid to the contended lock — from here the time is PI blocking.
         Thread* th = track(e.arg0);
         if (th != nullptr) {
+          Settle(replay, e.arg0, *th);
           th->blocked = true;
           th->reason = BlockReason::kWaitSem;
           th->blocked_obj = e.arg1;
@@ -905,8 +977,13 @@ class PostmortemVisitor {
         break;
       }
       case TraceEventType::kThreadExit: {
+        // The cursor idles the core once every visitor has seen the exit.
+        if (e.arg2 >= 0 && e.arg2 <= kMaxCoreId) {
+          SettleCore(replay, e.arg2);
+        }
         Thread* th = track(e.arg0);
         if (th != nullptr) {
+          Settle(replay, e.arg0, *th);
           CloseOpenJob(e.arg0, *th);
           th->blocked = false;
         }
@@ -915,8 +992,11 @@ class PostmortemVisitor {
       case TraceEventType::kTraceEpoch:
         // Mid-run sink reset: every open job and scheduler state predates a
         // discarded window. Start over, truncated; the cursor's epoch count
-        // makes every runner established so far unknown.
+        // makes every runner established so far unknown. The jobs are
+        // settled first, so each runner slot a settle creates is created in
+        // this epoch, as a record-by-record walk would create it.
         for (int32_t tid : std::vector<int32_t>(open_tids_)) {
+          Settle(replay, tid, threads_[tid]);
           CloseOpenJob(tid, threads_[tid]);
         }
         for (Thread& th : threads_) {
@@ -957,6 +1037,10 @@ class PostmortemVisitor {
     int64_t budget_ns = 0;     // relative deadline
     bool missed_early = false; // kDeadlineMiss arrived while still open
     Instant jc;                // attribution cursor: time before jc is classified
+    // jc had reached the stream cursor at the last settle; else the job is
+    // in ahead_tids_ and walked record by record.
+    bool synced = false;
+    SpanSums snap;             // its core's span sums at the last settle
     int64_t own_exec_ns = 0;   // scheduled time, split at finalize vs the EWMA
     int64_t measured_cost_ns = 0;  // own_exec + overhead billed while running
     LatenessLedger ledger;
@@ -987,54 +1071,49 @@ class PostmortemVisitor {
     return &threads_[id];
   }
 
-  // Classifies the gap (job.jc, e.time] for one open job; an exact partition
-  // of the gap, so per-job sums telescope by construction.
-  void Attribute(TraceReplay& replay, int32_t tid, Thread& th, const TraceEvent& e) {
-    OpenJob& job = th.job;
-    int64_t g = (e.time - job.jc).nanos();
-    if (g <= 0) {
+  const SpanSums& SpansOn(int core) const {
+    return static_cast<size_t>(core) < core_spans_.size() ? core_spans_[core] : kNoSpans;
+  }
+
+  // Classifies `elapsed` ns of the job's time by the victim's state, given
+  // what spans on its core carved out of it; an exact partition of the
+  // elapsed time, so per-job sums telescope by construction.
+  void Bill(TraceReplay& replay, int32_t tid, Thread& th, int64_t elapsed, const SpanSums& spans) {
+    if (elapsed <= 0) {
       return;
     }
+    OpenJob& job = th.job;
     LatenessLedger& l = job.ledger;
     if (th.blocked) {
       switch (th.reason) {
         case BlockReason::kWaitSem:
         case BlockReason::kPreAcquire:
-          l.lock_blocked_ns += g;
+          l.lock_blocked_ns += elapsed;
           if (th.blocked_obj >= 0) {
-            l.lock_ns[th.blocked_obj] += g;
+            l.lock_ns[th.blocked_obj] += elapsed;
           }
           break;
         case BlockReason::kWaitPeriod:
           // Released but the wake has not landed yet (timer service / CSE
           // release window): still latency of getting the job going.
-          l.release_latency_ns += g;
+          l.release_latency_ns += elapsed;
           break;
         default:
-          l.self_suspend_ns += g;
+          l.self_suspend_ns += elapsed;
           break;
       }
-      job.jc = e.time;
       return;
+    }
+    for (size_t f = 0; f < kOverheadFields.size(); ++f) {
+      l.*kOverheadFields[f] += spans.field[f];
     }
     // The runner the window established on the victim's core, forgotten at
     // a sink reset.
-    auto runner_known = [&](const TraceReplay::CoreRunner* core) {
-      return core != nullptr && core->since == replay.epochs();
-    };
-    // The min() clamp keeps microsecond-truncated CSV replays exact: a span
-    // can only shrink to the gap, never overdraw it.
-    const bool span_here =
-        e.type == TraceEventType::kOverheadSpan && OverheadSpanCore(e.arg0) == th.core;
-    int64_t span_part = span_here ? std::min<int64_t>(g, e.arg1) : 0;
-    if (span_part > 0) {
-      AddOverhead(l, OverheadSpanBucket(e.arg0), span_part);
-    }
-    int64_t residue = g - span_part;
+    const TraceReplay::CoreRunner* core = replay.Core(th.core);
+    const bool known = core != nullptr && core->since == replay.epochs();
+    const int32_t runner = core != nullptr ? core->thread : -1;
+    const int64_t residue = elapsed - spans.carved;
     if (residue > 0) {
-      const TraceReplay::CoreRunner* core = replay.Core(th.core);
-      bool known = runner_known(core);
-      int32_t runner = core != nullptr ? core->thread : -1;
       if (known && runner == tid) {
         job.own_exec_ns += residue;
         job.measured_cost_ns += residue;
@@ -1048,15 +1127,71 @@ class PostmortemVisitor {
         l.unattributed_ns += residue;
       }
     }
-    if (span_part > 0) {
-      const TraceReplay::CoreRunner* core = replay.Core(th.core);
-      if (runner_known(core) && core->thread == tid) {
-        // Overhead billed while scheduled counts toward the measured job
-        // cost, matching the kernel's bill-to-current EWMA semantics.
-        job.measured_cost_ns += span_part;
+    if (known && runner == tid) {
+      // Overhead billed while scheduled counts toward the measured job
+      // cost, matching the kernel's bill-to-current EWMA semantics.
+      job.measured_cost_ns += spans.positive;
+    }
+  }
+
+  // Bills a synced job's time since its last settle, up to the cursor.
+  void Settle(TraceReplay& replay, int32_t tid, Thread& th) {
+    OpenJob& job = th.job;
+    if (!job.open || !job.synced) {
+      return;
+    }
+    const SpanSums& now = SpansOn(th.core);
+    Bill(replay, tid, th, (cursor_ - job.jc).nanos(), now.Since(job.snap));
+    job.jc = cursor_;
+    job.snap = now;
+  }
+
+  // Settles the runnable jobs on `core`, whose runner is about to change.
+  void SettleCore(TraceReplay& replay, int core) {
+    for (int32_t tid : open_tids_) {
+      Thread& th = threads_[tid];
+      if (th.core == core && !th.blocked) {
+        Settle(replay, tid, th);
       }
     }
-    job.jc = e.time;
+  }
+
+  // After a settled job's thread changed core, its sums are the new core's.
+  void Resnap(Thread& th) {
+    if (th.job.open && th.job.synced) {
+      th.job.snap = SpansOn(th.core);
+    }
+  }
+
+  // Classifies each ahead job's gap up to `e`, carving `e` if it is a span on
+  // the job's core; a job whose jc the cursor reached joins the settled ones.
+  void WalkAhead(TraceReplay& replay, const TraceEvent& e) {
+    std::erase_if(ahead_tids_, [&](int32_t tid) {
+      Thread& th = threads_[tid];
+      OpenJob& job = th.job;
+      const int64_t g = (e.time - job.jc).nanos();
+      if (g > 0) {
+        SpanSums spans;
+        if (e.type == TraceEventType::kOverheadSpan && OverheadSpanCore(e.arg0) == th.core) {
+          AddOverhead(spans, OverheadSpanBucket(e.arg0), std::min<int64_t>(g, e.arg1));
+        }
+        Bill(replay, tid, th, g, spans);
+        job.jc = e.time;
+      }
+      job.synced = job.jc == cursor_;
+      if (job.synced) {
+        job.snap = SpansOn(th.core);
+      }
+      return job.synced;
+    });
+  }
+
+  // Removes a job that is no longer open from the open lists.
+  void Forget(int32_t tid, const OpenJob& job) {
+    open_tids_.erase(std::find(open_tids_.begin(), open_tids_.end(), tid));
+    if (!job.synced) {
+      ahead_tids_.erase(std::find(ahead_tids_.begin(), ahead_tids_.end(), tid));
+    }
   }
 
   // Drops an open job without a completion; a passed deadline counts it as
@@ -1072,8 +1207,8 @@ class PostmortemVisitor {
     if (missed) {
       ++out_.incomplete_misses;
     }
+    Forget(tid, th.job);
     th.job = OpenJob();
-    open_tids_.erase(std::find(open_tids_.begin(), open_tids_.end(), tid));
   }
 
   void FinalizeJob(int32_t tid, Thread& th, Instant completion) {
@@ -1141,13 +1276,15 @@ class PostmortemVisitor {
         ++out_.records_dropped;
       }
     }
+    Forget(tid, job);
     th.job = OpenJob();
-    open_tids_.erase(std::find(open_tids_.begin(), open_tids_.end(), tid));
   }
 
   PostmortemAnalysis out_;
   std::vector<Thread> threads_;
   std::vector<int32_t> open_tids_;
+  std::vector<int32_t> ahead_tids_;  // open jobs not yet synced, walked per record
+  std::vector<SpanSums> core_spans_;  // per core, from the first record
   Instant cursor_;  // max non-release event time processed so far
   bool have_cursor_ = false;
 };

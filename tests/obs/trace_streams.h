@@ -1,9 +1,11 @@
 // Seeded trace streams and field-by-field comparisons shared by the obs
-// differential tests (chains_reference_test.cc, trace_evaluator_test.cc).
+// differential tests (chains_reference_test.cc, trace_evaluator_test.cc,
+// postmortem_differential_test.cc).
 
 #ifndef TESTS_OBS_TRACE_STREAMS_H_
 #define TESTS_OBS_TRACE_STREAMS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -15,9 +17,11 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
+#include "src/hal/cycles.h"
 #include "src/hal/trace.h"
 #include "src/obs/chains.h"
 #include "src/obs/histogram.h"
+#include "src/obs/postmortem.h"
 
 namespace emeralds {
 namespace obs {
@@ -80,6 +84,67 @@ inline void ExpectChainAnalysesEqual(const ChainAnalysis& got, const ChainAnalys
       EXPECT_EQ(gr.hop_queue_ns, wr.hop_queue_ns) << chain << " record " << r;
       EXPECT_EQ(gr.hop_exec_ns, wr.hop_exec_ns) << chain << " record " << r;
     }
+  }
+}
+
+inline void ExpectBlameEqual(const BlameTotals& got, const BlameTotals& want,
+                             const std::string& what) {
+  EXPECT_EQ(got.misses_analyzed, want.misses_analyzed) << what;
+  EXPECT_EQ(got.conservation_failures, want.conservation_failures) << what;
+  EXPECT_EQ(got.tardiness_ns, want.tardiness_ns) << what;
+  EXPECT_EQ(got.unattributed_ns, want.unattributed_ns) << what;
+  EXPECT_EQ(got.victim_misses, want.victim_misses) << what;
+  EXPECT_EQ(got.victim_tardiness_ns, want.victim_tardiness_ns) << what;
+  EXPECT_EQ(got.preemptor_ns, want.preemptor_ns) << what;
+  EXPECT_EQ(got.lock_ns, want.lock_ns) << what;
+  EXPECT_EQ(got.Digest(), want.Digest()) << what;
+}
+
+inline void ExpectLedgersEqual(const LatenessLedger& got, const LatenessLedger& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.carry_in_ns, want.carry_in_ns) << what;
+  EXPECT_EQ(got.release_latency_ns, want.release_latency_ns) << what;
+  EXPECT_EQ(got.preemption_ns, want.preemption_ns) << what;
+  EXPECT_EQ(got.lock_blocked_ns, want.lock_blocked_ns) << what;
+  EXPECT_EQ(got.self_suspend_ns, want.self_suspend_ns) << what;
+  EXPECT_EQ(got.irq_ns, want.irq_ns) << what;
+  EXPECT_EQ(got.ipi_ns, want.ipi_ns) << what;
+  EXPECT_EQ(got.timer_svc_ns, want.timer_svc_ns) << what;
+  EXPECT_EQ(got.sched_ns, want.sched_ns) << what;
+  EXPECT_EQ(got.syscall_ns, want.syscall_ns) << what;
+  EXPECT_EQ(got.own_expected_ns, want.own_expected_ns) << what;
+  EXPECT_EQ(got.own_overrun_ns, want.own_overrun_ns) << what;
+  EXPECT_EQ(got.unattributed_ns, want.unattributed_ns) << what;
+  EXPECT_EQ(got.preemptor_ns, want.preemptor_ns) << what;
+  EXPECT_EQ(got.lock_ns, want.lock_ns) << what;
+}
+
+inline void ExpectPostmortemsEqual(const PostmortemAnalysis& got, const PostmortemAnalysis& want,
+                            const std::string& what) {
+  EXPECT_EQ(got.window_truncated, want.window_truncated) << what;
+  EXPECT_EQ(got.misses_analyzed, want.misses_analyzed) << what;
+  EXPECT_EQ(got.records_dropped, want.records_dropped) << what;
+  EXPECT_EQ(got.incomplete_misses, want.incomplete_misses) << what;
+  EXPECT_EQ(got.unmatched_misses, want.unmatched_misses) << what;
+  EXPECT_EQ(got.deadline_unknown, want.deadline_unknown) << what;
+  EXPECT_EQ(got.conservation_failures, want.conservation_failures) << what;
+  ExpectBlameEqual(got.blame, want.blame, what + " blame");
+  ASSERT_EQ(got.misses.size(), want.misses.size()) << what;
+  for (size_t m = 0; m < got.misses.size(); ++m) {
+    const JobPostmortem& g = got.misses[m];
+    const JobPostmortem& w = want.misses[m];
+    const std::string miss = what + " miss " + std::to_string(m);
+    EXPECT_EQ(g.thread_id, w.thread_id) << miss;
+    EXPECT_EQ(g.job_number, w.job_number) << miss;
+    EXPECT_EQ(g.release, w.release) << miss;
+    EXPECT_EQ(g.completion, w.completion) << miss;
+    EXPECT_EQ(g.has_deadline, w.has_deadline) << miss;
+    EXPECT_EQ(g.deadline_budget_ns, w.deadline_budget_ns) << miss;
+    EXPECT_EQ(g.response_ns, w.response_ns) << miss;
+    EXPECT_EQ(g.tardiness_ns, w.tardiness_ns) << miss;
+    EXPECT_EQ(g.conserved, w.conserved) << miss;
+    EXPECT_EQ(g.top_blame, w.top_blame) << miss;
+    ExpectLedgersEqual(g.ledger, w.ledger, miss + " ledger");
   }
 }
 
@@ -165,6 +230,94 @@ inline std::vector<TraceEvent> RandomChainStream(Rng& rng, size_t count) {
       push(TraceEventType::kTraceEpoch, static_cast<int32_t>(rng.UniformInt(1, 3)), 0, 0);
     } else {
       push(TraceEventType::kOverheadSpan, OverheadSpanPack(1, 0), 500, 0);
+    }
+  }
+  return events;
+}
+
+// A chain stream with scheduler traffic mixed in: switches, releases with
+// and without deadlines (some stamped before the records around them, as the
+// kernel stamps a job's nominal release), completions (some of the wrong
+// job), misses, semaphore and scheduler waits, PI, overhead spans (some of
+// negative length) and exits for four threads on `cores` cores (1 to 4),
+// with core ids out of range now and then, plus sink-reset epochs, the chain
+// stream's malformed tokens and occasional time regressions. Every analysis
+// finds violations, misses or ledgers in it.
+inline std::vector<TraceEvent> RandomTraceStream(Rng& rng, size_t count, int cores) {
+  const std::vector<TraceEvent> chain_events = RandomChainStream(rng, count / 3);
+  std::vector<TraceEvent> events;
+  size_t next_chain = 0;
+  int64_t now_ns = 0;
+  uint64_t jobs[4] = {};
+  auto tid = [&] { return static_cast<int32_t>(rng.UniformInt(0, 3)); };
+  // A core of the stream; now and then one past them or an id no core has.
+  auto core = [&] {
+    const int64_t roll = rng.UniformInt(0, 49);
+    if (roll < 3) {
+      return roll == 0 ? -1 : roll == 1 ? 300 : cores;
+    }
+    return static_cast<int32_t>(rng.UniformInt(0, cores - 1));
+  };
+  auto push = [&](TraceEventType type, int32_t a0, int32_t a1, int32_t a2) {
+    now_ns += rng.UniformInt(0, 30000);
+    events.push_back(TraceEvent{Instant::FromNanos(now_ns), type, a0, a1, a2});
+  };
+  while (events.size() < count) {
+    const int64_t roll = rng.UniformInt(0, 99);
+    if (roll < 25 && next_chain < chain_events.size()) {
+      const TraceEvent& e = chain_events[next_chain++];
+      push(e.type, e.arg0, e.arg1, e.arg2);
+    } else if (roll < 35) {
+      const int32_t in = static_cast<int32_t>(rng.UniformInt(-1, 3));
+      push(TraceEventType::kContextSwitch, static_cast<int32_t>(rng.UniformInt(-1, 3)), in, core());
+    } else if (roll < 45) {
+      const int32_t t = tid();
+      const int64_t kind = rng.UniformInt(0, 2);
+      const int32_t deadline = kind == 0   ? 0
+                               : kind == 1 ? static_cast<int32_t>(rng.UniformInt(50, 400)) * 1000
+                                           : -static_cast<int32_t>(rng.UniformInt(50, 400));
+      push(TraceEventType::kJobRelease, t, static_cast<int32_t>(++jobs[t]), deadline);
+      if (rng.Bernoulli(0.5)) {  // stamped at its nominal release, before the cursor
+        const int64_t before = rng.UniformInt(0, 60000);
+        events.back().time = Instant::FromNanos(std::max<int64_t>(0, now_ns - before));
+      }
+    } else if (roll < 55) {
+      const int32_t t = tid();
+      push(TraceEventType::kJobComplete, t,
+           static_cast<int32_t>(jobs[t] - (rng.Bernoulli(0.1) ? 1 : 0)), 0);
+    } else if (roll < 58) {
+      const int32_t t = tid();
+      push(TraceEventType::kDeadlineMiss, t, static_cast<int32_t>(jobs[t]), 0);
+    } else if (roll < 66) {
+      static constexpr TraceEventType kSem[] = {TraceEventType::kSemAcquire,
+                                                TraceEventType::kSemAcquireBlock,
+                                                TraceEventType::kSemRelease,
+                                                TraceEventType::kSemCseEarlyPi};
+      push(kSem[rng.UniformInt(0, 3)], tid(), static_cast<int32_t>(rng.UniformInt(0, 2)), 0);
+    } else if (roll < 74) {
+      const bool block = rng.Bernoulli(0.5);
+      push(block ? TraceEventType::kThreadBlock : TraceEventType::kThreadReady, tid(),
+           static_cast<int32_t>(rng.UniformInt(0, 8)),
+           block ? static_cast<int32_t>(rng.UniformInt(-1, 1)) : core());
+    } else if (roll < 76) {
+      push(rng.Bernoulli(0.5) ? TraceEventType::kPiInherit : TraceEventType::kPiRestore, tid(),
+           tid(), 0);
+    } else if (roll < 77) {
+      push(TraceEventType::kTraceEpoch, static_cast<int32_t>(rng.UniformInt(1, 3)), 0, 0);
+    } else if (roll < 92) {
+      const int32_t span = rng.Bernoulli(0.05) ? static_cast<int32_t>(rng.UniformInt(-20000, -1))
+                                                : static_cast<int32_t>(rng.UniformInt(0, 20000));
+      push(TraceEventType::kOverheadSpan,
+           OverheadSpanPack(static_cast<int>(rng.UniformInt(0, kNumCycleBuckets - 1)), core()),
+           span, static_cast<int32_t>(rng.UniformInt(0, 4)));
+    } else if (roll < 94) {
+      push(TraceEventType::kThreadExit, tid(), 0, core());
+    } else if (roll < 96) {
+      now_ns = std::max<int64_t>(0, now_ns - rng.UniformInt(1000, 90000));
+      push(TraceEventType::kMsgSend, tid(), 0, 0);
+    } else {
+      push(TraceEventType::kHeadroomLow, tid(), static_cast<int32_t>(rng.UniformInt(-50, 50)),
+           0);
     }
   }
   return events;
