@@ -79,7 +79,7 @@ PiCost MeasurePi(SemMode mode, int queue_length) {
   kernel.RunUntil(Instant() + Seconds(1));
   const KernelStats& stats = kernel.stats();
   double pairs = 20.0;
-  return {stats.charged[static_cast<int>(ChargeCategory::kPi)].micros_f() / pairs,
+  return {stats.cycles().at(CycleBucket::kPi).micros_f() / pairs,
           stats.pi_swaps, stats.pi_reinserts};
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 namespace emeralds {
@@ -45,8 +46,12 @@ const char* StringOr(const JsonValue& obj, const char* key, const char* fallback
 // A run's "digest" (its trace window folded with its kernel counters) gates
 // exactly: any change of simulated behaviour moves it, even one that keeps
 // every other value inside its tolerance. Baselines written before runs
-// carried a digest are not gated on it.
-void CompareDigest(const JsonValue& baseline, const JsonValue& candidate, const char* what,
+// carried a digest are not gated on it. Returns true when the baseline
+// carries a digest and the candidate's is the same. The digest folds every
+// kOverheadSpan record, which holds each charge's bucket and amount, so
+// under an equal digest a ledger can move only if the accounting changed:
+// the callers then hold the ledgers exactly, user and idle included.
+bool CompareDigest(const JsonValue& baseline, const JsonValue& candidate, const char* what,
                    const char* regenerate, CompareResult* r) {
   const char* base = StringOr(baseline, "digest", nullptr);
   const char* cand = StringOr(candidate, "digest", "(none)");
@@ -55,9 +60,61 @@ void CompareDigest(const JsonValue& baseline, const JsonValue& candidate, const 
              "intended, regenerate the baseline with %s",
           what, base, cand, regenerate);
   }
+  return base != nullptr && std::string(base) == cand;
+}
+
+void ExpectSameLedger(const std::string& what, double base, double cand, CompareResult* r) {
+  if (cand != base) {
+    Failf(r, "%s %.0f vs baseline %.0f under an equal run digest: the simulated run is "
+             "unchanged, so the time accounting changed",
+          what.c_str(), cand, base);
+  }
 }
 
 // --- emeralds.obs.cycles/1 ---
+
+// Same-digest rows of array `key` in `base` and `cand`, matched by index:
+// each of `fields` must be equal.
+void CompareRowsExactly(const JsonValue& base, const JsonValue& cand, const char* key,
+                        std::initializer_list<const char*> fields, CompareResult* r) {
+  const JsonValue* base_rows = base.Find(key);
+  const JsonValue* cand_rows = cand.Find(key);
+  size_t base_n = base_rows != nullptr ? base_rows->array.size() : 0;
+  size_t cand_n = cand_rows != nullptr ? cand_rows->array.size() : 0;
+  if (base_n != cand_n) {
+    Failf(r, "%s: %zu rows vs baseline %zu under an equal run digest", key, cand_n, base_n);
+    return;
+  }
+  for (size_t i = 0; i < base_n; ++i) {
+    for (const char* field : fields) {
+      ExpectSameLedger(std::string(key) + "[" + std::to_string(i) + "]." + field,
+                       NumberOr(base_rows->array[i], field, -1),
+                       NumberOr(cand_rows->array[i], field, -1), r);
+    }
+  }
+}
+
+// Same-digest runs: every bucket, every core's ledger total and every task
+// row's user and overhead time must be equal. A bucket on one side only
+// compares against -1.
+void CompareLedgersExactly(const JsonValue& baseline, const JsonValue& candidate,
+                           CompareResult* r) {
+  const JsonValue& base_c = *baseline.Find("cycles");
+  const JsonValue& cand_c = *candidate.Find("cycles");
+  const JsonValue& base_b = *base_c.Find("buckets_ns");
+  const JsonValue& cand_b = *cand_c.Find("buckets_ns");
+  for (const auto& kv : base_b.object) {
+    ExpectSameLedger("bucket " + kv.first, kv.second.number,
+                     NumberOr(cand_b, kv.first.c_str(), -1), r);
+  }
+  for (const auto& kv : cand_b.object) {
+    if (base_b.Find(kv.first) == nullptr) {
+      ExpectSameLedger("bucket " + kv.first, -1, kv.second.number, r);
+    }
+  }
+  CompareRowsExactly(base_c, cand_c, "cores", {"ledger_total_ns"}, r);
+  CompareRowsExactly(baseline, candidate, "tasks", {"user_ns", "overhead_ns"}, r);
+}
 
 // Buckets excluded from the growth gate: user time belongs to the workload,
 // idle is the complement (a faster kernel means *more* idle), and
@@ -79,8 +136,9 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
     Failf(r, "candidate ledger not conserved (residual %.0f ns, unattributed %.0f ns)",
           NumberOr(*cand_c, "residual_ns", -1), NumberOr(*cand_c, "clock_unattributed_ns", -1));
   }
-  CompareDigest(baseline, candidate, "cycle ledger run",
-                "EMERALDS_BENCH_JSON=BENCH_cycles.json build/bench/bench_cycles", r);
+  const bool same_run =
+      CompareDigest(baseline, candidate, "cycle ledger run",
+                    "EMERALDS_BENCH_JSON=BENCH_cycles.json build/bench/bench_cycles", r);
   double base_elapsed = NumberOr(*base_c, "elapsed_ns", -1);
   double cand_elapsed = NumberOr(*cand_c, "elapsed_ns", -2);
   if (base_elapsed != cand_elapsed) {
@@ -95,6 +153,9 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
       cand_b->type != JsonValue::Type::kObject) {
     Failf(r, "buckets_ns object missing");
     return;
+  }
+  if (same_run) {
+    CompareLedgersExactly(baseline, candidate, r);
   }
   // Candidate buckets gate against the baseline; buckets only in one side
   // compare against zero.
@@ -428,11 +489,14 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
     }
     char what[32];
     std::snprintf(what, sizeof(what), "%.0f-core run", cores);
-    CompareDigest(base, cand, what, "EMERALDS_BENCH_JSON=BENCH_smp.json build/bench/bench_smp", r);
+    const bool same_run = CompareDigest(
+        base, cand, what, "EMERALDS_BENCH_JSON=BENCH_smp.json build/bench/bench_smp", r);
     for (const char* key : {"user_ns", "idle_ns", "ipis", "jobs_completed"}) {
       double base_v = NumberOr(base, key, -1);
       double cand_v = NumberOr(cand, key, -2);
-      if (std::fabs(cand_v - base_v) > std::fabs(base_v) * opt.rel_tolerance) {
+      if (same_run && std::string(key) != "jobs_completed") {
+        ExpectSameLedger(std::string(what) + " " + key, base_v, cand_v, r);
+      } else if (std::fabs(cand_v - base_v) > std::fabs(base_v) * opt.rel_tolerance) {
         Failf(r, "%.0f-core %s drifted: %.0f vs baseline %.0f (virtual time is deterministic; "
                  "regenerate the baseline if the workload changed)",
               cores, key, cand_v, base_v);

@@ -7,7 +7,7 @@
 //  1. Throughput at equal horizon. A saturated workload — eight periodic
 //     tasks, 3 ms compute every 10 ms (240% aggregate demand) — runs on the
 //     real kernel for the same virtual horizon at 1, 2, and 4 cores, tasks
-//     pinned round-robin. Aggregate user cycles (KernelStats::compute_time)
+//     pinned round-robin. Aggregate user cycles (the ledgers' user bucket)
 //     must scale: the 2-core run has to deliver >= 1.7x the 1-core user
 //     cycles, and every run must conserve its cycle ledger both fleet-summed
 //     and per core, exact to the tick.
@@ -92,8 +92,9 @@ ThroughputRow RunSaturated(int num_cores) {
   ThroughputRow row;
   row.num_cores = num_cores;
   const KernelStats& s = kernel.stats();
-  row.user = s.compute_time;
-  row.idle = s.idle_time;
+  const CycleLedger ledger = s.cycles();
+  row.user = ledger.at(CycleBucket::kUser);
+  row.idle = ledger.at(CycleBucket::kIdle);
   row.ipis = s.ipis;
   row.context_switches = s.context_switches;
   row.jobs_completed = s.jobs_completed;

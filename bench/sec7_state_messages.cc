@@ -89,7 +89,8 @@ RunResult Run(IpcKind kind, size_t bytes, int readers) {
   const KernelStats& stats = kernel.stats();
   uint64_t transfers =
       kind == IpcKind::kStateMessage ? stats.smsg_reads : stats.mailbox_receives;
-  return {(stats.total_charged() + stats.compute_time).micros_f(), transfers};
+  return {(stats.total_charged() + stats.cycles().at(CycleBucket::kUser)).micros_f(),
+          transfers};
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ int main() {
       continue;
     }
     std::printf("  e2e: mean %.0f us, p99 <= %.0f us, max %.0f us\n", c.e2e.mean().micros_f(),
-                c.e2e.ApproxPercentile(0.99).micros_f(), c.e2e.max().micros_f());
+                c.e2e.PercentileBound(0.99).micros_f(), c.e2e.max().micros_f());
     // The telescoping identity: summed across completed instances, the
     // end-to-end latency equals the per-hop queue + exec latencies exactly.
     Duration hop_total;

@@ -20,9 +20,9 @@
 #include <cstdio>
 #include <string>
 
+#include "src/base/log2_histogram.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/triage.h"
-#include "src/obs/histogram.h"
 #include "src/obs/telemetry.h"
 
 using namespace emeralds;

@@ -102,7 +102,7 @@ int main() {
     if (t.response.count() > 0) {
       std::printf("  response: mean %.0f us, p99 <= %.0f us, max %.0f us\n",
                   t.response.mean().micros_f(),
-                  t.response.ApproxPercentile(0.99).micros_f(), t.response.max().micros_f());
+                  t.response.PercentileBound(0.99).micros_f(), t.response.max().micros_f());
     }
     if (t.blocking.count() > 0) {
       std::printf("  blocking: %llu waits, mean %.0f us, max %.0f us\n",

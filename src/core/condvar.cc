@@ -20,7 +20,7 @@ Condvar* Kernel::CondvarPtr(CondvarId id) {
 Kernel::SyscallOutcome Kernel::SysCondWait(Tcb& t, CondvarId cv_id, SemId mutex_id) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   Condvar* cv = CondvarPtr(cv_id);
   Semaphore* mutex = SemPtr(mutex_id);
   if (cv == nullptr || mutex == nullptr) {
@@ -35,7 +35,7 @@ Kernel::SyscallOutcome Kernel::SysCondWait(Tcb& t, CondvarId cv_id, SemId mutex_
     t.syscall_status = Status::kFailedPrecondition;
     return {false};
   }
-  Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+  Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
 
   // Enqueue on the condvar, then release the mutex — atomically from the
   // thread's perspective since the kernel is non-preemptible here.
@@ -57,7 +57,7 @@ Kernel::SyscallOutcome Kernel::SysCondWait(Tcb& t, CondvarId cv_id, SemId mutex_
   } else {
     cv->waiters.push_back(t);
   }
-  Charge(ChargeCategory::kSemaphore, cost_.waitq_visit * visits);
+  Charge(CycleBucket::kSemaphore, cost_.waitq_visit * visits);
 
   {
     ScopedSemPath path(*this);
@@ -74,7 +74,7 @@ void Kernel::WakeCondWaiter(Condvar& cv, Tcb& waiter) {
   ScopedSemPath path(*this);
   if (mutex->owner == nullptr) {
     // Mutex free: grant and wake.
-    Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+    Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
     mutex->owner = &waiter;
     mutex->count = 0;
     HeldAdd(waiter, *mutex);
@@ -86,7 +86,7 @@ void Kernel::WakeCondWaiter(Condvar& cv, Tcb& waiter) {
   }
   // Mutex held: the waiter contends like a blocked acquirer (stays blocked,
   // donates priority). It resumes holding the mutex when granted.
-  Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+  Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
   waiter.block_reason = BlockReason::kWaitSem;
   waiter.blocked_on = mutex;
   EnqueueWaiter(*mutex, waiter);
@@ -96,7 +96,7 @@ void Kernel::WakeCondWaiter(Condvar& cv, Tcb& waiter) {
 Kernel::SyscallOutcome Kernel::SysCondWake(Tcb& t, CondvarId cv_id, bool broadcast) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   Condvar* cv = CondvarPtr(cv_id);
   if (cv == nullptr) {
     t.syscall_status = Status::kBadHandle;
@@ -106,7 +106,7 @@ Kernel::SyscallOutcome Kernel::SysCondWake(Tcb& t, CondvarId cv_id, bool broadca
     t.syscall_status = Status::kPermissionDenied;
     return {false};
   }
-  Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+  Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
   if (broadcast) {
     ++cv->broadcasts;
   } else {

@@ -41,7 +41,7 @@ Kernel::SyscallOutcome Kernel::SysSend(Tcb& t, MailboxId id, std::span<const uin
                                        bool wait) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   Mailbox* mbox = MailboxPtr(id);
   if (mbox == nullptr) {
     t.syscall_status = Status::kBadHandle;
@@ -55,7 +55,7 @@ Kernel::SyscallOutcome Kernel::SysSend(Tcb& t, MailboxId id, std::span<const uin
     t.syscall_status = Status::kInvalidArgument;
     return {false};
   }
-  Charge(ChargeCategory::kIpc, cost_.mailbox_fixed);
+  Charge(CycleBucket::kIpc, cost_.mailbox_fixed);
 
   if (!mbox->recv_waiters.empty()) {
     // Direct delivery to the highest-priority blocked receiver (the queue is
@@ -68,7 +68,7 @@ Kernel::SyscallOutcome Kernel::SysSend(Tcb& t, MailboxId id, std::span<const uin
     message.sender = t.id;
     message.sent_at = hw_.now();
     message.token = ChainEmit(ChainEndpointPack(ChainEndpointKind::kMailbox, mbox->id.value), &t);
-    Charge(ChargeCategory::kIpc, CopyCost(data.size()));
+    Charge(CycleBucket::kIpc, CopyCost(data.size()));
     DeliverToWaiter(*mbox, std::move(message));
     ++mbox->sends;
     ++stats_.mailbox_sends;
@@ -89,7 +89,7 @@ Kernel::SyscallOutcome Kernel::SysSend(Tcb& t, MailboxId id, std::span<const uin
     message.sender = t.id;
     message.sent_at = hw_.now();
     message.token = ChainEmit(ChainEndpointPack(ChainEndpointKind::kMailbox, mbox->id.value), &t);
-    Charge(ChargeCategory::kIpc, CopyCost(data.size()));
+    Charge(CycleBucket::kIpc, CopyCost(data.size()));
     mbox->queue->push(std::move(message));
     ++mbox->sends;
     ++stats_.mailbox_sends;
@@ -124,7 +124,7 @@ Kernel::SyscallOutcome Kernel::SysSend(Tcb& t, MailboxId id, std::span<const uin
   } else {
     mbox->send_waiters.push_back(t);
   }
-  Charge(ChargeCategory::kIpc, cost_.waitq_visit * visits);
+  Charge(CycleBucket::kIpc, cost_.waitq_visit * visits);
   return {true};
 }
 
@@ -132,7 +132,7 @@ Kernel::SyscallOutcome Kernel::SysRecv(Tcb& t, MailboxId id, std::span<uint8_t> 
                                        Duration timeout, SemId next_sem) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   Mailbox* mbox = MailboxPtr(id);
   if (mbox == nullptr) {
     t.syscall_status = Status::kBadHandle;
@@ -142,7 +142,7 @@ Kernel::SyscallOutcome Kernel::SysRecv(Tcb& t, MailboxId id, std::span<uint8_t> 
     t.syscall_status = Status::kPermissionDenied;
     return {false};
   }
-  Charge(ChargeCategory::kIpc, cost_.mailbox_fixed);
+  Charge(CycleBucket::kIpc, cost_.mailbox_fixed);
 
   if (!mbox->queue->empty()) {
     MboxMessage message = mbox->queue->pop();
@@ -150,7 +150,7 @@ Kernel::SyscallOutcome Kernel::SysRecv(Tcb& t, MailboxId id, std::span<uint8_t> 
     if (n > 0) {
       std::memcpy(buffer.data(), message.bytes.data(), n);
     }
-    Charge(ChargeCategory::kIpc, CopyCost(n));
+    Charge(CycleBucket::kIpc, CopyCost(n));
     t.syscall_status = RecvCopyStatus(n, message.bytes.size());
     t.syscall_length = n;
     ++mbox->receives;
@@ -194,7 +194,7 @@ Kernel::SyscallOutcome Kernel::SysRecv(Tcb& t, MailboxId id, std::span<uint8_t> 
   } else {
     mbox->recv_waiters.push_back(t);
   }
-  Charge(ChargeCategory::kIpc, cost_.waitq_visit * visits);
+  Charge(CycleBucket::kIpc, cost_.waitq_visit * visits);
   return {true};
 }
 
@@ -253,7 +253,7 @@ void Kernel::AdmitBlockedSender(Mailbox& mbox) {
   // The blocked send commits here, possibly in another thread's context:
   // the emit propagates the *sender's* carried token.
   message.token = ChainEmit(ChainEndpointPack(ChainEndpointKind::kMailbox, mbox.id.value), sender);
-  Charge(ChargeCategory::kIpc, CopyCost(sender->send_data.size()));
+  Charge(CycleBucket::kIpc, CopyCost(sender->send_data.size()));
   mbox.queue->push(std::move(message));
   ++mbox.sends;
   ++stats_.mailbox_sends;

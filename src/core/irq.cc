@@ -29,7 +29,7 @@ void Kernel::HandleIrq(int line) {
     TimerIsr();
     return;
   }
-  Charge(ChargeCategory::kInterrupt, cost_.interrupt_entry);
+  Charge(CycleBucket::kIrq, cost_.interrupt_entry);
   ++stats_.interrupts;
   trace_.Record(hw_.now(), TraceEventType::kIrq, line, 0);
   Tcb* driver = irq_threads_[line];
@@ -50,7 +50,7 @@ void Kernel::HandleIrq(int line) {
       driver->irq_latched_token = token;
     }
   }
-  Charge(ChargeCategory::kInterrupt, cost_.interrupt_exit);
+  Charge(CycleBucket::kIrq, cost_.interrupt_exit);
   // ISRs run on the boot core; a woken driver pinned elsewhere already paid
   // its IPI through WakeThread -> MakeReady -> NotifyCore.
   cores_[active_core_]->need_resched = true;
@@ -59,7 +59,7 @@ void Kernel::HandleIrq(int line) {
 Kernel::SyscallOutcome Kernel::SysWaitIrq(Tcb& t, int line, SemId next_sem) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   if (line < 0 || line >= kNumIrqLines) {
     t.syscall_status = Status::kInvalidArgument;
     return {false};

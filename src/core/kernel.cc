@@ -329,14 +329,14 @@ void Kernel::HandleUserTimer(UserTimer& timer) {
 
 void Kernel::SignalCountingSem(Semaphore& sem, uint64_t* overruns) {
   EM_ASSERT(!sem.binary);
-  Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+  Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
   // Timer expiries are chain origins ("timer release" producing op): the
   // signal runs in ISR context, so the emit always mints a fresh token.
   int32_t endpoint = ChainEndpointPack(ChainEndpointKind::kSem, sem.id.value);
   CausalToken token = ChainEmit(endpoint, nullptr);
   int visits = 0;
   Tcb* waiter = HighestWaiter(sem, &visits);
-  Charge(ChargeCategory::kSemaphore, cost_.waitq_visit * visits);
+  Charge(CycleBucket::kSemaphore, cost_.waitq_visit * visits);
   if (waiter != nullptr) {
     sem.waiters.erase(*waiter);
     waiter->blocked_on = nullptr;
@@ -684,7 +684,7 @@ void Kernel::Reschedule(int core) {
   ++stats_.selections;
   ChargeQueueOps(charges);
   if (cs.sched.num_bands() > 1) {
-    Charge(ChargeCategory::kScheduling, cost_.csd_queue_parse * parsed);
+    Charge(CycleBucket::kSchedParse, cost_.csd_queue_parse * parsed);
   }
   if (next != cs.current) {
     ContextSwitch(core, next);
@@ -706,7 +706,7 @@ void Kernel::Reschedule(int core) {
 
 void Kernel::ContextSwitch(int core, Tcb* next) {
   CoreState& cs = *cores_[core];
-  Charge(ChargeCategory::kContextSwitch, cost_.context_switch);
+  Charge(CycleBucket::kContextSwitch, cost_.context_switch);
   ++stats_.context_switches;
   trace_.Record(hw_.now(), TraceEventType::kContextSwitch,
                 cs.current != nullptr ? cs.current->id.value : -1,
@@ -775,18 +775,13 @@ void Kernel::AdvanceWorld(Duration amount) {
         t->remaining_compute.is_positive()) {
       EM_ASSERT(amount <= t->remaining_compute);
       t->remaining_compute -= amount;
-      t->cpu_time += amount;
       t->cycles.Add(CycleBucket::kUser, amount);
-      stats_.compute_time += amount;
-      stats_.cycles.Add(CycleBucket::kUser, amount);
       stats_.core_cycles[c].Add(CycleBucket::kUser, amount);
       any_user = true;
       if (t->remaining_compute.is_zero()) {
         cs.drain_pending = true;
       }
     } else {
-      stats_.idle_time += amount;
-      stats_.cycles.Add(CycleBucket::kIdle, amount);
       stats_.core_cycles[c].Add(CycleBucket::kIdle, amount);
     }
   }
@@ -805,10 +800,7 @@ void Kernel::MirrorAdvance(Duration amount) {
         t->remaining_compute.is_positive()) {
       overlap = std::min(amount, t->remaining_compute);
       t->remaining_compute -= overlap;
-      t->cpu_time += overlap;
       t->cycles.Add(CycleBucket::kUser, overlap);
-      stats_.compute_time += overlap;
-      stats_.cycles.Add(CycleBucket::kUser, overlap);
       stats_.core_cycles[c].Add(CycleBucket::kUser, overlap);
       if (t->remaining_compute.is_zero()) {
         // Never finish the drain inline: MirrorAdvance runs under a charge
@@ -819,8 +811,6 @@ void Kernel::MirrorAdvance(Duration amount) {
     }
     Duration idle = amount - overlap;
     if (idle.is_positive()) {
-      stats_.idle_time += idle;
-      stats_.cycles.Add(CycleBucket::kIdle, idle);
       stats_.core_cycles[c].Add(CycleBucket::kIdle, idle);
     }
   }
@@ -829,8 +819,6 @@ void Kernel::MirrorAdvance(Duration amount) {
 void Kernel::AdvanceIdleTo(Instant target) {
   Duration idle = target - hw_.now();
   for (int c = 0; c < config_.num_cores; ++c) {
-    stats_.idle_time += idle;
-    stats_.cycles.Add(CycleBucket::kIdle, idle);
     stats_.core_cycles[c].Add(CycleBucket::kIdle, idle);
   }
   hw_.clock().AdvanceTo(target, CycleBucket::kIdle);
@@ -844,7 +832,7 @@ void Kernel::NotifyCore(int core, bool from_sem) {
     // Cross-core wake: the active core pays for posting a virtual IPI (the
     // target core's entry/exit is folded into the same constant).
     ++stats_.ipis;
-    ChargeBucket(ChargeCategory::kInterrupt, CycleBucket::kIpi, cost_.ipi);
+    Charge(CycleBucket::kIpi, cost_.ipi);
   }
 }
 
@@ -864,17 +852,11 @@ void Kernel::Watchdog() {
 
 // --- Charging ---
 
-void Kernel::Charge(ChargeCategory category, Duration amount) {
-  ChargeBucket(category, DefaultCycleBucket(category), amount);
-}
-
-void Kernel::ChargeBucket(ChargeCategory category, CycleBucket bucket, Duration amount) {
+void Kernel::Charge(CycleBucket bucket, Duration amount) {
   if (!amount.is_positive()) {
     return;
   }
   hw_.clock().AdvanceBy(amount, bucket);
-  stats_.charged[static_cast<int>(category)] += amount;
-  stats_.cycles.Add(bucket, amount);
   stats_.core_cycles[active_core_].Add(bucket, amount);
   Tcb* cur = cores_[active_core_]->current;
   if (cur != nullptr) {
@@ -903,7 +885,7 @@ void Kernel::ChargeBucket(ChargeCategory category, CycleBucket bucket, Duration 
 void Kernel::ChargeQueueOps(const ChargeList& charges) {
   for (const QueueCharge& qc : charges) {
     Duration amount = cost_.QueueCost(qc.kind, qc.op, qc.units);
-    ChargeBucket(ChargeCategory::kScheduling, CycleBucketForQueueOp(qc.op), amount);
+    Charge(CycleBucketForQueueOp(qc.op), amount);
     if (qc.band >= 0 && qc.band < kMaxStatBands) {
       stats_.sched_band_cycles[qc.band][static_cast<int>(qc.op)] += amount;
     }
@@ -1005,7 +987,7 @@ void Kernel::ProgramHardwareTimer() {
 }
 
 void Kernel::TimerIsr() {
-  Charge(ChargeCategory::kInterrupt, cost_.interrupt_entry);
+  Charge(CycleBucket::kIrq, cost_.interrupt_entry);
   ++stats_.interrupts;
   for (;;) {
     SoftTimer* first = soft_timers_.Min();
@@ -1013,7 +995,7 @@ void Kernel::TimerIsr() {
       break;
     }
     soft_timers_.Remove(*first);
-    Charge(ChargeCategory::kTimerSvc, cost_.timer_dispatch);
+    Charge(CycleBucket::kTimerSvc, cost_.timer_dispatch);
     ++stats_.timer_dispatches;
     switch (first->kind) {
       case TimerKind::kPeriodRelease:
@@ -1029,7 +1011,7 @@ void Kernel::TimerIsr() {
         // The sampler's own cost lands in the ledger like any other work,
         // and is charged before Sample() so it falls inside the interval it
         // closes.
-        Charge(ChargeCategory::kStatsObs, cost_.stats_sample);
+        Charge(CycleBucket::kStatsObs, cost_.stats_sample);
         if (stats_sampler_->Sample(hw_.now(), stats_)) {
           // The ring evicted an interval nobody had read — make the loss
           // visible instead of silently splicing across it. The delta was
@@ -1041,7 +1023,7 @@ void Kernel::TimerIsr() {
     }
   }
   ProgramHardwareTimer();
-  Charge(ChargeCategory::kInterrupt, cost_.interrupt_exit);
+  Charge(CycleBucket::kIrq, cost_.interrupt_exit);
   // The timer ISR runs on the boot core; wakes for other cores went through
   // NotifyCore (priced IPIs) as they happened.
   cores_[active_core_]->need_resched = true;
@@ -1179,7 +1161,7 @@ Kernel::SyscallOutcome Kernel::SysCompute(Tcb& t, Duration amount) {
 Kernel::SyscallOutcome Kernel::SysWaitPeriod(Tcb& t, SemId next_sem) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   EM_ASSERT_MSG(t.periodic, "WaitNextPeriod on aperiodic thread '%s'", t.name);
 
   // Complete the current job.
@@ -1219,7 +1201,7 @@ Kernel::SyscallOutcome Kernel::SysWaitPeriod(Tcb& t, SemId next_sem) {
       EM_ASSERT(sem != nullptr);
       if (sem->mode == SemMode::kCse) {
         ScopedSemPath path(*this);
-        Charge(ChargeCategory::kSemaphore, cost_.sem_cse_check);
+        Charge(CycleBucket::kSemaphore, cost_.sem_cse_check);
         if (sem->owner == nullptr) {
           JoinPreAcquire(*sem, t);
         }
@@ -1237,7 +1219,7 @@ Kernel::SyscallOutcome Kernel::SysWaitPeriod(Tcb& t, SemId next_sem) {
 Kernel::SyscallOutcome Kernel::SysSleep(Tcb& t, Duration amount, SemId next_sem) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   if (!amount.is_positive()) {
     if (need_resched()) {
       t.resume_pending = true;
@@ -1254,7 +1236,7 @@ Kernel::SyscallOutcome Kernel::SysSleep(Tcb& t, Duration amount, SemId next_sem)
 Kernel::SyscallOutcome Kernel::SysYield(Tcb& t) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   cores_[t.core]->need_resched = true;
   t.resume_pending = true;
   return {true};
@@ -1274,7 +1256,7 @@ void Kernel::WakeThread(Tcb& t) {
     EM_ASSERT_MSG(sem != nullptr, "CSE hint names unknown semaphore %d", hint.value);
     if (sem->mode == SemMode::kCse) {
       ScopedSemPath path(*this);
-      Charge(ChargeCategory::kSemaphore, cost_.sem_cse_check);
+      Charge(CycleBucket::kSemaphore, cost_.sem_cse_check);
       if (sem->owner != nullptr && sem->owner != &t && !PiChainTooDeep(*sem)) {
         ++stats_.cse_early_pi;
         t.blocked_on = sem;
@@ -1338,16 +1320,10 @@ std::span<uint8_t> Kernel::RegionDataFor(ProcessId process, RegionId region, boo
 }
 
 void Kernel::ResetChargeAccounting() {
-  for (Duration& d : stats_.charged) {
-    d = Duration();
-  }
   stats_.sem_path_time = Duration();
-  stats_.compute_time = Duration();
-  stats_.idle_time = Duration();
-  // Re-base the cycle ledger: conservation is windowed against cycles_epoch,
+  // Re-base the cycle ledgers: conservation is windowed against cycles_epoch,
   // so a mid-run reset keeps the invariant exact. Per-task ledgers are
-  // cumulative (like cpu_time) and are left alone.
-  stats_.cycles = CycleLedger();
+  // cumulative and are left alone.
   for (CycleLedger& ledger : stats_.core_cycles) {
     ledger = CycleLedger();
   }
@@ -1371,7 +1347,7 @@ void Kernel::DumpThreads() const {
     char cpu[24];
     FormatDuration(t->period, period, sizeof(period));
     FormatDuration(t->max_response, response, sizeof(response));
-    FormatDuration(t->cpu_time, cpu, sizeof(cpu));
+    FormatDuration(t->cycles.at(CycleBucket::kUser), cpu, sizeof(cpu));
     std::printf("%3d %-14s %-9s %4d %4d %9s %7llu %7llu %10s %10s\n", t->id.value, t->name,
                 ThreadStateToString(t->state), t->base_band, t->base_rm_rank,
                 t->periodic ? period : "-", static_cast<unsigned long long>(t->jobs_completed),

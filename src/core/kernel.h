@@ -242,7 +242,7 @@ class Kernel {
   // Advances every core in lockstep by `amount`: cores whose current thread
   // is mid-compute burn user time, the rest burn idle time.
   void AdvanceWorld(Duration amount);
-  // Called under a ChargeBucket advance: while the active core does kernel
+  // Called under a Charge advance: while the active core does kernel
   // work for `amount`, every *other* core keeps running its own current
   // thread's compute (or idles). Empty at num_cores=1.
   void MirrorAdvance(Duration amount);
@@ -264,12 +264,11 @@ class Kernel {
   }
 
   // --- Charging ---
-  // Every path that advances the virtual clock funnels through ChargeBucket,
-  // AdvanceCompute, or AdvanceIdleTo, each of which mirrors the advance into
-  // the stats ledger (and the current thread's) — that is what makes the
-  // cycle-conservation invariant hold to the tick.
-  void Charge(ChargeCategory category, Duration amount);
-  void ChargeBucket(ChargeCategory category, CycleBucket bucket, Duration amount);
+  // Every path that advances the virtual clock funnels through Charge,
+  // AdvanceWorld, or AdvanceIdleTo, each of which records the advance once
+  // per core in that core's ledger (and in the current thread's) — that is
+  // what makes the cycle-conservation invariant hold to the tick.
+  void Charge(CycleBucket bucket, Duration amount);
   void ChargeQueueOps(const ChargeList& charges);
 
   // --- Thread state transitions ---

@@ -47,12 +47,12 @@ void Kernel::EnqueueWaiter(Semaphore& sem, Tcb& waiter) {
     ++visits;
     if (HigherPriority(waiter, other)) {
       sem.waiters.insert_before(other, waiter);
-      Charge(ChargeCategory::kSemaphore, cost_.waitq_visit * visits);
+      Charge(CycleBucket::kSemaphore, cost_.waitq_visit * visits);
       return;
     }
   }
   sem.waiters.push_back(waiter);
-  Charge(ChargeCategory::kSemaphore, cost_.waitq_visit * visits);
+  Charge(CycleBucket::kSemaphore, cost_.waitq_visit * visits);
 }
 
 Tcb* Kernel::HighestWaiter(Semaphore& sem, int* visits) {
@@ -121,7 +121,7 @@ void Kernel::DoInheritance(Semaphore& sem, Tcb& donor) {
 void Kernel::InheritOne(Semaphore& sem, Tcb& holder, Tcb& donor) {
   ++stats_.pi_inherits;
   trace_.Record(hw_.now(), TraceEventType::kPiInherit, holder.id.value, donor.id.value);
-  Charge(ChargeCategory::kPi, cost_.pi_fixed);
+  Charge(CycleBucket::kPi, cost_.pi_fixed);
   if (holder.core != active_core_) {
     // The holder's priority is about to rise on another core: that core must
     // re-evaluate its selection (priced cross-core kick; never fires at
@@ -173,7 +173,7 @@ void Kernel::InheritOne(Semaphore& sem, Tcb& holder, Tcb& donor) {
       rm->SwapForPi(holder, donor);
       holder.effective_rm_rank = donor.effective_rm_rank;
       sem.placeholder = &donor;
-      Charge(ChargeCategory::kPi, cost_.pi_swap + cost_.pi_swap);
+      Charge(CycleBucket::kPi, cost_.pi_swap + cost_.pi_swap);
       stats_.pi_swaps += 2;
     } else {
       // Common case: swap positions with the blocked donor; the donor is the
@@ -183,7 +183,7 @@ void Kernel::InheritOne(Semaphore& sem, Tcb& holder, Tcb& donor) {
       holder.effective_rm_rank = donor.effective_rm_rank;
       sem.placeholder = &donor;
       holder.pi_swap_sem = &sem;
-      Charge(ChargeCategory::kPi, cost_.pi_swap);
+      Charge(CycleBucket::kPi, cost_.pi_swap);
       ++stats_.pi_swaps;
     }
     return;
@@ -197,7 +197,7 @@ void Kernel::InheritOne(Semaphore& sem, Tcb& holder, Tcb& donor) {
     return;  // the heap holds ready tasks only; the rank applies on unblock
   }
   int visits = band.Reposition(holder);
-  Charge(ChargeCategory::kPi, cost_.pi_queue_visit * visits);
+  Charge(CycleBucket::kPi, cost_.pi_queue_visit * visits);
   ++stats_.pi_reinserts;
 }
 
@@ -212,12 +212,12 @@ void Kernel::DissolveSwap(Tcb& holder) {
   holder.effective_rm_rank = sem->holder_prev_rank;
   sem->placeholder = nullptr;
   holder.pi_swap_sem = nullptr;
-  Charge(ChargeCategory::kPi, cost_.pi_swap);
+  Charge(CycleBucket::kPi, cost_.pi_swap);
   ++stats_.pi_swaps;
 }
 
 void Kernel::UndoInheritance(Tcb& holder, Semaphore& released) {
-  Charge(ChargeCategory::kPi, cost_.pi_fixed);
+  Charge(CycleBucket::kPi, cost_.pi_fixed);
   trace_.Record(hw_.now(), TraceEventType::kPiRestore, holder.id.value, released.id.value);
   if (holder.pi_swap_sem == &released) {
     // Swap back with the place-holder: both threads return to their original
@@ -271,7 +271,7 @@ void Kernel::RecomputeEffective(Tcb& t) {
     if (home.kind() == QueueKind::kRmList ||
         (home.kind() == QueueKind::kRmHeap && t.ready)) {
       int visits = home.Reposition(t);
-      Charge(ChargeCategory::kPi, cost_.pi_queue_visit * visits);
+      Charge(CycleBucket::kPi, cost_.pi_queue_visit * visits);
       ++stats_.pi_reinserts;
     }
   }
@@ -288,7 +288,7 @@ void Kernel::JoinPreAcquire(Semaphore& sem, Tcb& t) {
   }
   sem.pre_acquire.push_back(t);
   t.preacq_sem = &sem;
-  Charge(ChargeCategory::kSemaphore, cost_.waitq_visit);
+  Charge(CycleBucket::kSemaphore, cost_.waitq_visit);
 }
 
 void Kernel::LeavePreAcquire(Tcb& t) {
@@ -325,7 +325,7 @@ Kernel::SyscallOutcome Kernel::SysAcquire(Tcb& t, SemId id) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
   ScopedSemPath path(*this);
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   Semaphore* sem = SemPtr(id);
   if (sem == nullptr) {
     t.syscall_status = Status::kBadHandle;
@@ -351,7 +351,7 @@ Kernel::SyscallOutcome Kernel::SysAcquire(Tcb& t, SemId id) {
     EM_ASSERT_MSG(sem->owner == &t, "CSE grant inconsistency on '%s'", sem->name);
     t.cse_granted = false;
     t.cse_waiter = false;
-    Charge(ChargeCategory::kSemaphore, cost_.sem_cse_check);
+    Charge(CycleBucket::kSemaphore, cost_.sem_cse_check);
     ++stats_.cse_switches_saved;
     t.syscall_status = Status::kOk;
     trace_.Record(hw_.now(), TraceEventType::kSemAcquire, t.id.value, sem->id.value);
@@ -362,7 +362,7 @@ Kernel::SyscallOutcome Kernel::SysAcquire(Tcb& t, SemId id) {
     return {false};
   }
 
-  Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+  Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
   if (sem->binary) {
     if (sem->owner == nullptr) {
       sem->owner = &t;
@@ -429,7 +429,7 @@ Kernel::SyscallOutcome Kernel::SysRelease(Tcb& t, SemId id) {
   EM_ASSERT(&t == cores_[t.core]->current);
   ++stats_.syscalls;
   ScopedSemPath path(*this);
-  Charge(ChargeCategory::kSyscall, cost_.syscall);
+  Charge(CycleBucket::kSyscall, cost_.syscall);
   Semaphore* sem = SemPtr(id);
   if (sem == nullptr) {
     t.syscall_status = Status::kBadHandle;
@@ -439,7 +439,7 @@ Kernel::SyscallOutcome Kernel::SysRelease(Tcb& t, SemId id) {
     t.syscall_status = Status::kPermissionDenied;
     return {false};
   }
-  Charge(ChargeCategory::kSemaphore, cost_.sem_fixed);
+  Charge(CycleBucket::kSemaphore, cost_.sem_fixed);
 
   if (sem->binary) {
     if (sem->owner != &t) {
@@ -456,7 +456,7 @@ Kernel::SyscallOutcome Kernel::SysRelease(Tcb& t, SemId id) {
     CausalToken token = ChainEmit(endpoint, &t);
     int visits = 0;
     Tcb* waiter = HighestWaiter(*sem, &visits);
-    Charge(ChargeCategory::kSemaphore, cost_.waitq_visit * visits);
+    Charge(CycleBucket::kSemaphore, cost_.waitq_visit * visits);
     if (waiter != nullptr) {
       sem->waiters.erase(*waiter);
       waiter->blocked_on = nullptr;
@@ -489,7 +489,7 @@ void Kernel::ReleaseLocked(Tcb& owner, Semaphore& sem) {
   UndoInheritance(owner, sem);
   int visits = 0;
   Tcb* waiter = HighestWaiter(sem, &visits);
-  Charge(ChargeCategory::kSemaphore, cost_.waitq_visit * visits);
+  Charge(CycleBucket::kSemaphore, cost_.waitq_visit * visits);
   if (waiter != nullptr) {
     sem.waiters.erase(*waiter);
     GrantTo(sem, *waiter);

@@ -1,6 +1,7 @@
 #include "src/core/stats.h"
 
 #include <cstdio>
+#include <iterator>
 
 namespace emeralds {
 
@@ -28,6 +29,62 @@ const char* ChargeCategoryToString(ChargeCategory category) {
   return "?";
 }
 
+namespace {
+
+// The category each CycleBucket rolls up into, indexed by bucket; -1 for the
+// buckets that are not kernel charges.
+constexpr int kCategoryOfBucket[] = {
+    -1,                                             // kUser
+    static_cast<int>(ChargeCategory::kScheduling),  // kSchedSelect
+    static_cast<int>(ChargeCategory::kScheduling),  // kSchedBlock
+    static_cast<int>(ChargeCategory::kScheduling),  // kSchedUnblock
+    static_cast<int>(ChargeCategory::kScheduling),  // kSchedParse
+    static_cast<int>(ChargeCategory::kContextSwitch),
+    static_cast<int>(ChargeCategory::kSyscall),
+    static_cast<int>(ChargeCategory::kSemaphore),
+    static_cast<int>(ChargeCategory::kPi),
+    static_cast<int>(ChargeCategory::kIpc),
+    static_cast<int>(ChargeCategory::kInterrupt),  // kIrq
+    static_cast<int>(ChargeCategory::kTimerSvc),
+    static_cast<int>(ChargeCategory::kStatsObs),
+    static_cast<int>(ChargeCategory::kInterrupt),  // kIpi
+    -1,                                            // kIdle
+    -1,                                            // kUnattributed
+};
+static_assert(std::size(kCategoryOfBucket) == kNumCycleBuckets,
+              "every CycleBucket needs a roll-up entry");
+
+}  // namespace
+
+Duration ChargedIn(const CycleLedger& ledger, ChargeCategory category) {
+  Duration sum;
+  for (int b = 0; b < kNumCycleBuckets; ++b) {
+    if (kCategoryOfBucket[b] == static_cast<int>(category)) {
+      sum += ledger.buckets[b];
+    }
+  }
+  return sum;
+}
+
+CycleLedger KernelStats::cycles() const {
+  CycleLedger sum;
+  for (int c = 0; c < num_cores; ++c) {
+    for (int b = 0; b < kNumCycleBuckets; ++b) {
+      sum.buckets[b] += core_cycles[c].buckets[b];
+    }
+  }
+  return sum;
+}
+
+Duration KernelStats::total_charged() const {
+  CycleLedger ledger = cycles();
+  Duration total;
+  for (int c = 0; c < kNumChargeCategories; ++c) {
+    total += ChargedIn(ledger, static_cast<ChargeCategory>(c));
+  }
+  return total;
+}
+
 CycleConservation CheckCycleConservation(const KernelStats& stats, Instant now) {
   CycleConservation c;
   c.elapsed = (now - stats.cycles_epoch) * stats.num_cores;
@@ -45,26 +102,28 @@ CycleConservation CheckCoreCycleConservation(const KernelStats& stats, int core,
 }
 
 void PrintKernelStats(const KernelStats& stats, std::FILE* out) {
+  const CycleLedger ledger = stats.cycles();
   std::fprintf(out, "kernel time breakdown:\n");
-  std::fprintf(out, "  %-22s %12.1f us\n", "application compute", stats.compute_time.micros_f());
-  std::fprintf(out, "  %-22s %12.1f us\n", "idle", stats.idle_time.micros_f());
+  std::fprintf(out, "  %-22s %12.1f us\n", "application compute",
+               ledger.at(CycleBucket::kUser).micros_f());
+  std::fprintf(out, "  %-22s %12.1f us\n", "idle", ledger.at(CycleBucket::kIdle).micros_f());
   for (int c = 0; c < kNumChargeCategories; ++c) {
-    if (stats.charged[c].is_positive()) {
+    Duration spent = ChargedIn(ledger, static_cast<ChargeCategory>(c));
+    if (spent.is_positive()) {
       std::fprintf(out, "  %-22s %12.1f us\n",
-                   ChargeCategoryToString(static_cast<ChargeCategory>(c)),
-                   stats.charged[c].micros_f());
+                   ChargeCategoryToString(static_cast<ChargeCategory>(c)), spent.micros_f());
     }
   }
   std::fprintf(out, "cycle ledger (since epoch %lld us):\n",
                static_cast<long long>(stats.cycles_epoch.micros()));
   for (int b = 0; b < kNumCycleBuckets; ++b) {
-    if (stats.cycles.buckets[b].is_positive()) {
+    if (ledger.buckets[b].is_positive()) {
       std::fprintf(out, "  %-22s %12.1f us\n",
                    CycleBucketToString(static_cast<CycleBucket>(b)),
-                   stats.cycles.buckets[b].micros_f());
+                   ledger.buckets[b].micros_f());
     }
   }
-  std::fprintf(out, "  %-22s %12.1f us\n", "ledger total", stats.cycle_total().micros_f());
+  std::fprintf(out, "  %-22s %12.1f us\n", "ledger total", ledger.total().micros_f());
   std::fprintf(out, "scheduler: %llu selections, %llu context switches\n",
                static_cast<unsigned long long>(stats.selections),
                static_cast<unsigned long long>(stats.context_switches));
@@ -100,14 +159,11 @@ void PrintKernelStats(const KernelStats& stats, std::FILE* out) {
 StatsDelta MakeStatsDelta(Instant now, const KernelStats& current, const KernelStats& base) {
   StatsDelta d;
   d.time = now;
-  for (int c = 0; c < kNumChargeCategories; ++c) {
-    d.charged[c] = current.charged[c] - base.charged[c];
-  }
   d.sem_path_time = current.sem_path_time - base.sem_path_time;
-  d.compute_time = current.compute_time - base.compute_time;
-  d.idle_time = current.idle_time - base.idle_time;
+  const CycleLedger now_cycles = current.cycles();
+  const CycleLedger base_cycles = base.cycles();
   for (int b = 0; b < kNumCycleBuckets; ++b) {
-    d.cycles.buckets[b] = current.cycles.buckets[b] - base.cycles.buckets[b];
+    d.cycles.buckets[b] = now_cycles.buckets[b] - base_cycles.buckets[b];
   }
   d.context_switches = current.context_switches - base.context_switches;
   d.jobs_released = current.jobs_released - base.jobs_released;

@@ -13,10 +13,13 @@
 
 namespace emeralds {
 
-// Category a charge is attributed to. kSemPath additionally accumulates for
-// any charge made while the kernel is on a semaphore-induced path (acquire,
-// release, PI, CSE checks, and the context switches they trigger) — that is
-// the quantity Figure 11 plots.
+// Reporting roll-up of the kernel's cycle buckets (charged_us,
+// total_charged(), PrintKernelStats). Charges are stored by CycleBucket
+// only; a category's time is the sum of the buckets that roll up into it.
+// Semaphore-path time (sem_path_time) is kept separately: it accumulates
+// every charge made while the kernel is on a semaphore-induced path
+// (acquire, release, PI, CSE checks, and the context switches they trigger)
+// — the quantity Figure 11 plots.
 enum class ChargeCategory : int {
   kScheduling = 0,    // queue t_b / t_u / t_s and CSD queue parsing
   kContextSwitch = 1,
@@ -24,7 +27,7 @@ enum class ChargeCategory : int {
   kSemaphore = 3,     // semaphore bookkeeping incl. CSE checks
   kPi = 4,            // priority-inheritance work
   kIpc = 5,           // mailbox + state-message fixed costs and copies
-  kInterrupt = 6,     // interrupt entry/exit
+  kInterrupt = 6,     // interrupt entry/exit and virtual IPIs
   kTimerSvc = 7,      // software-timer dispatch
   kStatsObs = 8,      // stats sampling / observability overhead
 };
@@ -32,32 +35,9 @@ inline constexpr int kNumChargeCategories = 9;
 
 const char* ChargeCategoryToString(ChargeCategory category);
 
-// The attribution bucket a plain Charge(category, ...) lands in. Queue
-// operations are finer-grained (per QueueOp, via CycleBucketForQueueOp); the
-// only kScheduling charges left on this path are CSD queue parsing.
-constexpr CycleBucket DefaultCycleBucket(ChargeCategory category) {
-  switch (category) {
-    case ChargeCategory::kScheduling:
-      return CycleBucket::kSchedParse;
-    case ChargeCategory::kContextSwitch:
-      return CycleBucket::kContextSwitch;
-    case ChargeCategory::kSyscall:
-      return CycleBucket::kSyscall;
-    case ChargeCategory::kSemaphore:
-      return CycleBucket::kSemaphore;
-    case ChargeCategory::kPi:
-      return CycleBucket::kPi;
-    case ChargeCategory::kIpc:
-      return CycleBucket::kIpc;
-    case ChargeCategory::kInterrupt:
-      return CycleBucket::kIrq;
-    case ChargeCategory::kTimerSvc:
-      return CycleBucket::kTimerSvc;
-    case ChargeCategory::kStatsObs:
-      return CycleBucket::kStatsObs;
-  }
-  return CycleBucket::kUnattributed;
-}
+// Time in `ledger` that rolls up into `category`. kUser, kIdle and
+// kUnattributed are not kernel charges and roll up into no category.
+Duration ChargedIn(const CycleLedger& ledger, ChargeCategory category);
 
 // Mirror of config.h's kMaxBands for the per-band scheduler-cycle table
 // (stats.h sits below config.h in the include order; kernel.cc
@@ -69,21 +49,15 @@ inline constexpr int kMaxStatBands = 8;
 inline constexpr int kMaxStatCores = 8;
 
 struct KernelStats {
-  // Virtual time by destination.
-  Duration charged[kNumChargeCategories];
   Duration sem_path_time;  // see ChargeCategory comment
-  Duration compute_time;   // application Compute() execution
-  Duration idle_time;
 
-  // Cycle-attribution ledger: every clock advance the kernel makes lands in
-  // exactly one bucket. Windowed — ResetChargeAccounting zeroes it and
-  // re-bases cycles_epoch — so the conservation invariant is
-  //   cycle_total() == now - cycles_epoch, exact to the tick.
-  CycleLedger cycles;
+  // Cycle-attribution ledgers, one per core: every clock advance the kernel
+  // makes lands in exactly one bucket of each core's ledger, so each core's
+  // buckets sum to the elapsed window (now - cycles_epoch). They are the
+  // kernel's one stored time account; every other time figure is a view of
+  // them. Windowed — ResetChargeAccounting zeroes them and re-bases
+  // cycles_epoch.
   Instant cycles_epoch;  // set at kernel construction and on charge resets
-  // Per-core split of the same ledger: each core's buckets sum to the elapsed
-  // window (now - cycles_epoch) individually, and the per-core ledgers sum to
-  // `cycles`. At num_cores=1, core_cycles[0] mirrors `cycles` exactly.
   int num_cores = 1;
   CycleLedger core_cycles[kMaxStatCores];
   // Scheduler queue time split per CSD band (DP1/DP2/.../FP) and QueueOp —
@@ -162,15 +136,12 @@ struct KernelStats {
   Log2Histogram headroom_hist;   // per-job deadline headroom at completion
   Log2Histogram chain_e2e_hist;  // kernel-observed chain end-to-end latency
 
-  Duration cycle_total() const { return cycles.total(); }
-
-  Duration total_charged() const {
-    Duration total;
-    for (const Duration& d : charged) {
-      total += d;
-    }
-    return total;
-  }
+  // Node-wide ledger: the per-core ledgers summed bucket by bucket, so
+  //   cycle_total() == (now - cycles_epoch) * num_cores, exact to the tick.
+  CycleLedger cycles() const;
+  Duration cycle_total() const { return cycles().total(); }
+  // Kernel time over every category (the ledger less user and idle time).
+  Duration total_charged() const;
 };
 
 // Writes a human-readable summary (charge breakdown, cycle ledger, scheduler
@@ -209,12 +180,10 @@ CycleConservation CheckCoreCycleConservation(const KernelStats& stats, int core,
 // small-memory trade: ~1/3 the size, and rates are what the consumer wants).
 struct StatsDelta {
   Instant time;  // sample instant (virtual clock); interval is (prev, time]
-  Duration charged[kNumChargeCategories];
   Duration sem_path_time;
-  Duration compute_time;
-  Duration idle_time;
-  // Per-bucket cycle deltas. Conservation holds per interval too: absent a
-  // charge reset inside it, the bucket sum equals time - prev.time.
+  // Per-bucket deltas of the node-wide ledger. Conservation holds per
+  // interval too: absent a charge reset inside it, the bucket sum equals
+  // (time - prev.time) * num_cores.
   CycleLedger cycles;
   uint64_t context_switches = 0;
   uint64_t jobs_released = 0;
@@ -267,7 +236,7 @@ class StatsSampler {
   const KernelStats& last_sample_base() const { return last_; }
 
   // Re-baselines the cumulative reference so the next delta starts from
-  // `current` (Kernel::ResetChargeAccounting zeroes the charge Durations,
+  // `current` (Kernel::ResetChargeAccounting zeroes the cycle ledgers,
   // which would otherwise make the next interval's deltas negative).
   void Rebase(const KernelStats& current) { last_ = current; }
 

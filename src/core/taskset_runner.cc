@@ -60,7 +60,6 @@ std::vector<TaskRunRow> CollectPerTaskStats(const Kernel& kernel,
     row.avg_response =
         t.jobs_completed > 0 ? t.total_response / static_cast<int64_t>(t.jobs_completed)
                              : Duration();
-    row.cpu_time = t.cpu_time;
     row.user_cycles = t.cycles.at(CycleBucket::kUser);
     row.overhead_cycles = t.cycles.total() - row.user_cycles;
     row.job_cost_ewma = t.job_cost_ewma;

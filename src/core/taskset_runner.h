@@ -48,10 +48,9 @@ struct TaskRunRow {
   uint64_t deadline_misses = 0;
   Duration max_response;
   Duration avg_response;  // total_response / jobs_completed (zero when idle)
-  Duration cpu_time;
-  // Cycle-attribution / headroom columns (see Tcb). overhead_cycles is the
-  // per-task ledger total minus its kUser share: kernel time billed to the
-  // thread.
+  // Cycle-attribution / headroom columns (see Tcb). user_cycles is the
+  // task's own compute time; overhead_cycles is the per-task ledger total
+  // minus it: kernel time billed to the thread.
   Duration user_cycles;
   Duration overhead_cycles;
   Duration job_cost_ewma;

@@ -95,15 +95,14 @@ struct Tcb {
   bool miss_recorded = false;     // current job's miss already counted
   uint64_t jobs_completed = 0;
   uint64_t deadline_misses = 0;
-  Duration cpu_time;
   Duration max_response;    // worst job response time (completion - release)
   Duration total_response;  // sum over completed jobs (for averages)
 
   // --- Cycle attribution / headroom monitor ---
-  // Per-task ledger: charges made while this thread was current (kUser equals
-  // cpu_time; the rest is kernel work billed to the thread that triggered
-  // it). Cumulative since boot, like cpu_time — ResetChargeAccounting leaves
-  // it alone.
+  // Per-task ledger: charges made while this thread was current (kUser is
+  // its own compute time; the rest is kernel work billed to the thread that
+  // triggered it). Cumulative since boot — ResetChargeAccounting leaves it
+  // alone.
   CycleLedger cycles;
   // EWMA (alpha = 1/4, integer) of per-job attributed cycles; the first
   // completed job seeds it.

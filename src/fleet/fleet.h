@@ -28,7 +28,7 @@
 //
 // Per-node oracles, mirroring the torture harness (the syscall fault oracle
 // is torture-specific; the fleet adds a progress oracle in its place):
-//   1. obs::AnalyzeTrace reports zero structural invariant violations;
+//   1. the obs::TraceEvaluator reports zero structural invariant violations;
 //   2. obs::ComputeReconciliation checks the trace against the kernel's
 //      counters and agrees (the window never evicts, so it always checks);
 //   3. the cycle-attribution ledger conserves exactly (bucket sum == elapsed

@@ -40,7 +40,7 @@ const char* CycleBucketToString(CycleBucket bucket);
 
 // Fixed-size per-bucket accumulator. The clock owns a cumulative one
 // (conservation by construction: total() == now - epoch 0); KernelStats
-// carries an epoch-windowed mirror that the oracles check.
+// stores an epoch-windowed one per core, which the oracles check.
 struct CycleLedger {
   Duration buckets[kNumCycleBuckets] = {};
 

@@ -29,7 +29,7 @@ void AppendChainHistogram(Json& j, const char* name, const Log2Histogram& h) {
   j.Number("min_us", h.count() > 0 ? h.min().micros_f() : 0.0);
   j.Number("max_us", h.count() > 0 ? h.max().micros_f() : 0.0);
   j.Number("mean_us", h.mean().micros_f());
-  j.Number("p99_us", h.ApproxPercentile(0.99).micros_f());
+  j.Number("p99_us", h.PercentileBound(0.99).micros_f());
   j.Number("total_us", h.total().micros_f());
   j.CloseObject();
 }

@@ -23,9 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "src/base/log2_histogram.h"
 #include "src/core/config.h"
 #include "src/hal/trace.h"
-#include "src/obs/histogram.h"
 
 namespace emeralds {
 

@@ -55,8 +55,9 @@ void AppendCyclesSection(Json& j, const Kernel& kernel) {
 
   j.Key("buckets_ns");
   j.OpenObject();
+  const CycleLedger ledger = s.cycles();
   for (int b = 0; b < kNumCycleBuckets; ++b) {
-    j.Int(CycleBucketToString(static_cast<CycleBucket>(b)), s.cycles.buckets[b].nanos());
+    j.Int(CycleBucketToString(static_cast<CycleBucket>(b)), ledger.buckets[b].nanos());
   }
   j.CloseObject();
 

@@ -17,8 +17,8 @@ void AppendHistogram(Json& j, const char* name, const Log2Histogram& h) {
   j.Number("min_us", h.count() > 0 ? h.min().micros_f() : 0.0);
   j.Number("max_us", h.count() > 0 ? h.max().micros_f() : 0.0);
   j.Number("mean_us", h.mean().micros_f());
-  j.Number("p50_us", h.ApproxPercentile(0.50).micros_f());
-  j.Number("p99_us", h.ApproxPercentile(0.99).micros_f());
+  j.Number("p50_us", h.PercentileBound(0.50).micros_f());
+  j.Number("p99_us", h.PercentileBound(0.99).micros_f());
   // Sparse bucket list: [floor_us, count] pairs up to the highest used one.
   j.Key("buckets");
   j.OpenArray();
@@ -35,11 +35,12 @@ void AppendHistogram(Json& j, const char* name, const Log2Histogram& h) {
   j.CloseObject();
 }
 
-void AppendChargedUs(Json& j, const Duration (&charged)[kNumChargeCategories]) {
+void AppendChargedUs(Json& j, const CycleLedger& ledger) {
   j.Key("charged_us");
   j.OpenObject();
   for (int c = 0; c < kNumChargeCategories; ++c) {
-    j.Number(ChargeCategoryToString(static_cast<ChargeCategory>(c)), charged[c].micros_f());
+    auto category = static_cast<ChargeCategory>(c);
+    j.Number(ChargeCategoryToString(category), ChargedIn(ledger, category).micros_f());
   }
   j.CloseObject();
 }
@@ -65,11 +66,12 @@ void AppendKernelStats(Json& j, const KernelStats& s) {
   j.Int("chain_origins", static_cast<int64_t>(s.chain_origins));
   j.Int("chain_hop_saturations", static_cast<int64_t>(s.chain_hop_saturations));
   j.Int("ipis", static_cast<int64_t>(s.ipis));
-  j.Number("compute_time_us", s.compute_time.micros_f());
-  j.Number("idle_time_us", s.idle_time.micros_f());
+  const CycleLedger ledger = s.cycles();
+  j.Number("compute_time_us", ledger.at(CycleBucket::kUser).micros_f());
+  j.Number("idle_time_us", ledger.at(CycleBucket::kIdle).micros_f());
   j.Number("sem_path_time_us", s.sem_path_time.micros_f());
   j.Number("total_charged_us", s.total_charged().micros_f());
-  AppendChargedUs(j, s.charged);
+  AppendChargedUs(j, ledger);
   j.CloseObject();
 }
 
@@ -85,7 +87,7 @@ void AppendTaskRows(Json& j, const std::vector<TaskRunRow>& rows) {
     j.Int("deadline_misses", static_cast<int64_t>(r.deadline_misses));
     j.Number("max_response_us", r.max_response.micros_f());
     j.Number("avg_response_us", r.avg_response.micros_f());
-    j.Number("cpu_time_us", r.cpu_time.micros_f());
+    j.Number("cpu_time_us", r.user_cycles.micros_f());
     j.Number("user_cycles_us", r.user_cycles.micros_f());
     j.Number("overhead_cycles_us", r.overhead_cycles.micros_f());
     j.Number("cost_ewma_us", r.job_cost_ewma.micros_f());
@@ -205,10 +207,10 @@ void AppendSnapshots(Json& j, const StatsSampler* sampler, const KernelStats& st
     j.Int("interrupts", static_cast<int64_t>(d.interrupts));
     j.Int("timer_dispatches", static_cast<int64_t>(d.timer_dispatches));
     j.Int("headroom_low_events", static_cast<int64_t>(d.headroom_low_events));
-    j.Number("compute_time_us", d.compute_time.micros_f());
-    j.Number("idle_time_us", d.idle_time.micros_f());
+    j.Number("compute_time_us", d.cycles.at(CycleBucket::kUser).micros_f());
+    j.Number("idle_time_us", d.cycles.at(CycleBucket::kIdle).micros_f());
     j.Number("sem_path_time_us", d.sem_path_time.micros_f());
-    AppendChargedUs(j, d.charged);
+    AppendChargedUs(j, d.cycles);
     j.Key("cycles_ns");
     j.OpenObject();
     for (int b = 0; b < kNumCycleBuckets; ++b) {

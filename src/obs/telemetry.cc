@@ -16,8 +16,9 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
   t.deadline_misses = s.deadline_misses;
   t.headroom_low_events = s.headroom_low_events;
   t.stats_snapshot_drops = s.stats_snapshot_drops;
+  const CycleLedger ledger = s.cycles();
   for (int b = 0; b < kNumCycleBuckets; ++b) {
-    t.cycles[b] = s.cycles.buckets[b];
+    t.cycles[b] = ledger.buckets[b];
     t.cycles_total += t.cycles[b];
   }
   t.num_cores = s.num_cores;

@@ -22,11 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "src/base/log2_histogram.h"
 #include "src/base/time.h"
 #include "src/core/stats.h"
 #include "src/hal/cycles.h"
 #include "src/obs/chains.h"
-#include "src/obs/histogram.h"
 #include "src/obs/trace_analyzer.h"
 
 namespace emeralds {

@@ -26,8 +26,6 @@ void TelemetryWindow::MergeFrom(const TelemetryWindow& other) {
   chain_e2e_overruns += other.chain_e2e_overruns;
   chain_origins += other.chain_origins;
   stats_snapshot_drops += other.stats_snapshot_drops;
-  compute_time += other.compute_time;
-  idle_time += other.idle_time;
   for (int b = 0; b < kNumCycleBuckets; ++b) {
     cycles.buckets[b] += other.cycles.buckets[b];
   }
@@ -83,8 +81,6 @@ void TimeseriesCollector::FoldDelta(const StatsDelta& d) {
   cur_.chain_e2e_overruns += d.chain_e2e_overruns;
   cur_.chain_origins += d.chain_origins;
   cur_.stats_snapshot_drops += d.stats_snapshot_drops;
-  cur_.compute_time += d.compute_time;
-  cur_.idle_time += d.idle_time;
   for (int b = 0; b < kNumCycleBuckets; ++b) {
     cur_.cycles.buckets[b] += d.cycles.buckets[b];
   }
@@ -223,8 +219,8 @@ void AppendTelemetryWindow(Json& j, const TelemetryWindow& w) {
   j.Int("chain_e2e_overruns", static_cast<int64_t>(w.chain_e2e_overruns));
   j.Int("chain_origins", static_cast<int64_t>(w.chain_origins));
   j.Int("stats_snapshot_drops", static_cast<int64_t>(w.stats_snapshot_drops));
-  j.Number("compute_ms", w.compute_time.micros_f() / 1e3);
-  j.Number("idle_ms", w.idle_time.micros_f() / 1e3);
+  j.Number("compute_ms", w.cycles.at(CycleBucket::kUser).micros_f() / 1e3);
+  j.Number("idle_ms", w.cycles.at(CycleBucket::kIdle).micros_f() / 1e3);
   j.Key("cycles_us");
   j.OpenObject();
   for (int b = 0; b < kNumCycleBuckets; ++b) {

@@ -72,8 +72,6 @@ struct TelemetryWindow {
   // analog of AnalyzeChains' per-chain incomplete_instances count.
   uint64_t chain_origins = 0;
   uint64_t stats_snapshot_drops = 0;
-  Duration compute_time;
-  Duration idle_time;
   CycleLedger cycles;
   Log2Histogram response;
   Log2Histogram chain_e2e;

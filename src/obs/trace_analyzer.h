@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "src/base/log2_histogram.h"
 #include "src/hal/trace.h"
-#include "src/obs/histogram.h"
 
 namespace emeralds {
 

@@ -47,7 +47,7 @@ void PrintHistogram(const char* title, const Log2Histogram& h) {
     return;
   }
   std::printf("  min=%.1fus  mean=%.1fus  p99<=%.1fus  max=%.1fus\n", h.min().micros_f(),
-              h.mean().micros_f(), h.ApproxPercentile(0.99).micros_f(), h.max().micros_f());
+              h.mean().micros_f(), h.PercentileBound(0.99).micros_f(), h.max().micros_f());
   uint64_t peak = 0;
   for (int b = 0; b <= h.HighestBucket(); ++b) {
     if (h.bucket(b) > peak) {

@@ -1,9 +1,10 @@
 // Perf-regression gate tests: an injected scheduler-bucket regression beyond
 // tolerance must fail, within-tolerance drift must pass, the user/idle
-// buckets and wall-clock throughput must stay ungated, a changed fleet,
-// cycle-ledger or SMP run digest, a changed breakdown and a changed fleet
-// record mix must fail, and a candidate that violates its own invariants
-// must never pass.
+// buckets and wall-clock throughput must stay ungated across different
+// runs, a changed fleet, cycle-ledger or SMP run digest, a changed
+// breakdown and a changed fleet record mix must fail, a ledger that moves
+// under an equal run digest must fail, and a candidate that violates its
+// own invariants must never pass.
 
 #include <string>
 
@@ -132,6 +133,58 @@ TEST(BenchCompareCyclesTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
   // An equal digest passes; a candidate without one fails.
   EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
   EXPECT_FALSE(CompareReports(base, Parse(doc), CompareOptions()).ok);
+}
+
+TEST(BenchCompareCyclesTest, EqualDigestDemandsAnEqualLedger) {
+  // One nanosecond moved from user to idle: ungated between different runs,
+  // but under an equal digest the run is the same, so the accounting moved.
+  const std::string base_doc = CyclesDoc(60000000, 900000000, 980000000);
+  const std::string cand_doc = CyclesDoc(60000000, 899999999, 980000001);
+  EXPECT_TRUE(CompareReports(Parse(base_doc), Parse(cand_doc), CompareOptions()).ok);
+  CompareResult r = CompareReports(Parse(WithDigest(base_doc, "0x1111111111111111")),
+                                   Parse(WithDigest(cand_doc, "0x1111111111111111")),
+                                   CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 2u);
+  bool named_idle = false;
+  for (const std::string& f : r.failures) {
+    EXPECT_NE(f.find("under an equal run digest"), std::string::npos) << f;
+    EXPECT_NE(f.find("time accounting changed"), std::string::npos) << f;
+    named_idle = named_idle || f.find("bucket idle 980000001") != std::string::npos;
+  }
+  EXPECT_TRUE(named_idle);
+}
+
+// CyclesDoc(60000000, 900000000, 980000000) with one core row and one task
+// row.
+std::string CyclesDocWithRows(long long core_total_ns, long long task_overhead_ns) {
+  const std::string doc = CyclesDoc(60000000, 900000000, 980000000);
+  char rows[256];
+  std::snprintf(rows, sizeof(rows),
+                ",\"cores\":[{\"core\":0,\"ledger_total_ns\":%lld}]},"
+                "\"tasks\":[{\"id\":0,\"user_ns\":900000000,\"overhead_ns\":%lld}]}",
+                core_total_ns, task_overhead_ns);
+  return doc.substr(0, doc.size() - 2) + rows;
+}
+
+TEST(BenchCompareCyclesTest, EqualDigestHoldsCoreAndTaskRowsExactly) {
+  const char* digest = "0x1111111111111111";
+  JsonValue base = Parse(WithDigest(CyclesDocWithRows(2000000000, 100), digest));
+  EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
+  CompareResult task = CompareReports(
+      base, Parse(WithDigest(CyclesDocWithRows(2000000000, 101), digest)), CompareOptions());
+  ASSERT_EQ(task.failures.size(), 1u);
+  EXPECT_NE(task.failures[0].find("tasks[0].overhead_ns"), std::string::npos)
+      << task.failures[0];
+  CompareResult core = CompareReports(
+      base, Parse(WithDigest(CyclesDocWithRows(2000000001, 100), digest)), CompareOptions());
+  ASSERT_EQ(core.failures.size(), 1u);
+  EXPECT_NE(core.failures[0].find("cores[0].ledger_total_ns"), std::string::npos)
+      << core.failures[0];
+  // Without digests the rows are not gated.
+  EXPECT_TRUE(CompareReports(Parse(CyclesDocWithRows(2000000000, 100)),
+                             Parse(CyclesDocWithRows(2000000001, 101)), CompareOptions())
+                  .ok);
 }
 
 TEST(BenchCompareCyclesTest, SchemaMismatchFails) {
@@ -356,14 +409,16 @@ TEST(BenchCompareFleetTest, RecordMixChangeFailsAndAnEqualMixIsNamedInTheDigestF
 
 // --- emeralds.bench.smp/1 ---
 
-// A 1- and 2-core throughput report; the caller picks the 2-core run digest.
-std::string SmpDoc(const char* two_core_digest) {
+// A 1- and 2-core throughput report; the caller picks the 2-core run digest
+// and idle time.
+std::string SmpDoc(const char* two_core_digest, long long two_core_idle_ns = 0) {
   return std::string(
              "{\"schema\":\"emeralds.bench.smp/1\",\"ratio_2core\":2.0,\"throughput\":["
              "{\"num_cores\":1,\"user_ns\":600000000,\"idle_ns\":0,\"ipis\":0,"
              "\"jobs_completed\":200,\"conserved\":true,\"digest\":\"0x1111111111111111\"},"
-             "{\"num_cores\":2,\"user_ns\":1200000000,\"idle_ns\":0,\"ipis\":40,"
-             "\"jobs_completed\":400,\"conserved\":true,\"digest\":\"") +
+             "{\"num_cores\":2,\"user_ns\":1200000000,\"idle_ns\":") +
+         std::to_string(two_core_idle_ns) +
+         ",\"ipis\":40,\"jobs_completed\":400,\"conserved\":true,\"digest\":\"" +
          two_core_digest +
          "\"}],\"admission\":{\"points\":[{\"admitted_1core\":3,\"admitted_2core\":5,"
          "\"admitted_4core\":8}]}}";
@@ -380,6 +435,25 @@ TEST(BenchCompareSmpTest, DigestChangeFails) {
   EXPECT_NE(r.failures[0].find("EMERALDS_BENCH_JSON=BENCH_smp.json build/bench/bench_smp"),
             std::string::npos)
       << r.failures[0];
+}
+
+TEST(BenchCompareSmpTest, EqualDigestDemandsAnEqualLedger) {
+  JsonValue base = Parse(SmpDoc("0x2222222222222222", 1000000));
+  CompareResult r =
+      CompareReports(base, Parse(SmpDoc("0x2222222222222222", 1000001)), CompareOptions());
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_NE(r.failures[0].find("2-core run idle_ns 1000001 vs baseline 1000000 under an equal "
+                               "run digest"),
+            std::string::npos)
+      << r.failures[0];
+  // Between different runs the same move is inside the tolerance: only the
+  // digest fails.
+  CompareResult other =
+      CompareReports(base, Parse(SmpDoc("0x3333333333333333", 1000001)), CompareOptions());
+  ASSERT_EQ(other.failures.size(), 1u);
+  EXPECT_NE(other.failures[0].find("2-core run digest differs"), std::string::npos)
+      << other.failures[0];
 }
 
 TEST(BenchCompareFilesTest, MissingFileIsAnIoFailure) {

@@ -259,12 +259,9 @@ TEST(ChargeAccountingTest, SemPathOnlyAroundSemOps) {
   }));
   env.StartAndRunFor(Milliseconds(100));
   EXPECT_TRUE(env.k().stats().sem_path_time.is_zero());
-  EXPECT_TRUE(env.k().stats().charged[static_cast<int>(ChargeCategory::kScheduling)]
-                  .is_positive());
-  EXPECT_TRUE(env.k()
-                  .stats()
-                  .charged[static_cast<int>(ChargeCategory::kSemaphore)]
-                  .is_zero());
+  const CycleLedger ledger = env.k().stats().cycles();
+  EXPECT_TRUE(ChargedIn(ledger, ChargeCategory::kScheduling).is_positive());
+  EXPECT_TRUE(ChargedIn(ledger, ChargeCategory::kSemaphore).is_zero());
 }
 
 TEST(ChargeAccountingTest, ResetClearsTimeNotCounters) {

@@ -1,10 +1,14 @@
 // Cycle-attribution ledger tests: the hard conservation invariant (bucket sum
 // == elapsed virtual time, exact to the tick), the Table-1 pricing identity
 // for every QueueKind x QueueOp the scheduler reports, per-task attribution
-// (user == cpu_time exactly), and epoch rebasing across charge resets.
+// (the task ledgers' user buckets sum to the node's), and epoch rebasing
+// across charge resets.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/core/taskset_runner.h"
 #include "tests/testing/kernel_env.h"
 
 namespace emeralds {
@@ -94,6 +98,7 @@ TEST_P(CycleLedgerSchedulers, ConservesAndPricesQueueOpsExactly) {
   env.StartAndRunFor(Milliseconds(200));
 
   const KernelStats& stats = env.k().stats();
+  const CycleLedger ledger = stats.cycles();
 
   // Conservation: every tick between the epoch and now is in exactly one
   // bucket, and no clock advance bypassed the kernel's charging paths.
@@ -106,7 +111,7 @@ TEST_P(CycleLedgerSchedulers, ConservesAndPricesQueueOpsExactly) {
   // Exact integer identity per QueueOp: the scheduler buckets hold precisely
   // fixed * count + per_unit * units summed over the QueueKinds in play.
   for (QueueOp op : {QueueOp::kBlock, QueueOp::kUnblock, QueueOp::kSelect}) {
-    EXPECT_EQ(stats.cycles.at(BucketFor(op)).nanos(), ExpectedQueueOpTime(env.k(), op).nanos())
+    EXPECT_EQ(ledger.at(BucketFor(op)).nanos(), ExpectedQueueOpTime(env.k(), op).nanos())
         << "op " << static_cast<int>(op);
   }
 
@@ -116,7 +121,7 @@ TEST_P(CycleLedgerSchedulers, ConservesAndPricesQueueOpsExactly) {
     for (int band = 0; band < kMaxStatBands; ++band) {
       band_sum += stats.sched_band_cycles[band][static_cast<int>(op)];
     }
-    EXPECT_EQ(band_sum.nanos(), stats.cycles.at(BucketFor(op)).nanos());
+    EXPECT_EQ(band_sum.nanos(), ledger.at(BucketFor(op)).nanos());
   }
 
   // The workload actually exercised the scheduler: selects happened and were
@@ -125,10 +130,12 @@ TEST_P(CycleLedgerSchedulers, ConservesAndPricesQueueOpsExactly) {
                 stats.queue_op_count[1][static_cast<int>(QueueOp::kSelect)] +
                 stats.queue_op_count[2][static_cast<int>(QueueOp::kSelect)],
             0u);
-  EXPECT_GT(stats.cycles.at(CycleBucket::kSchedSelect).nanos(), 0);
+  EXPECT_GT(ledger.at(CycleBucket::kSchedSelect).nanos(), 0);
 
-  // User time is the workload's compute, bucket-exact.
-  EXPECT_EQ(stats.cycles.at(CycleBucket::kUser).nanos(), stats.compute_time.nanos());
+  // On one core the node-wide view is the stored core-0 ledger, bucket-exact.
+  for (int b = 0; b < kNumCycleBuckets; ++b) {
+    EXPECT_EQ(ledger.buckets[b].nanos(), stats.core_cycles[0].buckets[b].nanos()) << b;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, CycleLedgerSchedulers, ::testing::Values(0, 1, 2, 3));
@@ -142,11 +149,23 @@ TEST(CycleLedgerTest, PerTaskUserEqualsCpuTimeExactly) {
     const Tcb& t = env.k().thread(ThreadId(static_cast<int>(i)));
     // A task's user bucket is exactly its own compute; everything else in its
     // ledger is carried kernel overhead.
-    EXPECT_EQ(t.cycles.at(CycleBucket::kUser).nanos(), t.cpu_time.nanos()) << t.name;
-    EXPECT_GE(t.cycles.total().nanos(), t.cpu_time.nanos()) << t.name;
+    EXPECT_GE(t.cycles.total().nanos(), t.cycles.at(CycleBucket::kUser).nanos()) << t.name;
     task_user_sum += t.cycles.at(CycleBucket::kUser);
   }
-  EXPECT_EQ(task_user_sum.nanos(), env.k().stats().compute_time.nanos());
+  // The stored task ledgers and the stored core ledger agree on user time.
+  EXPECT_EQ(task_user_sum.nanos(), env.k().stats().core_cycles[0].at(CycleBucket::kUser).nanos());
+  // The task rows' cpu time is the task ledgers' user bucket, and the rest
+  // of each ledger is its overhead.
+  std::vector<ThreadId> ids;
+  for (size_t i = 0; i < env.k().thread_count(); ++i) {
+    ids.push_back(ThreadId(static_cast<int>(i)));
+  }
+  for (const TaskRunRow& row : CollectPerTaskStats(env.k(), ids)) {
+    const Tcb& t = env.k().thread(row.id);
+    EXPECT_EQ(row.user_cycles.nanos(), t.cycles.at(CycleBucket::kUser).nanos()) << t.name;
+    EXPECT_EQ((row.user_cycles + row.overhead_cycles).nanos(), t.cycles.total().nanos())
+        << t.name;
+  }
 }
 
 TEST(CycleLedgerTest, ChargeResetRebasesEpochAndStaysConserved) {
@@ -184,7 +203,7 @@ TEST(CycleLedgerTest, ZeroCostModelChargesOnlyUserAndIdle) {
     if (bucket == CycleBucket::kUser || bucket == CycleBucket::kIdle) {
       continue;
     }
-    EXPECT_EQ(stats.cycles.at(bucket).nanos(), 0) << CycleBucketToString(bucket);
+    EXPECT_EQ(stats.cycles().at(bucket).nanos(), 0) << CycleBucketToString(bucket);
   }
 }
 

@@ -25,7 +25,7 @@ TEST(EdgeCaseTest, ComputeZeroIsNoop) {
   }));
   env.StartAndRunFor(Milliseconds(1));
   EXPECT_TRUE(done);
-  EXPECT_TRUE(env.k().stats().compute_time.is_zero());
+  EXPECT_TRUE(env.k().stats().cycles().at(CycleBucket::kUser).is_zero());
 }
 
 TEST(EdgeCaseTest, SleepZeroReturnsImmediately) {
@@ -122,7 +122,7 @@ TEST(EdgeCaseTest, RunUntilPastEndOfAllWorkIdles) {
   }));
   env.StartAndRunFor(Seconds(10));
   EXPECT_EQ(env.k().now(), Instant() + Seconds(10));
-  EXPECT_EQ(env.k().stats().idle_time.millis(), 9999);
+  EXPECT_EQ(env.k().stats().cycles().at(CycleBucket::kIdle).millis(), 9999);
 }
 
 TEST(EdgeCaseTest, PrintKernelStatsSmoke) {

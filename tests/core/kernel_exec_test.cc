@@ -285,8 +285,8 @@ TEST(KernelExecTest, IdleTimeAccounted) {
     }
   }));
   env.StartAndRunFor(Milliseconds(100));
-  EXPECT_EQ(env.k().stats().compute_time.millis(), 20);
-  EXPECT_EQ(env.k().stats().idle_time.millis(), 80);
+  EXPECT_EQ(env.k().stats().cycles().at(CycleBucket::kUser).millis(), 20);
+  EXPECT_EQ(env.k().stats().cycles().at(CycleBucket::kIdle).millis(), 80);
 }
 
 TEST(KernelExecTest, ChargedTimeShowsUpOnClock) {
@@ -304,7 +304,8 @@ TEST(KernelExecTest, ChargedTimeShowsUpOnClock) {
   // Conservation: compute + idle + kernel charges == elapsed virtual time
   // (the clock may run slightly past the horizon when work lands exactly on
   // it, so compare against now(), not the horizon).
-  EXPECT_EQ((stats.compute_time + stats.idle_time + charged).nanos(),
+  const CycleLedger ledger = stats.cycles();
+  EXPECT_EQ((ledger.at(CycleBucket::kUser) + ledger.at(CycleBucket::kIdle) + charged).nanos(),
             (env.k().now() - Instant()).nanos());
 }
 

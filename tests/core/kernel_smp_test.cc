@@ -64,7 +64,7 @@ TEST(KernelSmpTest, PinnedThreadsComputeInParallel) {
   env.StartAndRunFor(Milliseconds(12));
   EXPECT_EQ(done_us[0], 10000);
   EXPECT_EQ(done_us[1], 10000);  // ran concurrently on its own core
-  EXPECT_EQ(env.k().stats().compute_time, Milliseconds(20));
+  EXPECT_EQ(env.k().stats().cycles().at(CycleBucket::kUser), Milliseconds(20));
 }
 
 TEST(KernelSmpTest, SameCorePinnedThreadsSerialize) {
@@ -80,7 +80,7 @@ TEST(KernelSmpTest, SameCorePinnedThreadsSerialize) {
   // Both share core 0; core 1 idles. One finishes at 10ms, the other at 20ms.
   EXPECT_EQ(std::min(done_us[0], done_us[1]), 10000);
   EXPECT_EQ(std::max(done_us[0], done_us[1]), 20000);
-  EXPECT_EQ(env.k().stats().compute_time, Milliseconds(20));
+  EXPECT_EQ(env.k().stats().cycles().at(CycleBucket::kUser), Milliseconds(20));
 }
 
 TEST(KernelSmpTest, CrossCoreWakePaysVirtualIpi) {
@@ -102,7 +102,7 @@ TEST(KernelSmpTest, CrossCoreWakePaysVirtualIpi) {
   EXPECT_GE(s.ipis, 1u);
   // The wake was priced: the virtual IPI landed in its own bucket, and the
   // conservation invariant survives both fleet-summed and per core.
-  EXPECT_GT(s.cycles.at(CycleBucket::kIpi).nanos(), 0);
+  EXPECT_GT(s.cycles().at(CycleBucket::kIpi).nanos(), 0);
   EXPECT_TRUE(CheckCycleConservation(s, env.k().now()).exact());
   for (int c = 0; c < s.num_cores; ++c) {
     CycleConservation cc = CheckCoreCycleConservation(s, c, env.k().now());
@@ -127,7 +127,7 @@ TEST(KernelSmpTest, SameCoreWakeIsNotAnIpi) {
   env.StartAndRunFor(Milliseconds(5));
   EXPECT_TRUE(woke);
   EXPECT_EQ(env.k().stats().ipis, 0u);
-  EXPECT_EQ(env.k().stats().cycles.at(CycleBucket::kIpi).nanos(), 0);
+  EXPECT_EQ(env.k().stats().cycles().at(CycleBucket::kIpi).nanos(), 0);
 }
 
 TEST(KernelSmpTest, PerCoreLedgersSumToFleetLedger) {
@@ -150,13 +150,15 @@ TEST(KernelSmpTest, PerCoreLedgersSumToFleetLedger) {
   // Timer service lives on core 0, so periodic releases of the core-1 workers
   // are cross-core wakes and must have been priced.
   EXPECT_GE(s.ipis, 1u);
-  // Bucket by bucket, the per-core ledgers partition the fleet ledger.
+  // Bucket by bucket, the fleet ledger view is the stored per-core ledgers'
+  // sum.
+  const CycleLedger fleet = s.cycles();
   for (int b = 0; b < kNumCycleBuckets; ++b) {
     Duration sum;
     for (int c = 0; c < s.num_cores; ++c) {
       sum += s.core_cycles[c].buckets[b];
     }
-    EXPECT_EQ(sum.nanos(), s.cycles.buckets[b].nanos()) << "bucket " << b;
+    EXPECT_EQ(sum.nanos(), fleet.buckets[b].nanos()) << "bucket " << b;
   }
   // Each core's ledger covers its own elapsed window exactly; the fleet
   // ledger covers num_cores * elapsed.
@@ -187,7 +189,7 @@ TEST(KernelSmpTest, TwoCoreThroughputScalesOnSaturation) {
       env.k().CreateThread(params);
     }
     env.StartAndRunFor(Milliseconds(100));
-    return env.k().stats().compute_time.nanos();
+    return env.k().stats().cycles().at(CycleBucket::kUser).nanos();
   };
   EXPECT_EQ(user_ns(1), Milliseconds(100).nanos());
   EXPECT_EQ(user_ns(2), Milliseconds(180).nanos());

@@ -330,7 +330,7 @@ TEST(SemaphoreCseTest, PreAcquireFreezeWhileHolderBlocked) {
   EXPECT_EQ(t2_acquired_us, 23000);
   EXPECT_GE(env.k().stats().preacquire_freezes, 1u);
   // The 2ms sleep left the CPU idle: the frozen T2 must NOT have run.
-  EXPECT_GE(env.k().stats().idle_time.micros(), 2000);
+  EXPECT_GE(env.k().stats().cycles().at(CycleBucket::kIdle).micros(), 2000);
 }
 
 // Figure 10: the holder blocks waiting for an internal event (a signal from

@@ -49,10 +49,9 @@ TEST(TortureTest, FixedSeedSweepIsClean) {
   }
 }
 
-// Satellite: the same sweep at 2 and 4 virtual cores. All five oracles stay
-// enforced; cycle conservation in particular is checked per core AND
-// fleet-summed inside RunTorture, so a single tick leaking between cores
-// fails the run.
+// The same sweep at 2 and 4 virtual cores. All six oracles stay enforced;
+// cycle conservation in particular is checked per core AND fleet-summed
+// inside RunTorture, so a single tick leaking between cores fails the run.
 TEST(TortureTest, MultiCoreSweepIsClean) {
   for (int cores : {2, 4}) {
     for (uint64_t seed = 1; seed <= 6; ++seed) {

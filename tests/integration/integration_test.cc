@@ -165,11 +165,12 @@ TEST(AnalysisVsSimTest, MeasuredOverheadWithinModelBound) {
   env.StartAndRunFor(Seconds(5));
   const KernelStats& stats = env.k().stats();
   ASSERT_GT(stats.jobs_completed, 0u);
-  Duration scheduling_related = stats.charged[static_cast<int>(ChargeCategory::kScheduling)] +
-                                stats.charged[static_cast<int>(ChargeCategory::kContextSwitch)] +
-                                stats.charged[static_cast<int>(ChargeCategory::kSyscall)] +
-                                stats.charged[static_cast<int>(ChargeCategory::kInterrupt)] +
-                                stats.charged[static_cast<int>(ChargeCategory::kTimerSvc)];
+  const CycleLedger ledger = stats.cycles();
+  Duration scheduling_related = ChargedIn(ledger, ChargeCategory::kScheduling) +
+                                ChargedIn(ledger, ChargeCategory::kContextSwitch) +
+                                ChargedIn(ledger, ChargeCategory::kSyscall) +
+                                ChargedIn(ledger, ChargeCategory::kInterrupt) +
+                                ChargedIn(ledger, ChargeCategory::kTimerSvc);
   Duration per_job = scheduling_related / static_cast<int64_t>(stats.jobs_completed);
   OverheadModel model(cost);
   // The analysis bound (t = 1.5(t_b + t_u + 2 t_s) at n = 20) plus interrupt

@@ -11,8 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "src/base/json.h"
+#include "src/base/log2_histogram.h"
 #include "src/core/taskset_runner.h"
-#include "src/obs/histogram.h"
 #include "src/obs/obs_report.h"
 #include "src/obs/perfetto_export.h"
 #include "src/obs/postmortem.h"
@@ -70,9 +70,9 @@ TEST(Log2HistogramTest, ApproxPercentileWalksBuckets) {
   }
   h.Add(Milliseconds(5));  // one outlier
   // p50 falls in the 10us bucket: upper edge 16us.
-  EXPECT_EQ(h.ApproxPercentile(0.50), Microseconds(16));
+  EXPECT_EQ(h.PercentileBound(0.50), Microseconds(16));
   // p100 reaches the outlier bucket; capped at the observed max.
-  EXPECT_EQ(h.ApproxPercentile(1.0), Milliseconds(5));
+  EXPECT_EQ(h.PercentileBound(1.0), Milliseconds(5));
 }
 
 // --- Analyzer: synthetic streams ---
@@ -629,37 +629,42 @@ TEST(PerfettoExportTest, KernelOverloadUsesThreadNames) {
 
 // --- Stats snapshots ---
 
+// Sets core 0's user bucket, the stored ledger compute time is read from.
+void SetUserTime(KernelStats& s, Duration d) {
+  s.core_cycles[0].buckets[static_cast<int>(CycleBucket::kUser)] = d;
+}
+
 TEST(StatsSamplerTest, SamplesAreDeltas) {
   StatsSampler sampler(4);
   KernelStats s;
   s.context_switches = 10;
   s.jobs_completed = 3;
-  s.compute_time = Milliseconds(5);
+  SetUserTime(s, Milliseconds(5));
   sampler.Sample(Instant() + Milliseconds(10), s);
   s.context_switches = 25;
   s.jobs_completed = 4;
-  s.compute_time = Milliseconds(8);
+  SetUserTime(s, Milliseconds(8));
   sampler.Sample(Instant() + Milliseconds(20), s);
 
   ASSERT_EQ(sampler.size(), 2u);
   EXPECT_EQ(sampler.at(0).context_switches, 10u);
-  EXPECT_EQ(sampler.at(0).compute_time, Milliseconds(5));
+  EXPECT_EQ(sampler.at(0).cycles.at(CycleBucket::kUser), Milliseconds(5));
   EXPECT_EQ(sampler.at(1).context_switches, 15u);
   EXPECT_EQ(sampler.at(1).jobs_completed, 1u);
-  EXPECT_EQ(sampler.at(1).compute_time, Milliseconds(3));
+  EXPECT_EQ(sampler.at(1).cycles.at(CycleBucket::kUser), Milliseconds(3));
   EXPECT_EQ(sampler.at(1).time, Instant() + Milliseconds(20));
 }
 
 TEST(StatsSamplerTest, RebaseAbsorbsCounterReset) {
   StatsSampler sampler(4);
   KernelStats s;
-  s.compute_time = Milliseconds(5);
+  SetUserTime(s, Milliseconds(5));
   sampler.Sample(Instant() + Milliseconds(10), s);
-  s.compute_time = Duration();  // external reset (ResetChargeAccounting)
+  SetUserTime(s, Duration());  // external reset (ResetChargeAccounting)
   sampler.Rebase(s);
-  s.compute_time = Milliseconds(2);
+  SetUserTime(s, Milliseconds(2));
   sampler.Sample(Instant() + Milliseconds(20), s);
-  EXPECT_EQ(sampler.at(1).compute_time, Milliseconds(2));  // not 2ms - 5ms
+  EXPECT_EQ(sampler.at(1).cycles.at(CycleBucket::kUser), Milliseconds(2));  // not 2ms - 5ms
 }
 
 TEST(StatsSamplerTest, RingEvictsOldestAndCountsDrops) {

@@ -16,11 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/log2_histogram.h"
 #include "src/base/rng.h"
 #include "src/hal/cycles.h"
 #include "src/hal/trace.h"
 #include "src/obs/chains.h"
-#include "src/obs/histogram.h"
 #include "src/obs/postmortem.h"
 
 namespace emeralds {

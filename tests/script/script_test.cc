@@ -151,7 +151,7 @@ TEST(ScriptRunTest, FiniteIterationsTerminate) {
   ThreadId id = env.k().CreateThread(params).value();
   env.StartAndRunFor(Milliseconds(20));
   EXPECT_EQ(env.k().thread(id).state, ThreadState::kFinished);
-  EXPECT_EQ(env.k().thread(id).cpu_time.millis(), 3);
+  EXPECT_EQ(env.k().thread(id).cycles.at(CycleBucket::kUser).millis(), 3);
 }
 
 TEST(ScriptRunTest, IpcActionsExecute) {
