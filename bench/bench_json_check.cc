@@ -1,40 +1,92 @@
-// Validates the JSON reports the repo's CI gates on, dispatching on the
-// schema tag:
-//   emeralds.bench.breakdown/1 — perf trajectory (bench_smoke label)
-//   emeralds.obs.run/1         — observability run report (obs_smoke label)
-//   emeralds.obs.cycles/1      — cycle-attribution ledger report
-//   emeralds.obs.chains/1      — causal event-chain report (chains_smoke label)
-//   emeralds.fuzz.torture/1    — torture-harness sweep report
-//   emeralds.fleet.run/1       — fleet simulation report (fleet_smoke label)
-//   emeralds.obs.timeseries/1  — streaming telemetry window series (also
-//                                embedded in fleet.run as "timeseries")
-//   emeralds.obs.blackbox/1    — black-box flight-recorder bundle report
-//   emeralds.bench.smp/1       — partitioned-SMP throughput/admission report
-//   emeralds.obs.postmortem/1  — deadline-miss lateness-attribution report
-//                                (postmortem_smoke label; also embedded in
-//                                obs.run and fleet.run as "postmortem")
-// For the obs, fuzz, and fleet schemas the check is substantive, not just
-// structural: invariant-violation lists must be empty, reconciliation flags
-// true, every torture run ok, and the cycle ledger conserved (bucket sum ==
-// elapsed, residual exactly zero) — so a kernel whose trace disagrees with
-// its own counters, whose ledger leaks time, or a failing fuzz seed fails CI.
+#include "bench/bench_json_check.h"
 
+#include <cstdarg>
 #include <cstdio>
-#include <string>
+#include <initializer_list>
+#include <utility>
 
-#include "bench/bench_report.h"
 #include "src/hal/trace.h"
 
+namespace emeralds {
+namespace bench {
 namespace {
 
-using emeralds::JsonValue;
+// One report's check. A gate that rejects appends its FAIL line(s) to the
+// log and ends the check; a report that passes every gate gets one OK line.
+class Checker {
+ public:
+  JsonCheckResult Run(const char* path, const JsonValue& root);
 
-bool RequireNumbers(const JsonValue& obj, const char* section,
+ private:
+  [[gnu::format(printf, 2, 3)]] void Fail(const char* format, ...);
+  [[gnu::format(printf, 2, 3)]] void Ok(const char* format, ...);
+  void Append(const char* prefix, const char* format, va_list args);
+
+  int Dispatch(const char* path, const JsonValue& root);
+  bool RequireNumbers(const JsonValue& obj, const char* section,
+                      std::initializer_list<const char*> keys);
+  bool RequireDigest(const JsonValue& obj, const char* ctx);
+  bool RequireHistogram(const JsonValue& obj, const char* ctx, const char* key);
+  bool CheckCyclesSection(const JsonValue& cycles, const char* ctx);
+  bool CheckChainsSection(const JsonValue& chains, const char* ctx);
+  bool CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic = false);
+  bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx,
+                             const JsonValue& root);
+  bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValue* totals);
+  bool CheckAlertsSection(const JsonValue& alerts, const char* ctx);
+  int CheckObsChains(const char* path, const JsonValue& root);
+  int CheckObsCycles(const char* path, const JsonValue& root);
+  int CheckObsRun(const char* path, const JsonValue& root);
+  int CheckFuzzTorture(const char* path, const JsonValue& root);
+  int CheckFleetRun(const char* path, const JsonValue& root);
+  int CheckObsBlackBox(const char* path, const JsonValue& root);
+  int CheckBenchSmp(const char* path, const JsonValue& root);
+  int CheckBreakdown(const char* path, const JsonValue& root);
+
+  std::string log_;
+};
+
+void Checker::Append(const char* prefix, const char* format, va_list args) {
+  va_list sizing;
+  va_copy(sizing, args);
+  const int length = std::vsnprintf(nullptr, 0, format, sizing);
+  va_end(sizing);
+  log_ += prefix;
+  if (length > 0) {
+    const size_t at = log_.size();
+    log_.resize(at + static_cast<size_t>(length) + 1);
+    std::vsnprintf(&log_[at], static_cast<size_t>(length) + 1, format, args);
+    log_.resize(at + static_cast<size_t>(length));
+  }
+}
+
+void Checker::Fail(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  Append("FAIL: ", format, args);
+  va_end(args);
+}
+
+void Checker::Ok(const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  Append("OK: ", format, args);
+  va_end(args);
+}
+
+JsonCheckResult Checker::Run(const char* path, const JsonValue& root) {
+  JsonCheckResult result;
+  result.ok = Dispatch(path, root) == 0;
+  result.log = std::move(log_);
+  return result;
+}
+
+bool Checker::RequireNumbers(const JsonValue& obj, const char* section,
                     std::initializer_list<const char*> keys) {
   for (const char* key : keys) {
     const JsonValue* v = obj.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-      std::fprintf(stderr, "FAIL: %s missing numeric \"%s\"\n", section, key);
+      Fail("%s missing numeric \"%s\"\n", section, key);
       return false;
     }
   }
@@ -42,12 +94,12 @@ bool RequireNumbers(const JsonValue& obj, const char* section,
 }
 
 // A run digest: "0x" and 16 lowercase hex digits.
-bool RequireDigest(const JsonValue& obj, const char* ctx) {
+bool Checker::RequireDigest(const JsonValue& obj, const char* ctx) {
   const JsonValue* v = obj.Find("digest");
   if (v == nullptr || v->type != JsonValue::Type::kString || v->string.size() != 18 ||
       v->string.compare(0, 2, "0x") != 0 ||
       v->string.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
-    std::fprintf(stderr, "FAIL: %s missing \"digest\" (0x and 16 hex digits)\n", ctx);
+    Fail("%s missing \"digest\" (0x and 16 hex digits)\n", ctx);
     return false;
   }
   return true;
@@ -56,7 +108,7 @@ bool RequireDigest(const JsonValue& obj, const char* ctx) {
 // Substantive validation of a "cycles" section (embedded in obs.run or the
 // standalone obs.cycles document): conservation must be asserted AND the
 // integers must back it up (residual exactly zero, ledger total == elapsed).
-bool CheckCyclesSection(const JsonValue& cycles, const char* ctx) {
+bool Checker::CheckCyclesSection(const JsonValue& cycles, const char* ctx) {
   if (!RequireNumbers(cycles, ctx,
                       {"epoch_ns", "elapsed_ns", "ledger_total_ns", "residual_ns",
                        "clock_unattributed_ns", "headroom_low_events"})) {
@@ -64,52 +116,50 @@ bool CheckCyclesSection(const JsonValue& cycles, const char* ctx) {
   }
   const JsonValue* buckets = cycles.Find("buckets_ns");
   if (buckets == nullptr || buckets->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: %s missing buckets_ns object\n", ctx);
+    Fail("%s missing buckets_ns object\n", ctx);
     return false;
   }
   const JsonValue* bands = cycles.Find("sched_bands");
   if (bands == nullptr || bands->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing sched_bands array\n", ctx);
+    Fail("%s missing sched_bands array\n", ctx);
     return false;
   }
   for (const char* key : {"conserved", "clock_conserved"}) {
     const JsonValue* v = cycles.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kBool) {
-      std::fprintf(stderr, "FAIL: %s missing bool \"%s\"\n", ctx, key);
+      Fail("%s missing bool \"%s\"\n", ctx, key);
       return false;
     }
     if (!v->boolean) {
-      std::fprintf(stderr, "FAIL: %s %s is false\n", ctx, key);
+      Fail("%s %s is false\n", ctx, key);
       return false;
     }
   }
   if (cycles.Find("residual_ns")->number != 0.0 ||
       cycles.Find("clock_unattributed_ns")->number != 0.0) {
-    std::fprintf(stderr, "FAIL: %s residual_ns=%g clock_unattributed_ns=%g (must be 0)\n", ctx,
-                 cycles.Find("residual_ns")->number,
-                 cycles.Find("clock_unattributed_ns")->number);
+    Fail("%s residual_ns=%g clock_unattributed_ns=%g (must be 0)\n", ctx,
+         cycles.Find("residual_ns")->number, cycles.Find("clock_unattributed_ns")->number);
     return false;
   }
   double sum = 0.0;
   for (const auto& kv : buckets->object) {
     if (kv.second.type != JsonValue::Type::kNumber) {
-      std::fprintf(stderr, "FAIL: %s bucket \"%s\" not numeric\n", ctx, kv.first.c_str());
+      Fail("%s bucket \"%s\" not numeric\n", ctx, kv.first.c_str());
       return false;
     }
     sum += kv.second.number;
   }
   if (sum != cycles.Find("elapsed_ns")->number) {
-    std::fprintf(stderr, "FAIL: %s bucket sum %g != elapsed %g\n", ctx, sum,
-                 cycles.Find("elapsed_ns")->number);
+    Fail("%s bucket sum %g != elapsed %g\n", ctx, sum, cycles.Find("elapsed_ns")->number);
     return false;
   }
   return true;
 }
 
-bool RequireHistogram(const JsonValue& obj, const char* ctx, const char* key) {
+bool Checker::RequireHistogram(const JsonValue& obj, const char* ctx, const char* key) {
   const JsonValue* h = obj.Find(key);
   if (h == nullptr || h->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: %s missing histogram \"%s\"\n", ctx, key);
+    Fail("%s missing histogram \"%s\"\n", ctx, key);
     return false;
   }
   return RequireNumbers(*h, ctx, {"count", "min_us", "max_us", "mean_us", "p99_us", "total_us"});
@@ -120,7 +170,7 @@ bool RequireHistogram(const JsonValue& obj, const char* ctx, const char* key) {
 // token-conservation breach (orphan consume in a complete window, origin
 // reuse, malformed token) fails the check outright. Orphan hops are allowed
 // only when the window is incomplete (ring truncation / epoch reset).
-bool CheckChainsSection(const JsonValue& chains, const char* ctx) {
+bool Checker::CheckChainsSection(const JsonValue& chains, const char* ctx) {
   if (!RequireNumbers(chains, ctx,
                       {"chain_emits", "chain_consumes", "origins_minted", "orphan_hops",
                        "unconsumed_emits"})) {
@@ -128,29 +178,27 @@ bool CheckChainsSection(const JsonValue& chains, const char* ctx) {
   }
   const JsonValue* complete = chains.Find("complete_window");
   if (complete == nullptr || complete->type != JsonValue::Type::kBool) {
-    std::fprintf(stderr, "FAIL: %s missing bool \"complete_window\"\n", ctx);
+    Fail("%s missing bool \"complete_window\"\n", ctx);
     return false;
   }
   const JsonValue* violations = chains.Find("violations");
   if (violations == nullptr || violations->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing violations array\n", ctx);
+    Fail("%s missing violations array\n", ctx);
     return false;
   }
   if (!violations->array.empty()) {
     const JsonValue* kind = violations->array[0].Find("kind");
-    std::fprintf(stderr, "FAIL: %s has %zu chain violation(s), first kind: %s\n", ctx,
-                 violations->array.size(),
-                 kind != nullptr ? kind->string.c_str() : "?");
+    Fail("%s has %zu chain violation(s), first kind: %s\n", ctx, violations->array.size(),
+         kind != nullptr ? kind->string.c_str() : "?");
     return false;
   }
   if (complete->boolean && chains.Find("orphan_hops")->number != 0.0) {
-    std::fprintf(stderr, "FAIL: %s complete window but orphan_hops = %g\n", ctx,
-                 chains.Find("orphan_hops")->number);
+    Fail("%s complete window but orphan_hops = %g\n", ctx, chains.Find("orphan_hops")->number);
     return false;
   }
   const JsonValue* list = chains.Find("chains");
   if (list == nullptr || list->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing chains array\n", ctx);
+    Fail("%s missing chains array\n", ctx);
     return false;
   }
   for (const JsonValue& chain : list->array) {
@@ -158,7 +206,7 @@ bool CheckChainsSection(const JsonValue& chains, const char* ctx) {
     const JsonValue* resolved = chain.Find("resolved");
     if (name == nullptr || name->type != JsonValue::Type::kString || resolved == nullptr ||
         resolved->type != JsonValue::Type::kBool) {
-      std::fprintf(stderr, "FAIL: %s chain missing name/resolved\n", ctx);
+      Fail("%s chain missing name/resolved\n", ctx);
       return false;
     }
     if (!RequireNumbers(chain, "chain", {"deadline_us", "completed", "incomplete", "overruns"}) ||
@@ -167,7 +215,7 @@ bool CheckChainsSection(const JsonValue& chains, const char* ctx) {
     }
     const JsonValue* hops = chain.Find("hops");
     if (hops == nullptr || hops->type != JsonValue::Type::kArray) {
-      std::fprintf(stderr, "FAIL: chain \"%s\" missing hops array\n", name->string.c_str());
+      Fail("chain \"%s\" missing hops array\n", name->string.c_str());
       return false;
     }
     for (const JsonValue& hop : hops->array) {
@@ -182,27 +230,27 @@ bool CheckChainsSection(const JsonValue& chains, const char* ctx) {
   return true;
 }
 
-int CheckObsChains(const char* path, const JsonValue& root) {
+int Checker::CheckObsChains(const char* path, const JsonValue& root) {
   const JsonValue* report = root.Find("report");
   if (report == nullptr || report->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: missing \"report\" object\n");
+    Fail("missing \"report\" object\n");
     return 1;
   }
   if (!CheckChainsSection(*report, "report")) {
     return 1;
   }
-  std::printf("OK: %s (chains report, %zu chain(s), 0 violations)\n", path,
-              report->Find("chains")->array.size());
+  Ok("%s (chains report, %zu chain(s), 0 violations)\n", path,
+     report->Find("chains")->array.size());
   return 0;
 }
 
-int CheckObsCycles(const char* path, const JsonValue& root) {
+int Checker::CheckObsCycles(const char* path, const JsonValue& root) {
   if (!RequireDigest(root, "cycles report")) {
     return 1;
   }
   const JsonValue* cycles = root.Find("cycles");
   if (cycles == nullptr || cycles->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: missing \"cycles\" object\n");
+    Fail("missing \"cycles\" object\n");
     return 1;
   }
   if (!CheckCyclesSection(*cycles, "cycles")) {
@@ -210,7 +258,7 @@ int CheckObsCycles(const char* path, const JsonValue& root) {
   }
   const JsonValue* tasks = root.Find("tasks");
   if (tasks == nullptr || tasks->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: missing tasks array\n");
+    Fail("missing tasks array\n");
     return 1;
   }
   for (const JsonValue& task : tasks->array) {
@@ -220,7 +268,7 @@ int CheckObsCycles(const char* path, const JsonValue& root) {
       return 1;
     }
   }
-  std::printf("OK: %s (cycles report, %zu task rows, conserved)\n", path, tasks->array.size());
+  Ok("%s (cycles report, %zu task rows, conserved)\n", path, tasks->array.size());
   return 0;
 }
 
@@ -230,7 +278,7 @@ int CheckObsCycles(const char* path, const JsonValue& root) {
 // check, and a complete window must leave nothing unattributed and no miss
 // unmatched. `forensic` relaxes the substantive gates (black-box bundles
 // record sick runs on purpose) but keeps the shape checks.
-bool CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic = false) {
+bool Checker::CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic) {
   if (!RequireNumbers(pm, ctx,
                       {"misses_analyzed", "records_dropped", "incomplete_misses",
                        "unmatched_misses", "deadline_unknown", "conservation_failures"})) {
@@ -238,7 +286,7 @@ bool CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic 
   }
   const JsonValue* truncated = pm.Find("window_truncated");
   if (truncated == nullptr || truncated->type != JsonValue::Type::kBool) {
-    std::fprintf(stderr, "FAIL: %s missing bool window_truncated\n", ctx);
+    Fail("%s missing bool window_truncated\n", ctx);
     return false;
   }
   const JsonValue* blame = pm.Find("blame");
@@ -251,13 +299,13 @@ bool CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic 
   for (const char* key : {"victims", "preemptors", "locks"}) {
     const JsonValue* table = blame->Find(key);
     if (table == nullptr || table->type != JsonValue::Type::kArray) {
-      std::fprintf(stderr, "FAIL: %s blame missing \"%s\" table\n", ctx, key);
+      Fail("%s blame missing \"%s\" table\n", ctx, key);
       return false;
     }
   }
   const JsonValue* misses = pm.Find("misses");
   if (misses == nullptr || misses->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing misses array\n", ctx);
+    Fail("%s missing misses array\n", ctx);
     return false;
   }
   for (const JsonValue& m : misses->array) {
@@ -269,50 +317,47 @@ bool CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic 
     const JsonValue* ledger = m.Find("ledger");
     if (conserved == nullptr || conserved->type != JsonValue::Type::kBool ||
         ledger == nullptr || ledger->type != JsonValue::Type::kObject) {
-      std::fprintf(stderr, "FAIL: %s miss missing conserved/ledger\n", ctx);
+      Fail("%s miss missing conserved/ledger\n", ctx);
       return false;
     }
     if (!forensic && !conserved->boolean) {
-      std::fprintf(stderr, "FAIL: %s miss ledger did not telescope\n", ctx);
+      Fail("%s miss ledger did not telescope\n", ctx);
       return false;
     }
   }
   const JsonValue* overruns = pm.Find("chain_overruns");
   if (overruns == nullptr || overruns->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing chain_overruns array\n", ctx);
+    Fail("%s missing chain_overruns array\n", ctx);
     return false;
   }
   if (forensic) {
     return true;
   }
   if (pm.Find("conservation_failures")->number != 0.0) {
-    std::fprintf(stderr, "FAIL: %s has %g conservation failures\n", ctx,
-                 pm.Find("conservation_failures")->number);
+    Fail("%s has %g conservation failures\n", ctx, pm.Find("conservation_failures")->number);
     return false;
   }
   if (!truncated->boolean && (blame->Find("unattributed_ns")->number != 0.0 ||
                               pm.Find("unmatched_misses")->number != 0.0)) {
-    std::fprintf(stderr,
-                 "FAIL: %s complete window left %g ns unattributed, %g unmatched\n", ctx,
-                 blame->Find("unattributed_ns")->number,
-                 pm.Find("unmatched_misses")->number);
+    Fail("%s complete window left %g ns unattributed, %g unmatched\n", ctx,
+         blame->Find("unattributed_ns")->number, pm.Find("unmatched_misses")->number);
     return false;
   }
   return true;
 }
 
-int CheckObsRun(const char* path, const JsonValue& root) {
+int Checker::CheckObsRun(const char* path, const JsonValue& root) {
   for (const char* section : {"trace", "kernel_stats", "cycles", "analysis", "reconciliation",
                               "chains", "postmortem", "snapshots"}) {
     const JsonValue* v = root.Find(section);
     if (v == nullptr || v->type != JsonValue::Type::kObject) {
-      std::fprintf(stderr, "FAIL: missing \"%s\" object\n", section);
+      Fail("missing \"%s\" object\n", section);
       return 1;
     }
   }
   const JsonValue* tasks = root.Find("tasks");
   if (tasks == nullptr || tasks->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: missing tasks array\n");
+    Fail("missing tasks array\n");
     return 1;
   }
   if (!RequireNumbers(*root.Find("trace"), "trace", {"total_recorded", "retained", "dropped"}) ||
@@ -334,15 +379,13 @@ int CheckObsRun(const char* path, const JsonValue& root) {
   }
   const JsonValue* violations = root.Find("analysis")->Find("violations");
   if (violations == nullptr || violations->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: analysis missing violations array\n");
+    Fail("analysis missing violations array\n");
     return 1;
   }
   if (!violations->array.empty()) {
-    std::fprintf(stderr, "FAIL: %zu trace invariant violation(s), first kind: %s\n",
-                 violations->array.size(),
-                 violations->array[0].Find("kind") != nullptr
-                     ? violations->array[0].Find("kind")->string.c_str()
-                     : "?");
+    const JsonValue* kind = violations->array[0].Find("kind");
+    Fail("%zu trace invariant violation(s), first kind: %s\n", violations->array.size(),
+         kind != nullptr ? kind->string.c_str() : "?");
     return 1;
   }
   const JsonValue& recon = *root.Find("reconciliation");
@@ -351,22 +394,22 @@ int CheckObsRun(const char* path, const JsonValue& root) {
                           "chain_events_match"}) {
     const JsonValue* v = recon.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kBool) {
-      std::fprintf(stderr, "FAIL: reconciliation missing bool \"%s\"\n", key);
+      Fail("reconciliation missing bool \"%s\"\n", key);
       return 1;
     }
     if (!v->boolean) {
-      std::fprintf(stderr, "FAIL: reconciliation %s is false\n", key);
+      Fail("reconciliation %s is false\n", key);
       return 1;
     }
   }
-  std::printf("OK: %s (obs run, %zu task rows, 0 violations)\n", path, tasks->array.size());
+  Ok("%s (obs run, %zu task rows, 0 violations)\n", path, tasks->array.size());
   return 0;
 }
 
-int CheckFuzzTorture(const char* path, const JsonValue& root) {
+int Checker::CheckFuzzTorture(const char* path, const JsonValue& root) {
   const JsonValue* runs = root.Find("runs");
   if (runs == nullptr || runs->type != JsonValue::Type::kArray || runs->array.empty()) {
-    std::fprintf(stderr, "FAIL: missing or empty runs array\n");
+    Fail("missing or empty runs array\n");
     return 1;
   }
   uint64_t ops = 0;
@@ -376,24 +419,22 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
     }
     const JsonValue* ok = run.Find("ok");
     if (ok == nullptr || ok->type != JsonValue::Type::kBool) {
-      std::fprintf(stderr, "FAIL: run missing bool \"ok\"\n");
+      Fail("run missing bool \"ok\"\n");
       return 1;
     }
     if (!ok->boolean) {
       const JsonValue* repro = run.Find("repro");
-      std::fprintf(stderr, "FAIL: torture seed %g failed; repro: %s\n",
-                   run.Find("seed")->number,
-                   repro != nullptr ? repro->string.c_str() : "?");
+      Fail("torture seed %g failed; repro: %s\n", run.Find("seed")->number,
+           repro != nullptr ? repro->string.c_str() : "?");
       return 1;
     }
     if (run.Find("violations")->number != 0.0 || run.Find("fault_mismatches")->number != 0.0) {
-      std::fprintf(stderr, "FAIL: seed %g has violations/fault mismatches\n",
-                   run.Find("seed")->number);
+      Fail("seed %g has violations/fault mismatches\n", run.Find("seed")->number);
       return 1;
     }
     const JsonValue* recon = run.Find("reconciliation");
     if (recon == nullptr || recon->Find("checked") == nullptr || recon->Find("ok") == nullptr) {
-      std::fprintf(stderr, "FAIL: run missing reconciliation {checked, ok}\n");
+      Fail("run missing reconciliation {checked, ok}\n");
       return 1;
     }
     // Fourth oracle: the cycle ledger must be conserved on every run,
@@ -401,12 +442,11 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
     const JsonValue* cyc = run.Find("cycles");
     const JsonValue* conserved = cyc != nullptr ? cyc->Find("conserved") : nullptr;
     if (conserved == nullptr || conserved->type != JsonValue::Type::kBool) {
-      std::fprintf(stderr, "FAIL: run missing cycles.conserved\n");
+      Fail("run missing cycles.conserved\n");
       return 1;
     }
     if (!conserved->boolean) {
-      std::fprintf(stderr, "FAIL: seed %g cycle ledger not conserved\n",
-                   run.Find("seed")->number);
+      Fail("seed %g cycle ledger not conserved\n", run.Find("seed")->number);
       return 1;
     }
     // Fifth oracle: causal-token conservation. Every run must carry the
@@ -414,12 +454,11 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
     const JsonValue* chains = run.Find("chains");
     if (chains == nullptr ||
         !RequireNumbers(*chains, "chains", {"violations", "orphan_hops", "completed", "origins"})) {
-      std::fprintf(stderr, "FAIL: run missing chains {violations, orphan_hops, ...}\n");
+      Fail("run missing chains {violations, orphan_hops, ...}\n");
       return 1;
     }
     if (chains->Find("violations")->number != 0.0) {
-      std::fprintf(stderr, "FAIL: seed %g has chain-token conservation violations\n",
-                   run.Find("seed")->number);
+      Fail("seed %g has chain-token conservation violations\n", run.Find("seed")->number);
       return 1;
     }
     // Sixth oracle: conservation of lateness. Every analyzed miss's ledger
@@ -429,12 +468,11 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
         !RequireNumbers(*pm, "postmortem",
                         {"misses_analyzed", "conservation_failures", "unattributed_ns",
                          "unmatched", "incomplete"})) {
-      std::fprintf(stderr, "FAIL: run missing postmortem {misses_analyzed, ...}\n");
+      Fail("run missing postmortem {misses_analyzed, ...}\n");
       return 1;
     }
     if (pm->Find("conservation_failures")->number != 0.0) {
-      std::fprintf(stderr, "FAIL: seed %g has lateness-conservation failures\n",
-                   run.Find("seed")->number);
+      Fail("seed %g has lateness-conservation failures\n", run.Find("seed")->number);
       return 1;
     }
     ops += static_cast<uint64_t>(run.Find("ops_executed")->number);
@@ -444,11 +482,11 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
     return 1;
   }
   if (totals->Find("failed")->number != 0.0) {
-    std::fprintf(stderr, "FAIL: totals.failed = %g\n", totals->Find("failed")->number);
+    Fail("totals.failed = %g\n", totals->Find("failed")->number);
     return 1;
   }
-  std::printf("OK: %s (torture sweep, %zu runs, %llu ops, 0 failures)\n", path,
-              runs->array.size(), static_cast<unsigned long long>(ops));
+  Ok("%s (torture sweep, %zu runs, %llu ops, 0 failures)\n", path, runs->array.size(),
+     static_cast<unsigned long long>(ops));
   return 0;
 }
 
@@ -456,11 +494,12 @@ int CheckFuzzTorture(const char* path, const JsonValue& root) {
 // exact-bucket percentile tables over the whole fleet. Structural plus the
 // one substantive check that matters — the merge must cover every node, so
 // its counters equal the report's own totals.
-bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const JsonValue& root) {
+bool Checker::CheckTelemetrySection(const JsonValue& telemetry, const char* ctx,
+                                    const JsonValue& root) {
   const JsonValue* schema = telemetry.Find("schema");
   if (schema == nullptr || schema->type != JsonValue::Type::kString ||
       schema->string != "emeralds.fleet.telemetry/1") {
-    std::fprintf(stderr, "FAIL: %s schema is not emeralds.fleet.telemetry/1\n", ctx);
+    Fail("%s schema is not emeralds.fleet.telemetry/1\n", ctx);
     return false;
   }
   if (!RequireNumbers(telemetry, ctx,
@@ -470,15 +509,15 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const Js
   }
   for (const char* key : {"jobs_completed", "deadline_misses", "chain_overruns"}) {
     if (telemetry.Find(key)->number != root.Find(key)->number) {
-      std::fprintf(stderr, "FAIL: %s %s=%g but the report's total is %g\n", ctx, key,
-                   telemetry.Find(key)->number, root.Find(key)->number);
+      Fail("%s %s=%g but the report's total is %g\n", ctx, key, telemetry.Find(key)->number,
+           root.Find(key)->number);
       return false;
     }
   }
   const JsonValue* core_cycles = telemetry.Find("core_cycles_us");
   if (core_cycles == nullptr || core_cycles->type != JsonValue::Type::kArray ||
       core_cycles->array.empty()) {
-    std::fprintf(stderr, "FAIL: %s missing core_cycles_us array\n", ctx);
+    Fail("%s missing core_cycles_us array\n", ctx);
     return false;
   }
   const JsonValue* headroom = telemetry.Find("headroom");
@@ -490,7 +529,7 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const Js
   const JsonValue* cycles = telemetry.Find("cycles");
   if (cycles == nullptr || cycles->Find("buckets_us") == nullptr ||
       cycles->Find("shares") == nullptr) {
-    std::fprintf(stderr, "FAIL: %s missing cycles {buckets_us, shares}\n", ctx);
+    Fail("%s missing cycles {buckets_us, shares}\n", ctx);
     return false;
   }
   if (!RequireHistogram(telemetry, ctx, "response")) {
@@ -498,7 +537,7 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const Js
   }
   const JsonValue* chains = telemetry.Find("chains");
   if (chains == nullptr || chains->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing chains array\n", ctx);
+    Fail("%s missing chains array\n", ctx);
     return false;
   }
   for (const JsonValue& chain : chains->array) {
@@ -512,8 +551,7 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const Js
     }
     const JsonValue* hops = chain.Find("hops");
     if (hops == nullptr || hops->type != JsonValue::Type::kArray) {
-      std::fprintf(stderr, "FAIL: telemetry chain \"%s\" missing hops\n",
-                   name->string.c_str());
+      Fail("telemetry chain \"%s\" missing hops\n", name->string.c_str());
       return false;
     }
     for (const JsonValue& hop : hops->array) {
@@ -532,26 +570,25 @@ bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx, const Js
 // within one width), and — when no samples were lost — the per-window
 // deltas must telescope back to the whole-run totals the `totals` object
 // (or enclosing fleet report) carries.
-bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValue* totals) {
+bool Checker::CheckTimeseriesSection(const JsonValue& ts, const char* ctx,
+                                     const JsonValue* totals) {
   const JsonValue* schema = ts.Find("schema");
   if (schema == nullptr || schema->type != JsonValue::Type::kString ||
       schema->string != "emeralds.obs.timeseries/1") {
-    std::fprintf(stderr, "FAIL: %s schema is not emeralds.obs.timeseries/1\n", ctx);
+    Fail("%s schema is not emeralds.obs.timeseries/1\n", ctx);
     return false;
   }
-  if (!RequireNumbers(ts, ctx,
-                      {"window_us", "windows", "lost_samples", "windows_dropped",
-                       "gap_windows"})) {
+  if (!RequireNumbers(ts, ctx, {"window_us", "windows", "lost_samples", "gap_windows"})) {
     return false;
   }
   const JsonValue* series = ts.Find("series");
   if (series == nullptr || series->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing series array\n", ctx);
+    Fail("%s missing series array\n", ctx);
     return false;
   }
   if (series->array.size() != static_cast<size_t>(ts.Find("windows")->number)) {
-    std::fprintf(stderr, "FAIL: %s windows=%g but series has %zu entries\n", ctx,
-                 ts.Find("windows")->number, series->array.size());
+    Fail("%s windows=%g but series has %zu entries\n", ctx, ts.Find("windows")->number,
+         series->array.size());
     return false;
   }
   const double width = ts.Find("window_us")->number;
@@ -570,7 +607,7 @@ bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValu
     }
     const JsonValue* gap = w.Find("gap");
     if (gap == nullptr || gap->type != JsonValue::Type::kBool) {
-      std::fprintf(stderr, "FAIL: %s window missing bool \"gap\"\n", ctx);
+      Fail("%s window missing bool \"gap\"\n", ctx);
       return false;
     }
     if (!RequireHistogram(w, "window", "response") ||
@@ -583,8 +620,8 @@ bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValu
     const double end = w.Find("end_us")->number;
     if (index <= last_index || start != index * width || end <= start ||
         end > start + width) {
-      std::fprintf(stderr, "FAIL: %s window off the grid (index %g start %g end %g width %g)\n",
-                   ctx, index, start, end, width);
+      Fail("%s window off the grid (index %g start %g end %g width %g)\n", ctx, index, start, end,
+           width);
       return false;
     }
     last_index = index;
@@ -595,8 +632,8 @@ bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValu
     misses += w.Find("deadline_misses")->number;
   }
   if (gaps != ts.Find("gap_windows")->number) {
-    std::fprintf(stderr, "FAIL: %s gap_windows=%g but %g windows are marked\n", ctx,
-                 ts.Find("gap_windows")->number, gaps);
+    Fail("%s gap_windows=%g but %g windows are marked\n", ctx, ts.Find("gap_windows")->number,
+         gaps);
     return false;
   }
   // Telescoping: lossless series must reproduce the whole-run totals.
@@ -604,13 +641,11 @@ bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValu
     const JsonValue* total_jobs = totals->Find("jobs_completed");
     const JsonValue* total_misses = totals->Find("deadline_misses");
     if (total_jobs != nullptr && total_jobs->number != jobs) {
-      std::fprintf(stderr, "FAIL: %s window jobs sum to %g, run total is %g\n", ctx, jobs,
-                   total_jobs->number);
+      Fail("%s window jobs sum to %g, run total is %g\n", ctx, jobs, total_jobs->number);
       return false;
     }
     if (total_misses != nullptr && total_misses->number != misses) {
-      std::fprintf(stderr, "FAIL: %s window misses sum to %g, run total is %g\n", ctx, misses,
-                   total_misses->number);
+      Fail("%s window misses sum to %g, run total is %g\n", ctx, misses, total_misses->number);
       return false;
     }
   }
@@ -620,7 +655,7 @@ bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValu
 // The alert stream: every event well-formed, the fired count backed up by
 // the stream, and the stream ordered by window (the determinism contract —
 // an unordered stream would make the bit-identical comparison meaningless).
-bool CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
+bool Checker::CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
   if (!RequireNumbers(alerts, ctx, {"events", "fired"})) {
     return false;
   }
@@ -634,12 +669,12 @@ bool CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
   }
   const JsonValue* stream = alerts.Find("stream");
   if (stream == nullptr || stream->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: %s missing stream array\n", ctx);
+    Fail("%s missing stream array\n", ctx);
     return false;
   }
   if (stream->array.size() != static_cast<size_t>(alerts.Find("events")->number)) {
-    std::fprintf(stderr, "FAIL: %s events=%g but stream has %zu entries\n", ctx,
-                 alerts.Find("events")->number, stream->array.size());
+    Fail("%s events=%g but stream has %zu entries\n", ctx, alerts.Find("events")->number,
+         stream->array.size());
     return false;
   }
   double fired = 0.0;
@@ -653,11 +688,11 @@ bool CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
     if (rule == nullptr || rule->type != JsonValue::Type::kString || state == nullptr ||
         state->type != JsonValue::Type::kString ||
         (state->string != "firing" && state->string != "resolved")) {
-      std::fprintf(stderr, "FAIL: %s event missing rule/state\n", ctx);
+      Fail("%s event missing rule/state\n", ctx);
       return false;
     }
     if (e.Find("window")->number < last_window) {
-      std::fprintf(stderr, "FAIL: %s stream not ordered by window\n", ctx);
+      Fail("%s stream not ordered by window\n", ctx);
       return false;
     }
     last_window = e.Find("window")->number;
@@ -666,8 +701,7 @@ bool CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
     }
   }
   if (fired != alerts.Find("fired")->number) {
-    std::fprintf(stderr, "FAIL: %s fired=%g but stream has %g firing events\n", ctx,
-                 alerts.Find("fired")->number, fired);
+    Fail("%s fired=%g but stream has %g firing events\n", ctx, alerts.Find("fired")->number, fired);
     return false;
   }
   return true;
@@ -675,7 +709,7 @@ bool CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
 
 // The fleet report must carry zero failed nodes and positive deterministic
 // aggregates.
-int CheckFleetRun(const char* path, const JsonValue& root) {
+int Checker::CheckFleetRun(const char* path, const JsonValue& root) {
   if (!RequireNumbers(root, "fleet",
                       {"instances", "workers", "seed", "run_duration_ms", "slice_ms",
                        "events_total", "virtual_ms_total", "events_per_virtual_sec",
@@ -687,7 +721,7 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   for (const char* key : {"fleet_digest", "label"}) {
     const JsonValue* v = root.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kString) {
-      std::fprintf(stderr, "FAIL: fleet missing string \"%s\"\n", key);
+      Fail("fleet missing string \"%s\"\n", key);
       return 1;
     }
   }
@@ -695,25 +729,24 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   // window series and an alert stream.
   for (const char* key : {"host_evaluate", "telemetry", "timeseries", "alerts"}) {
     if (root.Find(key) == nullptr) {
-      std::fprintf(stderr, "FAIL: fleet missing \"%s\" section\n", key);
+      Fail("fleet missing \"%s\" section\n", key);
       return 1;
     }
   }
   if (root.Find("nodes_failed")->number != 0.0) {
     const JsonValue* failure = root.Find("first_failure");
-    std::fprintf(stderr, "FAIL: %g fleet node(s) failed their oracles: %s\n",
-                 root.Find("nodes_failed")->number,
-                 failure != nullptr ? failure->string.c_str() : "?");
+    Fail("%g fleet node(s) failed their oracles: %s\n", root.Find("nodes_failed")->number,
+         failure != nullptr ? failure->string.c_str() : "?");
     return 1;
   }
   if (root.Find("nodes_total")->number <= 0.0 || root.Find("events_total")->number <= 0.0 ||
       root.Find("events_per_virtual_sec")->number <= 0.0) {
-    std::fprintf(stderr, "FAIL: fleet ran no nodes or produced no events\n");
+    Fail("fleet ran no nodes or produced no events\n");
     return 1;
   }
   const JsonValue* schedulers = root.Find("schedulers");
   if (schedulers == nullptr || schedulers->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: fleet missing schedulers object\n");
+    Fail("fleet missing schedulers object\n");
     return 1;
   }
   // Host evaluation cost: never gated.
@@ -730,15 +763,13 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   // The fleet's record mix: one count per event type, and no other key.
   const JsonValue* mix = fleet_trace->Find("records_by_type");
   if (mix == nullptr || mix->type != JsonValue::Type::kObject ||
-      mix->object.size() != static_cast<size_t>(emeralds::kNumTraceEventTypes)) {
-    std::fprintf(stderr, "FAIL: fleet trace missing records_by_type {%d event types}\n",
-                 emeralds::kNumTraceEventTypes);
+      mix->object.size() != static_cast<size_t>(kNumTraceEventTypes)) {
+    Fail("fleet trace missing records_by_type {%d event types}\n", kNumTraceEventTypes);
     return 1;
   }
-  for (int t = 0; t < emeralds::kNumTraceEventTypes; ++t) {
+  for (int t = 0; t < kNumTraceEventTypes; ++t) {
     if (!RequireNumbers(*mix, "fleet trace records_by_type",
-                        {emeralds::TraceEventTypeToString(
-                            static_cast<emeralds::TraceEventType>(t))})) {
+                        {TraceEventTypeToString(static_cast<TraceEventType>(t))})) {
       return 1;
     }
   }
@@ -747,7 +778,7 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
       triage->Find("metrics") == nullptr ||
       triage->Find("metrics")->type != JsonValue::Type::kArray ||
       triage->Find("outlier_nodes") == nullptr) {
-    std::fprintf(stderr, "FAIL: fleet missing triage {metrics, outlier_nodes}\n");
+    Fail("fleet missing triage {metrics, outlier_nodes}\n");
     return 1;
   }
   const JsonValue* top_blame = triage->Find("top_blame");
@@ -761,14 +792,14 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
   // unattributed across any node whose window was complete.
   const JsonValue* postmortem = root.Find("postmortem");
   if (postmortem == nullptr || postmortem->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: fleet missing postmortem object\n");
+    Fail("fleet missing postmortem object\n");
     return 1;
   }
   const JsonValue* blame_digest = postmortem->Find("blame_digest");
   if (blame_digest == nullptr || blame_digest->type != JsonValue::Type::kString ||
       blame_digest->string.empty() ||
       !RequireNumbers(*postmortem, "fleet postmortem", {"incomplete_misses"})) {
-    std::fprintf(stderr, "FAIL: fleet postmortem missing blame_digest\n");
+    Fail("fleet postmortem missing blame_digest\n");
     return 1;
   }
   const JsonValue* fleet_blame = postmortem->Find("blame");
@@ -779,8 +810,8 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
     return 1;
   }
   if (fleet_blame->Find("conservation_failures")->number != 0.0) {
-    std::fprintf(stderr, "FAIL: fleet blame ledger has %g conservation failure(s)\n",
-                 fleet_blame->Find("conservation_failures")->number);
+    Fail("fleet blame ledger has %g conservation failure(s)\n",
+         fleet_blame->Find("conservation_failures")->number);
     return 1;
   }
   if (!CheckTelemetrySection(*root.Find("telemetry"), "telemetry", root) ||
@@ -788,8 +819,8 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
       !CheckAlertsSection(*root.Find("alerts"), "alerts")) {
     return 1;
   }
-  std::printf("OK: %s (fleet run, %g nodes, %g events, 0 failures)\n", path,
-              root.Find("nodes_total")->number, root.Find("events_total")->number);
+  Ok("%s (fleet run, %g nodes, %g events, 0 failures)\n", path, root.Find("nodes_total")->number,
+     root.Find("events_total")->number);
   return 0;
 }
 
@@ -798,11 +829,11 @@ int CheckFleetRun(const char* path, const JsonValue& root) {
 // breaches are allowed inside it. The check is structural — the bundle must
 // round-trip: label/reason/repro present, the trace accounting coherent,
 // and the embedded node-telemetry block well-formed.
-int CheckObsBlackBox(const char* path, const JsonValue& root) {
+int Checker::CheckObsBlackBox(const char* path, const JsonValue& root) {
   for (const char* key : {"label", "reason", "repro"}) {
     const JsonValue* v = root.Find(key);
     if (v == nullptr || v->type != JsonValue::Type::kString || v->string.empty()) {
-      std::fprintf(stderr, "FAIL: blackbox missing string \"%s\"\n", key);
+      Fail("blackbox missing string \"%s\"\n", key);
       return 1;
     }
   }
@@ -816,7 +847,7 @@ int CheckObsBlackBox(const char* path, const JsonValue& root) {
   }
   const JsonValue* threads = root.Find("threads");
   if (threads == nullptr || threads->type != JsonValue::Type::kArray) {
-    std::fprintf(stderr, "FAIL: blackbox missing threads array\n");
+    Fail("blackbox missing threads array\n");
     return 1;
   }
   const JsonValue* stats = root.Find("stats");
@@ -833,7 +864,7 @@ int CheckObsBlackBox(const char* path, const JsonValue& root) {
   }
   const JsonValue* chains = root.Find("chains");
   if (chains == nullptr || chains->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: blackbox missing chains object\n");
+    Fail("blackbox missing chains object\n");
     return 1;
   }
   const JsonValue* snapshots = root.Find("snapshots");
@@ -846,8 +877,8 @@ int CheckObsBlackBox(const char* path, const JsonValue& root) {
       !CheckPostmortemSection(*postmortem, "blackbox postmortem", /*forensic=*/true)) {
     return 1;
   }
-  std::printf("OK: %s (black box \"%s\": %s)\n", path, root.Find("label")->string.c_str(),
-              root.Find("reason")->string.c_str());
+  Ok("%s (black box \"%s\": %s)\n", path, root.Find("label")->string.c_str(),
+     root.Find("reason")->string.c_str());
   return 0;
 }
 
@@ -856,13 +887,13 @@ int CheckObsBlackBox(const char* path, const JsonValue& root) {
 // run must deliver the 1.7x aggregate user-cycle floor over 1-core at equal
 // horizon (recomputed from the integers, not just the reported ratio), and
 // partitioned-CSD admission must be monotone in core count.
-int CheckBenchSmp(const char* path, const JsonValue& root) {
+int Checker::CheckBenchSmp(const char* path, const JsonValue& root) {
   if (!RequireNumbers(root, "smp", {"horizon_ms", "ratio_2core", "ratio_4core"})) {
     return 1;
   }
   const JsonValue* rows = root.Find("throughput");
   if (rows == nullptr || rows->type != JsonValue::Type::kArray || rows->array.empty()) {
-    std::fprintf(stderr, "FAIL: smp missing throughput array\n");
+    Fail("smp missing throughput array\n");
     return 1;
   }
   double user_by_cores[16] = {};
@@ -879,13 +910,13 @@ int CheckBenchSmp(const char* path, const JsonValue& root) {
     const JsonValue* conserved = row.Find("conserved");
     if (conserved == nullptr || conserved->type != JsonValue::Type::kBool ||
         !conserved->boolean) {
-      std::fprintf(stderr, "FAIL: smp %g-core row not conserved\n", cores);
+      Fail("smp %g-core row not conserved\n", cores);
       return 1;
     }
     const JsonValue* per_core = row.Find("cores");
     if (per_core == nullptr || per_core->type != JsonValue::Type::kArray ||
         per_core->array.size() != static_cast<size_t>(cores)) {
-      std::fprintf(stderr, "FAIL: smp %g-core row missing per-core ledger array\n", cores);
+      Fail("smp %g-core row missing per-core ledger array\n", cores);
       return 1;
     }
     for (const JsonValue& c : per_core->array) {
@@ -896,8 +927,8 @@ int CheckBenchSmp(const char* path, const JsonValue& root) {
       const JsonValue* cons = c.Find("conserved");
       if (cons == nullptr || cons->type != JsonValue::Type::kBool || !cons->boolean ||
           c.Find("residual_ns")->number != 0.0) {
-        std::fprintf(stderr, "FAIL: smp %g-core run, core %g: residual %g ns (must be 0)\n",
-                     cores, c.Find("core")->number, c.Find("residual_ns")->number);
+        Fail("smp %g-core run, core %g: residual %g ns (must be 0)\n", cores,
+             c.Find("core")->number, c.Find("residual_ns")->number);
         return 1;
       }
     }
@@ -906,23 +937,22 @@ int CheckBenchSmp(const char* path, const JsonValue& root) {
     }
   }
   if (user_by_cores[1] <= 0.0 || user_by_cores[2] <= 0.0) {
-    std::fprintf(stderr, "FAIL: smp report lacks 1-core and 2-core throughput rows\n");
+    Fail("smp report lacks 1-core and 2-core throughput rows\n");
     return 1;
   }
   const double ratio2 = user_by_cores[2] / user_by_cores[1];
   if (ratio2 < 1.7) {
-    std::fprintf(stderr, "FAIL: 2-core user-cycle throughput is %.3fx 1-core (floor 1.7x)\n",
-                 ratio2);
+    Fail("2-core user-cycle throughput is %.3fx 1-core (floor 1.7x)\n", ratio2);
     return 1;
   }
   const JsonValue* admission = root.Find("admission");
   if (admission == nullptr || admission->type != JsonValue::Type::kObject) {
-    std::fprintf(stderr, "FAIL: smp missing admission object\n");
+    Fail("smp missing admission object\n");
     return 1;
   }
   const JsonValue* points = admission->Find("points");
   if (points == nullptr || points->type != JsonValue::Type::kArray || points->array.empty()) {
-    std::fprintf(stderr, "FAIL: smp admission missing points array\n");
+    Fail("smp admission missing points array\n");
     return 1;
   }
   for (const JsonValue& p : points->array) {
@@ -934,30 +964,114 @@ int CheckBenchSmp(const char* path, const JsonValue& root) {
     const double a2 = p.Find("admitted_2core")->number;
     const double a4 = p.Find("admitted_4core")->number;
     if (a2 < a1 || a4 < a2) {
-      std::fprintf(stderr,
-                   "FAIL: admission not monotone in cores at U=%g (1:%g 2:%g 4:%g)\n",
-                   p.Find("utilization")->number, a1, a2, a4);
+      Fail("admission not monotone in cores at U=%g (1:%g 2:%g 4:%g)\n",
+           p.Find("utilization")->number, a1, a2, a4);
       return 1;
     }
   }
-  std::printf("OK: %s (smp: 2-core %.3fx user cycles, %zu admission points)\n", path, ratio2,
-              points->array.size());
+  Ok("%s (smp: 2-core %.3fx user cycles, %zu admission points)\n", path, ratio2,
+     points->array.size());
+  return 0;
+}
+
+int Checker::Dispatch(const char* path, const JsonValue& root) {
+  const JsonValue* schema = root.Find("schema");
+  if (schema == nullptr || schema->type != JsonValue::Type::kString) {
+    Fail("missing schema tag\n");
+    return 1;
+  }
+  if (schema->string == "emeralds.obs.run/1") {
+    return CheckObsRun(path, root);
+  }
+  if (schema->string == "emeralds.obs.cycles/1") {
+    return CheckObsCycles(path, root);
+  }
+  if (schema->string == "emeralds.obs.chains/1") {
+    return CheckObsChains(path, root);
+  }
+  if (schema->string == "emeralds.fuzz.torture/1") {
+    return CheckFuzzTorture(path, root);
+  }
+  if (schema->string == "emeralds.fleet.run/1") {
+    return CheckFleetRun(path, root);
+  }
+  if (schema->string == "emeralds.obs.timeseries/1") {
+    if (!CheckTimeseriesSection(root, "timeseries", root.Find("totals"))) {
+      return 1;
+    }
+    Ok("%s (timeseries, %g windows)\n", path, root.Find("windows")->number);
+    return 0;
+  }
+  if (schema->string == "emeralds.obs.blackbox/1") {
+    return CheckObsBlackBox(path, root);
+  }
+  if (schema->string == "emeralds.obs.postmortem/1") {
+    const JsonValue* label = root.Find("label");
+    const JsonValue* report = root.Find("report");
+    if (label == nullptr || label->type != JsonValue::Type::kString || report == nullptr ||
+        report->type != JsonValue::Type::kObject) {
+      Fail("postmortem missing label/report\n");
+      return 1;
+    }
+    if (!CheckPostmortemSection(*report, "postmortem report")) {
+      return 1;
+    }
+    Ok("%s (postmortem \"%s\", %g miss(es), ledgers conserved)\n", path, label->string.c_str(),
+       report->Find("misses_analyzed")->number);
+    return 0;
+  }
+  if (schema->string == "emeralds.bench.smp/1") {
+    return CheckBenchSmp(path, root);
+  }
+  if (schema->string != "emeralds.bench.breakdown/1") {
+    Fail("unexpected schema tag \"%s\"\n", schema->string.c_str());
+    return 1;
+  }
+  return CheckBreakdown(path, root);
+}
+
+int Checker::CheckBreakdown(const char* path, const JsonValue& root) {
+  const JsonValue* points = root.Find("points");
+  if (points == nullptr || points->type != JsonValue::Type::kArray || points->array.empty()) {
+    Fail("missing or empty points array\n");
+    return 1;
+  }
+  for (const JsonValue& point : points->array) {
+    for (const char* key : {"n", "wall_seconds", "workloads_per_sec", "eval_reduction",
+                            "reference_mismatches"}) {
+      const JsonValue* v = point.Find(key);
+      if (v == nullptr || v->type != JsonValue::Type::kNumber) {
+        Fail("point missing numeric \"%s\"\n", key);
+        return 1;
+      }
+    }
+    const JsonValue* evals = point.Find("evals");
+    if (evals == nullptr || evals->Find("full_evals") == nullptr) {
+      Fail("point missing evals.full_evals\n");
+      return 1;
+    }
+    const JsonValue* mism = point.Find("reference_mismatches");
+    if (mism->number != 0.0) {
+      Fail("reference_mismatches = %g at n = %g\n", mism->number, point.Find("n")->number);
+      return 1;
+    }
+  }
+  Ok("%s (%zu points)\n", path, points->array.size());
   return 0;
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  using namespace emeralds;
-  if (argc != 2) {
-    std::fprintf(stderr, "usage: bench_json_check <report.json>\n");
-    return 2;
-  }
+JsonCheckResult CheckReport(const std::string& path, const JsonValue& root) {
+  return Checker().Run(path.c_str(), root);
+}
 
-  std::FILE* f = std::fopen(argv[1], "rb");
+JsonCheckResult CheckReportFile(const std::string& path) {
+  JsonCheckResult result;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
-    std::fprintf(stderr, "FAIL: cannot open %s\n", argv[1]);
-    return 1;
+    result.log = "FAIL: cannot open " + path + "\n";
+    return result;
   }
   std::string text;
   char buf[4096];
@@ -970,88 +1084,11 @@ int main(int argc, char** argv) {
   JsonValue root;
   std::string error;
   if (!JsonParse(text, &root, &error)) {
-    std::fprintf(stderr, "FAIL: %s does not parse: %s\n", argv[1], error.c_str());
-    return 1;
+    result.log = "FAIL: " + path + " does not parse: " + error + "\n";
+    return result;
   }
-
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || schema->type != JsonValue::Type::kString) {
-    std::fprintf(stderr, "FAIL: missing schema tag\n");
-    return 1;
-  }
-  if (schema->string == "emeralds.obs.run/1") {
-    return CheckObsRun(argv[1], root);
-  }
-  if (schema->string == "emeralds.obs.cycles/1") {
-    return CheckObsCycles(argv[1], root);
-  }
-  if (schema->string == "emeralds.obs.chains/1") {
-    return CheckObsChains(argv[1], root);
-  }
-  if (schema->string == "emeralds.fuzz.torture/1") {
-    return CheckFuzzTorture(argv[1], root);
-  }
-  if (schema->string == "emeralds.fleet.run/1") {
-    return CheckFleetRun(argv[1], root);
-  }
-  if (schema->string == "emeralds.obs.timeseries/1") {
-    if (!CheckTimeseriesSection(root, "timeseries", root.Find("totals"))) {
-      return 1;
-    }
-    std::printf("OK: %s (timeseries, %g windows)\n", argv[1], root.Find("windows")->number);
-    return 0;
-  }
-  if (schema->string == "emeralds.obs.blackbox/1") {
-    return CheckObsBlackBox(argv[1], root);
-  }
-  if (schema->string == "emeralds.obs.postmortem/1") {
-    const JsonValue* label = root.Find("label");
-    const JsonValue* report = root.Find("report");
-    if (label == nullptr || label->type != JsonValue::Type::kString || report == nullptr ||
-        report->type != JsonValue::Type::kObject) {
-      std::fprintf(stderr, "FAIL: postmortem missing label/report\n");
-      return 1;
-    }
-    if (!CheckPostmortemSection(*report, "postmortem report")) {
-      return 1;
-    }
-    std::printf("OK: %s (postmortem \"%s\", %g miss(es), ledgers conserved)\n", argv[1],
-                label->string.c_str(), report->Find("misses_analyzed")->number);
-    return 0;
-  }
-  if (schema->string == "emeralds.bench.smp/1") {
-    return CheckBenchSmp(argv[1], root);
-  }
-  if (schema->string != "emeralds.bench.breakdown/1") {
-    std::fprintf(stderr, "FAIL: unexpected schema tag \"%s\"\n", schema->string.c_str());
-    return 1;
-  }
-  const JsonValue* points = root.Find("points");
-  if (points == nullptr || points->type != JsonValue::Type::kArray || points->array.empty()) {
-    std::fprintf(stderr, "FAIL: missing or empty points array\n");
-    return 1;
-  }
-  for (const JsonValue& point : points->array) {
-    for (const char* key : {"n", "wall_seconds", "workloads_per_sec", "eval_reduction",
-                            "reference_mismatches"}) {
-      const JsonValue* v = point.Find(key);
-      if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-        std::fprintf(stderr, "FAIL: point missing numeric \"%s\"\n", key);
-        return 1;
-      }
-    }
-    const JsonValue* evals = point.Find("evals");
-    if (evals == nullptr || evals->Find("full_evals") == nullptr) {
-      std::fprintf(stderr, "FAIL: point missing evals.full_evals\n");
-      return 1;
-    }
-    const JsonValue* mism = point.Find("reference_mismatches");
-    if (mism->number != 0.0) {
-      std::fprintf(stderr, "FAIL: reference_mismatches = %g at n = %g\n", mism->number,
-                   point.Find("n")->number);
-      return 1;
-    }
-  }
-  std::printf("OK: %s (%zu points)\n", argv[1], points->array.size());
-  return 0;
+  return CheckReport(path, root);
 }
+
+}  // namespace bench
+}  // namespace emeralds

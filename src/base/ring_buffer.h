@@ -1,10 +1,9 @@
 // Bounded FIFO ring buffer with capacity fixed at construction.
 //
-// Used by mailboxes (message queues), device receive queues, the stats
-// sampler and the telemetry window series. Storage is allocated once at
-// construction ("kernel init time"); there is no allocation on the
-// send/receive paths. Trace sinks do not use it: their window grows with
-// the records made (src/hal/trace.h).
+// Used by mailboxes (message queues), device receive queues and the stats
+// sampler. Storage is allocated once at construction ("kernel init time");
+// there is no allocation on the send/receive paths. Trace sinks do not use
+// it: their window grows with the records made (src/hal/trace.h).
 
 #ifndef SRC_BASE_RING_BUFFER_H_
 #define SRC_BASE_RING_BUFFER_H_

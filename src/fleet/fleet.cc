@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <utility>
 
 #include "src/base/assert.h"
 #include "src/base/rng.h"
@@ -37,23 +39,36 @@ struct NodeState {
 // One simulated node. Members are destroyed in reverse order: the
 // evaluator (which reads the kernel's resolved chains) and the collector
 // go first, then the kernel, and only then the workload handles its thread
-// bodies point at and the hardware it runs on.
+// bodies point at and the hardware it runs on. The collector's sink holds
+// the node's address, so a node is never copied or moved.
 struct Node {
+  Node() = default;
+  Node(const Node&) = delete;
+  Node& operator=(const Node&) = delete;
+
   std::unique_ptr<Hardware> hw;
   NodeState st;
   std::unique_ptr<Kernel> kernel;
   Instant end;
   NodeResult result;
+  obs::AlertEngine alert_engine{kAlertConfig};
   std::unique_ptr<obs::TimeseriesCollector> ts;
   std::unique_ptr<obs::TraceEvaluator> evaluator;
 };
 
 // Every node's simulation is a pure function of (fleet seed, node index):
 // all randomness flows from this fork, and nothing host-side
-// (worker id, steal order, wall time) is ever consulted.
-void BuildNode(Node& node, const FleetOptions& opt, int index) {
+// (worker id, steal order, wall time) is ever consulted. Each window the
+// node closes runs its alert rules and then goes to `on_window`.
+void BuildNode(Node& node, const FleetOptions& opt, int index,
+               obs::TimeseriesCollector::WindowSink on_window) {
   Rng topo = Rng(opt.seed).Fork(static_cast<uint64_t>(index) + 1);
-  node.ts = std::make_unique<obs::TimeseriesCollector>(kTimeseriesOptions);
+  node.ts = std::make_unique<obs::TimeseriesCollector>(
+      kTimeseriesWindow,
+      [&node, index, on_window = std::move(on_window)](const obs::TelemetryWindow& w) {
+        node.alert_engine.Observe(w, index, &node.result.alerts);
+        on_window(w);
+      });
   // Overload injection: the multiplier is applied *after* every topology
   // draw below, so the Rng stream — and therefore every other node — is
   // bit-identical whether or not this node is the designated victim.
@@ -210,10 +225,9 @@ void FeedTrace(Node& node) {
 
 // Closes the node's trace evaluation, applies the six per-node oracles,
 // scores the anomaly triage, collects the node's telemetry block, and closes
-// its window series under the alert rules. The kernel has reached its
-// horizon and is only read, so nothing here can perturb the simulated
-// outcome or its digest.
-void EvaluateNode(Node& node, int index) {
+// its window series. The kernel has reached its horizon and is only read,
+// so nothing here can perturb the simulated outcome or its digest.
+void EvaluateNode(Node& node) {
   const int64_t cpu_start = ThreadCpuNs();
   const Kernel& kernel = *node.kernel;
   NodeResult& r = node.result;
@@ -287,17 +301,10 @@ void EvaluateNode(Node& node, int index) {
 
   r.telemetry = obs::CollectNodeTelemetry(kernel, analysis, chains);
 
-  // Streaming plane: close the window series at the horizon (synthesizing
-  // the tail interval), snapshot it into the result, and run the node-local
-  // alert rules over it.
+  // Streaming plane: close the window series at the horizon, synthesizing
+  // the tail interval; the sink sees the last windows.
   node.ts->Finish(kernel);
-  r.windows = node.ts->Snapshot();
   r.timeseries_lost_samples = node.ts->lost_samples();
-  r.timeseries_windows_dropped = node.ts->windows_dropped();
-  obs::AlertEngine engine(kAlertConfig);
-  for (const obs::TelemetryWindow& w : r.windows) {
-    engine.Observe(w, index, &r.alerts);
-  }
   r.host_evaluate_ns += ThreadCpuNs() - cpu_start;
 }
 
@@ -311,6 +318,11 @@ FleetResult RunFleet(const FleetOptions& opt) {
   const size_t instances = static_cast<size_t>(opt.instances);
   std::vector<std::unique_ptr<Node>> nodes(instances);
   std::vector<NodeResult> results(instances);
+  // Streaming plane: each window a node closes merges into the fleet series
+  // under one lock, and its miss count waits for the fleet outlier rule.
+  std::vector<obs::TelemetryWindow> windows;
+  std::mutex windows_mutex;
+  std::vector<std::vector<uint64_t>> window_misses(instances);
 
   auto wall_start = std::chrono::steady_clock::now();
   int resolved_workers = 0;
@@ -325,7 +337,11 @@ FleetResult RunFleet(const FleetOptions& opt) {
       std::unique_ptr<Node>& slot = nodes[static_cast<size_t>(index)];
       if (slot == nullptr) {
         slot = std::make_unique<Node>();
-        BuildNode(*slot, opt, index);
+        BuildNode(*slot, opt, index, [&, index](const obs::TelemetryWindow& w) {
+          window_misses[static_cast<size_t>(index)].push_back(w.deadline_misses);
+          std::lock_guard<std::mutex> lock(windows_mutex);
+          obs::MergeWindowInto(&windows, w);
+        });
       }
       Node& node = *slot;
       Kernel& kernel = *node.kernel;
@@ -344,7 +360,7 @@ FleetResult RunFleet(const FleetOptions& opt) {
       } else {
         // Evaluate on the worker that ran the final slice, then free the
         // node: memory is the budget at fleet scale.
-        EvaluateNode(node, index);
+        EvaluateNode(node);
         results[static_cast<size_t>(index)] = std::move(node.result);
         slot.reset();
       }
@@ -402,22 +418,17 @@ FleetResult RunFleet(const FleetOptions& opt) {
   out.events_per_wall_sec =
       wall_seconds > 0 ? static_cast<double>(out.events_total) / wall_seconds : 0.0;
 
-  // Streaming plane, fleet-merged: same-index windows Merge losslessly and
-  // order-invariantly, then the cross-node outlier rule runs over the
-  // per-node series and the full alert stream is canonicalized. A firing
-  // alert marks its node anomalous — that is what routes an alerting node
-  // into the black-box selection below even when every oracle passed.
-  std::vector<const std::vector<obs::TelemetryWindow>*> series;
-  series.reserve(out.nodes.size());
+  // Streaming plane, fleet-merged: the series merged as the nodes ran; the
+  // cross-node outlier rule runs over every node's window miss counts and
+  // the full alert stream is canonicalized. A firing alert marks its node
+  // anomalous — that is what routes an alerting node into the black-box
+  // selection below even when every oracle passed.
+  out.windows = std::move(windows);
   for (const NodeResult& r : out.nodes) {
-    series.push_back(&r.windows);
     out.timeseries_lost_samples += r.timeseries_lost_samples;
-    out.timeseries_windows_dropped += r.timeseries_windows_dropped;
     out.alerts.insert(out.alerts.end(), r.alerts.begin(), r.alerts.end());
   }
-  out.windows = obs::MergeWindowSeries(series);
-  obs::EvaluateFleetOutlierAlerts(series, kAlertConfig, &out.alerts);
-  obs::SortAlertEvents(&out.alerts);
+  obs::EvaluateFleetOutlierAlerts(window_misses, kTimeseriesWindow, kAlertConfig, &out.alerts);
   for (const obs::AlertEvent& e : out.alerts) {
     if (!e.firing) {
       continue;
@@ -482,7 +493,8 @@ NodeResult InspectNode(const FleetOptions& opt, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit) {
   EM_ASSERT(index >= 0 && index < opt.instances);
   Node node;
-  BuildNode(node, opt, index);
+  BuildNode(node, opt, index,
+            [&node](const obs::TelemetryWindow& w) { node.result.windows.push_back(w); });
   // Slice-stepped exactly like the fleet run — not one shot — so the
   // streaming collector drains at the same instants and the replayed window
   // series and alert stream are bit-identical to what the fleet saw (the
@@ -496,7 +508,7 @@ NodeResult InspectNode(const FleetOptions& opt, int index,
   // bundles) and is evaluated in one pass, so a caller comparing this digest
   // with the fleet's checks the streamed evaluation against the one-pass one.
   FeedTrace(node);
-  EvaluateNode(node, index);
+  EvaluateNode(node);
   if (visit) {
     visit(*node.kernel, node.result);
   }

@@ -14,10 +14,13 @@
 // the whole FleetResult (per-node digests included) is bit-identical across
 // runs, worker counts, and machines. Tests enforce this.
 //
-// Every node is observed the same way: a telemetry block, a streaming
-// window series drained at each slice boundary, and the alert engine over
-// that series. Observers take the kernel as `const Kernel&`, so none can
-// change a run; the golden digests would catch one that did.
+// Every node is observed the same way: a telemetry block, and a streaming
+// window series drained at each slice boundary. The node holds only the
+// window it is filling; each window it closes runs the node's alert engine
+// and is merged into the fleet series at once, so alerts and the series
+// cover the whole run in memory that does not grow with it. Observers take
+// the kernel as `const Kernel&`, so none can change a run; the golden
+// digests would catch one that did.
 //
 // A node is evaluated slice by slice. At each slice boundary its new trace
 // records go to its obs::TraceEvaluator (digest, invariants, chains,
@@ -64,8 +67,8 @@ class Kernel;
 
 namespace fleet {
 
-// The streaming window grid and the alert rules every fleet node runs.
-inline constexpr obs::TimeseriesOptions kTimeseriesOptions{};
+// The streaming window width and the alert rules every fleet node runs.
+inline constexpr Duration kTimeseriesWindow = Milliseconds(10);
 inline constexpr obs::AlertConfig kAlertConfig{};
 
 struct FleetOptions {
@@ -131,12 +134,11 @@ struct NodeResult {
   uint64_t anomaly_score = 0;
   // Telemetry block, merged into FleetResult::telemetry.
   obs::NodeTelemetry telemetry;
-  // Streaming telemetry: the retained window series (folded from the
-  // snapshot ring at every slice boundary) plus explicit-degradation
-  // counters, and the node-local alert events.
+  // Streaming telemetry: the node's whole window series, kept only by
+  // InspectNode (RunFleet merges each window into FleetResult::windows as it
+  // closes); the snapshots lost before a drain; and the node-local alerts.
   std::vector<obs::TelemetryWindow> windows;
   uint64_t timeseries_lost_samples = 0;
-  uint64_t timeseries_windows_dropped = 0;
   std::vector<obs::AlertEvent> alerts;
   // Host thread CPU time the node's evaluation took (every slice's trace
   // feed, then the oracles, telemetry and streaming close at the horizon),
@@ -187,14 +189,14 @@ struct FleetResult {
   obs::BlameTotals blame;
   uint64_t blame_digest = 0;
   uint64_t postmortem_incomplete_total = 0;
-  // Streaming plane, fleet-merged: same-index windows from every node merged
-  // via the lossless histogram Merge (order-invariant), and the full alert
-  // stream (node-local rules + the cross-node outlier rule) in canonical
-  // (window, rule, node) order with exact virtual timestamps.
+  // Streaming plane, fleet-merged: every window of the run, each node's
+  // same-index windows merged via the lossless histogram Merge as they close
+  // (order-invariant), and the full alert stream (node-local rules + the
+  // cross-node outlier rule) in canonical (window, rule, node) order with
+  // exact virtual timestamps.
   std::vector<obs::TelemetryWindow> windows;
   std::vector<obs::AlertEvent> alerts;
   uint64_t timeseries_lost_samples = 0;
-  uint64_t timeseries_windows_dropped = 0;
   uint64_t alerts_fired = 0;  // firing events in `alerts`
   // Nodes whose black-box bundles were written (worst first), and where.
   std::vector<int> blackbox_nodes;
@@ -225,7 +227,8 @@ FleetResult RunFleet(const FleetOptions& options);
 // pure function of (fleet seed, node index), the revisited
 // state is bit-identical to what the fleet run saw. The kernel keeps the
 // node's whole trace window, evaluated in one pass, so the result's
-// trace_digest equals the fleet's streamed one.
+// trace_digest equals the fleet's streamed one, and the result's `windows`
+// holds the node's whole window series.
 NodeResult InspectNode(const FleetOptions& options, int index,
                        const std::function<void(const Kernel&, const NodeResult&)>& visit);
 

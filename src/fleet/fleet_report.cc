@@ -91,9 +91,8 @@ std::string BuildFleetRunReport(const FleetRunInfo& info, const FleetResult& res
   // Streaming plane: the fleet-merged window series (every node's same-index
   // windows merged via the lossless histogram Merge) and the canonical alert
   // event stream with exact virtual timestamps.
-  obs::AppendTimeseriesSection(json, result.windows, kTimeseriesOptions.window,
-                               result.timeseries_lost_samples,
-                               result.timeseries_windows_dropped);
+  obs::AppendTimeseriesSection(json, result.windows, kTimeseriesWindow,
+                               result.timeseries_lost_samples);
   obs::AppendAlertsSection(json, result.alerts, kAlertConfig);
 
   // Deadline-miss postmortem: the fleet-merged blame tables. Thread and

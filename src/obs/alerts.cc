@@ -1,7 +1,6 @@
 #include "src/obs/alerts.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/obs/json_writer.h"
 
@@ -143,39 +142,22 @@ void AlertEngine::Observe(const TelemetryWindow& w, int node, std::vector<AlertE
               w.chain_e2e_completed, w, node, &chain_, out);
 }
 
-void EvaluateFleetOutlierAlerts(
-    const std::vector<const std::vector<TelemetryWindow>*>& per_node,
-    const AlertConfig& config, std::vector<AlertEvent>* out) {
-  if (per_node.empty()) {
-    return;
+void EvaluateFleetOutlierAlerts(const std::vector<std::vector<uint64_t>>& misses,
+                                Duration window, const AlertConfig& config,
+                                std::vector<AlertEvent>* out) {
+  size_t windows = 0;
+  for (const std::vector<uint64_t>& node : misses) {
+    windows = std::max(windows, node.size());
   }
-  // Index the series: window index -> (node -> window).
-  std::map<int64_t, std::vector<const TelemetryWindow*>> by_index;
-  for (size_t node = 0; node < per_node.size(); ++node) {
-    if (per_node[node] == nullptr) {
-      continue;
-    }
-    for (const TelemetryWindow& w : *per_node[node]) {
-      auto& row = by_index[w.index];
-      row.resize(per_node.size(), nullptr);
-      row[node] = &w;
-    }
-  }
-  std::vector<bool> firing(per_node.size(), false);
-  for (auto& kv : by_index) {
-    std::vector<uint64_t> values(per_node.size(), 0);
-    Instant end;
-    for (size_t node = 0; node < per_node.size(); ++node) {
-      const TelemetryWindow* w =
-          node < kv.second.size() ? kv.second[node] : nullptr;
-      if (w != nullptr) {
-        values[node] = w->deadline_misses;
-        end = w->end;
-      }
+  std::vector<bool> firing(misses.size(), false);
+  std::vector<uint64_t> values(misses.size(), 0);
+  for (size_t k = 0; k < windows; ++k) {
+    for (size_t node = 0; node < misses.size(); ++node) {
+      values[node] = k < misses[node].size() ? misses[node][k] : 0;
     }
     uint64_t median = RobustMedian(values);
     uint64_t mad = RobustMad(values, median);
-    for (size_t node = 0; node < per_node.size(); ++node) {
+    for (size_t node = 0; node < misses.size(); ++node) {
       bool outlier = values[node] >= config.outlier_floor &&
                      IsRobustOutlier(values[node], median, mad);
       if (outlier == firing[node]) {
@@ -185,8 +167,8 @@ void EvaluateFleetOutlierAlerts(
       AlertEvent e;
       e.rule = AlertRuleKind::kFleetOutlier;
       e.node = static_cast<int>(node);
-      e.window = kv.first;
-      e.time = end;
+      e.window = static_cast<int64_t>(k);
+      e.time = Instant() + window * static_cast<int64_t>(k + 1);
       e.firing = outlier;
       e.value = values[node];
       e.total = median;

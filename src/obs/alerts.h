@@ -135,13 +135,15 @@ class AlertEngine {
 
 // --- Fleet outlier rule ---
 
-// Evaluates the cross-node outlier rule over per-node window series (indexed
-// by node). For each window index present anywhere, a node whose
-// deadline-miss count is a robust outlier fires; it resolves at the first
-// later window where it is not. Events are appended in canonical order.
-void EvaluateFleetOutlierAlerts(
-    const std::vector<const std::vector<TelemetryWindow>*>& per_node,
-    const AlertConfig& config, std::vector<AlertEvent>* out);
+// Evaluates the cross-node outlier rule over per-node window miss counts:
+// misses[node][k] is the node's deadline-miss count in window k of a grid
+// `window` wide, and a node with no window k counts 0. In each window a
+// node whose count is a robust outlier fires; it resolves at the first
+// later window where it is not. An event's time is its window's upper edge.
+// Events are appended in canonical order.
+void EvaluateFleetOutlierAlerts(const std::vector<std::vector<uint64_t>>& misses,
+                                Duration window, const AlertConfig& config,
+                                std::vector<AlertEvent>* out);
 
 // JSON "alerts" section: rule config echo + the event stream.
 void AppendAlertsSection(Json& j, const std::vector<AlertEvent>& events,

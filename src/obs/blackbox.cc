@@ -32,10 +32,7 @@ BlackBoxSnapshot CaptureBlackBox(const Kernel& kernel, std::string label,
   box.postmortem = std::move(eval.postmortem);
 
   if (const StatsSampler* sampler = kernel.stats_sampler()) {
-    box.deltas.reserve(sampler->size());
-    for (size_t i = 0; i < sampler->size(); ++i) {
-      box.deltas.push_back(sampler->at(i));
-    }
+    box.deltas_retained = sampler->size();
     box.deltas_dropped = sampler->dropped();
   }
   return box;
@@ -90,7 +87,7 @@ std::string BuildBlackBoxReport(const BlackBoxSnapshot& box) {
 
   j.Key("snapshots");
   j.OpenObject();
-  j.Int("count", static_cast<int64_t>(box.deltas.size()));
+  j.Int("count", static_cast<int64_t>(box.deltas_retained));
   j.Int("dropped", static_cast<int64_t>(box.deltas_dropped));
   j.CloseObject();
 

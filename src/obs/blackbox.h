@@ -4,7 +4,7 @@
 // headroom monitor fires, a deadline is missed — the forensic context an
 // operator needs is exactly what the kernel already keeps in RAM: the
 // TraceSink ring (the last N events before the anomaly), the stats-sampler
-// deltas, the chain analysis, and the cycle-attribution ledger.
+// ring's occupancy, the chain analysis, and the cycle-attribution ledger.
 // CaptureBlackBox snapshots all of it from a live kernel into one value,
 // and WriteBlackBoxBundle lays it out as an inspectable artifact directory:
 //
@@ -51,7 +51,8 @@ struct BlackBoxSnapshot {
   std::vector<std::string> thread_names;  // "name/id" per thread id
   KernelStats stats;
   ChainAnalysis chains;
-  std::vector<StatsDelta> deltas;  // stats-sampler ring, oldest first
+  // Stats-sampler ring: snapshots retained, and evicted before the capture.
+  uint64_t deltas_retained = 0;
   uint64_t deltas_dropped = 0;
   NodeTelemetry telemetry;
   // Deadline-miss postmortem over the same window: every miss's blame

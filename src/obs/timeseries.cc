@@ -1,8 +1,8 @@
 #include "src/obs/timeseries.h"
 
-#include <algorithm>
-#include <map>
+#include <utility>
 
+#include "src/base/assert.h"
 #include "src/core/kernel.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/telemetry.h"
@@ -34,26 +34,22 @@ void TelemetryWindow::MergeFrom(const TelemetryWindow& other) {
   headroom.Merge(other.headroom);
 }
 
-TimeseriesCollector::TimeseriesCollector(const TimeseriesOptions& options)
-    : options_(options), windows_(options.capacity > 0 ? options.capacity : 1) {
-  if (!options_.window.is_positive()) {
-    options_.window = Milliseconds(10);
-  }
-}
+TimeseriesCollector::TimeseriesCollector(Duration window, WindowSink sink)
+    : window_(window.is_positive() ? window : Milliseconds(10)), sink_(std::move(sink)) {}
 
 int64_t TimeseriesCollector::IndexOf(Instant t) const {
   int64_t ns = t.nanos();
   if (ns <= 0) {
     return 0;
   }
-  return (ns - 1) / options_.window.nanos();
+  return (ns - 1) / window_.nanos();
 }
 
 void TimeseriesCollector::StartWindow(int64_t index) {
   cur_ = TelemetryWindow();
   cur_.index = index;
-  cur_.start = Instant() + Nanoseconds(index * options_.window.nanos());
-  cur_.end = cur_.start + options_.window;
+  cur_.start = Instant() + Nanoseconds(index * window_.nanos());
+  cur_.end = cur_.start + window_;
   have_cur_ = true;
 }
 
@@ -61,9 +57,7 @@ void TimeseriesCollector::CloseWindow() {
   if (cur_.index <= gap_through_) {
     cur_.gap = true;
   }
-  if (windows_.push_overwrite(cur_)) {
-    ++windows_dropped_;
-  }
+  sink_(cur_);
 }
 
 void TimeseriesCollector::FoldDelta(const StatsDelta& d) {
@@ -166,37 +160,14 @@ void TimeseriesCollector::Finish(const Kernel& kernel) {
   finished_ = true;
 }
 
-std::vector<TelemetryWindow> TimeseriesCollector::Snapshot() const {
-  std::vector<TelemetryWindow> out;
-  out.reserve(windows_.size());
-  for (size_t i = 0; i < windows_.size(); ++i) {
-    out.push_back(windows_.at(i));
+void MergeWindowInto(std::vector<TelemetryWindow>* series, const TelemetryWindow& w) {
+  const size_t index = static_cast<size_t>(w.index);
+  EM_ASSERT_MSG(w.index >= 0 && index <= series->size(), "window merged out of index order");
+  if (index == series->size()) {
+    series->push_back(w);
+  } else {
+    (*series)[index].MergeFrom(w);
   }
-  return out;
-}
-
-std::vector<TelemetryWindow> MergeWindowSeries(
-    const std::vector<const std::vector<TelemetryWindow>*>& series) {
-  std::map<int64_t, TelemetryWindow> merged;
-  for (const std::vector<TelemetryWindow>* s : series) {
-    if (s == nullptr) {
-      continue;
-    }
-    for (const TelemetryWindow& w : *s) {
-      auto it = merged.find(w.index);
-      if (it == merged.end()) {
-        merged.emplace(w.index, w);
-      } else {
-        it->second.MergeFrom(w);
-      }
-    }
-  }
-  std::vector<TelemetryWindow> out;
-  out.reserve(merged.size());
-  for (auto& kv : merged) {
-    out.push_back(kv.second);
-  }
-  return out;
 }
 
 void AppendTelemetryWindow(Json& j, const TelemetryWindow& w) {
@@ -237,15 +208,13 @@ void AppendTelemetryWindow(Json& j, const TelemetryWindow& w) {
 }
 
 void AppendTimeseriesSection(Json& j, const std::vector<TelemetryWindow>& windows,
-                             Duration window_width, uint64_t lost_samples,
-                             uint64_t windows_dropped) {
+                             Duration window_width, uint64_t lost_samples) {
   j.Key("timeseries");
   j.OpenObject();
   j.String("schema", "emeralds.obs.timeseries/1");
   j.Int("window_us", window_width.micros());
   j.Int("windows", static_cast<int64_t>(windows.size()));
   j.Int("lost_samples", static_cast<int64_t>(lost_samples));
-  j.Int("windows_dropped", static_cast<int64_t>(windows_dropped));
   uint64_t gaps = 0;
   for (const TelemetryWindow& w : windows) {
     if (w.gap) {

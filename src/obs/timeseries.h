@@ -1,15 +1,17 @@
 // Streaming time-series telemetry: fixed-width virtual-time windows.
 //
 // The StatsSampler ring (PR 2/4) gives each kernel a delta-encoded snapshot
-// stream; this layer folds that stream into a bounded ring of
-// `TelemetryWindow` points on a fixed window grid anchored at virtual zero.
-// The fleet runner drains the ring at slice boundaries (Collect), so the
-// windows exist *while the fleet runs* — zero virtual cost, because Collect
-// only reads kernel state and the snapshots were already paid for by the
-// kStatsSample timer. Windows merge losslessly across nodes via
-// Log2Histogram::Merge, and the per-window histogram deltas telescope:
-// merging every window of a run reproduces the whole-run cumulative
-// histogram bit-identically (tests/obs/timeseries_test.cc).
+// stream; this layer folds that stream into `TelemetryWindow` points on a
+// fixed window grid anchored at virtual zero. The collector holds only the
+// window it is filling and hands each window it closes, in index order, to
+// a sink its caller supplies, so a run of any length is seen whole in
+// constant memory. The fleet runner drains the sampler at slice boundaries
+// (Collect), so the windows exist *while the fleet runs* — zero virtual
+// cost, because Collect only reads kernel state and the snapshots were
+// already paid for by the kStatsSample timer. Windows merge losslessly
+// across nodes via Log2Histogram::Merge, and the per-window histogram deltas
+// telescope: merging every window of a run reproduces the whole-run
+// cumulative histogram bit-identically (tests/obs/timeseries_test.cc).
 //
 // Degradation is explicit, never silent: when sampling outpaced the drain
 // and snapshots were evicted, the windows spanning the loss are gap-marked
@@ -19,10 +21,10 @@
 #define SRC_OBS_TIMESERIES_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "src/base/log2_histogram.h"
-#include "src/base/ring_buffer.h"
 #include "src/base/time.h"
 #include "src/hal/cycles.h"
 
@@ -34,14 +36,6 @@ struct StatsDelta;
 namespace obs {
 
 class Json;
-
-struct TimeseriesOptions {
-  // Window width on the virtual-time grid; window k covers
-  // (k*window, (k+1)*window]. Must be positive.
-  Duration window = Milliseconds(10);
-  // Retained windows per node; older windows are evicted (and counted).
-  size_t capacity = 64;
-};
 
 // One fixed-width window of kernel activity. Counters are exact deltas over
 // the window; histograms are merged StatsDelta interval deltas (min/max
@@ -82,13 +76,18 @@ struct TelemetryWindow {
   void MergeFrom(const TelemetryWindow& other);
 };
 
-// Folds a kernel's StatsSampler ring into the window grid. Drive Collect()
-// periodically on the host (the fleet runner does it at every slice
-// boundary) and Finish() once at the horizon; both are read-only on the
-// kernel and never perturb virtual time.
+// Folds a kernel's StatsSampler ring into the window grid and hands each
+// closed window to the sink. Drive Collect() periodically on the host (the
+// fleet runner does it at every slice boundary) and Finish() once at the
+// horizon; both are read-only on the kernel and never perturb virtual time.
 class TimeseriesCollector {
  public:
-  explicit TimeseriesCollector(const TimeseriesOptions& options);
+  // Receives every closed window once, in index order from window 0.
+  using WindowSink = std::function<void(const TelemetryWindow&)>;
+
+  // `window` is the grid width: window k covers (k*window, (k+1)*window].
+  // A non-positive width falls back to 10 ms.
+  TimeseriesCollector(Duration window, WindowSink sink);
 
   // Drains snapshots that arrived since the last drain.
   void Collect(const Kernel& kernel);
@@ -98,14 +97,7 @@ class TimeseriesCollector {
   // the horizon. Call exactly once; Collect() is a no-op afterwards.
   void Finish(const Kernel& kernel);
 
-  size_t size() const { return windows_.size(); }
-  const TelemetryWindow& at(size_t i) const { return windows_.at(i); }
-  uint64_t windows_dropped() const { return windows_dropped_; }
   uint64_t lost_samples() const { return lost_samples_; }
-  const TimeseriesOptions& options() const { return options_; }
-
-  // Copy of the retained windows, oldest first.
-  std::vector<TelemetryWindow> Snapshot() const;
 
   // Window index containing instant t (t > 0 maps to (t-1ns)/window; t <= 0
   // maps to window 0).
@@ -117,9 +109,8 @@ class TimeseriesCollector {
   void StartWindow(int64_t index);
   void CloseWindow();
 
-  TimeseriesOptions options_;
-  RingBuffer<TelemetryWindow> windows_;
-  uint64_t windows_dropped_ = 0;
+  Duration window_;
+  WindowSink sink_;
 
   TelemetryWindow cur_;
   bool have_cur_ = false;
@@ -132,11 +123,14 @@ class TimeseriesCollector {
   int64_t gap_through_ = -1;  // windows up to this index are gap-marked
 };
 
-// Merges per-node window series by index: the result holds one window per
-// index present in any input, counters summed and histograms merged.
-// Order- and worker-count-invariant (all inputs commute).
-std::vector<TelemetryWindow> MergeWindowSeries(
-    const std::vector<const std::vector<TelemetryWindow>*>& series);
+// Merges `w` into a series that holds window i at position i: a window one
+// past the end is appended, any other is merged into its index. Every
+// source must deliver its windows in index order from window 0, as a
+// collector's sink does, so when a source merges window k the series
+// already holds windows 0..k-1. The merge commutes (counter sums, gap OR,
+// Log2Histogram::Merge), so the series does not depend on which source
+// merges first.
+void MergeWindowInto(std::vector<TelemetryWindow>* series, const TelemetryWindow& w);
 
 // JSON: one window object (schema emeralds.obs.timeseries/1 window entry).
 void AppendTelemetryWindow(Json& j, const TelemetryWindow& w);
@@ -144,8 +138,7 @@ void AppendTelemetryWindow(Json& j, const TelemetryWindow& w);
 // JSON: "timeseries" section — window grid config, the window array, and the
 // explicit-degradation counters.
 void AppendTimeseriesSection(Json& j, const std::vector<TelemetryWindow>& windows,
-                             Duration window_width, uint64_t lost_samples,
-                             uint64_t windows_dropped);
+                             Duration window_width, uint64_t lost_samples);
 
 }  // namespace obs
 }  // namespace emeralds

@@ -10,6 +10,7 @@
 #include "src/fleet/fleet_report.h"
 #include "src/fleet/openmetrics.h"
 #include "src/hal/trace.h"
+#include "src/obs/json_writer.h"
 
 namespace emeralds {
 namespace fleet {
@@ -278,22 +279,18 @@ TEST(FleetTest, RecordMixCountsEveryRecordOfTheNode) {
 
 // --- Streaming timeseries + alerting plane ---
 
+// A window as the report renders it: every field, histograms included.
+std::string WindowJson(const obs::TelemetryWindow& w) {
+  obs::Json json;
+  obs::AppendTelemetryWindow(json, w);
+  return json.str();
+}
+
 void ExpectWindowsEqual(const std::vector<obs::TelemetryWindow>& a,
                         const std::vector<obs::TelemetryWindow>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].index, b[i].index) << what << " window " << i;
-    EXPECT_EQ(a[i].start, b[i].start) << what << " window " << i;
-    EXPECT_EQ(a[i].end, b[i].end) << what << " window " << i;
-    EXPECT_EQ(a[i].gap, b[i].gap) << what << " window " << i;
-    EXPECT_EQ(a[i].samples, b[i].samples) << what << " window " << i;
-    EXPECT_EQ(a[i].jobs_completed, b[i].jobs_completed) << what << " window " << i;
-    EXPECT_EQ(a[i].deadline_misses, b[i].deadline_misses) << what << " window " << i;
-    EXPECT_EQ(a[i].context_switches, b[i].context_switches) << what << " window " << i;
-    EXPECT_EQ(a[i].chain_e2e_completed, b[i].chain_e2e_completed) << what << " window " << i;
-    EXPECT_EQ(a[i].chain_e2e_overruns, b[i].chain_e2e_overruns) << what << " window " << i;
-    EXPECT_EQ(a[i].response.count(), b[i].response.count()) << what << " window " << i;
-    EXPECT_EQ(a[i].response.total(), b[i].response.total()) << what << " window " << i;
+    EXPECT_EQ(WindowJson(a[i]), WindowJson(b[i])) << what << " window " << i;
   }
 }
 
@@ -379,17 +376,76 @@ TEST(FleetTest, OverloadedNodeFiresMissBurnAndGetsBlackBoxed) {
 }
 
 // Drill-down must reproduce the streaming plane exactly: InspectNode
-// replays the slice schedule, so its windows and node-local alerts are
-// bit-identical to what the fleet run recorded for that node.
+// replays the slice schedule, so the series of every node it re-runs,
+// merged, is the fleet's series, and each node's alerts are bit-identical
+// to what the fleet run recorded. The fleet itself keeps no node's windows.
 TEST(FleetTest, InspectNodeReproducesWindowsAndAlerts) {
   FleetOptions opt = SmallFleet();
   opt.overload_node = 5;
   opt.overload_factor = 8;
   FleetResult fleet = RunFleet(opt);
-  for (int index : {0, 5}) {
+  std::vector<obs::TelemetryWindow> merged;
+  for (int index = 0; index < opt.instances; ++index) {
     NodeResult replay = InspectNode(opt, index, nullptr);
-    ExpectWindowsEqual(fleet.nodes[index].windows, replay.windows, "inspect windows");
+    EXPECT_TRUE(fleet.nodes[index].windows.empty()) << "node " << index;
+    EXPECT_FALSE(replay.windows.empty()) << "node " << index;
+    for (const obs::TelemetryWindow& w : replay.windows) {
+      obs::MergeWindowInto(&merged, w);
+    }
     ExpectAlertsEqual(fleet.nodes[index].alerts, replay.alerts, "inspect alerts");
+  }
+  ExpectWindowsEqual(fleet.windows, merged, "inspect windows");
+}
+
+// The golden overloaded fleet run for 1 s, past the 64 windows a node once
+// kept: at any worker count the fleet series holds every window, 0 to 100,
+// its sums are the run totals, and its first 19 windows and the alerts
+// raised in them are the 200 ms golden run's. (Window 19 differs: the short
+// run's horizon tail lands in it.)
+TEST(FleetTest, LongRunSeriesHoldsEveryWindow) {
+  FleetOptions opt;
+  opt.instances = 16;
+  opt.workers = 4;
+  opt.seed = 11;
+  opt.run_duration = Milliseconds(200);
+  opt.overload_node = 6;
+  opt.overload_factor = 8;
+  FleetResult golden = RunFleet(opt);
+  ASSERT_GE(golden.windows.size(), 19u);
+  std::vector<obs::AlertEvent> golden_alerts;
+  for (const obs::AlertEvent& e : golden.alerts) {
+    if (e.window < 19) {
+      golden_alerts.push_back(e);
+    }
+  }
+  ASSERT_FALSE(golden_alerts.empty());
+
+  opt.run_duration = Seconds(1);
+  for (int workers : {1, 4, 8}) {
+    opt.workers = workers;
+    FleetResult r = RunFleet(opt);
+    ASSERT_EQ(r.windows.size(), 101u) << workers << " workers";
+    uint64_t jobs = 0;
+    uint64_t misses = 0;
+    for (size_t i = 0; i < r.windows.size(); ++i) {
+      EXPECT_EQ(r.windows[i].index, static_cast<int64_t>(i)) << workers << " workers";
+      jobs += r.windows[i].jobs_completed;
+      misses += r.windows[i].deadline_misses;
+    }
+    EXPECT_EQ(jobs, r.jobs_completed) << workers << " workers";
+    EXPECT_EQ(misses, r.deadline_misses) << workers << " workers";
+    EXPECT_GT(misses, 0u);
+    std::vector<obs::TelemetryWindow> prefix(r.windows.begin(), r.windows.begin() + 19);
+    std::vector<obs::TelemetryWindow> golden_prefix(golden.windows.begin(),
+                                                    golden.windows.begin() + 19);
+    ExpectWindowsEqual(prefix, golden_prefix, "first 19 windows");
+    std::vector<obs::AlertEvent> alerts;
+    for (const obs::AlertEvent& e : r.alerts) {
+      if (e.window < 19) {
+        alerts.push_back(e);
+      }
+    }
+    ExpectAlertsEqual(alerts, golden_alerts, "alerts before window 19");
   }
 }
 
@@ -410,6 +466,30 @@ TEST(OpenMetricsTest, ExpositionRoundTripsTheValidator) {
   EXPECT_NE(text.find("emeralds_alert_events_total{rule=\"deadline_miss_burn\"}"),
             std::string::npos);
   EXPECT_EQ(text.rfind("# EOF\n"), text.size() - 6);
+}
+
+// The exposition's histograms are the merged window series', so they cover
+// the whole run: on a fleet of 101 windows each count equals its total.
+TEST(OpenMetricsTest, HistogramsCoverTheWholeRun) {
+  FleetOptions opt;
+  opt.instances = 8;
+  opt.workers = 4;
+  opt.seed = 1;
+  opt.run_duration = Seconds(1);
+  opt.overload_node = 6;
+  opt.overload_factor = 8;
+  FleetResult result = RunFleet(opt);
+  ASSERT_EQ(result.windows.size(), 101u);
+  std::string text = BuildOpenMetricsExposition(result);
+  auto sample = [&text](const std::string& name) -> uint64_t {
+    size_t at = text.find("\n" + name + " ");
+    EXPECT_NE(at, std::string::npos) << name;
+    return at == std::string::npos ? 0 : std::stoull(text.substr(at + name.size() + 2));
+  };
+  EXPECT_EQ(sample("emeralds_jobs_completed_total"), result.jobs_completed);
+  EXPECT_EQ(sample("emeralds_response_us_count"), sample("emeralds_jobs_completed_total"));
+  EXPECT_EQ(sample("emeralds_chain_e2e_us_count"), sample("emeralds_chain_completed_total"));
+  EXPECT_GT(sample("emeralds_chain_completed_total"), 0u);
 }
 
 TEST(OpenMetricsTest, ValidatorRejectsMalformedDocuments) {

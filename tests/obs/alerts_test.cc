@@ -156,24 +156,33 @@ TEST(RobustStatsTest, OutlierCutRequiresBothGuards) {
 TEST(FleetOutlierTest, FiresOnOutlierNodeAndResolves) {
   AlertConfig config;
   config.outlier_floor = 3;
-  // Four nodes; node 3 spikes to 5 misses in window 0 and recovers in 1.
-  std::vector<TelemetryWindow> n0 = {Window(0, 10, 0), Window(1, 10, 0)};
-  std::vector<TelemetryWindow> n1 = n0;
-  std::vector<TelemetryWindow> n2 = n0;
-  std::vector<TelemetryWindow> n3 = {Window(0, 10, 5), Window(1, 10, 0)};
+  // Four nodes' per-window miss counts; node 3 spikes to 5 misses in window
+  // 0 and recovers in 1.
+  std::vector<std::vector<uint64_t>> misses = {{0, 0}, {0, 0}, {0, 0}, {5, 0}};
   std::vector<AlertEvent> out;
-  EvaluateFleetOutlierAlerts({&n0, &n1, &n2, &n3}, config, &out);
+  EvaluateFleetOutlierAlerts(misses, Milliseconds(10), config, &out);
 
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].rule, AlertRuleKind::kFleetOutlier);
   EXPECT_EQ(out[0].node, 3);
   EXPECT_EQ(out[0].window, 0);
+  EXPECT_EQ(out[0].time, Instant() + Milliseconds(10));  // the window's upper edge
   EXPECT_TRUE(out[0].firing);
   EXPECT_EQ(out[0].value, 5u);
   EXPECT_EQ(out[0].total, 0u);  // the fleet median
   EXPECT_EQ(out[1].node, 3);
   EXPECT_EQ(out[1].window, 1);
+  EXPECT_EQ(out[1].time, Instant() + Milliseconds(20));
   EXPECT_FALSE(out[1].firing);
+
+  // A node with no window 1 counts 0 misses there: the same stream.
+  misses[3] = {5};
+  std::vector<AlertEvent> short_series;
+  EvaluateFleetOutlierAlerts(misses, Milliseconds(10), config, &short_series);
+  ASSERT_EQ(short_series.size(), out.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_TRUE(short_series[i] == out[i]) << i;
+  }
 }
 
 TEST(FleetOutlierTest, FloorSuppressesSingleStrayMiss) {
@@ -181,11 +190,8 @@ TEST(FleetOutlierTest, FloorSuppressesSingleStrayMiss) {
   config.outlier_floor = 3;
   // Two misses over an all-zero fleet is an outlier by the robust cut, but
   // below the floor — no alert.
-  std::vector<TelemetryWindow> n0 = {Window(0, 10, 0)};
-  std::vector<TelemetryWindow> n1 = {Window(0, 10, 0)};
-  std::vector<TelemetryWindow> n2 = {Window(0, 10, 2)};
   std::vector<AlertEvent> out;
-  EvaluateFleetOutlierAlerts({&n0, &n1, &n2}, config, &out);
+  EvaluateFleetOutlierAlerts({{0}, {0}, {2}}, Milliseconds(10), config, &out);
   EXPECT_TRUE(out.empty());
 }
 

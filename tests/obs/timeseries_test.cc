@@ -2,8 +2,9 @@
 // the per-window histogram deltas and counter deltas, merged over every
 // window of a run, must reproduce the whole-run cumulative state
 // bit-identically — that is what makes the streaming plane exact rather
-// than a sampled approximation. Also: the fixed window grid, explicit gap
-// marking under snapshot loss, and the order-invariant fleet merge.
+// than a sampled approximation. Also: the fixed window grid, the sink seeing
+// every window of a long run in index order, explicit gap marking under
+// snapshot loss, and the order-invariant fleet merge.
 
 #include "src/obs/timeseries.h"
 
@@ -20,6 +21,12 @@
 namespace emeralds {
 namespace obs {
 namespace {
+
+// A collector whose sink appends every closed window to `windows`.
+TimeseriesCollector CollectInto(Duration window, std::vector<TelemetryWindow>* windows) {
+  return TimeseriesCollector(window,
+                             [windows](const TelemetryWindow& w) { windows->push_back(w); });
+}
 
 void ExpectIdentical(const Log2Histogram& a, const Log2Histogram& b, const char* what) {
   EXPECT_EQ(a.count(), b.count()) << what;
@@ -68,9 +75,7 @@ TEST(HistogramDeltaTest, EmptyDeltaContributesNothing) {
 // --- Window grid ---
 
 TEST(TimeseriesCollectorTest, IndexOfWindowGrid) {
-  TimeseriesOptions options;
-  options.window = Milliseconds(10);
-  TimeseriesCollector c(options);
+  TimeseriesCollector c(Milliseconds(10), [](const TelemetryWindow&) {});
   EXPECT_EQ(c.IndexOf(Instant()), 0);
   EXPECT_EQ(c.IndexOf(Instant() + Nanoseconds(1)), 0);
   EXPECT_EQ(c.IndexOf(Instant() + Milliseconds(10)), 0);  // upper edge inclusive
@@ -93,10 +98,9 @@ TEST(TimeseriesCollectorTest, WindowSeriesTelescopesToWholeRun) {
   SpawnTaskSet(env.k(), set);
   env.k().Start();
 
-  TimeseriesOptions options;
-  options.window = Milliseconds(10);
-  options.capacity = 64;
-  TimeseriesCollector collector(options);
+  const Duration width = Milliseconds(10);
+  std::vector<TelemetryWindow> windows;
+  TimeseriesCollector collector = CollectInto(width, &windows);
 
   Instant end = Instant() + Milliseconds(100);
   while (env.k().now() < end) {
@@ -105,9 +109,8 @@ TEST(TimeseriesCollectorTest, WindowSeriesTelescopesToWholeRun) {
   }
   collector.Finish(env.k());
 
-  ASSERT_GT(collector.size(), 0u);
+  ASSERT_GT(windows.size(), 0u);
   EXPECT_EQ(collector.lost_samples(), 0u);
-  EXPECT_EQ(collector.windows_dropped(), 0u);
 
   const KernelStats& stats = env.k().stats();
   Log2Histogram response;
@@ -119,14 +122,13 @@ TEST(TimeseriesCollectorTest, WindowSeriesTelescopesToWholeRun) {
   uint64_t switches = 0;
   uint64_t timers = 0;
   int64_t last_index = -1;
-  for (size_t i = 0; i < collector.size(); ++i) {
-    const TelemetryWindow& w = collector.at(i);
+  for (const TelemetryWindow& w : windows) {
     EXPECT_FALSE(w.gap);
     EXPECT_GT(w.index, last_index);
     last_index = w.index;
-    EXPECT_EQ(w.start, Instant() + options.window * w.index);
+    EXPECT_EQ(w.start, Instant() + width * w.index);
     EXPECT_GT(w.end, w.start);
-    EXPECT_LE(w.end, w.start + options.window);
+    EXPECT_LE(w.end, w.start + width);
     response.Merge(w.response);
     chain_e2e.Merge(w.chain_e2e);
     headroom.Merge(w.headroom);
@@ -147,6 +149,40 @@ TEST(TimeseriesCollectorTest, WindowSeriesTelescopesToWholeRun) {
   EXPECT_GT(response.count(), 0u);  // the property must not hold vacuously
 }
 
+// The collector keeps only the window it is filling, so a run of any length
+// reaches the sink whole: 200 windows of 5 ms, each once, in index order
+// from window 0, their counters summing to the kernel's totals.
+TEST(TimeseriesCollectorTest, SinkSeesEveryWindowOfALongRun) {
+  KernelConfig config = CalibratedConfig();
+  SimEnv env(config);
+  env.k().EnableStatsSampling(Milliseconds(2), 128);
+  TaskSet set = Table2Workload();
+  SpawnTaskSet(env.k(), set);
+  env.k().Start();
+
+  std::vector<TelemetryWindow> windows;
+  TimeseriesCollector collector = CollectInto(Milliseconds(5), &windows);
+  Instant end = Instant() + Seconds(1);
+  while (env.k().now() < end) {
+    env.k().RunUntil(std::min(end, env.k().now() + Milliseconds(5)));
+    collector.Collect(env.k());
+  }
+  collector.Finish(env.k());
+
+  ASSERT_EQ(windows.size(), static_cast<size_t>(collector.IndexOf(env.k().now()) + 1));
+  EXPECT_GE(windows.size(), 200u);
+  uint64_t jobs = 0;
+  uint64_t misses = 0;
+  for (size_t i = 0; i < windows.size(); ++i) {
+    EXPECT_EQ(windows[i].index, static_cast<int64_t>(i));
+    jobs += windows[i].jobs_completed;
+    misses += windows[i].deadline_misses;
+  }
+  EXPECT_EQ(jobs, env.k().stats().jobs_completed);
+  EXPECT_EQ(misses, env.k().stats().deadline_misses);
+  EXPECT_GT(jobs, 0u);
+}
+
 // The drain schedule must not matter for the *contents* of closed windows:
 // draining every slice and draining only at the horizon yield the same
 // series when nothing was lost (the ring was big enough for the whole run).
@@ -158,16 +194,15 @@ TEST(TimeseriesCollectorTest, DrainScheduleInvariantWithoutLoss) {
     TaskSet set = Table2Workload();
     SpawnTaskSet(env.k(), set);
     env.k().Start();
-    TimeseriesOptions options;
-    options.window = Milliseconds(10);
-    TimeseriesCollector collector(options);
+    std::vector<TelemetryWindow> windows;
+    TimeseriesCollector collector = CollectInto(Milliseconds(10), &windows);
     Instant end = Instant() + Milliseconds(60);
     while (env.k().now() < end) {
       env.k().RunUntil(std::min(end, env.k().now() + drain_period));
       collector.Collect(env.k());
     }
     collector.Finish(env.k());
-    return collector.Snapshot();
+    return windows;
   };
   std::vector<TelemetryWindow> fine = run(Milliseconds(5));
   std::vector<TelemetryWindow> coarse = run(Milliseconds(60));
@@ -195,45 +230,20 @@ TEST(TimeseriesCollectorTest, SnapshotLossIsGapMarkedNeverSilent) {
   SpawnTaskSet(env.k(), set);
   env.k().Start();
 
-  TimeseriesOptions options;
-  options.window = Milliseconds(10);
-  TimeseriesCollector collector(options);
+  std::vector<TelemetryWindow> windows;
+  TimeseriesCollector collector = CollectInto(Milliseconds(10), &windows);
   env.k().RunUntil(Instant() + Milliseconds(50));
   collector.Collect(env.k());
   collector.Finish(env.k());
 
   EXPECT_GT(collector.lost_samples(), 0u);
   bool any_gap = false;
-  for (size_t i = 0; i < collector.size(); ++i) {
-    any_gap = any_gap || collector.at(i).gap;
+  for (const TelemetryWindow& w : windows) {
+    any_gap = any_gap || w.gap;
   }
   EXPECT_TRUE(any_gap);
   // The kernel-side drop counter surfaces the same loss.
   EXPECT_GT(env.k().stats().stats_snapshot_drops, 0u);
-}
-
-TEST(TimeseriesCollectorTest, RingEvictionCountsDroppedWindows) {
-  KernelConfig config = CalibratedConfig();
-  SimEnv env(config);
-  env.k().EnableStatsSampling(Milliseconds(2), 128);
-  TaskSet set = Table2Workload();
-  SpawnTaskSet(env.k(), set);
-  env.k().Start();
-
-  TimeseriesOptions options;
-  options.window = Milliseconds(5);
-  options.capacity = 4;  // 100 ms / 5 ms = 20 windows; only 4 retained
-  TimeseriesCollector collector(options);
-  Instant end = Instant() + Milliseconds(100);
-  while (env.k().now() < end) {
-    env.k().RunUntil(std::min(end, env.k().now() + Milliseconds(5)));
-    collector.Collect(env.k());
-  }
-  collector.Finish(env.k());
-  EXPECT_EQ(collector.size(), 4u);
-  EXPECT_GT(collector.windows_dropped(), 0u);
-  // The retained windows are the newest ones.
-  EXPECT_GE(collector.at(0).index, 16);
 }
 
 // --- Fleet merge ---
@@ -253,39 +263,64 @@ TelemetryWindow SyntheticWindow(int64_t index, uint64_t jobs, uint64_t misses,
   return w;
 }
 
-TEST(MergeWindowSeriesTest, SumsByIndexAndIsOrderInvariant) {
-  std::vector<TelemetryWindow> a = {SyntheticWindow(0, 10, 0, 100),
-                                    SyntheticWindow(1, 12, 1, 200)};
-  std::vector<TelemetryWindow> b = {SyntheticWindow(1, 5, 2, 400),
-                                    SyntheticWindow(3, 7, 0, 50)};
-  std::vector<TelemetryWindow> merged = MergeWindowSeries({&a, &b});
-  std::vector<TelemetryWindow> reversed = MergeWindowSeries({&b, &a});
+// Merges each source's windows into one series, visiting the sources'
+// windows in the interleaving `order` names (a source index per step, each
+// source's windows taken in its own index order).
+std::vector<TelemetryWindow> MergeInOrder(const std::vector<std::vector<TelemetryWindow>>& sources,
+                                          const std::vector<size_t>& order) {
+  std::vector<TelemetryWindow> series;
+  std::vector<size_t> next(sources.size(), 0);
+  for (size_t source : order) {
+    MergeWindowInto(&series, sources[source][next[source]++]);
+  }
+  return series;
+}
 
-  ASSERT_EQ(merged.size(), 3u);  // indexes 0, 1, 3
-  EXPECT_EQ(merged[0].index, 0);
-  EXPECT_EQ(merged[1].index, 1);
-  EXPECT_EQ(merged[2].index, 3);
+TEST(MergeWindowSeriesTest, SumsByIndexAndIsOrderInvariant) {
+  std::vector<std::vector<TelemetryWindow>> sources = {
+      {SyntheticWindow(0, 10, 0, 100), SyntheticWindow(1, 12, 1, 200)},
+      {SyntheticWindow(0, 0, 0, 0), SyntheticWindow(1, 5, 2, 400), SyntheticWindow(2, 0, 0, 0),
+       SyntheticWindow(3, 7, 0, 50)}};
+  std::vector<TelemetryWindow> merged = MergeInOrder(sources, {0, 0, 1, 1, 1, 1});
+  ASSERT_EQ(merged.size(), 4u);  // indexes 0..3
+  for (size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].index, static_cast<int64_t>(i));
+  }
+  EXPECT_EQ(merged[0].jobs_completed, 10u);
   EXPECT_EQ(merged[1].jobs_completed, 17u);
   EXPECT_EQ(merged[1].deadline_misses, 3u);
   EXPECT_EQ(merged[1].samples, 2u);
   EXPECT_EQ(merged[1].response.count(), 2u);
+  EXPECT_EQ(merged[3].jobs_completed, 7u);
 
-  ASSERT_EQ(reversed.size(), merged.size());
-  for (size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(reversed[i].index, merged[i].index);
-    EXPECT_EQ(reversed[i].jobs_completed, merged[i].jobs_completed);
-    EXPECT_EQ(reversed[i].deadline_misses, merged[i].deadline_misses);
-    ExpectIdentical(reversed[i].response, merged[i].response, "merged response");
+  // Any interleaving that keeps each source in index order, as concurrent
+  // nodes produce, gives the same series.
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{1, 1, 1, 1, 0, 0}, std::vector<size_t>{1, 0, 0, 1, 1, 1},
+        std::vector<size_t>{0, 1, 1, 0, 1, 1}}) {
+    std::vector<TelemetryWindow> other = MergeInOrder(sources, order);
+    ASSERT_EQ(other.size(), merged.size());
+    for (size_t i = 0; i < merged.size(); ++i) {
+      EXPECT_EQ(other[i].index, merged[i].index);
+      EXPECT_EQ(other[i].jobs_completed, merged[i].jobs_completed);
+      EXPECT_EQ(other[i].deadline_misses, merged[i].deadline_misses);
+      EXPECT_EQ(other[i].samples, merged[i].samples);
+      ExpectIdentical(other[i].response, merged[i].response, "merged response");
+    }
   }
 }
 
 TEST(MergeWindowSeriesTest, GapIsSticky) {
-  std::vector<TelemetryWindow> a = {SyntheticWindow(0, 1, 0, 10)};
-  std::vector<TelemetryWindow> b = {SyntheticWindow(0, 1, 0, 10)};
-  b[0].gap = true;
-  std::vector<TelemetryWindow> merged = MergeWindowSeries({&a, &b});
-  ASSERT_EQ(merged.size(), 1u);
-  EXPECT_TRUE(merged[0].gap);
+  TelemetryWindow a = SyntheticWindow(0, 1, 0, 10);
+  TelemetryWindow b = SyntheticWindow(0, 1, 0, 10);
+  b.gap = true;
+  for (bool gap_first : {false, true}) {
+    std::vector<TelemetryWindow> merged;
+    MergeWindowInto(&merged, gap_first ? b : a);
+    MergeWindowInto(&merged, gap_first ? a : b);
+    ASSERT_EQ(merged.size(), 1u);
+    EXPECT_TRUE(merged[0].gap);
+  }
 }
 
 }  // namespace

@@ -321,10 +321,9 @@ bool ParseNodeList(const char* list, std::vector<int>* out) {
 
 // One line per telemetry window: enough to eyeball a burn without a UI.
 void PrintWindowSeries(int index, const NodeResult& r, Duration window_width) {
-  std::printf("timeseries node %d: %zu windows of %lldus (lost samples=%" PRIu64
-              ", windows dropped=%" PRIu64 ")\n",
-              index, r.windows.size(), static_cast<long long>(window_width.micros()),
-              r.timeseries_lost_samples, r.timeseries_windows_dropped);
+  std::printf("timeseries node %d: %zu windows of %lldus (lost samples=%" PRIu64 ")\n", index,
+              r.windows.size(), static_cast<long long>(window_width.micros()),
+              r.timeseries_lost_samples);
   for (const obs::TelemetryWindow& w : r.windows) {
     std::printf("  w%-4lld [%7lld..%7lldus]%s jobs=%" PRIu64 "/%" PRIu64 " miss=%" PRIu64
                 " ctx=%" PRIu64 " irq=%" PRIu64 " chain=%" PRIu64 "/%" PRIu64,
@@ -522,7 +521,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
     NodeResult result = InspectNode(opt, timeseries_node, nullptr);
-    PrintWindowSeries(timeseries_node, result, kTimeseriesOptions.window);
+    PrintWindowSeries(timeseries_node, result, kTimeseriesWindow);
     return result.ok() ? 0 : 2;
   }
 
