@@ -422,10 +422,23 @@ int Checker::CheckFuzzTorture(const char* path, const JsonValue& root) {
       Fail("run missing bool \"ok\"\n");
       return 1;
     }
+    const JsonValue* repro = run.Find("repro");
     if (!ok->boolean) {
-      const JsonValue* repro = run.Find("repro");
       Fail("torture seed %g failed; repro: %s\n", run.Find("seed")->number,
            repro != nullptr ? repro->string.c_str() : "?");
+      return 1;
+    }
+    // Only a --tiny-ring window evicts. Every other run is evaluated over its
+    // whole trace, so a drop there means its oracles saw a truncated run.
+    const JsonValue* trace = run.Find("trace");
+    if (trace == nullptr || !RequireNumbers(*trace, "trace", {"retained", "dropped"})) {
+      Fail("run missing trace {retained, dropped}\n");
+      return 1;
+    }
+    bool tiny_ring = repro != nullptr && repro->string.find("--tiny-ring") != std::string::npos;
+    if (!tiny_ring && trace->Find("dropped")->number > 0.0) {
+      Fail("seed %g dropped %g trace records without --tiny-ring\n", run.Find("seed")->number,
+           trace->Find("dropped")->number);
       return 1;
     }
     if (run.Find("violations")->number != 0.0 || run.Find("fault_mismatches")->number != 0.0) {

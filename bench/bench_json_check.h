@@ -15,7 +15,8 @@
 //                                obs.run and fleet.run as "postmortem")
 // For the obs, fuzz, and fleet schemas the check is substantive, not just
 // structural: invariant-violation lists must be empty, reconciliation flags
-// true, every torture run ok, and the cycle ledger conserved (bucket sum ==
+// true, every torture run ok and, unless it ran --tiny-ring, evaluated over a
+// trace that dropped nothing, and the cycle ledger conserved (bucket sum ==
 // elapsed, residual exactly zero) — so a kernel whose trace disagrees with
 // its own counters, whose ledger leaks time, or a failing fuzz seed fails CI.
 

@@ -4,6 +4,9 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <memory>
+#include <numeric>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -325,10 +328,11 @@ ThreadBodyFactory MakeTortureBody(HarnessState* st, Rng stream, ThreadRole role)
 }
 
 // One deterministic run: build the seeded topology, interpret the schedules,
-// inject host-side events at slice boundaries, then return the still-live
-// kernel to the caller's continuation via `finish`.
-template <typename Finish>
-void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
+// hand the kernel to `slice` after every 1 ms executive slice, inject
+// host-side events at slice boundaries, then return the still-live kernel to
+// the caller's continuation via `finish`.
+template <typename Slice, typename Finish>
+void DriveTorture(const TortureOptions& opt, HarnessState* st, Slice slice, Finish finish) {
   Rng root(opt.seed);
   Rng topo = root.Fork(1);
   Rng inject = root.Fork(2);
@@ -351,12 +355,11 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
   config.cost_model = CostModel::MC68040_25MHz();
   config.num_cores = opt.num_cores;
   config.default_sem_mode = topo.Bernoulli(0.5) ? SemMode::kCse : SemMode::kStandard;
-  // Sized so the default window retains the whole run: overhead-span events
-  // roughly triple the trace volume, and oracle 6's zero-unattributed demand
-  // only binds on a complete window. This is a retention bound, not an
-  // allocation: storage grows with the records a seed actually makes.
-  config.trace_capacity =
-      opt.tiny_trace_ring ? 128 : std::max<size_t>(49152, static_cast<size_t>(opt.ops) * 96);
+  // The default window never evicts: RunTorture drains it once each slice is
+  // evaluated, so storage follows the largest slice, and InspectTorture keeps
+  // the whole run. Either way every oracle sees a complete trace. The tiny
+  // ring overflows on purpose, to exercise the truncated-window oracles.
+  config.trace_capacity = opt.tiny_trace_ring ? 128 : std::numeric_limits<size_t>::max();
 
   // Declared causal chains across the fuzz topology: the chain analyzer
   // reconstructs instances of these from the trace, and oracle 5 holds the
@@ -521,6 +524,7 @@ void DriveTorture(const TortureOptions& opt, HarnessState* st, Finish finish) {
   while (kernel.now() < end) {
     Instant next = std::min(end, kernel.now() + Milliseconds(1));
     kernel.RunUntil(next);
+    slice(kernel);
     // Host-side injections at the slice boundary, all drawn from the
     // dedicated injection stream so they replay exactly.
     if (inject.Bernoulli(0.25)) {
@@ -560,9 +564,29 @@ TortureResult RunTorture(const TortureOptions& options) {
   TortureResult result;
   result.seed = options.seed;
   HarnessState st;
-  DriveTorture(options, &st, [&](Kernel& kernel) {
-    // One pass over the window: digest, invariants, chains and postmortem.
-    obs::TraceEvaluation eval = obs::EvaluateTrace(kernel.trace(), kernel.resolved_chains());
+  // Digest, invariants, chains and postmortem in one pass, fed as the run
+  // records. The evaluator is built at its first feed: it reads the chains
+  // the kernel resolves at Start(), and it must know what was dropped ahead
+  // of the first record it sees.
+  std::unique_ptr<obs::TraceEvaluator> evaluator;
+  auto feed = [&](const Kernel& kernel) {
+    if (evaluator == nullptr) {
+      evaluator = std::make_unique<obs::TraceEvaluator>(kernel.trace().dropped(),
+                                                        kernel.resolved_chains());
+    }
+    evaluator->Feed(kernel.trace().events());
+  };
+  // Each slice's records are evaluated, then drained. A tiny ring evicts, so
+  // it is never drained: the finish feeds its retained suffix once.
+  auto slice = [&](Kernel& kernel) {
+    if (!options.tiny_trace_ring) {
+      feed(kernel);
+      kernel.trace().Drain();
+    }
+  };
+  DriveTorture(options, &st, slice, [&](Kernel& kernel) {
+    feed(kernel);
+    obs::TraceEvaluation eval = evaluator->Finish();
     const obs::TraceAnalysis& analysis = eval.trace;
     result.reconciliation = obs::ComputeReconciliation(analysis, kernel.stats());
     result.violations = analysis.violations.size();
@@ -591,7 +615,8 @@ TortureResult RunTorture(const TortureOptions& options) {
     result.postmortem_unmatched = postmortem.unmatched_misses;
     result.postmortem_incomplete = postmortem.incomplete_misses;
 
-    result.trace_retained = kernel.trace().size();
+    result.trace_retained =
+        std::accumulate(eval.records_by_type.begin(), eval.records_by_type.end(), uint64_t{0});
     result.trace_dropped = kernel.trace().dropped();
     result.trace_digest = obs::FoldKernelCounters(eval.window_digest, kernel.stats());
     result.virtual_time = kernel.now() - Instant();
@@ -657,7 +682,7 @@ TortureResult RunTorture(const TortureOptions& options) {
 void InspectTorture(const TortureOptions& options,
                     const std::function<void(const Kernel&)>& inspect) {
   HarnessState st;
-  DriveTorture(options, &st, [&](Kernel& kernel) { inspect(kernel); });
+  DriveTorture(options, &st, [](Kernel&) {}, [&](Kernel& kernel) { inspect(kernel); });
 }
 
 bool ExportTortureTraceCsv(const TortureOptions& options, const std::string& path) {

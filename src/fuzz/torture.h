@@ -12,8 +12,11 @@
 // traces; TortureResult::trace_digest makes that checkable in one compare.
 //
 // Six oracles run after every run. Oracles 1, 2, 5 and 6 read one
-// obs::EvaluateTrace pass over the retained trace window, which also folds
-// the window digest:
+// obs::TraceEvaluator pass over the run's trace, which also folds its
+// digest. The evaluator is fed each 1 ms slice's records as the run goes and
+// the window is drained after each feed, so trace storage stays one slice
+// big and the oracles see every record the run made. A tiny ring evicts on
+// purpose and is never drained; its retained suffix is fed once, at the end:
 //   1. its trace analysis must report zero structural invariant violations
 //      (truncation-aware, so a deliberately tiny ring is a fault case, not a
 //      false positive);
@@ -87,7 +90,9 @@ struct TortureOptions {
   // Replay cap for shrinking: execute only the first `op_limit` operations
   // of the schedule (< 0 means `ops`). Same seed + same limit => same run.
   int op_limit = -1;
-  bool tiny_trace_ring = false; // force ring overflow (truncation fault case)
+  // A 128-record window that evicts (the truncation fault case); only its
+  // retained suffix is evaluated.
+  bool tiny_trace_ring = false;
   // Virtual cores. Generated threads are pinned round-robin (thread i on
   // core i % num_cores — no extra RNG draws, so 1-core schedules and digests
   // are bit-identical to the pre-SMP harness); the IRQ driver and the
@@ -134,11 +139,13 @@ struct TortureResult {
   int64_t postmortem_unattributed_ns = 0;
   uint64_t postmortem_unmatched = 0;
   uint64_t postmortem_incomplete = 0;
-  // The retained trace window's digest (FoldTraceEvent per record) with the
+  // The digest of the records evaluated (FoldTraceEvent per record) with the
   // kernel counters folded on (obs::FoldKernelCounters): equal digests ==
   // bit-identical runs.
   uint64_t trace_digest = 0;
+  // Records evaluated: the whole run, or a tiny ring's retained suffix.
   uint64_t trace_retained = 0;
+  // Records the tiny ring evicted; 0 on every other run.
   uint64_t trace_dropped = 0;
   Duration virtual_time;
   KernelStats stats;
@@ -148,8 +155,9 @@ struct TortureResult {
 // Runs one seeded torture run to completion and applies the oracles.
 TortureResult RunTorture(const TortureOptions& options);
 
-// Runs one seed to completion and hands the finished kernel, trace window
-// included, to `inspect` (re-runs the seed; cheap and deterministic).
+// Runs one seed to completion and hands the finished kernel, with its whole
+// trace (a tiny ring's retained suffix), to `inspect` (re-runs the seed;
+// cheap and deterministic).
 void InspectTorture(const TortureOptions& options,
                     const std::function<void(const Kernel&)>& inspect);
 

@@ -1,9 +1,10 @@
 // Report validator tests: every committed BENCH_*.json baseline passes, a
-// fleet report longer than 64 windows passes, and a mutant of a passing
-// report that breaks one gate fails with that gate's FAIL line. Each
-// section has at least one substantive gate here: the timeseries grid and
-// telescoping sums, the alert stream's order and fired count, the
-// telemetry totals, cycle conservation, and the fleet's failed nodes.
+// fleet report longer than 64 windows passes, a torture report passes, and a
+// mutant of a passing report that breaks one gate fails with that gate's
+// FAIL line. Each section has at least one substantive gate here: the
+// timeseries grid and telescoping sums, the alert stream's order and fired
+// count, the telemetry totals, cycle conservation, the fleet's failed nodes,
+// and torture trace drops outside --tiny-ring.
 
 #include "bench/bench_json_check.h"
 
@@ -16,6 +17,7 @@
 #include "src/base/json.h"
 #include "src/fleet/fleet.h"
 #include "src/fleet/fleet_report.h"
+#include "src/fuzz/torture.h"
 
 namespace emeralds {
 namespace bench {
@@ -136,6 +138,36 @@ TEST(BenchJsonCheckTest, NonzeroResidualFails) {
   JsonValue report = Load("BENCH_cycles.json");
   At(At(report, "cycles"), "residual_ns").number = 5;
   ExpectRejected(report, "cycles residual_ns=5 clock_unattributed_ns=0 (must be 0)");
+}
+
+// --- torture (a report built here) ---
+
+// One default run and one --tiny-ring run of the same seed; only the tiny
+// ring's window evicts.
+JsonValue TortureReport() {
+  fuzz::TortureOptions normal;
+  normal.seed = 1;
+  normal.ops = 300;
+  fuzz::TortureOptions tiny = normal;
+  tiny.tiny_trace_ring = true;
+  return Parse(fuzz::BuildTortureReport({normal, tiny},
+                                        {fuzz::RunTorture(normal), fuzz::RunTorture(tiny)}));
+}
+
+TEST(BenchJsonCheckTest, TortureRunsPassWithDropsOnlyOnTheTinyRing) {
+  JsonValue report = TortureReport();
+  auto& runs = At(report, "runs").array;
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(At(At(runs[0], "trace"), "dropped").number, 0.0);
+  EXPECT_GT(At(At(runs[1], "trace"), "dropped").number, 0.0);
+  JsonCheckResult result = CheckReport("torture.json", report);
+  EXPECT_TRUE(result.ok) << result.log;
+}
+
+TEST(BenchJsonCheckTest, TortureDropWithoutTinyRingFails) {
+  JsonValue report = TortureReport();
+  At(At(At(report, "runs").array[0], "trace"), "dropped").number = 5;
+  ExpectRejected(report, "seed 1 dropped 5 trace records without --tiny-ring");
 }
 
 // --- a fleet longer than 64 windows, with alerts ---

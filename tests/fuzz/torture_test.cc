@@ -1,13 +1,16 @@
 // Fixed-seed regression tests over the torture harness: a small sweep that
-// must stay clean, determinism (same seed => same digest), the tiny-ring
-// truncation contract, fault-injection coverage, the shrinking bisector, and
-// the pinned Perfetto JSON of one torture window.
+// must stay clean, the streamed evaluation against one pass, determinism
+// (same seed => same digest), the tiny-ring truncation contract,
+// fault-injection coverage, the shrinking bisector, and the pinned Perfetto
+// JSON of one torture window.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "src/core/kernel.h"
 #include "src/fuzz/torture.h"
 #include "src/hal/trace.h"
 #include "src/obs/perfetto_export.h"
@@ -76,8 +79,8 @@ TEST(TortureTest, MultiCoreSweepIsClean) {
 
 // Sixth oracle at scale: conservation of lateness over 500 seeds at each of
 // 1, 2, and 4 cores. Every deadline miss in every run must carry a ledger
-// that telescopes exactly, and because the default ring retains the whole
-// run, not one nanosecond may land in the unattributed bucket and not one
+// that telescopes exactly, and because each run is evaluated over its whole
+// trace, not one nanosecond may land in the unattributed bucket and not one
 // miss may go unmatched. The sweep also proves the oracle is not vacuous:
 // these workloads miss deadlines constantly.
 TEST(TortureTest, LatenessConservationSweep) {
@@ -105,11 +108,74 @@ TEST(TortureTest, LatenessConservationSweep) {
       }
       misses_total += result.postmortem_misses;
     }
-    // The sweep must not be vacuous: nearly every window complete, and the
+    // The sweep must not be vacuous: every window complete, and the
     // workloads miss deadlines constantly.
-    EXPECT_GE(complete_windows, 490) << "cores=" << cores;
+    EXPECT_EQ(complete_windows, 500) << "cores=" << cores;
     EXPECT_GT(misses_total, 100u) << "cores=" << cores
                                   << ": sweep produced too few misses to exercise the oracle";
+  }
+}
+
+// RunTorture evaluates each slice's records and then drains them. One
+// EvaluateTrace pass over the whole window InspectTorture keeps, folded with
+// the same kernel counters, must give the same oracle inputs: the torture
+// twin of the fleet's InspectNode cross-check. Seed 246 at 1 core makes
+// more than 96 trace records per op, and the tiny-ring runs evaluate only
+// their retained suffix.
+TEST(TortureTest, StreamedEvaluationMatchesOnePass) {
+  std::vector<TortureOptions> runs;
+  for (int cores : {1, 2, 4}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      TortureOptions options;
+      options.seed = seed;
+      options.num_cores = cores;
+      runs.push_back(options);
+    }
+  }
+  for (uint64_t seed = 1; seed <= 2; ++seed) {
+    TortureOptions options;
+    options.seed = seed;
+    options.tiny_trace_ring = true;
+    runs.push_back(options);
+  }
+  TortureOptions heavy;
+  heavy.seed = 246;
+  heavy.ops = 2000;
+  runs.push_back(heavy);
+
+  for (const TortureOptions& options : runs) {
+    SCOPED_TRACE(ReproCommand(options));
+    TortureResult streamed = RunTorture(options);
+    EXPECT_TRUE(streamed.ok) << streamed.failure;
+    InspectTorture(options, [&](const Kernel& kernel) {
+      obs::TraceEvaluation eval = obs::EvaluateTrace(kernel.trace(), kernel.resolved_chains());
+      EXPECT_EQ(streamed.trace_digest, obs::FoldKernelCounters(eval.window_digest, kernel.stats()));
+      EXPECT_EQ(streamed.trace_retained, kernel.trace().size());
+      EXPECT_EQ(streamed.trace_dropped, kernel.trace().dropped());
+      EXPECT_EQ(streamed.violations, eval.trace.violations.size());
+      obs::Reconciliation reconciliation = obs::ComputeReconciliation(eval.trace, kernel.stats());
+      EXPECT_EQ(streamed.reconciliation.checked, reconciliation.checked);
+      EXPECT_EQ(streamed.reconciliation.ok(), reconciliation.ok());
+      uint64_t completed = 0;
+      for (const obs::ChainReport& c : eval.chains.chains) {
+        completed += c.completed;
+      }
+      EXPECT_EQ(streamed.chain_violations, eval.chains.violations.size());
+      EXPECT_EQ(streamed.chain_orphan_hops, eval.chains.orphan_hops);
+      EXPECT_EQ(streamed.chain_completed, completed);
+      EXPECT_EQ(streamed.chain_origins, eval.chains.origins_minted);
+      const obs::PostmortemAnalysis& pm = eval.postmortem;
+      EXPECT_EQ(streamed.postmortem_misses, pm.misses_analyzed);
+      EXPECT_EQ(streamed.postmortem_conservation_failures, pm.conservation_failures);
+      EXPECT_EQ(streamed.postmortem_unattributed_ns, pm.blame.unattributed_ns);
+      EXPECT_EQ(streamed.postmortem_unmatched, pm.unmatched_misses);
+      EXPECT_EQ(streamed.postmortem_incomplete, pm.incomplete_misses);
+    });
+    if (options.seed == heavy.seed) {
+      EXPECT_GT(streamed.trace_retained, static_cast<uint64_t>(heavy.ops) * 96);
+      EXPECT_EQ(streamed.trace_dropped, 0u);
+      EXPECT_TRUE(streamed.reconciliation.checked);
+    }
   }
 }
 

@@ -188,6 +188,44 @@ TEST(InterruptControllerTest, UnattachedPendingNotDeliverable) {
   EXPECT_FALSE(ic.AnyDeliverable());
 }
 
+// A handler's raise of a higher line is dispatched later in the same pass;
+// a raise of a lower line waits for the next pass.
+TEST(InterruptControllerTest, HandlerRaisesKeepLineOrder) {
+  struct Chain {
+    InterruptController* ic;
+    std::vector<int> lines;
+    static void Handler(void* context, int line) {
+      auto* self = static_cast<Chain*>(context);
+      self->lines.push_back(line);
+      if (line == 4) {
+        self->ic->Raise(2);
+        self->ic->Raise(9);
+      }
+    }
+  };
+  InterruptController ic;
+  Chain chain{&ic, {}};
+  for (int line : {2, 4, 9}) {
+    ic.Attach(line, &Chain::Handler, &chain);
+  }
+  ic.Raise(4);
+  EXPECT_EQ(ic.DispatchPending(), 3);
+  EXPECT_EQ(chain.lines, (std::vector<int>{4, 9, 2}));
+  EXPECT_FALSE(ic.AnyDeliverable());
+
+  // A pending line that loses its handler is not deliverable until it gets
+  // one back.
+  ic.Detach(9);
+  ic.Raise(9);
+  EXPECT_TRUE(ic.pending(9));
+  EXPECT_FALSE(ic.AnyDeliverable());
+  EXPECT_EQ(ic.DispatchPending(), 0);
+  ic.Attach(9, &Chain::Handler, &chain);
+  EXPECT_TRUE(ic.AnyDeliverable());
+  EXPECT_EQ(ic.DispatchPending(), 1);
+  EXPECT_EQ(chain.lines, (std::vector<int>{4, 9, 2, 9}));
+}
+
 TEST(CostModelTest, Table1EdfFits) {
   CostModel m = CostModel::MC68040_25MHz();
   // t_b = 1.6, t_u = 1.2, t_s = 1.2 + 0.25 n.
