@@ -10,6 +10,14 @@ namespace emeralds {
 namespace bench {
 namespace {
 
+// Maximum relative growth of a gated metric before the gate fails: 3%, so an
+// injected 5% scheduler-bucket regression reliably fails.
+constexpr double kRelTolerance = 0.03;
+// Absolute per-bucket slack for cycle buckets: keeps near-zero buckets (a few
+// charges in total) from tripping on one extra operation. Small against any
+// real bucket.
+constexpr double kAbsSlackNs = 20000;
+
 void Failf(CompareResult* r, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -124,7 +132,7 @@ bool GatedBucket(const std::string& name) {
 }
 
 void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
-                   const CompareOptions& opt, CompareResult* r) {
+                   CompareResult* r) {
   const JsonValue* base_c = baseline.Find("cycles");
   const JsonValue* cand_c = candidate.Find("cycles");
   if (base_c == nullptr || cand_c == nullptr) {
@@ -165,7 +173,7 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
     }
     double cand = kv.second.number;
     double base = NumberOr(*base_b, kv.first.c_str(), 0.0);
-    double ceiling = base * (1.0 + opt.rel_tolerance) + static_cast<double>(opt.abs_slack_ns);
+    double ceiling = base * (1.0 + kRelTolerance) + kAbsSlackNs;
     if (cand > ceiling) {
       Failf(r, "bucket %s regressed: %.0f ns vs baseline %.0f ns (+%.1f%%, ceiling %.0f)",
             kv.first.c_str(), cand, base, base > 0 ? 100.0 * (cand - base) / base : 0.0,
@@ -223,7 +231,7 @@ void CompareBreakdownPct(const JsonValue& base, const JsonValue& cand, double n,
 }
 
 void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
-                      const CompareOptions& opt, CompareResult* r) {
+                      CompareResult* r) {
   const JsonValue* base_p = baseline.Find("points");
   const JsonValue* cand_p = candidate.Find("points");
   if (base_p == nullptr || base_p->type != JsonValue::Type::kArray || cand_p == nullptr ||
@@ -257,13 +265,13 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
     double cand_full = cand_e != nullptr ? NumberOr(*cand_e, "full_evals", -1) : -1;
     if (base_full < 0 || cand_full < 0) {
       Failf(r, "n=%.0f: evals.full_evals missing", n);
-    } else if (cand_full > base_full * (1.0 + opt.rel_tolerance)) {
+    } else if (cand_full > base_full * (1.0 + kRelTolerance)) {
       Failf(r, "n=%.0f: full_evals regressed %.0f -> %.0f (+%.1f%%)", n, base_full, cand_full,
             base_full > 0 ? 100.0 * (cand_full - base_full) / base_full : 0.0);
     }
     double base_red = NumberOr(base, "eval_reduction", 0.0);
     double cand_red = NumberOr(cand, "eval_reduction", 0.0);
-    if (cand_red < base_red * (1.0 - opt.rel_tolerance)) {
+    if (cand_red < base_red * (1.0 - kRelTolerance)) {
       Failf(r, "n=%.0f: eval_reduction regressed %.3f -> %.3f", n, base_red, cand_red);
     }
     // Wall-clock throughput is machine-dependent: informational only.
@@ -320,7 +328,7 @@ bool CompareRecordMix(const JsonValue& baseline, const JsonValue& candidate, Com
 }
 
 void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
-                  const CompareOptions& opt, CompareResult* r) {
+                  CompareResult* r) {
   // The candidate must pass its own oracles before any baseline comparison.
   double failed = NumberOr(candidate, "nodes_failed", -1);
   if (failed != 0.0) {
@@ -347,10 +355,10 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
       Failf(r, "%s missing or non-positive", key);
       continue;
     }
-    if (std::fabs(cand - base) > base * opt.rel_tolerance) {
+    if (std::fabs(cand - base) > base * kRelTolerance) {
       Failf(r, "%s drifted: %.0f vs baseline %.0f (%+.1f%%, tolerance %.0f%%; the fleet is "
                "deterministic — regenerate the baseline if the workload changed)",
-            key, cand, base, 100.0 * (cand - base) / base, 100.0 * opt.rel_tolerance);
+            key, cand, base, 100.0 * (cand - base) / base, 100.0 * kRelTolerance);
     } else if (cand != base) {
       Notef(r, "%s: %.0f vs baseline %.0f (within tolerance)", key, cand, base);
     }
@@ -417,11 +425,11 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
             Failf(r, "telemetry chain \"%s\" missing %s", name, key);
             continue;
           }
-          if (std::fabs(cand - base) > base * opt.rel_tolerance) {
+          if (std::fabs(cand - base) > base * kRelTolerance) {
             Failf(r, "chain \"%s\" %s drifted: %.0f vs baseline %.0f (%+.1f%%, tolerance "
                      "%.0f%%)",
                   name, key, cand, base, base > 0 ? 100.0 * (cand - base) / base : 0.0,
-                  100.0 * opt.rel_tolerance);
+                  100.0 * kRelTolerance);
           } else if (cand != base) {
             Notef(r, "chain \"%s\" %s: %.0f vs baseline %.0f (within tolerance)", name, key,
                   cand, base);
@@ -440,11 +448,11 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   double cand_storage = storage_bytes_max(candidate);
   if (base_storage >= 0 && cand_storage < 0) {
     Failf(r, "baseline has trace.storage_bytes_max but the candidate does not");
-  } else if (base_storage >= 0 && cand_storage > base_storage * (1.0 + opt.rel_tolerance)) {
+  } else if (base_storage >= 0 && cand_storage > base_storage * (1.0 + kRelTolerance)) {
     Failf(r, "trace.storage_bytes_max grew: %.0f vs baseline %.0f (%+.1f%%, tolerance %.0f%%)",
           cand_storage, base_storage,
           base_storage > 0 ? 100.0 * (cand_storage - base_storage) / base_storage : 0.0,
-          100.0 * opt.rel_tolerance);
+          100.0 * kRelTolerance);
   } else if (base_storage >= 0 && cand_storage != base_storage) {
     Notef(r, "trace.storage_bytes_max: %.0f vs baseline %.0f (within tolerance)", cand_storage,
           base_storage);
@@ -460,7 +468,7 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
 // --- emeralds.bench.smp/1 ---
 
 void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
-                const CompareOptions& opt, CompareResult* r) {
+                CompareResult* r) {
   // The run is pure virtual time, so the throughput integers are
   // deterministic: any drift means partitioned-SMP behavior changed.
   const JsonValue* base_rows = baseline.Find("throughput");
@@ -496,7 +504,7 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
       double cand_v = NumberOr(cand, key, -2);
       if (same_run && std::string(key) != "jobs_completed") {
         ExpectSameLedger(std::string(what) + " " + key, base_v, cand_v, r);
-      } else if (std::fabs(cand_v - base_v) > std::fabs(base_v) * opt.rel_tolerance) {
+      } else if (std::fabs(cand_v - base_v) > std::fabs(base_v) * kRelTolerance) {
         Failf(r, "%.0f-core %s drifted: %.0f vs baseline %.0f (virtual time is deterministic; "
                  "regenerate the baseline if the workload changed)",
               cores, key, cand_v, base_v);
@@ -512,7 +520,7 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
     Failf(r, "2-core user-cycle scaling is %.3fx (floor 1.7x)", ratio2);
   }
   double base_ratio2 = NumberOr(baseline, "ratio_2core", 0.0);
-  if (base_ratio2 > 0 && ratio2 < base_ratio2 * (1.0 - opt.rel_tolerance)) {
+  if (base_ratio2 > 0 && ratio2 < base_ratio2 * (1.0 - kRelTolerance)) {
     Failf(r, "ratio_2core regressed: %.3f vs baseline %.3f", ratio2, base_ratio2);
   }
   // Admission counts are exact: the workloads and search are seeded.
@@ -543,8 +551,7 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
 
 }  // namespace
 
-CompareResult CompareReports(const JsonValue& baseline, const JsonValue& candidate,
-                             const CompareOptions& options) {
+CompareResult CompareReports(const JsonValue& baseline, const JsonValue& candidate) {
   CompareResult r;
   const JsonValue* base_schema = baseline.Find("schema");
   const JsonValue* cand_schema = candidate.Find("schema");
@@ -560,13 +567,13 @@ CompareResult CompareReports(const JsonValue& baseline, const JsonValue& candida
     return r;
   }
   if (base_schema->string == "emeralds.obs.cycles/1") {
-    CompareCycles(baseline, candidate, options, &r);
+    CompareCycles(baseline, candidate, &r);
   } else if (base_schema->string == "emeralds.bench.breakdown/1") {
-    CompareBreakdown(baseline, candidate, options, &r);
+    CompareBreakdown(baseline, candidate, &r);
   } else if (base_schema->string == "emeralds.fleet.run/1") {
-    CompareFleet(baseline, candidate, options, &r);
+    CompareFleet(baseline, candidate, &r);
   } else if (base_schema->string == "emeralds.bench.smp/1") {
-    CompareSmp(baseline, candidate, options, &r);
+    CompareSmp(baseline, candidate, &r);
   } else {
     Failf(&r, "schema %s is not gated by bench_compare", base_schema->string.c_str());
   }
@@ -575,31 +582,23 @@ CompareResult CompareReports(const JsonValue& baseline, const JsonValue& candida
 }
 
 CompareResult CompareReportFiles(const std::string& baseline_path,
-                                 const std::string& candidate_path,
-                                 const CompareOptions& options) {
+                                 const std::string& candidate_path) {
   CompareResult r;
   JsonValue docs[2];
   const std::string* paths[2] = {&baseline_path, &candidate_path};
   for (int i = 0; i < 2; ++i) {
-    std::FILE* f = std::fopen(paths[i]->c_str(), "rb");
-    if (f == nullptr) {
+    std::string text;
+    if (!ReadFile(*paths[i], &text)) {
       Failf(&r, "cannot open %s", paths[i]->c_str());
       return r;
     }
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, got);
-    }
-    std::fclose(f);
     std::string error;
     if (!JsonParse(text, &docs[i], &error)) {
       Failf(&r, "%s does not parse: %s", paths[i]->c_str(), error.c_str());
       return r;
     }
   }
-  return CompareReports(docs[0], docs[1], options);
+  return CompareReports(docs[0], docs[1]);
 }
 
 }  // namespace bench

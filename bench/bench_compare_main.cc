@@ -1,47 +1,27 @@
 // CLI for the perf-regression gate (see bench_compare.h):
 //
-//   bench_compare <baseline.json> <candidate.json> [--tolerance=0.03]
-//                 [--abs-slack-ns=20000]
+//   bench_compare <baseline.json> <candidate.json>
 //
 // Exit status: 0 within tolerance, 1 regression (or the candidate violates
 // its own invariants), 2 usage / I/O / parse failure.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "bench/bench_compare.h"
 
 int main(int argc, char** argv) {
-  using emeralds::bench::CompareOptions;
   using emeralds::bench::CompareReportFiles;
   using emeralds::bench::CompareResult;
 
-  const char* baseline = nullptr;
-  const char* candidate = nullptr;
-  CompareOptions options;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tolerance=", 12) == 0) {
-      options.rel_tolerance = std::atof(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--abs-slack-ns=", 15) == 0) {
-      options.abs_slack_ns = std::atoll(argv[i] + 15);
-    } else if (baseline == nullptr) {
-      baseline = argv[i];
-    } else if (candidate == nullptr) {
-      candidate = argv[i];
-    } else {
-      baseline = nullptr;
-      break;
-    }
-  }
-  if (baseline == nullptr || candidate == nullptr) {
-    std::fprintf(stderr,
-                 "usage: bench_compare <baseline.json> <candidate.json> "
-                 "[--tolerance=0.03] [--abs-slack-ns=20000]\n");
+  if (argc != 3) {
+    std::fprintf(stderr, "usage: bench_compare <baseline.json> <candidate.json>\n");
     return 2;
   }
+  const char* baseline = argv[1];
+  const char* candidate = argv[2];
 
-  CompareResult result = CompareReportFiles(baseline, candidate, options);
+  CompareResult result = CompareReportFiles(baseline, candidate);
   for (const std::string& note : result.notes) {
     std::printf("note: %s\n", note.c_str());
   }

@@ -1,49 +1,414 @@
 #include "bench/bench_json_check.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <initializer_list>
+#include <span>
+#include <string>
+#include <string_view>
 #include <utility>
 
+#include "src/base/assert.h"
 #include "src/hal/trace.h"
 
 namespace emeralds {
 namespace bench {
 namespace {
 
-// One report's check. A gate that rejects appends its FAIL line(s) to the
-// log and ends the check; a report that passes every gate gets one OK line.
+// --- The shape table ---
+//
+// A Shape lists the members one schema, or one section that several schemas
+// embed, must carry. Each Rule gives a kind and a space-separated list of
+// keys, found in the object(s) at `at`: a dotted path from the shape's own
+// object ("" is that object itself), where "name[]" walks every element of
+// array "name". The key "*" stands for every member of the object. A kObject
+// rule may mount another Shape on each of its members. The walker enforces
+// a shape and names the first failing path; the semantic gates below run
+// only on reports that have their shape, so they read members unchecked.
+
+enum class Kind {
+  kNumber,
+  kCount,  // a non-negative integer below 2^64: safe to cast to size_t
+  kBool,
+  kString,
+  kNonEmptyString,
+  kDigest,  // a run digest: "0x" and 16 lowercase hex digits
+  kObject,
+  kArray,
+  kNonEmptyArray,
+};
+
+struct Shape;
+
+struct Rule {
+  const char* at;
+  Kind kind;
+  const char* keys;
+  const Shape* shape = nullptr;  // kObject: the shape each member carries
+};
+
+struct Shape {
+  const char* tag;  // the exact "schema" member the object carries, if any
+  std::span<const Rule> rules;
+};
+
+constexpr Rule kHistogramRules[] = {
+    {"", Kind::kNumber, "count min_us max_us mean_us p99_us total_us"},
+};
+constexpr Shape kHistogram = {nullptr, kHistogramRules};
+
+// The flags a complete obs run must reconcile.
+constexpr const char* kReconciledFlags =
+    "context_switches_match deadline_misses_match jobs_completed_match cse_early_pi_match "
+    "headroom_low_match chain_events_match";
+
+// --- Sections embedded in several schemas ---
+
+constexpr Rule kCyclesRules[] = {
+    {"", Kind::kNumber,
+     "epoch_ns elapsed_ns ledger_total_ns residual_ns clock_unattributed_ns headroom_low_events"},
+    {"", Kind::kBool, "conserved clock_conserved"},
+    {"", Kind::kArray, "sched_bands"},
+    {"buckets_ns", Kind::kNumber, "*"},
+};
+constexpr Shape kCycles = {nullptr, kCyclesRules};
+
+constexpr Rule kChainsRules[] = {
+    {"", Kind::kNumber, "chain_emits chain_consumes origins_minted orphan_hops unconsumed_emits"},
+    {"", Kind::kBool, "complete_window"},
+    {"", Kind::kArray, "violations chains"},
+    {"violations[]", Kind::kString, "kind"},
+    {"chains[]", Kind::kString, "name"},
+    {"chains[]", Kind::kBool, "resolved"},
+    {"chains[]", Kind::kNumber, "deadline_us completed incomplete overruns"},
+    {"chains[]", Kind::kObject, "e2e", &kHistogram},
+    {"chains[]", Kind::kArray, "hops"},
+    {"chains[].hops[]", Kind::kString, "endpoint_kind"},
+    {"chains[].hops[]", Kind::kNumber, "endpoint_id consumer_tid"},
+    {"chains[].hops[]", Kind::kObject, "queue exec", &kHistogram},
+};
+constexpr Shape kChains = {nullptr, kChainsRules};
+
+constexpr Rule kPostmortemRules[] = {
+    {"", Kind::kNumber,
+     "misses_analyzed records_dropped incomplete_misses unmatched_misses deadline_unknown "
+     "conservation_failures"},
+    {"", Kind::kBool, "window_truncated"},
+    {"blame", Kind::kNumber, "misses_analyzed conservation_failures tardiness_ns unattributed_ns"},
+    {"blame", Kind::kArray, "victims preemptors locks"},
+    {"", Kind::kArray, "misses chain_overruns"},
+    {"misses[]", Kind::kNumber, "thread job response_ns tardiness_ns"},
+    {"misses[]", Kind::kBool, "conserved"},
+    {"misses[]", Kind::kObject, "ledger"},
+};
+constexpr Shape kPostmortem = {nullptr, kPostmortemRules};
+
+constexpr Rule kTelemetryRules[] = {
+    {"", Kind::kNumber, "jobs_completed deadline_misses chain_overruns stats_snapshot_drops"},
+    {"", Kind::kNonEmptyArray, "core_cycles_us"},
+    {"headroom", Kind::kNumber, "min_us min_node low_events_total"},
+    {"cycles", Kind::kObject, "buckets_us shares"},
+    {"", Kind::kObject, "response", &kHistogram},
+    {"", Kind::kArray, "chains"},
+    {"chains[]", Kind::kString, "name"},
+    {"chains[]", Kind::kNumber,
+     "deadline_min_us deadline_max_us completed overruns incomplete_instances"},
+    {"chains[]", Kind::kObject, "e2e", &kHistogram},
+    {"chains[]", Kind::kArray, "hops"},
+    {"chains[].hops[]", Kind::kObject, "queue exec", &kHistogram},
+};
+constexpr Shape kTelemetry = {"emeralds.fleet.telemetry/1", kTelemetryRules};
+
+constexpr Rule kTimeseriesRules[] = {
+    {"", Kind::kNumber, "window_us lost_samples gap_windows"},
+    {"", Kind::kCount, "windows"},
+    {"", Kind::kArray, "series"},
+    {"series[]", Kind::kNumber,
+     "index start_us end_us samples jobs_released jobs_completed deadline_misses "
+     "context_switches interrupts timer_dispatches chain_origins chain_e2e_completed "
+     "chain_e2e_overruns stats_snapshot_drops"},
+    {"series[]", Kind::kBool, "gap"},
+    {"series[]", Kind::kObject, "response chain_e2e headroom", &kHistogram},
+};
+constexpr Shape kTimeseries = {"emeralds.obs.timeseries/1", kTimeseriesRules};
+
+constexpr Rule kAlertsRules[] = {
+    {"", Kind::kCount, "events"},
+    {"", Kind::kNumber, "fired"},
+    {"config", Kind::kNumber,
+     "fast_windows slow_windows miss_budget_ppm miss_burn_threshold chain_budget_ppm "
+     "chain_burn_threshold outlier_floor"},
+    {"", Kind::kArray, "stream"},
+    {"stream[]", Kind::kNumber, "node window time_us value total"},
+    {"stream[]", Kind::kString, "rule state"},
+};
+constexpr Shape kAlerts = {nullptr, kAlertsRules};
+
+// --- Schemas ---
+
+constexpr Rule kObsRunRules[] = {
+    {"trace", Kind::kNumber, "total_recorded retained dropped"},
+    {"kernel_stats", Kind::kNumber,
+     "context_switches jobs_completed deadline_misses sem_acquires cse_switches_saved"},
+    {"", Kind::kObject, "cycles", &kCycles},
+    {"", Kind::kArray, "tasks"},
+    {"analysis", Kind::kNumber, "context_switches jobs_completed sem_blocks"},
+    {"analysis", Kind::kArray, "violations"},
+    {"analysis.violations[]", Kind::kString, "kind"},
+    {"reconciliation", Kind::kBool, kReconciledFlags},
+    {"", Kind::kObject, "chains", &kChains},
+    {"", Kind::kObject, "postmortem", &kPostmortem},
+    {"", Kind::kObject, "snapshots"},
+};
+constexpr Shape kObsRun = {"emeralds.obs.run/1", kObsRunRules};
+
+constexpr Rule kObsCyclesRules[] = {
+    {"", Kind::kDigest, "digest"},
+    {"", Kind::kObject, "cycles", &kCycles},
+    {"", Kind::kArray, "tasks"},
+    {"tasks[]", Kind::kNumber,
+     "id jobs_completed user_ns overhead_ns cost_ewma_ns headroom_min_ns headroom_low_events"},
+};
+constexpr Shape kObsCycles = {"emeralds.obs.cycles/1", kObsCyclesRules};
+
+constexpr Rule kObsChainsRules[] = {
+    {"", Kind::kObject, "report", &kChains},
+};
+constexpr Shape kObsChains = {"emeralds.obs.chains/1", kObsChainsRules};
+
+constexpr Rule kObsPostmortemRules[] = {
+    {"", Kind::kString, "label"},
+    {"", Kind::kObject, "report", &kPostmortem},
+};
+constexpr Shape kObsPostmortem = {"emeralds.obs.postmortem/1", kObsPostmortemRules};
+
+constexpr Rule kTortureRules[] = {
+    {"", Kind::kNonEmptyArray, "runs"},
+    {"runs[]", Kind::kNumber, "seed violations fault_mismatches"},
+    {"runs[]", Kind::kCount, "ops_executed"},
+    {"runs[]", Kind::kBool, "ok"},
+    {"runs[]", Kind::kString, "repro"},
+    {"runs[].trace", Kind::kNumber, "retained dropped"},
+    {"runs[].reconciliation", Kind::kBool, "checked ok"},
+    {"runs[].cycles", Kind::kBool, "conserved"},
+    {"runs[].chains", Kind::kNumber, "violations orphan_hops completed origins"},
+    {"runs[].postmortem", Kind::kNumber,
+     "misses_analyzed conservation_failures unattributed_ns unmatched incomplete"},
+    {"totals", Kind::kNumber, "runs failed ops_executed"},
+};
+constexpr Shape kTorture = {"emeralds.fuzz.torture/1", kTortureRules};
+
+// One record count per trace event type, by name.
+const std::string kEventTypeNames = [] {
+  std::string names;
+  for (int t = 0; t < kNumTraceEventTypes; ++t) {
+    names += names.empty() ? "" : " ";
+    names += TraceEventTypeToString(static_cast<TraceEventType>(t));
+  }
+  return names;
+}();
+
+const Rule kFleetRunRules[] = {
+    {"", Kind::kNumber,
+     "instances workers seed run_duration_ms slice_ms events_total virtual_ms_total "
+     "events_per_virtual_sec jobs_completed deadline_misses timer_dispatches chain_completed "
+     "chain_overruns nodes_total nodes_failed wall_seconds events_per_wall_sec"},
+    {"", Kind::kString, "fleet_digest label"},
+    {"", Kind::kObject, "schedulers"},
+    {"host_evaluate", Kind::kNumber, "cpu_ns_total cpu_ns_max slowest_node"},
+    {"trace", Kind::kNumber, "storage_bytes_max storage_bytes_worst_node"},
+    {"trace.records_by_type", Kind::kNumber, kEventTypeNames.c_str()},
+    {"triage", Kind::kArray, "metrics outlier_nodes"},
+    {"triage.top_blame", Kind::kNumber, "preemptor preemptor_ns lock lock_ns"},
+    {"postmortem", Kind::kNonEmptyString, "blame_digest"},
+    {"postmortem", Kind::kNumber, "incomplete_misses"},
+    {"postmortem.blame", Kind::kNumber,
+     "misses_analyzed conservation_failures tardiness_ns unattributed_ns"},
+    {"", Kind::kObject, "telemetry", &kTelemetry},
+    {"", Kind::kObject, "timeseries", &kTimeseries},
+    {"", Kind::kObject, "alerts", &kAlerts},
+};
+const Shape kFleetRun = {"emeralds.fleet.run/1", kFleetRunRules};
+
+constexpr Rule kBlackBoxRules[] = {
+    {"", Kind::kNonEmptyString, "label reason repro"},
+    {"", Kind::kNumber, "virtual_time_us"},
+    {"trace", Kind::kNumber, "retained dropped total_recorded"},
+    {"", Kind::kArray, "threads"},
+    {"stats", Kind::kNumber,
+     "context_switches jobs_completed deadline_misses timer_dispatches headroom_low_events"},
+    {"telemetry", Kind::kObject, "response", &kHistogram},
+    {"", Kind::kObject, "chains"},
+    {"snapshots", Kind::kNumber, "count dropped"},
+    {"", Kind::kObject, "postmortem", &kPostmortem},
+};
+constexpr Shape kBlackBox = {"emeralds.obs.blackbox/1", kBlackBoxRules};
+
+constexpr Rule kSmpRules[] = {
+    {"", Kind::kNumber, "horizon_ms ratio_2core ratio_4core"},
+    {"", Kind::kNonEmptyArray, "throughput"},
+    {"throughput[]", Kind::kCount, "num_cores"},
+    {"throughput[]", Kind::kNumber, "user_ns idle_ns ipis context_switches jobs_completed"},
+    {"throughput[]", Kind::kDigest, "digest"},
+    {"throughput[]", Kind::kBool, "conserved"},
+    {"throughput[]", Kind::kArray, "cores"},
+    {"throughput[].cores[]", Kind::kNumber, "core elapsed_ns ledger_total_ns residual_ns"},
+    {"throughput[].cores[]", Kind::kBool, "conserved"},
+    {"admission", Kind::kNonEmptyArray, "points"},
+    {"admission.points[]", Kind::kNumber,
+     "utilization admitted_1core admitted_2core admitted_4core"},
+};
+constexpr Shape kSmp = {"emeralds.bench.smp/1", kSmpRules};
+
+constexpr Rule kBreakdownRules[] = {
+    {"", Kind::kNonEmptyArray, "points"},
+    {"points[]", Kind::kNumber,
+     "n wall_seconds workloads_per_sec eval_reduction reference_mismatches"},
+    {"points[].evals", Kind::kNumber, "full_evals"},
+};
+constexpr Shape kBreakdown = {"emeralds.bench.breakdown/1", kBreakdownRules};
+
+// What every report carries before its schema is known.
+constexpr Rule kTaggedRules[] = {
+    {"", Kind::kString, "schema"},
+};
+constexpr Shape kTagged = {nullptr, kTaggedRules};
+
+const char* KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kNumber:
+      return "a number";
+    case Kind::kCount:
+      return "a non-negative integer count";
+    case Kind::kBool:
+      return "a bool";
+    case Kind::kString:
+      return "a string";
+    case Kind::kNonEmptyString:
+      return "a non-empty string";
+    case Kind::kDigest:
+      return "a digest (0x and 16 hex digits)";
+    case Kind::kObject:
+      return "an object";
+    case Kind::kArray:
+      return "an array";
+    case Kind::kNonEmptyArray:
+      return "a non-empty array";
+  }
+  return "?";
+}
+
+bool Holds(const JsonValue& v, Kind kind) {
+  using Type = JsonValue::Type;
+  switch (kind) {
+    case Kind::kNumber:
+      return v.type == Type::kNumber;
+    case Kind::kCount:
+      return v.type == Type::kNumber && v.number >= 0.0 && v.number < std::ldexp(1.0, 64) &&
+             v.number == std::floor(v.number);
+    case Kind::kBool:
+      return v.type == Type::kBool;
+    case Kind::kString:
+      return v.type == Type::kString;
+    case Kind::kNonEmptyString:
+      return v.type == Type::kString && !v.string.empty();
+    case Kind::kDigest:
+      return v.type == Type::kString && v.string.size() == 18 &&
+             v.string.compare(0, 2, "0x") == 0 &&
+             v.string.find_first_not_of("0123456789abcdef", 2) == std::string::npos;
+    case Kind::kObject:
+      return v.type == Type::kObject;
+    case Kind::kArray:
+      return v.type == Type::kArray;
+    case Kind::kNonEmptyArray:
+      return v.type == Type::kArray && !v.array.empty();
+  }
+  return false;
+}
+
+std::string Join(const std::string& path, std::string_view key) {
+  return path.empty() ? std::string(key) : path + "." + std::string(key);
+}
+
+// Calls fn on each space-separated word of `words` until fn returns false.
+template <typename Fn>
+bool EachWord(std::string_view words, Fn&& fn) {
+  while (!words.empty()) {
+    const size_t end = std::min(words.find(' '), words.size());
+    if (!fn(words.substr(0, end))) {
+      return false;
+    }
+    words.remove_prefix(std::min(end + 1, words.size()));
+  }
+  return true;
+}
+
+// A member the shape table guarantees to the gates.
+const JsonValue& Get(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.Find(key);
+  EM_ASSERT_MSG(v != nullptr, "a gate reads \"%s\", which no shape rule requires", key);
+  return *v;
+}
+
+double Num(const JsonValue& obj, const char* key) { return Get(obj, key).number; }
+
+bool Flag(const JsonValue& obj, const char* key) { return Get(obj, key).boolean; }
+
+// One report's check. A rule or gate that rejects appends its FAIL line to
+// the log and ends the check; a report that passes gets one OK line.
 class Checker {
  public:
   JsonCheckResult Run(const char* path, const JsonValue& root);
 
  private:
-  [[gnu::format(printf, 2, 3)]] void Fail(const char* format, ...);
-  [[gnu::format(printf, 2, 3)]] void Ok(const char* format, ...);
+  [[gnu::format(printf, 2, 3)]] bool Fail(const char* format, ...);
+  [[gnu::format(printf, 2, 3)]] bool Ok(const char* format, ...);
   void Append(const char* prefix, const char* format, va_list args);
+  bool Check(const char* path, const JsonValue& root);
 
-  int Dispatch(const char* path, const JsonValue& root);
-  bool RequireNumbers(const JsonValue& obj, const char* section,
-                      std::initializer_list<const char*> keys);
-  bool RequireDigest(const JsonValue& obj, const char* ctx);
-  bool RequireHistogram(const JsonValue& obj, const char* ctx, const char* key);
-  bool CheckCyclesSection(const JsonValue& cycles, const char* ctx);
-  bool CheckChainsSection(const JsonValue& chains, const char* ctx);
-  bool CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic = false);
-  bool CheckTelemetrySection(const JsonValue& telemetry, const char* ctx,
-                             const JsonValue& root);
-  bool CheckTimeseriesSection(const JsonValue& ts, const char* ctx, const JsonValue* totals);
-  bool CheckAlertsSection(const JsonValue& alerts, const char* ctx);
-  int CheckObsChains(const char* path, const JsonValue& root);
-  int CheckObsCycles(const char* path, const JsonValue& root);
-  int CheckObsRun(const char* path, const JsonValue& root);
-  int CheckFuzzTorture(const char* path, const JsonValue& root);
-  int CheckFleetRun(const char* path, const JsonValue& root);
-  int CheckObsBlackBox(const char* path, const JsonValue& root);
-  int CheckBenchSmp(const char* path, const JsonValue& root);
-  int CheckBreakdown(const char* path, const JsonValue& root);
+  // The walker.
+  bool Walk(const JsonValue& obj, const std::string& path, const Shape& shape);
+  bool Apply(const JsonValue& obj, const std::string& path, std::string_view at,
+             const Rule& rule);
+  bool Member(const std::string& path, const JsonValue* v, const Rule& rule);
+
+  // The semantic gates, by section and by schema.
+  bool CyclesGate(const JsonValue& cycles);
+  bool ChainsGate(const JsonValue& chains, const char* ctx);
+  bool PostmortemGate(const JsonValue& pm, const char* ctx);
+  bool TelemetryGate(const JsonValue& telemetry, const JsonValue& root);
+  bool TimeseriesGate(const JsonValue& ts, const JsonValue& root);
+  bool AlertsGate(const JsonValue& alerts);
+  bool ObsRunGates(const char* path, const JsonValue& root);
+  bool ObsCyclesGates(const char* path, const JsonValue& root);
+  bool ObsChainsGates(const char* path, const JsonValue& root);
+  bool ObsPostmortemGates(const char* path, const JsonValue& root);
+  bool TortureGates(const char* path, const JsonValue& root);
+  bool FleetRunGates(const char* path, const JsonValue& root);
+  bool BlackBoxGates(const char* path, const JsonValue& root);
+  bool SmpGates(const char* path, const JsonValue& root);
+  bool BreakdownGates(const char* path, const JsonValue& root);
+
+  struct Schema {
+    const Shape* shape;
+    bool (Checker::*gates)(const char* path, const JsonValue& root);
+  };
+  static const Schema kSchemas[];
 
   std::string log_;
+};
+
+const Checker::Schema Checker::kSchemas[] = {
+    {&kObsRun, &Checker::ObsRunGates},
+    {&kObsCycles, &Checker::ObsCyclesGates},
+    {&kObsChains, &Checker::ObsChainsGates},
+    {&kObsPostmortem, &Checker::ObsPostmortemGates},
+    {&kTorture, &Checker::TortureGates},
+    {&kFleetRun, &Checker::FleetRunGates},
+    {&kBlackBox, &Checker::BlackBoxGates},
+    {&kSmp, &Checker::SmpGates},
+    {&kBreakdown, &Checker::BreakdownGates},
 };
 
 void Checker::Append(const char* prefix, const char* format, va_list args) {
@@ -60,1017 +425,428 @@ void Checker::Append(const char* prefix, const char* format, va_list args) {
   }
 }
 
-void Checker::Fail(const char* format, ...) {
+bool Checker::Fail(const char* format, ...) {
   va_list args;
   va_start(args, format);
   Append("FAIL: ", format, args);
   va_end(args);
+  return false;
 }
 
-void Checker::Ok(const char* format, ...) {
+bool Checker::Ok(const char* format, ...) {
   va_list args;
   va_start(args, format);
   Append("OK: ", format, args);
   va_end(args);
+  return true;
 }
 
 JsonCheckResult Checker::Run(const char* path, const JsonValue& root) {
   JsonCheckResult result;
-  result.ok = Dispatch(path, root) == 0;
+  result.ok = Check(path, root);
   result.log = std::move(log_);
   return result;
 }
 
-bool Checker::RequireNumbers(const JsonValue& obj, const char* section,
-                    std::initializer_list<const char*> keys) {
-  for (const char* key : keys) {
-    const JsonValue* v = obj.Find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-      Fail("%s missing numeric \"%s\"\n", section, key);
+bool Checker::Check(const char* path, const JsonValue& root) {
+  if (!Walk(root, "", kTagged)) {
+    return false;
+  }
+  const std::string& tag = Get(root, "schema").string;
+  for (const Schema& schema : kSchemas) {
+    if (tag == schema.shape->tag) {
+      return Walk(root, "", *schema.shape) && (this->*schema.gates)(path, root);
+    }
+  }
+  return Fail("unexpected schema tag \"%s\"\n", tag.c_str());
+}
+
+bool Checker::Walk(const JsonValue& obj, const std::string& path, const Shape& shape) {
+  if (shape.tag != nullptr) {
+    const JsonValue* tag = obj.Find("schema");
+    if (tag == nullptr || tag->type != JsonValue::Type::kString || tag->string != shape.tag) {
+      return Fail("%s is not \"%s\"\n", Join(path, "schema").c_str(), shape.tag);
+    }
+  }
+  for (const Rule& rule : shape.rules) {
+    if (!Apply(obj, path, rule.at, rule)) {
       return false;
     }
   }
   return true;
 }
 
-// A run digest: "0x" and 16 lowercase hex digits.
-bool Checker::RequireDigest(const JsonValue& obj, const char* ctx) {
-  const JsonValue* v = obj.Find("digest");
-  if (v == nullptr || v->type != JsonValue::Type::kString || v->string.size() != 18 ||
-      v->string.compare(0, 2, "0x") != 0 ||
-      v->string.find_first_not_of("0123456789abcdef", 2) != std::string::npos) {
-    Fail("%s missing \"digest\" (0x and 16 hex digits)\n", ctx);
+// Follows `at` from `obj` (at `path`) and checks the rule's keys in every
+// object it reaches.
+bool Checker::Apply(const JsonValue& obj, const std::string& path, std::string_view at,
+                    const Rule& rule) {
+  if (obj.type != JsonValue::Type::kObject) {
+    return Fail("%s is not an object\n", path.empty() ? "the report" : path.c_str());
+  }
+  if (at.empty()) {
+    if (std::string_view(rule.keys) == "*") {
+      for (const auto& [key, value] : obj.object) {
+        if (!Member(Join(path, key), &value, rule)) {
+          return false;
+        }
+      }
+      return true;
+    }
+    return EachWord(rule.keys, [&](std::string_view key) {
+      return Member(Join(path, key), obj.Find(std::string(key)), rule);
+    });
+  }
+  const size_t dot = std::min(at.find('.'), at.size());
+  std::string_view step = at.substr(0, dot);
+  const std::string_view rest = at.substr(std::min(dot + 1, at.size()));
+  const bool each = step.ends_with("[]");
+  if (each) {
+    step.remove_suffix(2);
+  }
+  const std::string where = Join(path, step);
+  const JsonValue* v = obj.Find(std::string(step));
+  if (!each) {
+    return Member(where, v, Rule{"", Kind::kObject, ""}) && Apply(*v, where, rest, rule);
+  }
+  if (!Member(where, v, Rule{"", Kind::kArray, ""})) {
     return false;
+  }
+  for (size_t i = 0; i < v->array.size(); ++i) {
+    if (!Apply(v->array[i], where + "[" + std::to_string(i) + "]", rest, rule)) {
+      return false;
+    }
   }
   return true;
 }
 
-// Substantive validation of a "cycles" section (embedded in obs.run or the
-// standalone obs.cycles document): conservation must be asserted AND the
-// integers must back it up (residual exactly zero, ledger total == elapsed).
-bool Checker::CheckCyclesSection(const JsonValue& cycles, const char* ctx) {
-  if (!RequireNumbers(cycles, ctx,
-                      {"epoch_ns", "elapsed_ns", "ledger_total_ns", "residual_ns",
-                       "clock_unattributed_ns", "headroom_low_events"})) {
-    return false;
+// Checks one member (`v`, nullptr when absent) against the rule's kind, then
+// walks the shape the rule mounts on it.
+bool Checker::Member(const std::string& path, const JsonValue* v, const Rule& rule) {
+  if (v == nullptr) {
+    return Fail("%s is missing (want %s)\n", path.c_str(), KindName(rule.kind));
   }
-  const JsonValue* buckets = cycles.Find("buckets_ns");
-  if (buckets == nullptr || buckets->type != JsonValue::Type::kObject) {
-    Fail("%s missing buckets_ns object\n", ctx);
-    return false;
+  if (!Holds(*v, rule.kind)) {
+    return Fail("%s is not %s\n", path.c_str(), KindName(rule.kind));
   }
-  const JsonValue* bands = cycles.Find("sched_bands");
-  if (bands == nullptr || bands->type != JsonValue::Type::kArray) {
-    Fail("%s missing sched_bands array\n", ctx);
-    return false;
-  }
+  return rule.shape == nullptr || Walk(*v, path, *rule.shape);
+}
+
+// --- Section gates ---
+
+// Conservation must be asserted AND the integers must back it up: residual
+// exactly zero, nothing unattributed on the clock, and the bucket sum equal
+// to the elapsed time.
+bool Checker::CyclesGate(const JsonValue& cycles) {
   for (const char* key : {"conserved", "clock_conserved"}) {
-    const JsonValue* v = cycles.Find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kBool) {
-      Fail("%s missing bool \"%s\"\n", ctx, key);
-      return false;
-    }
-    if (!v->boolean) {
-      Fail("%s %s is false\n", ctx, key);
-      return false;
+    if (!Flag(cycles, key)) {
+      return Fail("cycles %s is false\n", key);
     }
   }
-  if (cycles.Find("residual_ns")->number != 0.0 ||
-      cycles.Find("clock_unattributed_ns")->number != 0.0) {
-    Fail("%s residual_ns=%g clock_unattributed_ns=%g (must be 0)\n", ctx,
-         cycles.Find("residual_ns")->number, cycles.Find("clock_unattributed_ns")->number);
-    return false;
+  if (Num(cycles, "residual_ns") != 0.0 || Num(cycles, "clock_unattributed_ns") != 0.0) {
+    return Fail("cycles residual_ns=%g clock_unattributed_ns=%g (must be 0)\n",
+                Num(cycles, "residual_ns"), Num(cycles, "clock_unattributed_ns"));
   }
   double sum = 0.0;
-  for (const auto& kv : buckets->object) {
-    if (kv.second.type != JsonValue::Type::kNumber) {
-      Fail("%s bucket \"%s\" not numeric\n", ctx, kv.first.c_str());
-      return false;
-    }
-    sum += kv.second.number;
+  for (const auto& bucket : Get(cycles, "buckets_ns").object) {
+    sum += bucket.second.number;
   }
-  if (sum != cycles.Find("elapsed_ns")->number) {
-    Fail("%s bucket sum %g != elapsed %g\n", ctx, sum, cycles.Find("elapsed_ns")->number);
-    return false;
+  if (sum != Num(cycles, "elapsed_ns")) {
+    return Fail("cycles bucket sum %g != elapsed %g\n", sum, Num(cycles, "elapsed_ns"));
   }
   return true;
 }
 
-bool Checker::RequireHistogram(const JsonValue& obj, const char* ctx, const char* key) {
-  const JsonValue* h = obj.Find(key);
-  if (h == nullptr || h->type != JsonValue::Type::kObject) {
-    Fail("%s missing histogram \"%s\"\n", ctx, key);
-    return false;
+// A token-conservation breach (orphan consume in a complete window, origin
+// reuse, malformed token) fails outright. Orphan hops are allowed only when
+// the window is incomplete (ring truncation / epoch reset).
+bool Checker::ChainsGate(const JsonValue& chains, const char* ctx) {
+  const auto& violations = Get(chains, "violations").array;
+  if (!violations.empty()) {
+    return Fail("%s has %zu chain violation(s), first kind: %s\n", ctx, violations.size(),
+                Get(violations[0], "kind").string.c_str());
   }
-  return RequireNumbers(*h, ctx, {"count", "min_us", "max_us", "mean_us", "p99_us", "total_us"});
-}
-
-// Substantive validation of a "chains" section (embedded in obs.run or the
-// standalone obs.chains document). The violations list must be empty — a
-// token-conservation breach (orphan consume in a complete window, origin
-// reuse, malformed token) fails the check outright. Orphan hops are allowed
-// only when the window is incomplete (ring truncation / epoch reset).
-bool Checker::CheckChainsSection(const JsonValue& chains, const char* ctx) {
-  if (!RequireNumbers(chains, ctx,
-                      {"chain_emits", "chain_consumes", "origins_minted", "orphan_hops",
-                       "unconsumed_emits"})) {
-    return false;
-  }
-  const JsonValue* complete = chains.Find("complete_window");
-  if (complete == nullptr || complete->type != JsonValue::Type::kBool) {
-    Fail("%s missing bool \"complete_window\"\n", ctx);
-    return false;
-  }
-  const JsonValue* violations = chains.Find("violations");
-  if (violations == nullptr || violations->type != JsonValue::Type::kArray) {
-    Fail("%s missing violations array\n", ctx);
-    return false;
-  }
-  if (!violations->array.empty()) {
-    const JsonValue* kind = violations->array[0].Find("kind");
-    Fail("%s has %zu chain violation(s), first kind: %s\n", ctx, violations->array.size(),
-         kind != nullptr ? kind->string.c_str() : "?");
-    return false;
-  }
-  if (complete->boolean && chains.Find("orphan_hops")->number != 0.0) {
-    Fail("%s complete window but orphan_hops = %g\n", ctx, chains.Find("orphan_hops")->number);
-    return false;
-  }
-  const JsonValue* list = chains.Find("chains");
-  if (list == nullptr || list->type != JsonValue::Type::kArray) {
-    Fail("%s missing chains array\n", ctx);
-    return false;
-  }
-  for (const JsonValue& chain : list->array) {
-    const JsonValue* name = chain.Find("name");
-    const JsonValue* resolved = chain.Find("resolved");
-    if (name == nullptr || name->type != JsonValue::Type::kString || resolved == nullptr ||
-        resolved->type != JsonValue::Type::kBool) {
-      Fail("%s chain missing name/resolved\n", ctx);
-      return false;
-    }
-    if (!RequireNumbers(chain, "chain", {"deadline_us", "completed", "incomplete", "overruns"}) ||
-        !RequireHistogram(chain, name->string.c_str(), "e2e")) {
-      return false;
-    }
-    const JsonValue* hops = chain.Find("hops");
-    if (hops == nullptr || hops->type != JsonValue::Type::kArray) {
-      Fail("chain \"%s\" missing hops array\n", name->string.c_str());
-      return false;
-    }
-    for (const JsonValue& hop : hops->array) {
-      const JsonValue* kind = hop.Find("endpoint_kind");
-      if (kind == nullptr || kind->type != JsonValue::Type::kString ||
-          !RequireNumbers(hop, "hop", {"endpoint_id", "consumer_tid"}) ||
-          !RequireHistogram(hop, "hop", "queue") || !RequireHistogram(hop, "hop", "exec")) {
-        return false;
-      }
-    }
+  if (Flag(chains, "complete_window") && Num(chains, "orphan_hops") != 0.0) {
+    return Fail("%s complete window but orphan_hops = %g\n", ctx, Num(chains, "orphan_hops"));
   }
   return true;
 }
 
-int Checker::CheckObsChains(const char* path, const JsonValue& root) {
-  const JsonValue* report = root.Find("report");
-  if (report == nullptr || report->type != JsonValue::Type::kObject) {
-    Fail("missing \"report\" object\n");
-    return 1;
-  }
-  if (!CheckChainsSection(*report, "report")) {
-    return 1;
-  }
-  Ok("%s (chains report, %zu chain(s), 0 violations)\n", path,
-     report->Find("chains")->array.size());
-  return 0;
-}
-
-int Checker::CheckObsCycles(const char* path, const JsonValue& root) {
-  if (!RequireDigest(root, "cycles report")) {
-    return 1;
-  }
-  const JsonValue* cycles = root.Find("cycles");
-  if (cycles == nullptr || cycles->type != JsonValue::Type::kObject) {
-    Fail("missing \"cycles\" object\n");
-    return 1;
-  }
-  if (!CheckCyclesSection(*cycles, "cycles")) {
-    return 1;
-  }
-  const JsonValue* tasks = root.Find("tasks");
-  if (tasks == nullptr || tasks->type != JsonValue::Type::kArray) {
-    Fail("missing tasks array\n");
-    return 1;
-  }
-  for (const JsonValue& task : tasks->array) {
-    if (!RequireNumbers(task, "task",
-                        {"id", "jobs_completed", "user_ns", "overhead_ns", "cost_ewma_ns",
-                         "headroom_min_ns", "headroom_low_events"})) {
-      return 1;
+// Conservation of lateness is an invariant: every miss's ledger must
+// telescope, and a complete window leaves nothing unattributed and no miss
+// unmatched. Black-box bundles record sick runs on purpose, so they mount
+// the postmortem shape without this gate.
+bool Checker::PostmortemGate(const JsonValue& pm, const char* ctx) {
+  for (const JsonValue& miss : Get(pm, "misses").array) {
+    if (!Flag(miss, "conserved")) {
+      return Fail("%s miss ledger did not telescope\n", ctx);
     }
   }
-  Ok("%s (cycles report, %zu task rows, conserved)\n", path, tasks->array.size());
-  return 0;
-}
-
-// The deadline-miss postmortem section (schema emeralds.obs.postmortem/1
-// standalone, or embedded as "postmortem"). Substantive: conservation of
-// lateness is an invariant, so any ledger that failed to telescope fails the
-// check, and a complete window must leave nothing unattributed and no miss
-// unmatched. `forensic` relaxes the substantive gates (black-box bundles
-// record sick runs on purpose) but keeps the shape checks.
-bool Checker::CheckPostmortemSection(const JsonValue& pm, const char* ctx, bool forensic) {
-  if (!RequireNumbers(pm, ctx,
-                      {"misses_analyzed", "records_dropped", "incomplete_misses",
-                       "unmatched_misses", "deadline_unknown", "conservation_failures"})) {
-    return false;
+  if (Num(pm, "conservation_failures") != 0.0) {
+    return Fail("%s has %g conservation failures\n", ctx, Num(pm, "conservation_failures"));
   }
-  const JsonValue* truncated = pm.Find("window_truncated");
-  if (truncated == nullptr || truncated->type != JsonValue::Type::kBool) {
-    Fail("%s missing bool window_truncated\n", ctx);
-    return false;
-  }
-  const JsonValue* blame = pm.Find("blame");
-  if (blame == nullptr ||
-      !RequireNumbers(*blame, "postmortem blame",
-                      {"misses_analyzed", "conservation_failures", "tardiness_ns",
-                       "unattributed_ns"})) {
-    return false;
-  }
-  for (const char* key : {"victims", "preemptors", "locks"}) {
-    const JsonValue* table = blame->Find(key);
-    if (table == nullptr || table->type != JsonValue::Type::kArray) {
-      Fail("%s blame missing \"%s\" table\n", ctx, key);
-      return false;
-    }
-  }
-  const JsonValue* misses = pm.Find("misses");
-  if (misses == nullptr || misses->type != JsonValue::Type::kArray) {
-    Fail("%s missing misses array\n", ctx);
-    return false;
-  }
-  for (const JsonValue& m : misses->array) {
-    if (!RequireNumbers(m, "postmortem miss",
-                        {"thread", "job", "response_ns", "tardiness_ns"})) {
-      return false;
-    }
-    const JsonValue* conserved = m.Find("conserved");
-    const JsonValue* ledger = m.Find("ledger");
-    if (conserved == nullptr || conserved->type != JsonValue::Type::kBool ||
-        ledger == nullptr || ledger->type != JsonValue::Type::kObject) {
-      Fail("%s miss missing conserved/ledger\n", ctx);
-      return false;
-    }
-    if (!forensic && !conserved->boolean) {
-      Fail("%s miss ledger did not telescope\n", ctx);
-      return false;
-    }
-  }
-  const JsonValue* overruns = pm.Find("chain_overruns");
-  if (overruns == nullptr || overruns->type != JsonValue::Type::kArray) {
-    Fail("%s missing chain_overruns array\n", ctx);
-    return false;
-  }
-  if (forensic) {
-    return true;
-  }
-  if (pm.Find("conservation_failures")->number != 0.0) {
-    Fail("%s has %g conservation failures\n", ctx, pm.Find("conservation_failures")->number);
-    return false;
-  }
-  if (!truncated->boolean && (blame->Find("unattributed_ns")->number != 0.0 ||
-                              pm.Find("unmatched_misses")->number != 0.0)) {
-    Fail("%s complete window left %g ns unattributed, %g unmatched\n", ctx,
-         blame->Find("unattributed_ns")->number, pm.Find("unmatched_misses")->number);
-    return false;
+  const JsonValue& blame = Get(pm, "blame");
+  if (!Flag(pm, "window_truncated") &&
+      (Num(blame, "unattributed_ns") != 0.0 || Num(pm, "unmatched_misses") != 0.0)) {
+    return Fail("%s complete window left %g ns unattributed, %g unmatched\n", ctx,
+                Num(blame, "unattributed_ns"), Num(pm, "unmatched_misses"));
   }
   return true;
 }
 
-int Checker::CheckObsRun(const char* path, const JsonValue& root) {
-  for (const char* section : {"trace", "kernel_stats", "cycles", "analysis", "reconciliation",
-                              "chains", "postmortem", "snapshots"}) {
-    const JsonValue* v = root.Find(section);
-    if (v == nullptr || v->type != JsonValue::Type::kObject) {
-      Fail("missing \"%s\" object\n", section);
-      return 1;
-    }
-  }
-  const JsonValue* tasks = root.Find("tasks");
-  if (tasks == nullptr || tasks->type != JsonValue::Type::kArray) {
-    Fail("missing tasks array\n");
-    return 1;
-  }
-  if (!RequireNumbers(*root.Find("trace"), "trace", {"total_recorded", "retained", "dropped"}) ||
-      !RequireNumbers(*root.Find("kernel_stats"), "kernel_stats",
-                      {"context_switches", "jobs_completed", "deadline_misses", "sem_acquires",
-                       "cse_switches_saved"}) ||
-      !RequireNumbers(*root.Find("analysis"), "analysis",
-                      {"context_switches", "jobs_completed", "sem_blocks"})) {
-    return 1;
-  }
-  if (!CheckCyclesSection(*root.Find("cycles"), "cycles")) {
-    return 1;
-  }
-  if (!CheckChainsSection(*root.Find("chains"), "chains")) {
-    return 1;
-  }
-  if (!CheckPostmortemSection(*root.Find("postmortem"), "postmortem")) {
-    return 1;
-  }
-  const JsonValue* violations = root.Find("analysis")->Find("violations");
-  if (violations == nullptr || violations->type != JsonValue::Type::kArray) {
-    Fail("analysis missing violations array\n");
-    return 1;
-  }
-  if (!violations->array.empty()) {
-    const JsonValue* kind = violations->array[0].Find("kind");
-    Fail("%zu trace invariant violation(s), first kind: %s\n", violations->array.size(),
-         kind != nullptr ? kind->string.c_str() : "?");
-    return 1;
-  }
-  const JsonValue& recon = *root.Find("reconciliation");
-  for (const char* key : {"context_switches_match", "deadline_misses_match",
-                          "jobs_completed_match", "cse_early_pi_match", "headroom_low_match",
-                          "chain_events_match"}) {
-    const JsonValue* v = recon.Find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kBool) {
-      Fail("reconciliation missing bool \"%s\"\n", key);
-      return 1;
-    }
-    if (!v->boolean) {
-      Fail("reconciliation %s is false\n", key);
-      return 1;
-    }
-  }
-  Ok("%s (obs run, %zu task rows, 0 violations)\n", path, tasks->array.size());
-  return 0;
-}
-
-int Checker::CheckFuzzTorture(const char* path, const JsonValue& root) {
-  const JsonValue* runs = root.Find("runs");
-  if (runs == nullptr || runs->type != JsonValue::Type::kArray || runs->array.empty()) {
-    Fail("missing or empty runs array\n");
-    return 1;
-  }
-  uint64_t ops = 0;
-  for (const JsonValue& run : runs->array) {
-    if (!RequireNumbers(run, "run", {"seed", "ops_executed", "violations", "fault_mismatches"})) {
-      return 1;
-    }
-    const JsonValue* ok = run.Find("ok");
-    if (ok == nullptr || ok->type != JsonValue::Type::kBool) {
-      Fail("run missing bool \"ok\"\n");
-      return 1;
-    }
-    const JsonValue* repro = run.Find("repro");
-    if (!ok->boolean) {
-      Fail("torture seed %g failed; repro: %s\n", run.Find("seed")->number,
-           repro != nullptr ? repro->string.c_str() : "?");
-      return 1;
-    }
-    // Only a --tiny-ring window evicts. Every other run is evaluated over its
-    // whole trace, so a drop there means its oracles saw a truncated run.
-    const JsonValue* trace = run.Find("trace");
-    if (trace == nullptr || !RequireNumbers(*trace, "trace", {"retained", "dropped"})) {
-      Fail("run missing trace {retained, dropped}\n");
-      return 1;
-    }
-    bool tiny_ring = repro != nullptr && repro->string.find("--tiny-ring") != std::string::npos;
-    if (!tiny_ring && trace->Find("dropped")->number > 0.0) {
-      Fail("seed %g dropped %g trace records without --tiny-ring\n", run.Find("seed")->number,
-           trace->Find("dropped")->number);
-      return 1;
-    }
-    if (run.Find("violations")->number != 0.0 || run.Find("fault_mismatches")->number != 0.0) {
-      Fail("seed %g has violations/fault mismatches\n", run.Find("seed")->number);
-      return 1;
-    }
-    const JsonValue* recon = run.Find("reconciliation");
-    if (recon == nullptr || recon->Find("checked") == nullptr || recon->Find("ok") == nullptr) {
-      Fail("run missing reconciliation {checked, ok}\n");
-      return 1;
-    }
-    // Fourth oracle: the cycle ledger must be conserved on every run,
-    // including truncated-ring ones where reconciliation refuses to check.
-    const JsonValue* cyc = run.Find("cycles");
-    const JsonValue* conserved = cyc != nullptr ? cyc->Find("conserved") : nullptr;
-    if (conserved == nullptr || conserved->type != JsonValue::Type::kBool) {
-      Fail("run missing cycles.conserved\n");
-      return 1;
-    }
-    if (!conserved->boolean) {
-      Fail("seed %g cycle ledger not conserved\n", run.Find("seed")->number);
-      return 1;
-    }
-    // Fifth oracle: causal-token conservation. Every run must carry the
-    // chains object and report zero conservation violations.
-    const JsonValue* chains = run.Find("chains");
-    if (chains == nullptr ||
-        !RequireNumbers(*chains, "chains", {"violations", "orphan_hops", "completed", "origins"})) {
-      Fail("run missing chains {violations, orphan_hops, ...}\n");
-      return 1;
-    }
-    if (chains->Find("violations")->number != 0.0) {
-      Fail("seed %g has chain-token conservation violations\n", run.Find("seed")->number);
-      return 1;
-    }
-    // Sixth oracle: conservation of lateness. Every analyzed miss's ledger
-    // must telescope exactly; a single failed ledger fails the sweep.
-    const JsonValue* pm = run.Find("postmortem");
-    if (pm == nullptr ||
-        !RequireNumbers(*pm, "postmortem",
-                        {"misses_analyzed", "conservation_failures", "unattributed_ns",
-                         "unmatched", "incomplete"})) {
-      Fail("run missing postmortem {misses_analyzed, ...}\n");
-      return 1;
-    }
-    if (pm->Find("conservation_failures")->number != 0.0) {
-      Fail("seed %g has lateness-conservation failures\n", run.Find("seed")->number);
-      return 1;
-    }
-    ops += static_cast<uint64_t>(run.Find("ops_executed")->number);
-  }
-  const JsonValue* totals = root.Find("totals");
-  if (totals == nullptr || !RequireNumbers(*totals, "totals", {"runs", "failed", "ops_executed"})) {
-    return 1;
-  }
-  if (totals->Find("failed")->number != 0.0) {
-    Fail("totals.failed = %g\n", totals->Find("failed")->number);
-    return 1;
-  }
-  Ok("%s (torture sweep, %zu runs, %llu ops, 0 failures)\n", path, runs->array.size(),
-     static_cast<unsigned long long>(ops));
-  return 0;
-}
-
-// The merged fleet telemetry section (schema emeralds.fleet.telemetry/1):
-// exact-bucket percentile tables over the whole fleet. Structural plus the
-// one substantive check that matters — the merge must cover every node, so
-// its counters equal the report's own totals.
-bool Checker::CheckTelemetrySection(const JsonValue& telemetry, const char* ctx,
-                                    const JsonValue& root) {
-  const JsonValue* schema = telemetry.Find("schema");
-  if (schema == nullptr || schema->type != JsonValue::Type::kString ||
-      schema->string != "emeralds.fleet.telemetry/1") {
-    Fail("%s schema is not emeralds.fleet.telemetry/1\n", ctx);
-    return false;
-  }
-  if (!RequireNumbers(telemetry, ctx,
-                      {"jobs_completed", "deadline_misses", "chain_overruns",
-                       "stats_snapshot_drops"})) {
-    return false;
-  }
+// The merged fleet telemetry must cover every node, so its counters equal
+// the report's own totals.
+bool Checker::TelemetryGate(const JsonValue& telemetry, const JsonValue& root) {
   for (const char* key : {"jobs_completed", "deadline_misses", "chain_overruns"}) {
-    if (telemetry.Find(key)->number != root.Find(key)->number) {
-      Fail("%s %s=%g but the report's total is %g\n", ctx, key, telemetry.Find(key)->number,
-           root.Find(key)->number);
-      return false;
-    }
-  }
-  const JsonValue* core_cycles = telemetry.Find("core_cycles_us");
-  if (core_cycles == nullptr || core_cycles->type != JsonValue::Type::kArray ||
-      core_cycles->array.empty()) {
-    Fail("%s missing core_cycles_us array\n", ctx);
-    return false;
-  }
-  const JsonValue* headroom = telemetry.Find("headroom");
-  if (headroom == nullptr ||
-      !RequireNumbers(*headroom, "telemetry headroom",
-                      {"min_us", "min_node", "low_events_total"})) {
-    return false;
-  }
-  const JsonValue* cycles = telemetry.Find("cycles");
-  if (cycles == nullptr || cycles->Find("buckets_us") == nullptr ||
-      cycles->Find("shares") == nullptr) {
-    Fail("%s missing cycles {buckets_us, shares}\n", ctx);
-    return false;
-  }
-  if (!RequireHistogram(telemetry, ctx, "response")) {
-    return false;
-  }
-  const JsonValue* chains = telemetry.Find("chains");
-  if (chains == nullptr || chains->type != JsonValue::Type::kArray) {
-    Fail("%s missing chains array\n", ctx);
-    return false;
-  }
-  for (const JsonValue& chain : chains->array) {
-    const JsonValue* name = chain.Find("name");
-    if (name == nullptr || name->type != JsonValue::Type::kString ||
-        !RequireNumbers(chain, "telemetry chain",
-                        {"deadline_min_us", "deadline_max_us", "completed", "overruns",
-                         "incomplete_instances"}) ||
-        !RequireHistogram(chain, name->string.c_str(), "e2e")) {
-      return false;
-    }
-    const JsonValue* hops = chain.Find("hops");
-    if (hops == nullptr || hops->type != JsonValue::Type::kArray) {
-      Fail("telemetry chain \"%s\" missing hops\n", name->string.c_str());
-      return false;
-    }
-    for (const JsonValue& hop : hops->array) {
-      if (!RequireHistogram(hop, "telemetry hop", "queue") ||
-          !RequireHistogram(hop, "telemetry hop", "exec")) {
-        return false;
-      }
+    if (Num(telemetry, key) != Num(root, key)) {
+      return Fail("telemetry %s=%g but the report's total is %g\n", key, Num(telemetry, key),
+                  Num(root, key));
     }
   }
   return true;
 }
 
-// The streaming window series (schema emeralds.obs.timeseries/1, embedded
-// in fleet.run as "timeseries" or standalone). Substantive checks: the
-// series must sit on the fixed window grid (start == index * width, end
-// within one width), and — when no samples were lost — the per-window
-// deltas must telescope back to the whole-run totals the `totals` object
-// (or enclosing fleet report) carries.
-bool Checker::CheckTimeseriesSection(const JsonValue& ts, const char* ctx,
-                                     const JsonValue* totals) {
-  const JsonValue* schema = ts.Find("schema");
-  if (schema == nullptr || schema->type != JsonValue::Type::kString ||
-      schema->string != "emeralds.obs.timeseries/1") {
-    Fail("%s schema is not emeralds.obs.timeseries/1\n", ctx);
-    return false;
+// The fleet's window series sits on the fixed grid (start == index * width,
+// end within one width), its gap count matches the marked windows, and when
+// no samples were lost its per-window deltas telescope back to the run
+// totals.
+bool Checker::TimeseriesGate(const JsonValue& ts, const JsonValue& root) {
+  const auto& series = Get(ts, "series").array;
+  if (series.size() != static_cast<size_t>(Num(ts, "windows"))) {
+    return Fail("timeseries windows=%g but series has %zu entries\n", Num(ts, "windows"),
+                series.size());
   }
-  if (!RequireNumbers(ts, ctx, {"window_us", "windows", "lost_samples", "gap_windows"})) {
-    return false;
-  }
-  const JsonValue* series = ts.Find("series");
-  if (series == nullptr || series->type != JsonValue::Type::kArray) {
-    Fail("%s missing series array\n", ctx);
-    return false;
-  }
-  if (series->array.size() != static_cast<size_t>(ts.Find("windows")->number)) {
-    Fail("%s windows=%g but series has %zu entries\n", ctx, ts.Find("windows")->number,
-         series->array.size());
-    return false;
-  }
-  const double width = ts.Find("window_us")->number;
+  const double width = Num(ts, "window_us");
   double last_index = -1.0;
   double gaps = 0.0;
   double jobs = 0.0;
   double misses = 0.0;
-  for (const JsonValue& w : series->array) {
-    if (!RequireNumbers(w, "window",
-                        {"index", "start_us", "end_us", "samples", "jobs_released",
-                         "jobs_completed", "deadline_misses", "context_switches",
-                         "interrupts", "timer_dispatches", "chain_origins",
-                         "chain_e2e_completed", "chain_e2e_overruns",
-                         "stats_snapshot_drops"})) {
-      return false;
-    }
-    const JsonValue* gap = w.Find("gap");
-    if (gap == nullptr || gap->type != JsonValue::Type::kBool) {
-      Fail("%s window missing bool \"gap\"\n", ctx);
-      return false;
-    }
-    if (!RequireHistogram(w, "window", "response") ||
-        !RequireHistogram(w, "window", "chain_e2e") ||
-        !RequireHistogram(w, "window", "headroom")) {
-      return false;
-    }
-    const double index = w.Find("index")->number;
-    const double start = w.Find("start_us")->number;
-    const double end = w.Find("end_us")->number;
-    if (index <= last_index || start != index * width || end <= start ||
-        end > start + width) {
-      Fail("%s window off the grid (index %g start %g end %g width %g)\n", ctx, index, start, end,
-           width);
-      return false;
+  for (const JsonValue& w : series) {
+    const double index = Num(w, "index");
+    const double start = Num(w, "start_us");
+    const double end = Num(w, "end_us");
+    if (index <= last_index || start != index * width || end <= start || end > start + width) {
+      return Fail("timeseries window off the grid (index %g start %g end %g width %g)\n", index,
+                  start, end, width);
     }
     last_index = index;
-    if (gap->boolean) {
-      gaps += 1.0;
-    }
-    jobs += w.Find("jobs_completed")->number;
-    misses += w.Find("deadline_misses")->number;
+    gaps += Flag(w, "gap") ? 1.0 : 0.0;
+    jobs += Num(w, "jobs_completed");
+    misses += Num(w, "deadline_misses");
   }
-  if (gaps != ts.Find("gap_windows")->number) {
-    Fail("%s gap_windows=%g but %g windows are marked\n", ctx, ts.Find("gap_windows")->number,
-         gaps);
-    return false;
+  if (gaps != Num(ts, "gap_windows")) {
+    return Fail("timeseries gap_windows=%g but %g windows are marked\n", Num(ts, "gap_windows"),
+                gaps);
   }
-  // Telescoping: lossless series must reproduce the whole-run totals.
-  if (totals != nullptr && ts.Find("lost_samples")->number == 0.0) {
-    const JsonValue* total_jobs = totals->Find("jobs_completed");
-    const JsonValue* total_misses = totals->Find("deadline_misses");
-    if (total_jobs != nullptr && total_jobs->number != jobs) {
-      Fail("%s window jobs sum to %g, run total is %g\n", ctx, jobs, total_jobs->number);
-      return false;
+  if (Num(ts, "lost_samples") == 0.0) {
+    if (jobs != Num(root, "jobs_completed")) {
+      return Fail("timeseries window jobs sum to %g, run total is %g\n", jobs,
+                  Num(root, "jobs_completed"));
     }
-    if (total_misses != nullptr && total_misses->number != misses) {
-      Fail("%s window misses sum to %g, run total is %g\n", ctx, misses, total_misses->number);
-      return false;
+    if (misses != Num(root, "deadline_misses")) {
+      return Fail("timeseries window misses sum to %g, run total is %g\n", misses,
+                  Num(root, "deadline_misses"));
     }
   }
   return true;
 }
 
-// The alert stream: every event well-formed, the fired count backed up by
-// the stream, and the stream ordered by window (the determinism contract —
-// an unordered stream would make the bit-identical comparison meaningless).
-bool Checker::CheckAlertsSection(const JsonValue& alerts, const char* ctx) {
-  if (!RequireNumbers(alerts, ctx, {"events", "fired"})) {
-    return false;
-  }
-  const JsonValue* config = alerts.Find("config");
-  if (config == nullptr || config->type != JsonValue::Type::kObject ||
-      !RequireNumbers(*config, "alerts config",
-                      {"fast_windows", "slow_windows", "miss_budget_ppm",
-                       "miss_burn_threshold", "chain_budget_ppm", "chain_burn_threshold",
-                       "outlier_floor"})) {
-    return false;
-  }
-  const JsonValue* stream = alerts.Find("stream");
-  if (stream == nullptr || stream->type != JsonValue::Type::kArray) {
-    Fail("%s missing stream array\n", ctx);
-    return false;
-  }
-  if (stream->array.size() != static_cast<size_t>(alerts.Find("events")->number)) {
-    Fail("%s events=%g but stream has %zu entries\n", ctx, alerts.Find("events")->number,
-         stream->array.size());
-    return false;
+// The fired count is backed by the stream, and the stream is ordered by
+// window: the determinism contract, since an unordered stream would make the
+// bit-identical comparison meaningless.
+bool Checker::AlertsGate(const JsonValue& alerts) {
+  const auto& stream = Get(alerts, "stream").array;
+  if (stream.size() != static_cast<size_t>(Num(alerts, "events"))) {
+    return Fail("alerts events=%g but stream has %zu entries\n", Num(alerts, "events"),
+                stream.size());
   }
   double fired = 0.0;
   double last_window = -1e18;
-  for (const JsonValue& e : stream->array) {
-    if (!RequireNumbers(e, "alert event", {"node", "window", "time_us", "value", "total"})) {
-      return false;
+  for (const JsonValue& e : stream) {
+    const std::string& state = Get(e, "state").string;
+    if (state != "firing" && state != "resolved") {
+      return Fail("alerts event state \"%s\" is neither firing nor resolved\n", state.c_str());
     }
-    const JsonValue* rule = e.Find("rule");
-    const JsonValue* state = e.Find("state");
-    if (rule == nullptr || rule->type != JsonValue::Type::kString || state == nullptr ||
-        state->type != JsonValue::Type::kString ||
-        (state->string != "firing" && state->string != "resolved")) {
-      Fail("%s event missing rule/state\n", ctx);
-      return false;
+    if (Num(e, "window") < last_window) {
+      return Fail("alerts stream not ordered by window\n");
     }
-    if (e.Find("window")->number < last_window) {
-      Fail("%s stream not ordered by window\n", ctx);
-      return false;
-    }
-    last_window = e.Find("window")->number;
-    if (state->string == "firing") {
-      fired += 1.0;
-    }
+    last_window = Num(e, "window");
+    fired += state == "firing" ? 1.0 : 0.0;
   }
-  if (fired != alerts.Find("fired")->number) {
-    Fail("%s fired=%g but stream has %g firing events\n", ctx, alerts.Find("fired")->number, fired);
-    return false;
+  if (fired != Num(alerts, "fired")) {
+    return Fail("alerts fired=%g but stream has %g firing events\n", Num(alerts, "fired"), fired);
   }
   return true;
 }
 
-// The fleet report must carry zero failed nodes and positive deterministic
-// aggregates.
-int Checker::CheckFleetRun(const char* path, const JsonValue& root) {
-  if (!RequireNumbers(root, "fleet",
-                      {"instances", "workers", "seed", "run_duration_ms", "slice_ms",
-                       "events_total", "virtual_ms_total", "events_per_virtual_sec",
-                       "jobs_completed", "deadline_misses", "timer_dispatches",
-                       "chain_completed", "chain_overruns", "nodes_total", "nodes_failed",
-                       "wall_seconds", "events_per_wall_sec"})) {
-    return 1;
+// --- Schema gates ---
+
+bool Checker::ObsRunGates(const char* path, const JsonValue& root) {
+  if (!CyclesGate(Get(root, "cycles")) || !ChainsGate(Get(root, "chains"), "chains") ||
+      !PostmortemGate(Get(root, "postmortem"), "postmortem")) {
+    return false;
   }
-  for (const char* key : {"fleet_digest", "label"}) {
-    const JsonValue* v = root.Find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kString) {
-      Fail("fleet missing string \"%s\"\n", key);
-      return 1;
-    }
+  const auto& violations = Get(Get(root, "analysis"), "violations").array;
+  if (!violations.empty()) {
+    return Fail("%zu trace invariant violation(s), first kind: %s\n", violations.size(),
+                Get(violations[0], "kind").string.c_str());
   }
-  // Every fleet run measures its evaluation cost and carries telemetry, a
-  // window series and an alert stream.
-  for (const char* key : {"host_evaluate", "telemetry", "timeseries", "alerts"}) {
-    if (root.Find(key) == nullptr) {
-      Fail("fleet missing \"%s\" section\n", key);
-      return 1;
-    }
-  }
-  if (root.Find("nodes_failed")->number != 0.0) {
-    const JsonValue* failure = root.Find("first_failure");
-    Fail("%g fleet node(s) failed their oracles: %s\n", root.Find("nodes_failed")->number,
-         failure != nullptr ? failure->string.c_str() : "?");
-    return 1;
-  }
-  if (root.Find("nodes_total")->number <= 0.0 || root.Find("events_total")->number <= 0.0 ||
-      root.Find("events_per_virtual_sec")->number <= 0.0) {
-    Fail("fleet ran no nodes or produced no events\n");
-    return 1;
-  }
-  const JsonValue* schedulers = root.Find("schedulers");
-  if (schedulers == nullptr || schedulers->type != JsonValue::Type::kObject) {
-    Fail("fleet missing schedulers object\n");
-    return 1;
-  }
-  // Host evaluation cost: never gated.
-  if (!RequireNumbers(*root.Find("host_evaluate"), "fleet host_evaluate",
-                      {"cpu_ns_total", "cpu_ns_max", "slowest_node"})) {
-    return 1;
-  }
-  const JsonValue* fleet_trace = root.Find("trace");
-  if (fleet_trace == nullptr ||
-      !RequireNumbers(*fleet_trace, "fleet trace",
-                      {"storage_bytes_max", "storage_bytes_worst_node"})) {
-    return 1;
-  }
-  // The fleet's record mix: one count per event type, and no other key.
-  const JsonValue* mix = fleet_trace->Find("records_by_type");
-  if (mix == nullptr || mix->type != JsonValue::Type::kObject ||
-      mix->object.size() != static_cast<size_t>(kNumTraceEventTypes)) {
-    Fail("fleet trace missing records_by_type {%d event types}\n", kNumTraceEventTypes);
-    return 1;
-  }
-  for (int t = 0; t < kNumTraceEventTypes; ++t) {
-    if (!RequireNumbers(*mix, "fleet trace records_by_type",
-                        {TraceEventTypeToString(static_cast<TraceEventType>(t))})) {
-      return 1;
-    }
-  }
-  const JsonValue* triage = root.Find("triage");
-  if (triage == nullptr || triage->type != JsonValue::Type::kObject ||
-      triage->Find("metrics") == nullptr ||
-      triage->Find("metrics")->type != JsonValue::Type::kArray ||
-      triage->Find("outlier_nodes") == nullptr) {
-    Fail("fleet missing triage {metrics, outlier_nodes}\n");
-    return 1;
-  }
-  const JsonValue* top_blame = triage->Find("top_blame");
-  if (top_blame == nullptr ||
-      !RequireNumbers(*top_blame, "triage top_blame",
-                      {"preemptor", "preemptor_ns", "lock", "lock_ns"})) {
-    return 1;
-  }
-  // The fleet-merged blame ledger: digest-gated (the serial-vs-parallel
-  // bit-identity tests compare it), zero conservation failures, and nothing
-  // unattributed across any node whose window was complete.
-  const JsonValue* postmortem = root.Find("postmortem");
-  if (postmortem == nullptr || postmortem->type != JsonValue::Type::kObject) {
-    Fail("fleet missing postmortem object\n");
-    return 1;
-  }
-  const JsonValue* blame_digest = postmortem->Find("blame_digest");
-  if (blame_digest == nullptr || blame_digest->type != JsonValue::Type::kString ||
-      blame_digest->string.empty() ||
-      !RequireNumbers(*postmortem, "fleet postmortem", {"incomplete_misses"})) {
-    Fail("fleet postmortem missing blame_digest\n");
-    return 1;
-  }
-  const JsonValue* fleet_blame = postmortem->Find("blame");
-  if (fleet_blame == nullptr ||
-      !RequireNumbers(*fleet_blame, "fleet blame",
-                      {"misses_analyzed", "conservation_failures", "tardiness_ns",
-                       "unattributed_ns"})) {
-    return 1;
-  }
-  if (fleet_blame->Find("conservation_failures")->number != 0.0) {
-    Fail("fleet blame ledger has %g conservation failure(s)\n",
-         fleet_blame->Find("conservation_failures")->number);
-    return 1;
-  }
-  if (!CheckTelemetrySection(*root.Find("telemetry"), "telemetry", root) ||
-      !CheckTimeseriesSection(*root.Find("timeseries"), "timeseries", &root) ||
-      !CheckAlertsSection(*root.Find("alerts"), "alerts")) {
-    return 1;
-  }
-  Ok("%s (fleet run, %g nodes, %g events, 0 failures)\n", path, root.Find("nodes_total")->number,
-     root.Find("events_total")->number);
-  return 0;
+  const JsonValue& recon = Get(root, "reconciliation");
+  const bool reconciled = EachWord(kReconciledFlags, [&](std::string_view flag) {
+    const std::string key(flag);
+    return Flag(recon, key.c_str()) || Fail("reconciliation %s is false\n", key.c_str());
+  });
+  return reconciled &&
+         Ok("%s (obs run, %zu task rows, 0 violations)\n", path, Get(root, "tasks").array.size());
 }
 
-// A black-box bundle report (emeralds.obs.blackbox/1) is forensic: it
-// records a (possibly failing) run, so chain violations and invariant
-// breaches are allowed inside it. The check is structural — the bundle must
-// round-trip: label/reason/repro present, the trace accounting coherent,
-// and the embedded node-telemetry block well-formed.
-int Checker::CheckObsBlackBox(const char* path, const JsonValue& root) {
-  for (const char* key : {"label", "reason", "repro"}) {
-    const JsonValue* v = root.Find(key);
-    if (v == nullptr || v->type != JsonValue::Type::kString || v->string.empty()) {
-      Fail("blackbox missing string \"%s\"\n", key);
-      return 1;
-    }
-  }
-  if (!RequireNumbers(root, "blackbox", {"virtual_time_us"})) {
-    return 1;
-  }
-  const JsonValue* trace = root.Find("trace");
-  if (trace == nullptr ||
-      !RequireNumbers(*trace, "blackbox trace", {"retained", "dropped", "total_recorded"})) {
-    return 1;
-  }
-  const JsonValue* threads = root.Find("threads");
-  if (threads == nullptr || threads->type != JsonValue::Type::kArray) {
-    Fail("blackbox missing threads array\n");
-    return 1;
-  }
-  const JsonValue* stats = root.Find("stats");
-  if (stats == nullptr ||
-      !RequireNumbers(*stats, "blackbox stats",
-                      {"context_switches", "jobs_completed", "deadline_misses",
-                       "timer_dispatches", "headroom_low_events"})) {
-    return 1;
-  }
-  const JsonValue* telemetry = root.Find("telemetry");
-  if (telemetry == nullptr || telemetry->type != JsonValue::Type::kObject ||
-      !RequireHistogram(*telemetry, "blackbox telemetry", "response")) {
-    return 1;
-  }
-  const JsonValue* chains = root.Find("chains");
-  if (chains == nullptr || chains->type != JsonValue::Type::kObject) {
-    Fail("blackbox missing chains object\n");
-    return 1;
-  }
-  const JsonValue* snapshots = root.Find("snapshots");
-  if (snapshots == nullptr ||
-      !RequireNumbers(*snapshots, "blackbox snapshots", {"count", "dropped"})) {
-    return 1;
-  }
-  const JsonValue* postmortem = root.Find("postmortem");
-  if (postmortem == nullptr || postmortem->type != JsonValue::Type::kObject ||
-      !CheckPostmortemSection(*postmortem, "blackbox postmortem", /*forensic=*/true)) {
-    return 1;
-  }
-  Ok("%s (black box \"%s\": %s)\n", path, root.Find("label")->string.c_str(),
-     root.Find("reason")->string.c_str());
-  return 0;
+bool Checker::ObsCyclesGates(const char* path, const JsonValue& root) {
+  return CyclesGate(Get(root, "cycles")) &&
+         Ok("%s (cycles report, %zu task rows, conserved)\n", path,
+            Get(root, "tasks").array.size());
 }
 
-// The SMP report is gated substantively: every throughput row must conserve
-// its ledger fleet-summed AND per core (residuals exactly zero), the 2-core
-// run must deliver the 1.7x aggregate user-cycle floor over 1-core at equal
-// horizon (recomputed from the integers, not just the reported ratio), and
-// partitioned-CSD admission must be monotone in core count.
-int Checker::CheckBenchSmp(const char* path, const JsonValue& root) {
-  if (!RequireNumbers(root, "smp", {"horizon_ms", "ratio_2core", "ratio_4core"})) {
-    return 1;
+bool Checker::ObsChainsGates(const char* path, const JsonValue& root) {
+  const JsonValue& report = Get(root, "report");
+  return ChainsGate(report, "report") &&
+         Ok("%s (chains report, %zu chain(s), 0 violations)\n", path,
+            Get(report, "chains").array.size());
+}
+
+bool Checker::ObsPostmortemGates(const char* path, const JsonValue& root) {
+  const JsonValue& report = Get(root, "report");
+  return PostmortemGate(report, "postmortem report") &&
+         Ok("%s (postmortem \"%s\", %g miss(es), ledgers conserved)\n", path,
+            Get(root, "label").string.c_str(), Num(report, "misses_analyzed"));
+}
+
+// Every run passes its oracles, and only a --tiny-ring window may evict:
+// every other run is evaluated over its whole trace, so a drop there means
+// its oracles saw a truncated run.
+bool Checker::TortureGates(const char* path, const JsonValue& root) {
+  const auto& runs = Get(root, "runs").array;
+  uint64_t ops = 0;
+  for (const JsonValue& run : runs) {
+    const double seed = Num(run, "seed");
+    const std::string& repro = Get(run, "repro").string;
+    if (!Flag(run, "ok")) {
+      return Fail("torture seed %g failed; repro: %s\n", seed, repro.c_str());
+    }
+    const double dropped = Num(Get(run, "trace"), "dropped");
+    if (repro.find("--tiny-ring") == std::string::npos && dropped > 0.0) {
+      return Fail("seed %g dropped %g trace records without --tiny-ring\n", seed, dropped);
+    }
+    if (Num(run, "violations") != 0.0 || Num(run, "fault_mismatches") != 0.0) {
+      return Fail("seed %g has violations/fault mismatches\n", seed);
+    }
+    // The cycle ledger is conserved on every run, including truncated-ring
+    // ones where reconciliation refuses to check.
+    if (!Flag(Get(run, "cycles"), "conserved")) {
+      return Fail("seed %g cycle ledger not conserved\n", seed);
+    }
+    if (Num(Get(run, "chains"), "violations") != 0.0) {
+      return Fail("seed %g has chain-token conservation violations\n", seed);
+    }
+    if (Num(Get(run, "postmortem"), "conservation_failures") != 0.0) {
+      return Fail("seed %g has lateness-conservation failures\n", seed);
+    }
+    ops += static_cast<uint64_t>(Num(run, "ops_executed"));
   }
-  const JsonValue* rows = root.Find("throughput");
-  if (rows == nullptr || rows->type != JsonValue::Type::kArray || rows->array.empty()) {
-    Fail("smp missing throughput array\n");
-    return 1;
+  if (Num(Get(root, "totals"), "failed") != 0.0) {
+    return Fail("totals.failed = %g\n", Num(Get(root, "totals"), "failed"));
   }
+  return Ok("%s (torture sweep, %zu runs, %llu ops, 0 failures)\n", path, runs.size(),
+            static_cast<unsigned long long>(ops));
+}
+
+// Zero failed nodes, positive deterministic aggregates, one record count per
+// event type, a conserved fleet blame ledger, and the embedded sections'
+// gates.
+bool Checker::FleetRunGates(const char* path, const JsonValue& root) {
+  if (Num(root, "nodes_failed") != 0.0) {
+    return Fail("%g fleet node(s) failed their oracles\n", Num(root, "nodes_failed"));
+  }
+  if (Num(root, "nodes_total") <= 0.0 || Num(root, "events_total") <= 0.0 ||
+      Num(root, "events_per_virtual_sec") <= 0.0) {
+    return Fail("fleet ran no nodes or produced no events\n");
+  }
+  const size_t types = Get(Get(root, "trace"), "records_by_type").object.size();
+  if (types != static_cast<size_t>(kNumTraceEventTypes)) {
+    return Fail("fleet trace records_by_type has %zu keys, want one per event type (%d)\n", types,
+                kNumTraceEventTypes);
+  }
+  const JsonValue& blame = Get(Get(root, "postmortem"), "blame");
+  if (Num(blame, "conservation_failures") != 0.0) {
+    return Fail("fleet blame ledger has %g conservation failure(s)\n",
+                Num(blame, "conservation_failures"));
+  }
+  return TelemetryGate(Get(root, "telemetry"), root) &&
+         TimeseriesGate(Get(root, "timeseries"), root) && AlertsGate(Get(root, "alerts")) &&
+         Ok("%s (fleet run, %g nodes, %g events, 0 failures)\n", path, Num(root, "nodes_total"),
+            Num(root, "events_total"));
+}
+
+// A black box is forensic: it records a (possibly failing) run, so it is
+// checked for shape only.
+bool Checker::BlackBoxGates(const char* path, const JsonValue& root) {
+  return Ok("%s (black box \"%s\": %s)\n", path, Get(root, "label").string.c_str(),
+            Get(root, "reason").string.c_str());
+}
+
+// Every throughput row conserves its ledger fleet-summed AND per core
+// (residuals exactly zero), the 2-core run delivers the 1.7x user-cycle floor
+// over 1-core at equal horizon (recomputed from the integers, not the
+// reported ratio), and partitioned-CSD admission never falls with more cores.
+bool Checker::SmpGates(const char* path, const JsonValue& root) {
   double user_by_cores[16] = {};
-  for (const JsonValue& row : rows->array) {
-    if (!RequireNumbers(row, "smp throughput row",
-                        {"num_cores", "user_ns", "idle_ns", "ipis", "context_switches",
-                         "jobs_completed"})) {
-      return 1;
+  for (const JsonValue& row : Get(root, "throughput").array) {
+    const double cores = Num(row, "num_cores");
+    if (!Flag(row, "conserved")) {
+      return Fail("smp %g-core row not conserved\n", cores);
     }
-    if (!RequireDigest(row, "smp throughput row")) {
-      return 1;
+    const auto& per_core = Get(row, "cores").array;
+    if (per_core.size() != static_cast<size_t>(cores)) {
+      return Fail("smp %g-core row has %zu per-core ledgers\n", cores, per_core.size());
     }
-    const double cores = row.Find("num_cores")->number;
-    const JsonValue* conserved = row.Find("conserved");
-    if (conserved == nullptr || conserved->type != JsonValue::Type::kBool ||
-        !conserved->boolean) {
-      Fail("smp %g-core row not conserved\n", cores);
-      return 1;
-    }
-    const JsonValue* per_core = row.Find("cores");
-    if (per_core == nullptr || per_core->type != JsonValue::Type::kArray ||
-        per_core->array.size() != static_cast<size_t>(cores)) {
-      Fail("smp %g-core row missing per-core ledger array\n", cores);
-      return 1;
-    }
-    for (const JsonValue& c : per_core->array) {
-      if (!RequireNumbers(c, "smp per-core ledger",
-                          {"core", "elapsed_ns", "ledger_total_ns", "residual_ns"})) {
-        return 1;
-      }
-      const JsonValue* cons = c.Find("conserved");
-      if (cons == nullptr || cons->type != JsonValue::Type::kBool || !cons->boolean ||
-          c.Find("residual_ns")->number != 0.0) {
-        Fail("smp %g-core run, core %g: residual %g ns (must be 0)\n", cores,
-             c.Find("core")->number, c.Find("residual_ns")->number);
-        return 1;
+    for (const JsonValue& c : per_core) {
+      if (!Flag(c, "conserved") || Num(c, "residual_ns") != 0.0) {
+        return Fail("smp %g-core run, core %g: residual %g ns (must be 0)\n", cores,
+                    Num(c, "core"), Num(c, "residual_ns"));
       }
     }
     if (cores >= 1 && cores < 16) {
-      user_by_cores[static_cast<int>(cores)] = row.Find("user_ns")->number;
+      user_by_cores[static_cast<int>(cores)] = Num(row, "user_ns");
     }
   }
   if (user_by_cores[1] <= 0.0 || user_by_cores[2] <= 0.0) {
-    Fail("smp report lacks 1-core and 2-core throughput rows\n");
-    return 1;
+    return Fail("smp report lacks 1-core and 2-core throughput rows\n");
   }
   const double ratio2 = user_by_cores[2] / user_by_cores[1];
   if (ratio2 < 1.7) {
-    Fail("2-core user-cycle throughput is %.3fx 1-core (floor 1.7x)\n", ratio2);
-    return 1;
+    return Fail("2-core user-cycle throughput is %.3fx 1-core (floor 1.7x)\n", ratio2);
   }
-  const JsonValue* admission = root.Find("admission");
-  if (admission == nullptr || admission->type != JsonValue::Type::kObject) {
-    Fail("smp missing admission object\n");
-    return 1;
-  }
-  const JsonValue* points = admission->Find("points");
-  if (points == nullptr || points->type != JsonValue::Type::kArray || points->array.empty()) {
-    Fail("smp admission missing points array\n");
-    return 1;
-  }
-  for (const JsonValue& p : points->array) {
-    if (!RequireNumbers(p, "smp admission point",
-                        {"utilization", "admitted_1core", "admitted_2core", "admitted_4core"})) {
-      return 1;
-    }
-    const double a1 = p.Find("admitted_1core")->number;
-    const double a2 = p.Find("admitted_2core")->number;
-    const double a4 = p.Find("admitted_4core")->number;
+  const auto& points = Get(Get(root, "admission"), "points").array;
+  for (const JsonValue& p : points) {
+    const double a1 = Num(p, "admitted_1core");
+    const double a2 = Num(p, "admitted_2core");
+    const double a4 = Num(p, "admitted_4core");
     if (a2 < a1 || a4 < a2) {
-      Fail("admission not monotone in cores at U=%g (1:%g 2:%g 4:%g)\n",
-           p.Find("utilization")->number, a1, a2, a4);
-      return 1;
+      return Fail("admission not monotone in cores at U=%g (1:%g 2:%g 4:%g)\n",
+                  Num(p, "utilization"), a1, a2, a4);
     }
   }
-  Ok("%s (smp: 2-core %.3fx user cycles, %zu admission points)\n", path, ratio2,
-     points->array.size());
-  return 0;
+  return Ok("%s (smp: 2-core %.3fx user cycles, %zu admission points)\n", path, ratio2,
+            points.size());
 }
 
-int Checker::Dispatch(const char* path, const JsonValue& root) {
-  const JsonValue* schema = root.Find("schema");
-  if (schema == nullptr || schema->type != JsonValue::Type::kString) {
-    Fail("missing schema tag\n");
-    return 1;
-  }
-  if (schema->string == "emeralds.obs.run/1") {
-    return CheckObsRun(path, root);
-  }
-  if (schema->string == "emeralds.obs.cycles/1") {
-    return CheckObsCycles(path, root);
-  }
-  if (schema->string == "emeralds.obs.chains/1") {
-    return CheckObsChains(path, root);
-  }
-  if (schema->string == "emeralds.fuzz.torture/1") {
-    return CheckFuzzTorture(path, root);
-  }
-  if (schema->string == "emeralds.fleet.run/1") {
-    return CheckFleetRun(path, root);
-  }
-  if (schema->string == "emeralds.obs.timeseries/1") {
-    if (!CheckTimeseriesSection(root, "timeseries", root.Find("totals"))) {
-      return 1;
-    }
-    Ok("%s (timeseries, %g windows)\n", path, root.Find("windows")->number);
-    return 0;
-  }
-  if (schema->string == "emeralds.obs.blackbox/1") {
-    return CheckObsBlackBox(path, root);
-  }
-  if (schema->string == "emeralds.obs.postmortem/1") {
-    const JsonValue* label = root.Find("label");
-    const JsonValue* report = root.Find("report");
-    if (label == nullptr || label->type != JsonValue::Type::kString || report == nullptr ||
-        report->type != JsonValue::Type::kObject) {
-      Fail("postmortem missing label/report\n");
-      return 1;
-    }
-    if (!CheckPostmortemSection(*report, "postmortem report")) {
-      return 1;
-    }
-    Ok("%s (postmortem \"%s\", %g miss(es), ledgers conserved)\n", path, label->string.c_str(),
-       report->Find("misses_analyzed")->number);
-    return 0;
-  }
-  if (schema->string == "emeralds.bench.smp/1") {
-    return CheckBenchSmp(path, root);
-  }
-  if (schema->string != "emeralds.bench.breakdown/1") {
-    Fail("unexpected schema tag \"%s\"\n", schema->string.c_str());
-    return 1;
-  }
-  return CheckBreakdown(path, root);
-}
-
-int Checker::CheckBreakdown(const char* path, const JsonValue& root) {
-  const JsonValue* points = root.Find("points");
-  if (points == nullptr || points->type != JsonValue::Type::kArray || points->array.empty()) {
-    Fail("missing or empty points array\n");
-    return 1;
-  }
-  for (const JsonValue& point : points->array) {
-    for (const char* key : {"n", "wall_seconds", "workloads_per_sec", "eval_reduction",
-                            "reference_mismatches"}) {
-      const JsonValue* v = point.Find(key);
-      if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-        Fail("point missing numeric \"%s\"\n", key);
-        return 1;
-      }
-    }
-    const JsonValue* evals = point.Find("evals");
-    if (evals == nullptr || evals->Find("full_evals") == nullptr) {
-      Fail("point missing evals.full_evals\n");
-      return 1;
-    }
-    const JsonValue* mism = point.Find("reference_mismatches");
-    if (mism->number != 0.0) {
-      Fail("reference_mismatches = %g at n = %g\n", mism->number, point.Find("n")->number);
-      return 1;
+bool Checker::BreakdownGates(const char* path, const JsonValue& root) {
+  const auto& points = Get(root, "points").array;
+  for (const JsonValue& point : points) {
+    if (Num(point, "reference_mismatches") != 0.0) {
+      return Fail("reference_mismatches = %g at n = %g\n", Num(point, "reference_mismatches"),
+                  Num(point, "n"));
     }
   }
-  Ok("%s (%zu points)\n", path, points->array.size());
-  return 0;
+  return Ok("%s (%zu points)\n", path, points.size());
 }
 
 }  // namespace
@@ -1081,19 +857,11 @@ JsonCheckResult CheckReport(const std::string& path, const JsonValue& root) {
 
 JsonCheckResult CheckReportFile(const std::string& path) {
   JsonCheckResult result;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     result.log = "FAIL: cannot open " + path + "\n";
     return result;
   }
-  std::string text;
-  char buf[4096];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-
   JsonValue root;
   std::string error;
   if (!JsonParse(text, &root, &error)) {

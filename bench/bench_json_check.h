@@ -5,20 +5,35 @@
 //   emeralds.obs.cycles/1      — cycle-attribution ledger report
 //   emeralds.obs.chains/1      — causal event-chain report (chains_smoke label)
 //   emeralds.fuzz.torture/1    — torture-harness sweep report
-//   emeralds.fleet.run/1       — fleet simulation report (fleet_smoke label)
-//   emeralds.obs.timeseries/1  — streaming telemetry window series (also
-//                                embedded in fleet.run as "timeseries")
+//   emeralds.fleet.run/1       — fleet simulation report (fleet_smoke label),
+//                                embedding emeralds.fleet.telemetry/1 as
+//                                "telemetry" and emeralds.obs.timeseries/1 as
+//                                "timeseries" (no program writes either alone)
 //   emeralds.obs.blackbox/1    — black-box flight-recorder bundle report
 //   emeralds.bench.smp/1       — partitioned-SMP throughput/admission report
 //   emeralds.obs.postmortem/1  — deadline-miss lateness-attribution report
 //                                (postmortem_smoke label; also embedded in
-//                                obs.run and fleet.run as "postmortem")
-// For the obs, fuzz, and fleet schemas the check is substantive, not just
-// structural: invariant-violation lists must be empty, reconciliation flags
-// true, every torture run ok and, unless it ran --tiny-ring, evaluated over a
-// trace that dropped nothing, and the cycle ledger conserved (bucket sum ==
-// elapsed, residual exactly zero) — so a kernel whose trace disagrees with
-// its own counters, whose ledger leaks time, or a failing fuzz seed fails CI.
+//                                obs.run and the black box as "postmortem")
+//
+// One shape table lists, per schema, the members a report must carry and
+// their kinds: numbers, non-negative integer counts, bools, strings (exact
+// for a schema tag), digests, objects, arrays (non-empty where required) and
+// six-key latency histograms. The sections several schemas embed (cycles,
+// chains, postmortem, telemetry, timeseries, alerts) are written once and
+// mounted where they appear. One walker enforces the table and names the
+// first failing path ("telemetry.chains[0].hops[0].queue.p99_us is
+// missing").
+//
+// The semantic gates then run on members the table guarantees: conserved
+// flags with zero residual and zero unattributed time, bucket sums equal to
+// elapsed time, empty violation lists, no orphan hops and no unattributed
+// lateness on a complete window, torture's per-run oracles and its rule that
+// only --tiny-ring runs may drop trace records, telemetry totals equal to
+// the report totals, the window grid, telescoping sums and gap count, alert
+// order and fired count, zero failed fleet nodes, exactly one record count
+// per event type, the SMP 1.7x floor with zero per-core residuals and
+// admission that never falls with more cores, and zero reference
+// mismatches. A black box is forensic, so it is checked for shape only.
 
 #ifndef BENCH_BENCH_JSON_CHECK_H_
 #define BENCH_BENCH_JSON_CHECK_H_

@@ -8,8 +8,8 @@
 
 #include "bench/bench_report.h"
 #include "src/analysis/breakdown.h"
-#include "src/analysis/parallel.h"
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
 #include "src/workload/workload.h"
 
 namespace emeralds {
@@ -77,10 +77,11 @@ void RunBreakdownFigure(const char* figure_name, int divide) {
   report.workloads_per_point = workloads;
 
   Rng root(20260704);
+  ThreadPool pool;
   for (int n = 5; n <= 50; n += 5) {
     auto start = std::chrono::steady_clock::now();
     std::vector<WorkloadRow> rows(workloads);
-    ParallelFor(workloads, [&](int w) {
+    pool.ParallelFor(workloads, [&](int64_t w) {
       Rng rng = root.Fork(static_cast<uint64_t>(n) * 10000 + divide * 1000 + w);
       TaskSet set = GenerateWorkload(rng, n).PeriodsDividedBy(divide);
       WorkloadRow& row = rows[w];

@@ -337,4 +337,19 @@ bool JsonParse(const std::string& text, JsonValue* out, std::string* error) {
   return JsonParser(text, error != nullptr ? error : &unused).Parse(out);
 }
 
+bool ReadFile(const std::string& path, std::string* text) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return false;
+  }
+  text->clear();
+  char buf[4096];
+  size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    text->append(buf, got);
+  }
+  std::fclose(f);
+  return true;
+}
+
 }  // namespace emeralds

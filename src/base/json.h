@@ -32,6 +32,10 @@ struct JsonValue {
 // returns false and describes the problem (with a byte offset) in *error.
 bool JsonParse(const std::string& text, JsonValue* out, std::string* error);
 
+// Reads the whole file at `path` into *text. Returns false when the file
+// cannot be opened.
+bool ReadFile(const std::string& path, std::string* text);
+
 // --- Writer helpers (append to a std::string buffer) ---
 
 // Appends `s` as a quoted JSON string with the required escapes.

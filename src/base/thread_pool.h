@@ -1,13 +1,13 @@
 // Work-stealing host thread pool.
 //
-// Drives the fleet runner's kernel-instance slices and the torture driver's
-// parallel seed sweeps. Each worker owns a deque: it pushes and pops its own
-// work LIFO (cache-warm), and steals FIFO from a victim when empty (oldest
-// work first — the classic Cilk discipline, so a stolen task is the one
-// least likely to be hot in the victim's cache). Tasks may submit further
-// tasks (the fleet runner re-enqueues an instance's next time slice from
-// inside the previous one); submissions from a worker thread go to that
-// worker's own deque.
+// Drives the fleet runner's kernel-instance slices, the torture harness's
+// parallel seed sweeps and the breakdown benches' workload sweeps. Each
+// worker owns a deque: it pushes and pops its own work LIFO (cache-warm),
+// and steals FIFO from a victim when empty (oldest work first — the classic
+// Cilk discipline, so a stolen task is the one least likely to be hot in
+// the victim's cache). Tasks may submit further tasks (the fleet runner
+// re-enqueues an instance's next time slice from inside the previous one);
+// submissions from a worker thread go to that worker's own deque.
 //
 // Everything is guarded by per-deque mutexes plus one idle mutex for
 // sleep/wake — no lock-free tricks — so the pool is ThreadSanitizer-clean by

@@ -329,18 +329,11 @@ int Main(int argc, char** argv) {
   }
 
   if (run_path != nullptr) {
-    std::FILE* rf = std::fopen(run_path, "r");
-    if (rf == nullptr) {
+    std::string text;
+    if (!ReadFile(run_path, &text)) {
       std::fprintf(stderr, "trace_inspect: cannot open %s\n", run_path);
       return 1;
     }
-    std::string text;
-    char buf[4096];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), rf)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(rf);
     JsonValue root;
     if (!JsonParse(text, &root, &error)) {
       std::fprintf(stderr, "trace_inspect: %s: %s\n", run_path, error.c_str());

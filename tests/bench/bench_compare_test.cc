@@ -51,7 +51,7 @@ std::string WithDigest(const std::string& doc, const char* digest) {
 
 TEST(BenchCompareCyclesTest, IdenticalReportsPass) {
   JsonValue doc = Parse(CyclesDoc(60000000, 900000000, 980000000));
-  CompareResult r = CompareReports(doc, doc, CompareOptions());
+  CompareResult r = CompareReports(doc, doc);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_TRUE(r.failures.empty());
 }
@@ -61,7 +61,7 @@ TEST(BenchCompareCyclesTest, FivePercentSchedulerRegressionFails) {
   // +5% on sched_select, paid for out of idle so the candidate still
   // conserves and elapsed still matches: only the regression should trip.
   JsonValue cand = Parse(CyclesDoc(63000000, 900000000, 977000000));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("sched_select"), std::string::npos) << r.failures[0];
@@ -72,7 +72,7 @@ TEST(BenchCompareCyclesTest, WithinToleranceGrowthPasses) {
   JsonValue base = Parse(CyclesDoc(60000000, 900000000, 980000000));
   // +2% on sched_select is inside the 3% gate; it surfaces as a note only.
   JsonValue cand = Parse(CyclesDoc(61200000, 900000000, 978800000));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_FALSE(r.notes.empty());
 }
@@ -82,23 +82,14 @@ TEST(BenchCompareCyclesTest, UserAndIdleBucketsAreNotGated) {
   // The workload itself got 10% more expensive (user up, idle down): not the
   // kernel's regression to gate.
   JsonValue cand = Parse(CyclesDoc(60000000, 990000000, 890000000));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
-}
-
-TEST(BenchCompareCyclesTest, TighterToleranceCatchesSmallerRegressions) {
-  JsonValue base = Parse(CyclesDoc(60000000, 900000000, 980000000));
-  JsonValue cand = Parse(CyclesDoc(61200000, 900000000, 978800000));
-  CompareOptions strict;
-  strict.rel_tolerance = 0.01;
-  strict.abs_slack_ns = 0;
-  EXPECT_FALSE(CompareReports(base, cand, strict).ok);
 }
 
 TEST(BenchCompareCyclesTest, UnconservedCandidateFails) {
   JsonValue base = Parse(CyclesDoc(60000000, 900000000, 980000000));
   JsonValue cand = Parse(CyclesDoc(60000000, 900000000, 980000000, /*conserved=*/false));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("not conserved"), std::string::npos) << r.failures[0];
@@ -111,7 +102,7 @@ TEST(BenchCompareCyclesTest, ElapsedMismatchFails) {
   size_t pos = longer.find("\"elapsed_ns\":2000000000");
   ASSERT_NE(pos, std::string::npos);
   longer.replace(pos, 23, "\"elapsed_ns\":2000000001");
-  CompareResult r = CompareReports(base, Parse(longer), CompareOptions());
+  CompareResult r = CompareReports(base, Parse(longer));
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("elapsed_ns differs"), std::string::npos) << r.failures[0];
@@ -121,8 +112,7 @@ TEST(BenchCompareCyclesTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
   // The same ledger from a different simulated run: only the digest sees it.
   const std::string doc = CyclesDoc(60000000, 900000000, 980000000);
   JsonValue base = Parse(WithDigest(doc, "0x1111111111111111"));
-  CompareResult r =
-      CompareReports(base, Parse(WithDigest(doc, "0x2222222222222222")), CompareOptions());
+  CompareResult r = CompareReports(base, Parse(WithDigest(doc, "0x2222222222222222")));
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("cycle ledger run digest differs"), std::string::npos)
@@ -131,8 +121,8 @@ TEST(BenchCompareCyclesTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
             std::string::npos)
       << r.failures[0];
   // An equal digest passes; a candidate without one fails.
-  EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
-  EXPECT_FALSE(CompareReports(base, Parse(doc), CompareOptions()).ok);
+  EXPECT_TRUE(CompareReports(base, base).ok);
+  EXPECT_FALSE(CompareReports(base, Parse(doc)).ok);
 }
 
 TEST(BenchCompareCyclesTest, EqualDigestDemandsAnEqualLedger) {
@@ -140,10 +130,9 @@ TEST(BenchCompareCyclesTest, EqualDigestDemandsAnEqualLedger) {
   // but under an equal digest the run is the same, so the accounting moved.
   const std::string base_doc = CyclesDoc(60000000, 900000000, 980000000);
   const std::string cand_doc = CyclesDoc(60000000, 899999999, 980000001);
-  EXPECT_TRUE(CompareReports(Parse(base_doc), Parse(cand_doc), CompareOptions()).ok);
+  EXPECT_TRUE(CompareReports(Parse(base_doc), Parse(cand_doc)).ok);
   CompareResult r = CompareReports(Parse(WithDigest(base_doc, "0x1111111111111111")),
-                                   Parse(WithDigest(cand_doc, "0x1111111111111111")),
-                                   CompareOptions());
+                                   Parse(WithDigest(cand_doc, "0x1111111111111111")));
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 2u);
   bool named_idle = false;
@@ -170,27 +159,27 @@ std::string CyclesDocWithRows(long long core_total_ns, long long task_overhead_n
 TEST(BenchCompareCyclesTest, EqualDigestHoldsCoreAndTaskRowsExactly) {
   const char* digest = "0x1111111111111111";
   JsonValue base = Parse(WithDigest(CyclesDocWithRows(2000000000, 100), digest));
-  EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
+  EXPECT_TRUE(CompareReports(base, base).ok);
   CompareResult task = CompareReports(
-      base, Parse(WithDigest(CyclesDocWithRows(2000000000, 101), digest)), CompareOptions());
+      base, Parse(WithDigest(CyclesDocWithRows(2000000000, 101), digest)));
   ASSERT_EQ(task.failures.size(), 1u);
   EXPECT_NE(task.failures[0].find("tasks[0].overhead_ns"), std::string::npos)
       << task.failures[0];
   CompareResult core = CompareReports(
-      base, Parse(WithDigest(CyclesDocWithRows(2000000001, 100), digest)), CompareOptions());
+      base, Parse(WithDigest(CyclesDocWithRows(2000000001, 100), digest)));
   ASSERT_EQ(core.failures.size(), 1u);
   EXPECT_NE(core.failures[0].find("cores[0].ledger_total_ns"), std::string::npos)
       << core.failures[0];
   // Without digests the rows are not gated.
   EXPECT_TRUE(CompareReports(Parse(CyclesDocWithRows(2000000000, 100)),
-                             Parse(CyclesDocWithRows(2000000001, 101)), CompareOptions())
+                             Parse(CyclesDocWithRows(2000000001, 101)))
                   .ok);
 }
 
 TEST(BenchCompareCyclesTest, SchemaMismatchFails) {
   JsonValue cycles = Parse(CyclesDoc(60000000, 900000000, 980000000));
   JsonValue other = Parse("{\"schema\":\"emeralds.obs.run/1\"}");
-  CompareResult r = CompareReports(cycles, other, CompareOptions());
+  CompareResult r = CompareReports(cycles, other);
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("schema mismatch"), std::string::npos) << r.failures[0];
@@ -212,13 +201,13 @@ std::string BreakdownDoc(long long full_evals, double eval_reduction, double wps
 
 TEST(BenchCompareBreakdownTest, IdenticalReportsPass) {
   JsonValue doc = Parse(BreakdownDoc(1000, 0.800, 5000));
-  EXPECT_TRUE(CompareReports(doc, doc, CompareOptions()).ok);
+  EXPECT_TRUE(CompareReports(doc, doc).ok);
 }
 
 TEST(BenchCompareBreakdownTest, FullEvalsRegressionFails) {
   JsonValue base = Parse(BreakdownDoc(1000, 0.800, 5000));
   JsonValue cand = Parse(BreakdownDoc(1050, 0.800, 5000));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("full_evals regressed"), std::string::npos) << r.failures[0];
@@ -227,7 +216,7 @@ TEST(BenchCompareBreakdownTest, FullEvalsRegressionFails) {
 TEST(BenchCompareBreakdownTest, EvalReductionShrinkFails) {
   JsonValue base = Parse(BreakdownDoc(1000, 0.800, 5000));
   JsonValue cand = Parse(BreakdownDoc(1000, 0.760, 5000));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("eval_reduction regressed"), std::string::npos)
@@ -238,7 +227,7 @@ TEST(BenchCompareBreakdownTest, WallClockThroughputIsNotGated) {
   JsonValue base = Parse(BreakdownDoc(1000, 0.800, 5000));
   // Half the throughput (a slower machine) is a note, never a failure.
   JsonValue cand = Parse(BreakdownDoc(1000, 0.800, 2500));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_FALSE(r.notes.empty());
 }
@@ -253,11 +242,10 @@ std::string WithBreakdownPct(const std::string& doc, const std::string& pct) {
 TEST(BenchCompareBreakdownTest, ChangedBreakdownFailsAndNamesThePoint) {
   const std::string doc = BreakdownDoc(1000, 0.800, 5000);
   JsonValue base = Parse(WithBreakdownPct(doc, "{\"CSD-3\":98.79632813,\"EDF\":97.5}"));
-  EXPECT_TRUE(CompareReports(base, base, CompareOptions()).ok);
+  EXPECT_TRUE(CompareReports(base, base).ok);
   // The same evaluation count with a breakdown one digit off still fails.
   CompareResult r = CompareReports(
-      base, Parse(WithBreakdownPct(doc, "{\"CSD-3\":98.79632814,\"EDF\":97.5}")),
-      CompareOptions());
+      base, Parse(WithBreakdownPct(doc, "{\"CSD-3\":98.79632814,\"EDF\":97.5}")));
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("n=10: CSD-3 avg_breakdown_pct 98.79632814 vs baseline "
@@ -265,20 +253,19 @@ TEST(BenchCompareBreakdownTest, ChangedBreakdownFailsAndNamesThePoint) {
             std::string::npos)
       << r.failures[0];
   // A candidate missing a policy, or the whole section, fails too.
-  CompareResult missing =
-      CompareReports(base, Parse(WithBreakdownPct(doc, "{\"EDF\":97.5}")), CompareOptions());
+  CompareResult missing = CompareReports(base, Parse(WithBreakdownPct(doc, "{\"EDF\":97.5}")));
   EXPECT_FALSE(missing.ok);
   ASSERT_EQ(missing.failures.size(), 1u);
   EXPECT_NE(missing.failures[0].find("CSD-3 avg_breakdown_pct present only in the baseline"),
             std::string::npos)
       << missing.failures[0];
-  EXPECT_FALSE(CompareReports(base, Parse(doc), CompareOptions()).ok);
+  EXPECT_FALSE(CompareReports(base, Parse(doc)).ok);
 }
 
 TEST(BenchCompareBreakdownTest, ReferenceMismatchFailsTheCandidate) {
   JsonValue base = Parse(BreakdownDoc(1000, 0.800, 5000));
   JsonValue cand = Parse(BreakdownDoc(1000, 0.800, 5000, /*mismatches=*/1));
-  EXPECT_FALSE(CompareReports(base, cand, CompareOptions()).ok);
+  EXPECT_FALSE(CompareReports(base, cand).ok);
 }
 
 // --- emeralds.fleet.run/1 ---
@@ -306,7 +293,7 @@ bool HasNote(const CompareResult& r, const char* text) {
 
 TEST(BenchCompareFleetTest, IdenticalReportsPass) {
   JsonValue doc = Parse(FleetDoc("0x694861b1cb5ac0b9"));
-  CompareResult r = CompareReports(doc, doc, CompareOptions());
+  CompareResult r = CompareReports(doc, doc);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
 }
 
@@ -315,7 +302,7 @@ TEST(BenchCompareFleetTest, DigestChangeFailsAndNamesTheRegenerateCommand) {
   // counts cannot see it, the digest gate must.
   JsonValue base = Parse(FleetDoc("0x694861b1cb5ac0b9"));
   JsonValue cand = Parse(FleetDoc("0x9dc8f6c1e3b4c499"));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("fleet_digest differs"), std::string::npos) << r.failures[0];
@@ -331,7 +318,7 @@ TEST(BenchCompareFleetTest, HostEvaluateCostIsNotGated) {
       Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"host_evaluate\":{\"cpu_ns_total\":1000000}"));
   JsonValue cand =
       Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"host_evaluate\":{\"cpu_ns_total\":100000000}"));
-  CompareResult r = CompareReports(base, cand, CompareOptions());
+  CompareResult r = CompareReports(base, cand);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_FALSE(HasNote(r, "host_evaluate"));
 }
@@ -342,7 +329,7 @@ TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
   // +4% per-node trace memory: over the 3% tolerance.
   JsonValue grown =
       Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"trace\":{\"storage_bytes_max\":204480}"));
-  CompareResult r = CompareReports(base, grown, CompareOptions());
+  CompareResult r = CompareReports(base, grown);
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("trace.storage_bytes_max grew"), std::string::npos)
@@ -351,10 +338,10 @@ TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
   // Shrinking is a note; losing the field is a failure.
   JsonValue shrunk =
       Parse(FleetDoc("0x694861b1cb5ac0b9", ",\"trace\":{\"storage_bytes_max\":98304}"));
-  r = CompareReports(base, shrunk, CompareOptions());
+  r = CompareReports(base, shrunk);
   EXPECT_TRUE(r.ok) << (r.failures.empty() ? "" : r.failures[0]);
   EXPECT_TRUE(HasNote(r, "trace.storage_bytes_max: 98304 vs baseline 196608"));
-  EXPECT_FALSE(CompareReports(base, Parse(FleetDoc("0x694861b1cb5ac0b9")), CompareOptions()).ok);
+  EXPECT_FALSE(CompareReports(base, Parse(FleetDoc("0x694861b1cb5ac0b9"))).ok);
 }
 
 // The trace record mix gates exactly, naming the type and both counts; a
@@ -362,12 +349,12 @@ TEST(BenchCompareFleetTest, TraceStorageGrowthFails) {
 TEST(BenchCompareFleetTest, RecordMixChangeFailsAndAnEqualMixIsNamedInTheDigestFailure) {
   const char* mix = ",\"trace\":{\"records_by_type\":{\"context_switch\":100,\"irq\":5}}";
   JsonValue base = Parse(FleetDoc("0x1111111111111111", mix));
-  CompareResult same = CompareReports(base, base, CompareOptions());
+  CompareResult same = CompareReports(base, base);
   EXPECT_TRUE(same.ok) << (same.failures.empty() ? "" : same.failures[0]);
 
   JsonValue more_irqs = Parse(FleetDoc(
       "0x1111111111111111", ",\"trace\":{\"records_by_type\":{\"context_switch\":100,\"irq\":6}}"));
-  CompareResult r = CompareReports(base, more_irqs, CompareOptions());
+  CompareResult r = CompareReports(base, more_irqs);
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("trace records of type irq: 6 vs baseline 5"), std::string::npos)
@@ -377,14 +364,14 @@ TEST(BenchCompareFleetTest, RecordMixChangeFailsAndAnEqualMixIsNamedInTheDigestF
   JsonValue new_type = Parse(FleetDoc(
       "0x1111111111111111",
       ",\"trace\":{\"records_by_type\":{\"context_switch\":100,\"irq\":5,\"msg_send\":2}}"));
-  r = CompareReports(base, new_type, CompareOptions());
+  r = CompareReports(base, new_type);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("trace records of type msg_send: 2 vs baseline 0"),
             std::string::npos)
       << r.failures[0];
 
   // Same records by type, different digest: the failure says so.
-  r = CompareReports(base, Parse(FleetDoc("0x2222222222222222", mix)), CompareOptions());
+  r = CompareReports(base, Parse(FleetDoc("0x2222222222222222", mix)));
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("fleet_digest differs"), std::string::npos) << r.failures[0];
   EXPECT_NE(r.failures[0].find("the trace records are unchanged"), std::string::npos)
@@ -394,13 +381,12 @@ TEST(BenchCompareFleetTest, RecordMixChangeFailsAndAnEqualMixIsNamedInTheDigestF
   // claim the records are unchanged.
   r = CompareReports(base, Parse(FleetDoc("0x2222222222222222",
                                           ",\"trace\":{\"records_by_type\":{"
-                                          "\"context_switch\":101,\"irq\":5}}")),
-                     CompareOptions());
+                                          "\"context_switch\":101,\"irq\":5}}")));
   ASSERT_EQ(r.failures.size(), 2u);
   EXPECT_NE(r.failures[1].find("per-node traces changed"), std::string::npos) << r.failures[1];
 
   // Losing the section fails.
-  r = CompareReports(base, Parse(FleetDoc("0x1111111111111111")), CompareOptions());
+  r = CompareReports(base, Parse(FleetDoc("0x1111111111111111")));
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("baseline has trace.records_by_type but the candidate does not"),
             std::string::npos)
@@ -426,9 +412,9 @@ std::string SmpDoc(const char* two_core_digest, long long two_core_idle_ns = 0) 
 
 TEST(BenchCompareSmpTest, DigestChangeFails) {
   JsonValue base = Parse(SmpDoc("0x2222222222222222"));
-  CompareResult same = CompareReports(base, base, CompareOptions());
+  CompareResult same = CompareReports(base, base);
   EXPECT_TRUE(same.ok) << (same.failures.empty() ? "" : same.failures[0]);
-  CompareResult r = CompareReports(base, Parse(SmpDoc("0x3333333333333333")), CompareOptions());
+  CompareResult r = CompareReports(base, Parse(SmpDoc("0x3333333333333333")));
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("2-core run digest differs"), std::string::npos) << r.failures[0];
@@ -439,8 +425,7 @@ TEST(BenchCompareSmpTest, DigestChangeFails) {
 
 TEST(BenchCompareSmpTest, EqualDigestDemandsAnEqualLedger) {
   JsonValue base = Parse(SmpDoc("0x2222222222222222", 1000000));
-  CompareResult r =
-      CompareReports(base, Parse(SmpDoc("0x2222222222222222", 1000001)), CompareOptions());
+  CompareResult r = CompareReports(base, Parse(SmpDoc("0x2222222222222222", 1000001)));
   EXPECT_FALSE(r.ok);
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_NE(r.failures[0].find("2-core run idle_ns 1000001 vs baseline 1000000 under an equal "
@@ -449,16 +434,14 @@ TEST(BenchCompareSmpTest, EqualDigestDemandsAnEqualLedger) {
       << r.failures[0];
   // Between different runs the same move is inside the tolerance: only the
   // digest fails.
-  CompareResult other =
-      CompareReports(base, Parse(SmpDoc("0x3333333333333333", 1000001)), CompareOptions());
+  CompareResult other = CompareReports(base, Parse(SmpDoc("0x3333333333333333", 1000001)));
   ASSERT_EQ(other.failures.size(), 1u);
   EXPECT_NE(other.failures[0].find("2-core run digest differs"), std::string::npos)
       << other.failures[0];
 }
 
 TEST(BenchCompareFilesTest, MissingFileIsAnIoFailure) {
-  CompareResult r = CompareReportFiles("/nonexistent/base.json", "/nonexistent/cand.json",
-                                       CompareOptions());
+  CompareResult r = CompareReportFiles("/nonexistent/base.json", "/nonexistent/cand.json");
   EXPECT_FALSE(r.ok);
   ASSERT_FALSE(r.failures.empty());
   EXPECT_NE(r.failures[0].find("cannot open"), std::string::npos) << r.failures[0];

@@ -40,21 +40,6 @@ FleetOptions OverloadedFleet(const std::string& artifacts_dir) {
   return opt;
 }
 
-std::string ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return "";
-  }
-  std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
-  return text;
-}
-
 TEST(FleetTriageTest, OverloadedNodeIsTheTopOutlierAndGetsABlackBox) {
   std::string dir = testing::TempDir() + "emeralds_triage_test";
   std::filesystem::remove_all(dir);
@@ -112,9 +97,11 @@ TEST(FleetTriageTest, OverloadedNodeIsTheTopOutlierAndGetsABlackBox) {
   ASSERT_TRUE(std::filesystem::exists(bundle + "/blackbox.json"));
 
   // blackbox.json parses and carries the schema plus the repro command.
+  std::string text;
+  ASSERT_TRUE(ReadFile(bundle + "/blackbox.json", &text));
   JsonValue box;
   std::string error;
-  ASSERT_TRUE(JsonParse(ReadFile(bundle + "/blackbox.json"), &box, &error)) << error;
+  ASSERT_TRUE(JsonParse(text, &box, &error)) << error;
   ASSERT_NE(box.Find("schema"), nullptr);
   EXPECT_EQ(box.Find("schema")->string, "emeralds.obs.blackbox/1");
   ASSERT_NE(box.Find("repro"), nullptr);
@@ -163,7 +150,8 @@ TEST(FleetTriageTest, InspectNodeReplaysAndExportsPerfetto) {
   EXPECT_EQ(replay.trace_digest, fleet.nodes[kSickNode].trace_digest);
   EXPECT_EQ(replay.deadline_misses, fleet.nodes[kSickNode].deadline_misses);
 
-  std::string text = ReadFile(perfetto_path);
+  std::string text;
+  ASSERT_TRUE(ReadFile(perfetto_path, &text));
   ASSERT_FALSE(text.empty());
   JsonValue doc;
   std::string error;

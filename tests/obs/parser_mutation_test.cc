@@ -35,18 +35,10 @@ constexpr const char* kCorpus[] = {
 
 std::string ReadSourceFile(const char* relative) {
   const std::string path = std::string(EMERALDS_SOURCE_DIR) + "/" + relative;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    ADD_FAILURE() << "cannot open " << path;
-    return "";
-  }
   std::string text;
-  char buf[4096];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
+  if (!ReadFile(path, &text)) {
+    ADD_FAILURE() << "cannot open " << path;
   }
-  std::fclose(f);
   return text;
 }
 

@@ -41,6 +41,7 @@
 
 #include <cinttypes>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -282,6 +283,33 @@ bool FlagInt(const char* flag, const char* value, int64_t min, int64_t max, int6
   return false;
 }
 
+// The longest --run-ms or --slice-ms whose nanoseconds fit a Duration.
+constexpr int64_t kMaxMs = INT64_MAX / 1000000;
+
+// A fleet configuration member of the report, held to its flag's bounds.
+// Leaves *out alone when the report lacks the member; prints an error and
+// returns false when it is not an integer in [min, max].
+bool ReportInt(const JsonValue& root, const char* path, const char* key, int64_t min,
+               int64_t max, int64_t* out) {
+  const JsonValue* v = root.Find(key);
+  if (v == nullptr) {
+    return true;
+  }
+  // 2^63 bounds the range a double converts to int64_t without overflow.
+  const double limit = 9223372036854775808.0;
+  if (v->type == JsonValue::Type::kNumber && v->number == std::trunc(v->number) &&
+      v->number >= -limit && v->number < limit) {
+    const int64_t value = static_cast<int64_t>(v->number);
+    if (value >= min && value <= max) {
+      *out = value;
+      return true;
+    }
+  }
+  std::fprintf(stderr, "fleet_inspect: %s: bad %s (want integer in [%lld, %lld])\n", path, key,
+               static_cast<long long>(min), static_cast<long long>(max));
+  return false;
+}
+
 // Comma-separated node list: every element a strict integer, no duplicates,
 // no empty elements. Range against --instances is checked later (the
 // instance count may still come from the report at parse time).
@@ -407,12 +435,12 @@ int Main(int argc, char** argv) {
       }
       opt.seed = static_cast<uint64_t>(value);
     } else if (FlagValue(argv[i], "--run-ms", &v)) {
-      if (!FlagInt("--run-ms", v, 1, INT64_MAX / 1000000, &value, &status)) {
+      if (!FlagInt("--run-ms", v, 1, kMaxMs, &value, &status)) {
         return status;
       }
       opt.run_duration = Milliseconds(value);
     } else if (FlagValue(argv[i], "--slice-ms", &v)) {
-      if (!FlagInt("--slice-ms", v, 1, INT64_MAX / 1000000, &value, &status)) {
+      if (!FlagInt("--slice-ms", v, 1, kMaxMs, &value, &status)) {
         return status;
       }
       opt.slice = Milliseconds(value);
@@ -441,18 +469,11 @@ int Main(int argc, char** argv) {
   JsonValue root;
   bool have_report = false;
   if (report_path != nullptr) {
-    std::FILE* f = std::fopen(report_path, "r");
-    if (f == nullptr) {
+    std::string text;
+    if (!ReadFile(report_path, &text)) {
       std::fprintf(stderr, "fleet_inspect: cannot open %s\n", report_path);
       return 1;
     }
-    std::string text;
-    char buf[4096];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      text.append(buf, n);
-    }
-    std::fclose(f);
     std::string error;
     if (!JsonParse(text, &root, &error)) {
       std::fprintf(stderr, "fleet_inspect: %s: %s\n", report_path, error.c_str());
@@ -465,18 +486,35 @@ int Main(int argc, char** argv) {
     }
     have_report = true;
     // Report config first, flags override (flags were already applied above,
-    // so only fill fields the flags left untouched).
+    // so only fill fields the flags left untouched). A member the report
+    // carries must meet its flag's bounds.
+    int64_t value = 0;
     if (opt.instances == 0) {
-      opt.instances = static_cast<int>(RootInt(root, "instances", 0));
+      if (!ReportInt(root, report_path, "instances", 1, INT_MAX, &value)) {
+        return 1;
+      }
+      opt.instances = static_cast<int>(value);
     }
-    if (opt.seed == 1 && root.Find("seed") != nullptr) {
-      opt.seed = static_cast<uint64_t>(RootInt(root, "seed", 1));
+    if (opt.seed == 1) {
+      value = 1;
+      if (!ReportInt(root, report_path, "seed", 0, INT64_MAX, &value)) {
+        return 1;
+      }
+      opt.seed = static_cast<uint64_t>(value);
     }
     if (opt.run_duration == Milliseconds(100)) {
-      opt.run_duration = Milliseconds(static_cast<int64_t>(RootNumber(root, "run_duration_ms", 100)));
+      value = 100;
+      if (!ReportInt(root, report_path, "run_duration_ms", 1, kMaxMs, &value)) {
+        return 1;
+      }
+      opt.run_duration = Milliseconds(value);
     }
     if (opt.slice == Milliseconds(5)) {
-      opt.slice = Milliseconds(static_cast<int64_t>(RootNumber(root, "slice_ms", 5)));
+      value = 5;
+      if (!ReportInt(root, report_path, "slice_ms", 1, kMaxMs, &value)) {
+        return 1;
+      }
+      opt.slice = Milliseconds(value);
     }
     have_config = true;
   }
