@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "src/base/flat_table.h"
 #include "src/core/tcb.h"
 #include "src/hal/cycles.h"
 
@@ -415,42 +416,234 @@ class TraceAnalyzerVisitor {
 
 // --- Causal-token conservation and declared chains (AnalyzeChains) --------
 
-// The pass keeps the well-formed chain events decoded, so Finish reads no
-// window. All chain state is keyed by token origin, so Finish replays one
-// origin at a time, in trace order, with a small local state instead of maps
-// of every in-flight token.
+// Matches each chain event as it is fed. Per token origin it keeps only what
+// a later event can still match: whether the origin was minted, the first
+// emit of each (endpoint, hop) with a consumed bit, and each declared
+// chain's instance in flight, all in flat tables. A consume stores nothing,
+// unless it is an orphan seen while the window still looks whole (Orphan).
 class ChainVisitor {
  public:
   explicit ChainVisitor(const std::vector<ResolvedChain>& specs) : specs_(specs) {}
 
   [[gnu::always_inline]] void OnEvent(TraceReplay& replay, const TraceEvent& e) {
-    if (e.type != TraceEventType::kChainEmit && e.type != TraceEventType::kChainConsume) {
-      return;
+    if (e.type == TraceEventType::kChainEmit || e.type == TraceEventType::kChainConsume) {
+      Match(replay, e);
     }
-    const Token t{static_cast<uint32_t>(e.arg0), e.arg1, static_cast<uint16_t>(ChainHopOf(e.arg2)),
-                  e.type == TraceEventType::kChainConsume, ChainActorOf(e.arg2), replay.index(),
-                  e.time};
-    if (t.origin == 0 || t.hop > kMaxChainHops) {
-      Violate(ChainViolationKind::kMalformedToken, t.index,
-              Describe("origin %lld hop %lld at endpoint %lld", t.origin, t.hop, t.endpoint));
-      return;
-    }
-    ++(t.consume ? out_.chain_consumes : out_.chain_emits);
-    if (t.consume && t.hop == 0) {
-      Violate(ChainViolationKind::kMalformedToken, t.index,
-              Describe("consume at hop 0 (origin %lld, endpoint %lld)", t.origin, t.endpoint));
-      return;
-    }
-    EM_ASSERT(t.index <= UINT32_MAX);
-    tokens_.push_back(t);
   }
 
   void Finish(TraceReplay& replay) {
+    Setup();
     // A kTraceEpoch marker means the sink was Reset: dropped() restarted
     // from zero but tokens banked before the reset can surface afterwards,
     // so the window is not the whole run even when nothing was dropped.
     out_.complete_window = replay.whole_run();
-    trackers_.resize(specs_.size());
+    const ptrdiff_t streamed = static_cast<ptrdiff_t>(out_.violations.size());
+    for (const Orphan& o : orphans_) {
+      if (!out_.complete_window) {
+        ++out_.orphan_hops;
+      } else {
+        Violate(ChainViolationKind::kOrphanConsume, o.index,
+                Describe("consume of origin %lld hop %lld at endpoint %lld with no matching emit",
+                         o.origin, o.hop, o.endpoint));
+      }
+    }
+    std::inplace_merge(out_.violations.begin(), out_.violations.begin() + streamed,
+                       out_.violations.end(), [](const auto& a, const auto& b) {
+                         return a.event_index < b.event_index;
+                       });
+    out_.unconsumed_emits = emits_.size() - consumed_;
+    for (Tracker& t : trackers_) {
+      out_.chains[t.spec].incomplete = t.live.size();
+    }
+  }
+
+  ChainAnalysis& analysis() { return out_; }
+
+ private:
+  struct OriginSlot {
+    uint32_t origin;
+    bool empty() const { return origin == 0; }
+    bool Same(const OriginSlot& k) const { return origin == k.origin; }
+    uint64_t Hash() const { return origin * kFibonacciHash; }
+  };
+
+  // The first emit of an (origin, endpoint, hop): a consume of (endpoint,
+  // hop + 1) matches it, and one emit may be consumed many times
+  // (state-message re-reads, broadcasts).
+  struct EmitKey : OriginSlot {
+    int32_t endpoint;
+    uint8_t hop;
+    bool consumed;
+    bool Same(const EmitKey& k) const {
+      return origin == k.origin && endpoint == k.endpoint && hop == k.hop;
+    }
+    uint64_t Hash() const {
+      return (uint64_t{static_cast<uint32_t>(endpoint)} << 32 | origin) * kFibonacciHash +
+             (uint64_t{hop} << 48);
+    }
+  };
+
+  // The minted flags of the 32 origins o with o | 31 == origin.
+  struct MintedOrigins : OriginSlot {
+    uint32_t bits;
+  };
+
+  // One declared chain's traversal by an origin, in flight. Stage k of an
+  // instance whose head emit carried hop `base_hop` is emitted at hop
+  // base_hop + k and consumed at hop base_hop + k + 1; enforcing the hops
+  // exactly keeps re-emits of the same origin elsewhere from interleaving.
+  // The payload is its timeline: stage k's emit time at 2k and its consume
+  // time at 2k + 1; the final consume completes the instance. Until stage k
+  // is emitted, entry 2k holds the consumer of stage k - 1, the emit's actor.
+  struct Instance : OriginSlot {
+    uint16_t filled;  // payload entries written: odd while a consume is awaited
+    uint8_t base_hop;
+  };
+
+  struct Tracker {
+    size_t spec;
+    FlatTable<Instance> live;  // keyed by origin
+  };
+
+  // A consume with no visible emit, seen while nothing was dropped and no
+  // epoch had passed: Finish makes it a violation if the window stays
+  // whole, else an orphan hop.
+  struct Orphan {
+    size_t index;
+    uint32_t origin;
+    int32_t endpoint;
+    int hop;
+  };
+
+  // Out of line: chain events are under a tenth of a node's records, so the
+  // fused loop body stays small.
+  [[gnu::noinline]] void Match(const TraceReplay& replay, const TraceEvent& e) {
+    const bool consume = e.type == TraceEventType::kChainConsume;
+    const uint32_t origin = static_cast<uint32_t>(e.arg0);
+    const int32_t endpoint = e.arg1;
+    const int hop = ChainHopOf(e.arg2);
+    const size_t index = replay.index();
+    if (origin == 0 || hop > kMaxChainHops) {
+      Violate(ChainViolationKind::kMalformedToken, index,
+              Describe("origin %lld hop %lld at endpoint %lld", origin, hop, endpoint));
+      return;
+    }
+    ++(consume ? out_.chain_consumes : out_.chain_emits);
+    if (consume && hop == 0) {
+      Violate(ChainViolationKind::kMalformedToken, index,
+              Describe("consume at hop 0 (origin %lld, endpoint %lld)", origin, endpoint));
+      return;
+    }
+    const uint8_t emit_hop = static_cast<uint8_t>(consume ? hop - 1 : hop);
+    if (!consume) {
+      if (hop == 0) {
+        uint32_t& minted = minted_.Insert({{origin | 31}, 0})->bits;
+        const uint32_t bit = 1u << (origin & 31);
+        if ((minted & bit) != 0) {
+          Violate(ChainViolationKind::kOriginReuse, index,
+                  Describe("origin %lld minted again at endpoint %lld (hop %lld)", origin,
+                           endpoint, hop));
+        } else {
+          minted |= bit;
+          ++out_.origins_minted;
+        }
+      }
+      emits_.Insert({{origin}, endpoint, emit_hop, false});
+    } else if (EmitKey* emit = emits_.Find({{origin}, endpoint, emit_hop, false})) {
+      consumed_ += emit->consumed ? 0 : 1;
+      emit->consumed = true;
+    } else if (hop == kMaxChainHops) {
+      // At the hop ceiling the producing side drops the token instead of
+      // advancing it (ChainConsume's saturation path), so a capped consume
+      // legitimately has no in-window emit even in a complete window.
+      // Degrade to a counted orphan rather than a conservation violation.
+      ++out_.saturated_hops;
+    } else if (replay.whole_run()) {
+      orphans_.push_back(Orphan{index, origin, endpoint, hop});
+    } else {
+      ++out_.orphan_hops;  // the emit predates the retained window
+    }
+    Setup();
+    for (Tracker& t : trackers_) {
+      Advance(t, consume, origin, endpoint, hop, ChainActorOf(e.arg2), e.time);
+    }
+  }
+
+  void Advance(Tracker& t, bool consume, uint32_t origin, int32_t endpoint, int hop, int actor,
+               Instant time) {
+    const std::vector<ResolvedChainStage>& stages = specs_[t.spec].stages;
+    if (std::none_of(stages.begin(), stages.end(),
+                     [&](const ResolvedChainStage& s) { return s.endpoint == endpoint; })) {
+      return;
+    }
+    // Only an emit at the first stage may start an instance.
+    const Instance key{{origin}, 0, static_cast<uint8_t>(hop)};
+    Instance* in = !consume && endpoint == stages[0].endpoint ? t.live.Insert(key) : t.live.Find(key);
+    if (in == nullptr) {
+      return;
+    }
+    int64_t* times = t.live.payload(in);
+    if (in->filled == 0) {
+      times[in->filled++] = time.nanos();
+      return;
+    }
+    const int k = in->filled / 2;  // the stage awaited
+    const ResolvedChainStage& stage = stages[k];
+    if (consume != (in->filled % 2 == 1) || endpoint != stage.endpoint) {
+      return;
+    }
+    if (!consume) {
+      if (hop == in->base_hop + k && actor == times[in->filled]) {
+        times[in->filled++] = time.nanos();
+      }
+    } else if (hop != in->base_hop + k + 1 ||
+               (stage.consumer_tid >= 0 && actor != stage.consumer_tid)) {
+      return;
+    } else if (static_cast<size_t>(k) + 1 < stages.size()) {
+      times[in->filled++] = time.nanos();
+      times[in->filled] = actor;
+    } else {
+      Complete(out_.chains[t.spec], origin, times, time);
+      t.live.Erase(in);
+    }
+  }
+
+  // Adds an instance whose final stage was consumed at `end`. The gaps of
+  // its timeline alternate a stage's queue time and its consumer's exec
+  // time, so they telescope to e2e exactly. Instances complete in event
+  // order, so the records kept are the window's first overruns.
+  static void Complete(ChainReport& report, uint32_t origin, const int64_t* times, Instant end) {
+    const size_t last = 2 * report.hops.size() - 1;  // the final consume's entry
+    const auto at = [&](size_t i) { return i < last ? Instant::FromNanos(times[i]) : end; };
+    const Duration e2e = end - at(0);
+    ++report.completed;
+    report.e2e.Add(e2e);
+    ChainOverrunRecord* rec = nullptr;
+    if (report.deadline.nanos() > 0 && e2e > report.deadline) {
+      ++report.overruns;
+      if (report.overrun_records.size() < kMaxChainOverrunRecords) {
+        rec = &report.overrun_records.emplace_back(ChainOverrunRecord{origin, at(0), e2e, {}, {}});
+      } else {
+        ++report.overrun_records_dropped;
+      }
+    }
+    for (size_t i = 0; i < last; ++i) {
+      const Duration gap = at(i + 1) - at(i);
+      ChainHopStats& hop = report.hops[i / 2];
+      (i % 2 == 0 ? hop.queue : hop.exec).Add(gap);
+      if (rec != nullptr) {
+        (i % 2 == 0 ? rec->hop_queue_ns : rec->hop_exec_ns).push_back(gap.nanos());
+      }
+    }
+  }
+
+  // The report rows and trackers, built once the specs are known: the fleet
+  // builds its evaluator before Kernel::Start() resolves them.
+  void Setup() {
+    if (ready_) {
+      return;
+    }
+    ready_ = true;
     for (size_t s = 0; s < specs_.size(); ++s) {
       const ResolvedChain& spec = specs_[s];
       ChainReport& r = out_.chains.emplace_back();
@@ -462,221 +655,8 @@ class ChainVisitor {
         r.hops.back().consumer_tid = st.consumer_tid;
       }
       if (spec.resolved && !spec.stages.empty()) {  // else a report row, no instances
-        trackers_[s].stages = &spec.stages;
-        trackers_[s].stage_emit.resize(spec.stages.size());
-        trackers_[s].stage_consume.resize(spec.stages.size());
+        trackers_.push_back(Tracker{s, FlatTable<Instance>(2 * spec.stages.size() - 1)});
       }
-    }
-    // Sorted keys group the tokens by origin, in trace order within one.
-    std::vector<uint64_t> order;  // (origin << 32 | position in tokens_) per token
-    order.reserve(tokens_.size());
-    for (size_t i = 0; i < tokens_.size(); ++i) {
-      order.push_back((static_cast<uint64_t>(tokens_[i].origin) << 32) | i);
-    }
-    std::sort(order.begin(), order.end());
-    for (size_t begin = 0, end = 0; begin < order.size(); begin = end) {
-      while (end < order.size() && (order[end] >> 32) == (order[begin] >> 32)) {
-        ++end;
-      }
-      ReplayOrigin(order.data() + begin, order.data() + end);
-    }
-    std::sort(out_.violations.begin(), out_.violations.end(),
-              [](const ChainViolation& a, const ChainViolation& b) {
-                return a.event_index < b.event_index;
-              });
-    for (size_t s = 0; s < trackers_.size(); ++s) {
-      auto& kept = trackers_[s].first_overruns;
-      std::sort_heap(kept.begin(), kept.end(), ByIndex);
-      for (auto& [index, record] : kept) {
-        out_.chains[s].overrun_records.push_back(std::move(record));
-      }
-      out_.chains[s].overrun_records_dropped = out_.chains[s].overruns - kept.size();
-    }
-  }
-
-  ChainAnalysis& analysis() { return out_; }
-
- private:
-  // A chain event, decoded.
-  struct Token {
-    uint32_t origin;
-    int32_t endpoint;
-    uint16_t hop;
-    bool consume;
-    int actor;
-    size_t index;  // of the event, counted from the first record fed
-    Instant time;
-  };
-
-  // An emitted (endpoint, hop) of the origin being replayed. After sorting,
-  // the first emit of each pair leads its run and stands for it: a consume
-  // of (endpoint, hop + 1) matches it when that emit came earlier, and one
-  // emit may be consumed many times (state-message re-reads, broadcasts).
-  struct EmitKey {
-    int32_t endpoint;
-    uint16_t hop;
-    uint32_t index;  // Token::index of the emit
-    bool consumed;
-  };
-
-  // One declared chain's traversal by the origin being replayed. Stage k of
-  // an instance whose head emit carried hop `base_hop` is emitted at hop
-  // base_hop + k and consumed at hop base_hop + k + 1; enforcing the hops
-  // exactly keeps re-emits of the same origin elsewhere from interleaving.
-  struct Tracker {
-    const std::vector<ResolvedChainStage>* stages = nullptr;  // null: untracked
-    bool active = false;
-    uint16_t base_hop = 0;
-    size_t next_stage = 0;
-    bool awaiting_consume = false;  // else awaiting the next stage's emit
-    int carrier_tid = -1;           // consumer of the previous stage
-    std::vector<Instant> stage_emit;
-    std::vector<Instant> stage_consume;
-    // The kMaxChainOverrunRecords overruns that completed first in the
-    // window, as a max-heap on the completing event's index.
-    std::vector<std::pair<size_t, ChainOverrunRecord>> first_overruns;
-  };
-
-  static bool ByIndex(const std::pair<size_t, ChainOverrunRecord>& a,
-                      const std::pair<size_t, ChainOverrunRecord>& b) {
-    return a.first < b.first;
-  }
-  static bool KeyLess(const EmitKey& a, const EmitKey& b) {
-    return a.endpoint != b.endpoint ? a.endpoint < b.endpoint : a.hop < b.hop;
-  }
-
-  // Replays one origin's tokens, given as sort keys in trace order.
-  void ReplayOrigin(const uint64_t* first, const uint64_t* last) {
-    keys_.clear();
-    for (const uint64_t* k = first; k != last; ++k) {
-      const Token& t = tokens_[static_cast<uint32_t>(*k)];
-      if (!t.consume) {
-        keys_.push_back(EmitKey{t.endpoint, t.hop, static_cast<uint32_t>(t.index), false});
-      }
-    }
-    std::sort(keys_.begin(), keys_.end(), [](const EmitKey& a, const EmitKey& b) {
-      return KeyLess(a, b) || (!KeyLess(b, a) && a.index < b.index);
-    });
-    keys_.erase(std::unique(keys_.begin(), keys_.end(),
-                            [](const EmitKey& a, const EmitKey& b) { return !KeyLess(a, b); }),
-                keys_.end());
-    for (Tracker& tracker : trackers_) {
-      tracker.active = false;
-    }
-    bool minted = false;
-    for (const uint64_t* k = first; k != last; ++k) {
-      const Token& t = tokens_[static_cast<uint32_t>(*k)];
-      if (!t.consume) {
-        if (t.hop == 0 && minted) {
-          Violate(ChainViolationKind::kOriginReuse, t.index,
-                  Describe("origin %lld minted again at endpoint %lld (hop %lld)", t.origin,
-                           t.endpoint, t.hop));
-        } else if (t.hop == 0) {
-          minted = true;
-          ++out_.origins_minted;
-        }
-        for (Tracker& tracker : trackers_) {
-          Emit(tracker, t);
-        }
-        continue;
-      }
-      const EmitKey wanted{t.endpoint, static_cast<uint16_t>(t.hop - 1), 0, false};
-      auto emit = std::lower_bound(keys_.begin(), keys_.end(), wanted, KeyLess);
-      if (emit != keys_.end() && !KeyLess(wanted, *emit) && emit->index < t.index) {
-        emit->consumed = true;
-      } else if (t.hop == kMaxChainHops) {
-        // At the hop ceiling the producing side drops the token instead of
-        // advancing it (ChainConsume's saturation path), so a capped consume
-        // legitimately has no in-window emit even in a complete window.
-        // Degrade to a counted orphan rather than a conservation violation.
-        ++out_.saturated_hops;
-      } else if (out_.complete_window) {
-        Violate(ChainViolationKind::kOrphanConsume, t.index,
-                Describe("consume of origin %lld hop %lld at endpoint %lld with no matching emit",
-                         t.origin, t.hop, t.endpoint));
-      } else {
-        ++out_.orphan_hops;  // the emit predates the retained window
-      }
-      for (size_t s = 0; s < trackers_.size(); ++s) {
-        Consume(trackers_[s], t, out_.chains[s]);
-      }
-    }
-    for (const EmitKey& key : keys_) {
-      out_.unconsumed_emits += key.consumed ? 0 : 1;
-    }
-    for (size_t s = 0; s < trackers_.size(); ++s) {
-      out_.chains[s].incomplete += trackers_[s].active ? 1 : 0;
-    }
-  }
-
-  static void Emit(Tracker& in, const Token& t) {
-    if (in.stages == nullptr) {
-      return;
-    }
-    if (!in.active && t.endpoint == (*in.stages)[0].endpoint) {
-      in.active = true;
-      in.base_hop = t.hop;
-      in.next_stage = 0;
-      in.awaiting_consume = true;
-      in.carrier_tid = -1;
-      in.stage_emit[0] = t.time;
-    } else if (in.active && !in.awaiting_consume &&
-               t.endpoint == (*in.stages)[in.next_stage].endpoint &&
-               t.hop == in.base_hop + in.next_stage && t.actor == in.carrier_tid) {
-      in.stage_emit[in.next_stage] = t.time;
-      in.awaiting_consume = true;
-    }
-  }
-
-  static void Consume(Tracker& in, const Token& t, ChainReport& report) {
-    if (!in.active) {
-      return;
-    }
-    const ResolvedChainStage& stage = (*in.stages)[in.next_stage];
-    if (!in.awaiting_consume || t.endpoint != stage.endpoint ||
-        t.hop != in.base_hop + in.next_stage + 1 ||
-        (stage.consumer_tid >= 0 && t.actor != stage.consumer_tid)) {
-      return;
-    }
-    in.stage_consume[in.next_stage] = t.time;
-    in.carrier_tid = t.actor;
-    if (in.next_stage + 1 < in.stages->size()) {
-      ++in.next_stage;
-      in.awaiting_consume = false;
-      return;
-    }
-    in.active = false;
-    ++report.completed;
-    const size_t stages = report.hops.size();
-    const Duration e2e = in.stage_consume[stages - 1] - in.stage_emit[0];
-    report.e2e.Add(e2e);
-    for (size_t k = 0; k < stages; ++k) {
-      report.hops[k].queue.Add(in.stage_consume[k] - in.stage_emit[k]);
-      if (k + 1 < stages) {
-        report.hops[k].exec.Add(in.stage_emit[k + 1] - in.stage_consume[k]);
-      }
-    }
-    if (report.deadline.nanos() <= 0 || e2e <= report.deadline) {
-      return;
-    }
-    ++report.overruns;
-    auto& kept = in.first_overruns;
-    if (kept.size() == kMaxChainOverrunRecords && t.index > kept.front().first) {
-      return;
-    }
-    // The per-hop intervals telescope: they sum to e2e exactly.
-    ChainOverrunRecord rec{t.origin, in.stage_emit[0], e2e, {}, {}};
-    for (size_t k = 0; k < stages; ++k) {
-      rec.hop_queue_ns.push_back((in.stage_consume[k] - in.stage_emit[k]).nanos());
-      if (k + 1 < stages) {
-        rec.hop_exec_ns.push_back((in.stage_emit[k + 1] - in.stage_consume[k]).nanos());
-      }
-    }
-    kept.emplace_back(t.index, std::move(rec));
-    std::push_heap(kept.begin(), kept.end(), ByIndex);
-    if (kept.size() > kMaxChainOverrunRecords) {
-      std::pop_heap(kept.begin(), kept.end(), ByIndex);
-      kept.pop_back();
     }
   }
 
@@ -686,9 +666,12 @@ class ChainVisitor {
 
   const std::vector<ResolvedChain>& specs_;
   ChainAnalysis out_;
-  std::vector<Token> tokens_;      // well-formed chain events, in trace order
-  std::vector<EmitKey> keys_;      // reused by ReplayOrigin
-  std::vector<Tracker> trackers_;  // one per spec
+  bool ready_ = false;
+  FlatTable<EmitKey> emits_;
+  FlatTable<MintedOrigins> minted_;
+  uint64_t consumed_ = 0;  // emit keys some consume matched
+  std::vector<Orphan> orphans_;
+  std::vector<Tracker> trackers_;
 };
 
 // --- Deadline-miss postmortem (AnalyzePostmortem) --------------------------

@@ -1,10 +1,14 @@
-// StaticVector and RingBuffer unit tests.
+// StaticVector, RingBuffer and FlatTable unit tests.
 
+#include <map>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "src/base/flat_table.h"
 #include "src/base/ring_buffer.h"
+#include "src/base/rng.h"
 #include "src/base/static_vector.h"
 
 namespace emeralds {
@@ -187,6 +191,89 @@ TEST(RingBufferTest, ClearResets) {
   EXPECT_TRUE(rb.empty());
   rb.push(3);
   EXPECT_EQ(rb.pop(), 3);
+}
+
+struct SpreadSlot {
+  uint32_t key;
+  uint32_t value;
+  bool empty() const { return key == 0; }
+  bool Same(const SpreadSlot& o) const { return key == o.key; }
+  uint64_t Hash() const { return key * kFibonacciHash; }
+};
+
+// Every key hashes to one of three homes, a quarter of the table apart, so
+// long runs form, meet and wrap around the end of the array.
+struct ClusteredSlot {
+  uint32_t key;
+  uint32_t value;
+  bool empty() const { return key == 0; }
+  bool Same(const ClusteredSlot& o) const { return key == o.key; }
+  uint64_t Hash() const { return (uint64_t{key % 3} + 1) << 62; }
+};
+
+// Random inserts, finds and erases against a std::map, with two payload
+// words per slot that must follow their slot through every shift and growth.
+template <typename Slot>
+void CheckAgainstMapModel(uint64_t seed, uint32_t max_key) {
+  Rng rng(seed);
+  FlatTable<Slot> table(2);
+  std::map<uint32_t, uint32_t> model;
+  for (int op = 0; op < 20000; ++op) {
+    const uint32_t key = static_cast<uint32_t>(rng.UniformInt(1, max_key));
+    const int64_t roll = rng.UniformInt(0, 9);
+    if (roll < 5) {
+      Slot* s = table.Insert(Slot{key, key * 7});
+      if (model.emplace(key, key * 7).second) {
+        table.payload(s)[0] = key;
+        table.payload(s)[1] = -static_cast<int64_t>(key);
+      }
+      ASSERT_EQ(s->key, key);
+    } else if (roll < 8) {
+      Slot* s = table.Find(Slot{key, 0});
+      ASSERT_EQ(s != nullptr, model.count(key) == 1) << "key " << key;
+      if (s != nullptr) {
+        table.Erase(s);
+        model.erase(key);
+      }
+    } else {
+      Slot* s = table.Find(Slot{key, 0});
+      ASSERT_EQ(s != nullptr, model.count(key) == 1) << "key " << key;
+    }
+    ASSERT_EQ(table.size(), model.size());
+    ASSERT_LE(4 * table.size(), 3 * table.capacity());
+  }
+  for (const auto& [key, value] : model) {
+    Slot* s = table.Find(Slot{key, 0});
+    ASSERT_NE(s, nullptr) << "key " << key;
+    EXPECT_EQ(s->value, value);
+    EXPECT_EQ(table.payload(s)[0], key);
+    EXPECT_EQ(table.payload(s)[1], -static_cast<int64_t>(key));
+  }
+}
+
+TEST(FlatTableTest, MatchesAMapModel) {
+  CheckAgainstMapModel<SpreadSlot>(1, 50);
+  CheckAgainstMapModel<SpreadSlot>(2, 1u << 30);
+  CheckAgainstMapModel<SpreadSlot>(3, 5000);
+}
+
+TEST(FlatTableTest, EraseKeepsClusteredRunsReachable) {
+  CheckAgainstMapModel<ClusteredSlot>(4, 40);
+  CheckAgainstMapModel<ClusteredSlot>(5, 3000);
+}
+
+TEST(FlatTableTest, GrowsByDoublingAtThreeQuartersFull) {
+  FlatTable<SpreadSlot> table;
+  EXPECT_EQ(table.capacity(), 16u);
+  for (uint32_t key = 1; key <= 12; ++key) {
+    table.Insert(SpreadSlot{key, 0});
+  }
+  EXPECT_EQ(table.capacity(), 16u);
+  table.Insert(SpreadSlot{12, 0});  // present: no growth
+  EXPECT_EQ(table.capacity(), 16u);
+  table.Insert(SpreadSlot{13, 0});
+  EXPECT_EQ(table.capacity(), 32u);
+  EXPECT_EQ(table.size(), 13u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Test-only reference for the chain analyzer: the original map-based
 // algorithm, one pass in trace order with a std::map of in-flight instances
 // per spec and a std::map/std::set for token conservation. The production
-// analyzer (src/obs/chains.cc) groups chain events by origin instead; the
-// differential tests in chains_test.cc require every ChainAnalysis field of
-// the two to be equal.
+// matcher (ChainVisitor in src/obs/trace_replay.cc) keeps the same state in
+// flat hash tables; the differential tests in chains_reference_test.cc
+// require every ChainAnalysis field of the two to be equal.
 
 #ifndef TESTS_OBS_CHAINS_REFERENCE_H_
 #define TESTS_OBS_CHAINS_REFERENCE_H_

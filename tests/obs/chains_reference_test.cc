@@ -1,7 +1,7 @@
-// Differential tests for the chain analyzer: the origin-grouped production
-// analyzer against the map-based reference (chains_reference.h), field by
-// field, on seeded random chain streams, torture-run windows and a live
-// overloaded fleet node.
+// Differential tests for the chain analyzer: the streaming production
+// matcher against the map-based reference (chains_reference.h), field by
+// field, on seeded random chain streams, torture-run windows (a wedged run
+// among them) and a live overloaded fleet node.
 
 #include <cstdio>
 #include <set>
@@ -105,6 +105,35 @@ TEST(ChainReferenceTest, TortureWindowsMatchTheReference) {
   // The windows reach instance completion and truncation orphans.
   EXPECT_GT(completed, 0u);
   EXPECT_GT(orphan_hops, 0u);
+}
+
+// A wedged torture run: it reaches the 20 s virtual cap with most of its ops
+// unexecuted, minting some 21k origins that almost nobody consumes, so the
+// matcher ends holding about as many instances in flight and emits
+// unconsumed. The seeds above are typical runs.
+TEST(ChainReferenceTest, WedgedTortureWindowMatchesTheReference) {
+  fuzz::TortureOptions options;
+  options.seed = 17004837154818809090ull;
+  options.ops = 2000;
+  options.num_cores = 2;
+  fuzz::InspectTorture(options, [&](const Kernel& kernel) {
+    const std::vector<ResolvedChain>& specs = kernel.resolved_chains();
+    std::vector<TraceEvent> window(kernel.trace().events().begin(),
+                                   kernel.trace().events().end());
+    const std::string what = fuzz::ReproCommand(options);
+    ExpectMatchesReference(window, kernel.trace().dropped(), specs, what);
+    std::vector<TraceEvent> suffix(window.begin() + static_cast<ptrdiff_t>(window.size() / 2),
+                                   window.end());
+    ExpectMatchesReference(suffix, 1, specs, what + " suffix");
+    ChainAnalysis a =
+        AnalyzeChains(window.data(), window.size(), kernel.trace().dropped(), specs);
+    uint64_t incomplete = 0;
+    for (const ChainReport& c : a.chains) {
+      incomplete += c.incomplete;
+    }
+    EXPECT_GT(incomplete, 20000u) << what;
+    EXPECT_GT(a.unconsumed_emits, 20000u) << what;
+  });
 }
 
 // A live node's window with its declared chains, whole and cut to a suffix;

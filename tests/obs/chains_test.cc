@@ -227,6 +227,29 @@ TEST(ChainAnalyzerTest, EpochMarkerForcesIncompleteWindow) {
   EXPECT_EQ(a.orphan_hops, 1u);
 }
 
+// Completeness is settled only at the end of the window: an orphan consume
+// seen before any marker is one orphan hop once a later marker shows the
+// window is a suffix, and a violation at its own index when none follows.
+TEST(ChainAnalyzerTest, OrphanBeforeLaterEpochIsOrphanHop) {
+  std::vector<TraceEvent> events = {
+      ChainEv(0, TraceEventType::kChainEmit, 7, kIrqEp, 0, -1),
+      ChainEv(10, TraceEventType::kChainConsume, 42, kIrqEp, 1, 1),
+      TraceEvent{Instant() + Microseconds(20), TraceEventType::kTraceEpoch, 1, 0, 0},
+  };
+  ChainAnalysis a = AnalyzeChains(events.data(), events.size(), 0, {});
+  EXPECT_FALSE(a.complete_window);
+  EXPECT_TRUE(a.violations.empty());
+  EXPECT_EQ(a.orphan_hops, 1u);
+
+  events.pop_back();
+  a = AnalyzeChains(events.data(), events.size(), 0, {});
+  EXPECT_TRUE(a.complete_window);
+  EXPECT_EQ(a.orphan_hops, 0u);
+  ASSERT_EQ(a.violations.size(), 1u);
+  EXPECT_EQ(a.violations[0].kind, ChainViolationKind::kOrphanConsume);
+  EXPECT_EQ(a.violations[0].event_index, 1u);
+}
+
 TEST(ChainAnalyzerTest, OriginReuseFlagged) {
   std::vector<TraceEvent> events = {
       ChainEv(0, TraceEventType::kChainEmit, 9, kIrqEp, 0, -1),

@@ -64,11 +64,38 @@ namespace emeralds {
 namespace fleet {
 namespace {
 
-int64_t RootInt(const JsonValue& root, const char* key, int64_t fallback) {
-  const JsonValue* v = root.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kNumber ? static_cast<int64_t>(v->number)
-                                                             : fallback;
+// The one conversion of a report number to an integer: it must be integral
+// and below 2^63 in magnitude, the range a double converts to int64_t
+// without overflow.
+bool ReportNumberToInt(const JsonValue& v, int64_t* out) {
+  const double limit = 9223372036854775808.0;
+  if (v.type != JsonValue::Type::kNumber || v.number != std::trunc(v.number) ||
+      !(v.number >= -limit && v.number < limit)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(v.number);
+  return true;
 }
+
+// Table mode's reader: every integer member goes through ReportNumberToInt.
+// An absent member gives its fallback; a bad one is reported, gives its
+// fallback too, and makes PrintReport exit 1.
+struct ReportReader {
+  const char* path;
+  bool ok = true;
+
+  int64_t Int(const JsonValue* v, const char* key, int64_t fallback) {
+    int64_t value = fallback;
+    if (v != nullptr && !ReportNumberToInt(*v, &value)) {
+      std::fprintf(stderr, "fleet_inspect: %s: bad %s (want integer)\n", path, key);
+      ok = false;
+    }
+    return value;
+  }
+  int64_t Int(const JsonValue& object, const char* key, int64_t fallback) {
+    return Int(object.Find(key), key, fallback);
+  }
+};
 
 double RootNumber(const JsonValue& root, const char* key, double fallback) {
   const JsonValue* v = root.Find(key);
@@ -80,34 +107,35 @@ std::string RootString(const JsonValue& root, const char* key) {
   return v != nullptr && v->type == JsonValue::Type::kString ? v->string : std::string();
 }
 
-void PrintPercentiles(const char* title, const JsonValue& hist) {
+void PrintPercentiles(ReportReader& in, const char* title, const JsonValue& hist) {
   std::printf("  %-14s n=%-8lld p50<=%.0fus  p90<=%.0fus  p99<=%.0fus  max=%.0fus\n", title,
-              static_cast<long long>(RootInt(hist, "count", 0)),
+              static_cast<long long>(in.Int(hist, "count", 0)),
               RootNumber(hist, "p50_us", 0), RootNumber(hist, "p90_us", 0),
               RootNumber(hist, "p99_us", 0), RootNumber(hist, "max_us", 0));
 }
 
 // Table mode: everything comes from the report document.
 int PrintReport(const JsonValue& root, const char* path) {
+  ReportReader in{path};
   std::printf("%s: %s fleet, %lld nodes, seed %lld\n", path, RootString(root, "label").c_str(),
-              static_cast<long long>(RootInt(root, "instances", 0)),
-              static_cast<long long>(RootInt(root, "seed", 0)));
+              static_cast<long long>(in.Int(root, "instances", 0)),
+              static_cast<long long>(in.Int(root, "seed", 0)));
   std::printf("  events=%lld (%.0f/virtual-sec)  jobs=%lld  misses=%lld  chain overruns=%lld\n",
-              static_cast<long long>(RootInt(root, "events_total", 0)),
+              static_cast<long long>(in.Int(root, "events_total", 0)),
               RootNumber(root, "events_per_virtual_sec", 0),
-              static_cast<long long>(RootInt(root, "jobs_completed", 0)),
-              static_cast<long long>(RootInt(root, "deadline_misses", 0)),
-              static_cast<long long>(RootInt(root, "chain_overruns", 0)));
+              static_cast<long long>(in.Int(root, "jobs_completed", 0)),
+              static_cast<long long>(in.Int(root, "deadline_misses", 0)),
+              static_cast<long long>(in.Int(root, "chain_overruns", 0)));
   std::printf("  nodes failed=%lld anomalous=%lld  digest=%s\n",
-              static_cast<long long>(RootInt(root, "nodes_failed", 0)),
-              static_cast<long long>(RootInt(root, "nodes_anomalous", 0)),
+              static_cast<long long>(in.Int(root, "nodes_failed", 0)),
+              static_cast<long long>(in.Int(root, "nodes_anomalous", 0)),
               RootString(root, "fleet_digest").c_str());
   // Reports written before the storage fields existed omit them.
   const JsonValue* trace = root.Find("trace");
   if (trace != nullptr && trace->Find("storage_bytes_max") != nullptr) {
     std::printf("  trace storage max=%lld B (node %lld)\n",
-                static_cast<long long>(RootInt(*trace, "storage_bytes_max", 0)),
-                static_cast<long long>(RootInt(*trace, "storage_bytes_worst_node", -1)));
+                static_cast<long long>(in.Int(*trace, "storage_bytes_max", 0)),
+                static_cast<long long>(in.Int(*trace, "storage_bytes_worst_node", -1)));
   }
 
   // Reports written before evaluation cost was measured omit it.
@@ -115,14 +143,14 @@ int PrintReport(const JsonValue& root, const char* path) {
     std::printf("  host evaluate cpu total=%.1f ms max=%.2f ms (node %lld)\n",
                 RootNumber(*evaluate, "cpu_ns_total", 0) / 1e6,
                 RootNumber(*evaluate, "cpu_ns_max", 0) / 1e6,
-                static_cast<long long>(RootInt(*evaluate, "slowest_node", -1)));
+                static_cast<long long>(in.Int(*evaluate, "slowest_node", -1)));
   }
 
   if (const JsonValue* telemetry = root.Find("telemetry")) {
     std::printf("telemetry (%s, %lld nodes):\n", RootString(*telemetry, "schema").c_str(),
-                static_cast<long long>(RootInt(root, "instances", 0)));
+                static_cast<long long>(in.Int(root, "instances", 0)));
     std::printf("  snapshot drops=%lld\n",
-                static_cast<long long>(RootInt(*telemetry, "stats_snapshot_drops", 0)));
+                static_cast<long long>(in.Int(*telemetry, "stats_snapshot_drops", 0)));
     if (const JsonValue* cycles = telemetry->Find("core_cycles_us")) {
       std::printf("  core cycles:");
       int core = 0;
@@ -132,13 +160,13 @@ int PrintReport(const JsonValue& root, const char* path) {
       std::printf("\n");
     }
     if (const JsonValue* response = telemetry->Find("response")) {
-      PrintPercentiles("response", *response);
+      PrintPercentiles(in, "response", *response);
     }
     if (const JsonValue* chains = telemetry->Find("chains")) {
       for (const JsonValue& c : chains->array) {
         if (const JsonValue* e2e = c.Find("e2e")) {
           std::string name = "chain " + RootString(c, "name");
-          PrintPercentiles(name.c_str(), *e2e);
+          PrintPercentiles(in, name.c_str(), *e2e);
         }
       }
     }
@@ -148,9 +176,9 @@ int PrintReport(const JsonValue& root, const char* path) {
     if (const JsonValue* blame = postmortem->Find("blame")) {
       std::printf("postmortem: %lld miss(es) analyzed, %.0fus blamed tardiness, "
                   "%lld unattributed ns, digest=%s\n",
-                  static_cast<long long>(RootInt(*blame, "misses_analyzed", 0)),
-                  static_cast<double>(RootInt(*blame, "tardiness_ns", 0)) / 1e3,
-                  static_cast<long long>(RootInt(*blame, "unattributed_ns", 0)),
+                  static_cast<long long>(in.Int(*blame, "misses_analyzed", 0)),
+                  static_cast<double>(in.Int(*blame, "tardiness_ns", 0)) / 1e3,
+                  static_cast<long long>(in.Int(*blame, "unattributed_ns", 0)),
                   RootString(*postmortem, "blame_digest").c_str());
     }
   }
@@ -165,29 +193,29 @@ int PrintReport(const JsonValue& root, const char* path) {
         }
         std::printf("  %-20s median=%lld mad=%lld outliers=%lld | worst:",
                     RootString(m, "name").c_str(),
-                    static_cast<long long>(RootInt(m, "median", 0)),
-                    static_cast<long long>(RootInt(m, "mad", 0)),
-                    static_cast<long long>(RootInt(m, "outliers", 0)));
+                    static_cast<long long>(in.Int(m, "median", 0)),
+                    static_cast<long long>(in.Int(m, "mad", 0)),
+                    static_cast<long long>(in.Int(m, "outliers", 0)));
         for (const JsonValue& e : top->array) {
-          std::printf(" n%lld=%lld%s", static_cast<long long>(RootInt(e, "node", -1)),
-                      static_cast<long long>(RootInt(e, "value", 0)),
+          std::printf(" n%lld=%lld%s", static_cast<long long>(in.Int(e, "node", -1)),
+                      static_cast<long long>(in.Int(e, "value", 0)),
                       e.Find("outlier") != nullptr && e.Find("outlier")->boolean ? "*" : "");
         }
         std::printf("\n");
       }
     }
     if (const JsonValue* blame = triage->Find("top_blame")) {
-      int64_t preemptor = RootInt(*blame, "preemptor", -1);
-      int64_t lock = RootInt(*blame, "lock", -1);
+      int64_t preemptor = in.Int(*blame, "preemptor", -1);
+      int64_t lock = in.Int(*blame, "lock", -1);
       if (preemptor >= 0 || lock >= 0) {
         std::printf("  top blame:");
         if (preemptor >= 0) {
           std::printf(" preemptor t%lld (%.0fus)", static_cast<long long>(preemptor),
-                      static_cast<double>(RootInt(*blame, "preemptor_ns", 0)) / 1e3);
+                      static_cast<double>(in.Int(*blame, "preemptor_ns", 0)) / 1e3);
         }
         if (lock >= 0) {
           std::printf(" lock S%lld (%.0fus)", static_cast<long long>(lock),
-                      static_cast<double>(RootInt(*blame, "lock_ns", 0)) / 1e3);
+                      static_cast<double>(in.Int(*blame, "lock_ns", 0)) / 1e3);
         }
         std::printf("\n");
       }
@@ -196,7 +224,7 @@ int PrintReport(const JsonValue& root, const char* path) {
       if (!outliers->array.empty()) {
         std::printf("  outlier nodes:");
         for (const JsonValue& n : outliers->array) {
-          std::printf(" %lld", static_cast<long long>(n.number));
+          std::printf(" %lld", static_cast<long long>(in.Int(&n, "outlier_nodes", -1)));
         }
         std::printf("\n");
       }
@@ -205,16 +233,16 @@ int PrintReport(const JsonValue& root, const char* path) {
 
   if (const JsonValue* alerts = root.Find("alerts")) {
     std::printf("alerts: %lld events, %lld fired\n",
-                static_cast<long long>(RootInt(*alerts, "events", 0)),
-                static_cast<long long>(RootInt(*alerts, "fired", 0)));
+                static_cast<long long>(in.Int(*alerts, "events", 0)),
+                static_cast<long long>(in.Int(*alerts, "fired", 0)));
     if (const JsonValue* stream = alerts->Find("stream")) {
       for (const JsonValue& e : stream->array) {
         std::printf("  %8lldus node %-3lld %-20s %s value=%lld/%lld\n",
-                    static_cast<long long>(RootInt(e, "time_us", 0)),
-                    static_cast<long long>(RootInt(e, "node", -1)),
+                    static_cast<long long>(in.Int(e, "time_us", 0)),
+                    static_cast<long long>(in.Int(e, "node", -1)),
                     RootString(e, "rule").c_str(), RootString(e, "state").c_str(),
-                    static_cast<long long>(RootInt(e, "value", 0)),
-                    static_cast<long long>(RootInt(e, "total", 0)));
+                    static_cast<long long>(in.Int(e, "value", 0)),
+                    static_cast<long long>(in.Int(e, "total", 0)));
       }
     }
   }
@@ -226,7 +254,8 @@ int PrintReport(const JsonValue& root, const char* path) {
     }
     std::printf("\n");
   }
-  return RootInt(root, "nodes_failed", 0) > 0 ? 2 : 0;
+  const bool failed = in.Int(root, "nodes_failed", 0) > 0;
+  return !in.ok ? 1 : failed ? 2 : 0;
 }
 
 void PrintNodeResult(int index, const NodeResult& r) {
@@ -295,15 +324,10 @@ bool ReportInt(const JsonValue& root, const char* path, const char* key, int64_t
   if (v == nullptr) {
     return true;
   }
-  // 2^63 bounds the range a double converts to int64_t without overflow.
-  const double limit = 9223372036854775808.0;
-  if (v->type == JsonValue::Type::kNumber && v->number == std::trunc(v->number) &&
-      v->number >= -limit && v->number < limit) {
-    const int64_t value = static_cast<int64_t>(v->number);
-    if (value >= min && value <= max) {
-      *out = value;
-      return true;
-    }
+  int64_t value = 0;
+  if (ReportNumberToInt(*v, &value) && value >= min && value <= max) {
+    *out = value;
+    return true;
   }
   std::fprintf(stderr, "fleet_inspect: %s: bad %s (want integer in [%lld, %lld])\n", path, key,
                static_cast<long long>(min), static_cast<long long>(max));
