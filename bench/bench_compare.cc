@@ -1,10 +1,14 @@
 #include "bench/bench_compare.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <initializer_list>
+#include <sstream>
 #include <string>
+
+#include "bench/bench_json_check.h"
 
 namespace emeralds {
 namespace bench {
@@ -36,39 +40,35 @@ void Notef(CompareResult* r, const char* fmt, ...) {
   r->notes.push_back(buf);
 }
 
-double NumberOr(const JsonValue& obj, const char* key, double fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kNumber ? v->number : fallback;
-}
-
-bool BoolOr(const JsonValue& obj, const char* key, bool fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kBool ? v->boolean : fallback;
-}
-
-const char* StringOr(const JsonValue& obj, const char* key, const char* fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kString ? v->string.c_str() : fallback;
+// Runs the report's own check; each FAIL line becomes a failure naming the
+// side. Returns true when the report passes.
+bool PassesOwnCheck(const char* side, const JsonValue& report, CompareResult* r) {
+  const JsonCheckResult check = CheckReport(side, report);
+  // A failed check logs only "FAIL: <reason>" lines.
+  std::istringstream log(check.log);
+  for (std::string line; !check.ok && std::getline(log, line);) {
+    Failf(r, "%s fails its own check: %s", side, line.erase(0, 6).c_str());
+  }
+  return check.ok;
 }
 
 // A run's "digest" (its trace window folded with its kernel counters) gates
 // exactly: any change of simulated behaviour moves it, even one that keeps
-// every other value inside its tolerance. Baselines written before runs
-// carried a digest are not gated on it. Returns true when the baseline
-// carries a digest and the candidate's is the same. The digest folds every
-// kOverheadSpan record, which holds each charge's bucket and amount, so
-// under an equal digest a ledger can move only if the accounting changed:
-// the callers then hold the ledgers exactly, user and idle included.
+// every other value inside its tolerance. Returns true when the digests are
+// equal. The digest folds every kOverheadSpan record, which holds each
+// charge's bucket and amount, so under an equal digest a ledger can move
+// only if the accounting changed: the callers then hold the ledgers
+// exactly, user and idle included.
 bool CompareDigest(const JsonValue& baseline, const JsonValue& candidate, const char* what,
                    const char* regenerate, CompareResult* r) {
-  const char* base = StringOr(baseline, "digest", nullptr);
-  const char* cand = StringOr(candidate, "digest", "(none)");
-  if (base != nullptr && std::string(base) != cand) {
+  const std::string& base = Get(baseline, "digest").string;
+  const std::string& cand = Get(candidate, "digest").string;
+  if (base != cand) {
     Failf(r, "%s digest differs (baseline %s vs candidate %s): simulated behaviour changed; if "
              "intended, regenerate the baseline with %s",
-          what, base, cand, regenerate);
+          what, base.c_str(), cand.c_str(), regenerate);
   }
-  return base != nullptr && std::string(base) == cand;
+  return base == cand;
 }
 
 void ExpectSameLedger(const std::string& what, double base, double cand, CompareResult* r) {
@@ -85,108 +85,71 @@ void ExpectSameLedger(const std::string& what, double base, double cand, Compare
 // each of `fields` must be equal.
 void CompareRowsExactly(const JsonValue& base, const JsonValue& cand, const char* key,
                         std::initializer_list<const char*> fields, CompareResult* r) {
-  const JsonValue* base_rows = base.Find(key);
-  const JsonValue* cand_rows = cand.Find(key);
-  size_t base_n = base_rows != nullptr ? base_rows->array.size() : 0;
-  size_t cand_n = cand_rows != nullptr ? cand_rows->array.size() : 0;
-  if (base_n != cand_n) {
-    Failf(r, "%s: %zu rows vs baseline %zu under an equal run digest", key, cand_n, base_n);
+  const auto& base_rows = Get(base, key).array;
+  const auto& cand_rows = Get(cand, key).array;
+  if (base_rows.size() != cand_rows.size()) {
+    Failf(r, "%s: %zu rows vs baseline %zu under an equal run digest", key, cand_rows.size(),
+          base_rows.size());
     return;
   }
-  for (size_t i = 0; i < base_n; ++i) {
+  for (size_t i = 0; i < base_rows.size(); ++i) {
     for (const char* field : fields) {
       ExpectSameLedger(std::string(key) + "[" + std::to_string(i) + "]." + field,
-                       NumberOr(base_rows->array[i], field, -1),
-                       NumberOr(cand_rows->array[i], field, -1), r);
+                       Num(base_rows[i], field), Num(cand_rows[i], field), r);
     }
   }
 }
 
 // Same-digest runs: every bucket, every core's ledger total and every task
-// row's user and overhead time must be equal. A bucket on one side only
-// compares against -1.
+// row's user and overhead time must be equal.
 void CompareLedgersExactly(const JsonValue& baseline, const JsonValue& candidate,
                            CompareResult* r) {
-  const JsonValue& base_c = *baseline.Find("cycles");
-  const JsonValue& cand_c = *candidate.Find("cycles");
-  const JsonValue& base_b = *base_c.Find("buckets_ns");
-  const JsonValue& cand_b = *cand_c.Find("buckets_ns");
-  for (const auto& kv : base_b.object) {
-    ExpectSameLedger("bucket " + kv.first, kv.second.number,
-                     NumberOr(cand_b, kv.first.c_str(), -1), r);
-  }
-  for (const auto& kv : cand_b.object) {
-    if (base_b.Find(kv.first) == nullptr) {
-      ExpectSameLedger("bucket " + kv.first, -1, kv.second.number, r);
-    }
+  const JsonValue& base_c = Get(baseline, "cycles");
+  const JsonValue& cand_c = Get(candidate, "cycles");
+  const JsonValue& cand_b = Get(cand_c, "buckets_ns");
+  for (const auto& [name, base] : Get(base_c, "buckets_ns").object) {
+    ExpectSameLedger("bucket " + name, base.number, Num(cand_b, name.c_str()), r);
   }
   CompareRowsExactly(base_c, cand_c, "cores", {"ledger_total_ns"}, r);
   CompareRowsExactly(baseline, candidate, "tasks", {"user_ns", "overhead_ns"}, r);
 }
 
-// Buckets excluded from the growth gate: user time belongs to the workload,
-// idle is the complement (a faster kernel means *more* idle), and
-// unattributed must be zero anyway (conservation covers it).
-bool GatedBucket(const std::string& name) {
-  return name != "user" && name != "idle" && name != "unattributed";
-}
-
 void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
                    CompareResult* r) {
-  const JsonValue* base_c = baseline.Find("cycles");
-  const JsonValue* cand_c = candidate.Find("cycles");
-  if (base_c == nullptr || cand_c == nullptr) {
-    Failf(r, "cycles section missing (baseline %s, candidate %s)",
-          base_c != nullptr ? "present" : "absent", cand_c != nullptr ? "present" : "absent");
-    return;
-  }
-  if (!BoolOr(*cand_c, "conserved", false) || !BoolOr(*cand_c, "clock_conserved", false)) {
-    Failf(r, "candidate ledger not conserved (residual %.0f ns, unattributed %.0f ns)",
-          NumberOr(*cand_c, "residual_ns", -1), NumberOr(*cand_c, "clock_unattributed_ns", -1));
-  }
   const bool same_run =
       CompareDigest(baseline, candidate, "cycle ledger run",
                     "EMERALDS_BENCH_JSON=BENCH_cycles.json build/bench/bench_cycles", r);
-  double base_elapsed = NumberOr(*base_c, "elapsed_ns", -1);
-  double cand_elapsed = NumberOr(*cand_c, "elapsed_ns", -2);
+  const JsonValue& base_c = Get(baseline, "cycles");
+  const JsonValue& cand_c = Get(candidate, "cycles");
+  const double base_elapsed = Num(base_c, "elapsed_ns");
+  const double cand_elapsed = Num(cand_c, "elapsed_ns");
   if (base_elapsed != cand_elapsed) {
     Failf(r, "elapsed_ns differs: baseline %.0f vs candidate %.0f (virtual time is "
              "deterministic; regenerate the baseline if the workload changed)",
           base_elapsed, cand_elapsed);
     return;
   }
-  const JsonValue* base_b = base_c->Find("buckets_ns");
-  const JsonValue* cand_b = cand_c->Find("buckets_ns");
-  if (base_b == nullptr || base_b->type != JsonValue::Type::kObject || cand_b == nullptr ||
-      cand_b->type != JsonValue::Type::kObject) {
-    Failf(r, "buckets_ns object missing");
-    return;
-  }
   if (same_run) {
     CompareLedgersExactly(baseline, candidate, r);
   }
-  // Candidate buckets gate against the baseline; buckets only in one side
-  // compare against zero.
-  for (const auto& kv : cand_b->object) {
-    if (!GatedBucket(kv.first)) {
+  // Both sides carry one entry per bucket: each candidate bucket gates
+  // against the baseline's, except user time, which belongs to the workload,
+  // idle, the complement (a faster kernel means *more* idle), and
+  // unattributed, which must be zero anyway (conservation covers it).
+  const JsonValue& base_b = Get(base_c, "buckets_ns");
+  for (const auto& [name, value] : Get(cand_c, "buckets_ns").object) {
+    if (name == "user" || name == "idle" || name == "unattributed") {
       continue;
     }
-    double cand = kv.second.number;
-    double base = NumberOr(*base_b, kv.first.c_str(), 0.0);
-    double ceiling = base * (1.0 + kRelTolerance) + kAbsSlackNs;
+    const double cand = value.number;
+    const double base = Num(base_b, name.c_str());
+    const double ceiling = base * (1.0 + kRelTolerance) + kAbsSlackNs;
     if (cand > ceiling) {
       Failf(r, "bucket %s regressed: %.0f ns vs baseline %.0f ns (+%.1f%%, ceiling %.0f)",
-            kv.first.c_str(), cand, base, base > 0 ? 100.0 * (cand - base) / base : 0.0,
-            ceiling);
+            name.c_str(), cand, base, base > 0 ? 100.0 * (cand - base) / base : 0.0, ceiling);
     } else if (cand != base) {
-      Notef(r, "bucket %s: %.0f ns vs baseline %.0f ns (within tolerance)", kv.first.c_str(),
-            cand, base);
-    }
-  }
-  for (const auto& kv : base_b->object) {
-    if (GatedBucket(kv.first) && cand_b->Find(kv.first) == nullptr && kv.second.number != 0.0) {
-      Notef(r, "bucket %s present only in baseline (%.0f ns)", kv.first.c_str(),
-            kv.second.number);
+      Notef(r, "bucket %s: %.0f ns vs baseline %.0f ns (within tolerance)", name.c_str(), cand,
+            base);
     }
   }
 }
@@ -196,87 +159,60 @@ void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
 // A point's average breakdown per policy gates exactly: the search is
 // deterministic, so a faster search must return the same breakdowns at the
 // same evaluation count. A policy on one side only is a difference too.
-// Baselines without the section are not gated on it.
 void CompareBreakdownPct(const JsonValue& base, const JsonValue& cand, double n,
                          CompareResult* r) {
-  const JsonValue* base_pct = base.Find("avg_breakdown_pct");
-  if (base_pct == nullptr || base_pct->type != JsonValue::Type::kObject) {
-    return;
-  }
-  const JsonValue* cand_pct = cand.Find("avg_breakdown_pct");
-  if (cand_pct == nullptr || cand_pct->type != JsonValue::Type::kObject) {
-    Failf(r, "n=%.0f: candidate has no avg_breakdown_pct", n);
-    return;
-  }
-  auto check = [&](const std::string& policy) {
-    const JsonValue* b = base_pct->Find(policy);
-    const JsonValue* c = cand_pct->Find(policy);
-    if (b == nullptr || c == nullptr) {
-      Failf(r, "n=%.0f: %s avg_breakdown_pct present only in the %s", n, policy.c_str(),
-            b == nullptr ? "candidate" : "baseline");
-    } else if (b->number != c->number) {
+  const JsonValue& base_pct = Get(base, "avg_breakdown_pct");
+  const JsonValue& cand_pct = Get(cand, "avg_breakdown_pct");
+  for (const auto& [policy, b] : base_pct.object) {
+    const JsonValue* c = cand_pct.Find(policy);
+    if (c == nullptr) {
+      Failf(r, "n=%.0f: %s avg_breakdown_pct present only in the baseline", n, policy.c_str());
+    } else if (b.number != c->number) {
       Failf(r, "n=%.0f: %s avg_breakdown_pct %.10g vs baseline %.10g (the search is "
                "deterministic; a changed breakdown is a changed verdict)",
-            n, policy.c_str(), c->number, b->number);
+            n, policy.c_str(), c->number, b.number);
     }
-  };
-  for (const auto& member : base_pct->object) {
-    check(member.first);
   }
-  for (const auto& member : cand_pct->object) {
-    if (base_pct->Find(member.first) == nullptr) {
-      check(member.first);
+  for (const auto& [policy, c] : cand_pct.object) {
+    if (base_pct.Find(policy) == nullptr) {
+      Failf(r, "n=%.0f: %s avg_breakdown_pct present only in the candidate", n, policy.c_str());
     }
   }
 }
 
 void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
                       CompareResult* r) {
-  const JsonValue* base_p = baseline.Find("points");
-  const JsonValue* cand_p = candidate.Find("points");
-  if (base_p == nullptr || base_p->type != JsonValue::Type::kArray || cand_p == nullptr ||
-      cand_p->type != JsonValue::Type::kArray) {
-    Failf(r, "points array missing");
-    return;
-  }
-  if (base_p->array.size() != cand_p->array.size()) {
+  const auto& base_p = Get(baseline, "points").array;
+  const auto& cand_p = Get(candidate, "points").array;
+  if (base_p.size() != cand_p.size()) {
     Failf(r, "point count differs: baseline %zu vs candidate %zu (pin EMERALDS_WORKLOADS to "
              "the baseline's value)",
-          base_p->array.size(), cand_p->array.size());
+          base_p.size(), cand_p.size());
     return;
   }
-  for (size_t i = 0; i < base_p->array.size(); ++i) {
-    const JsonValue& base = base_p->array[i];
-    const JsonValue& cand = cand_p->array[i];
-    double n = NumberOr(base, "n", -1);
-    if (n != NumberOr(cand, "n", -2)) {
-      Failf(r, "point %zu: n differs (baseline %.0f vs candidate %.0f)", i, n,
-            NumberOr(cand, "n", -2));
+  for (size_t i = 0; i < base_p.size(); ++i) {
+    const JsonValue& base = base_p[i];
+    const JsonValue& cand = cand_p[i];
+    const double n = Num(base, "n");
+    if (n != Num(cand, "n")) {
+      Failf(r, "point %zu: n differs (baseline %.0f vs candidate %.0f)", i, n, Num(cand, "n"));
       continue;
     }
-    if (NumberOr(cand, "reference_mismatches", -1) != 0.0) {
-      Failf(r, "n=%.0f: candidate has %.0f reference mismatches", n,
-            NumberOr(cand, "reference_mismatches", -1));
-    }
     CompareBreakdownPct(base, cand, n, r);
-    const JsonValue* base_e = base.Find("evals");
-    const JsonValue* cand_e = cand.Find("evals");
-    double base_full = base_e != nullptr ? NumberOr(*base_e, "full_evals", -1) : -1;
-    double cand_full = cand_e != nullptr ? NumberOr(*cand_e, "full_evals", -1) : -1;
-    if (base_full < 0 || cand_full < 0) {
-      Failf(r, "n=%.0f: evals.full_evals missing", n);
-    } else if (cand_full > base_full * (1.0 + kRelTolerance)) {
+    const double base_full = Num(Get(base, "evals"), "full_evals");
+    const double cand_full = Num(Get(cand, "evals"), "full_evals");
+    if (cand_full > base_full * (1.0 + kRelTolerance)) {
       Failf(r, "n=%.0f: full_evals regressed %.0f -> %.0f (+%.1f%%)", n, base_full, cand_full,
             base_full > 0 ? 100.0 * (cand_full - base_full) / base_full : 0.0);
     }
-    double base_red = NumberOr(base, "eval_reduction", 0.0);
-    double cand_red = NumberOr(cand, "eval_reduction", 0.0);
+    const double base_red = Num(base, "eval_reduction");
+    const double cand_red = Num(cand, "eval_reduction");
     if (cand_red < base_red * (1.0 - kRelTolerance)) {
       Failf(r, "n=%.0f: eval_reduction regressed %.3f -> %.3f", n, base_red, cand_red);
     }
     // Wall-clock throughput is machine-dependent: informational only.
-    double base_wps = NumberOr(base, "workloads_per_sec", 0.0);
-    double cand_wps = NumberOr(cand, "workloads_per_sec", 0.0);
+    const double base_wps = Num(base, "workloads_per_sec");
+    const double cand_wps = Num(cand, "workloads_per_sec");
     if (base_wps > 0 && cand_wps > 0 && std::fabs(cand_wps - base_wps) > 0.25 * base_wps) {
       Notef(r, "n=%.0f: workloads_per_sec %.0f vs baseline %.0f (not gated)", n, cand_wps,
             base_wps);
@@ -286,42 +222,20 @@ void CompareBreakdown(const JsonValue& baseline, const JsonValue& candidate,
 
 // --- emeralds.fleet.run/1 ---
 
-// The fleet's trace record mix (trace.records_by_type) gates exactly: the
-// fleet is deterministic, so a changed count is a changed run, and growth is
-// trace bloat. A type on one side only counts 0 on the other. Returns true
-// when the baseline has the mix and the candidate's equals it.
+// The fleet's trace record mix (trace.records_by_type, one count per event
+// type on both sides) gates exactly: the fleet is deterministic, so a
+// changed count is a changed run, and growth is trace bloat. Returns true
+// when the mixes are equal.
 bool CompareRecordMix(const JsonValue& baseline, const JsonValue& candidate, CompareResult* r) {
-  auto mix_of = [](const JsonValue& report) -> const JsonValue* {
-    const JsonValue* trace = report.Find("trace");
-    const JsonValue* mix = trace != nullptr ? trace->Find("records_by_type") : nullptr;
-    return mix != nullptr && mix->type == JsonValue::Type::kObject ? mix : nullptr;
-  };
-  const JsonValue* base = mix_of(baseline);
-  const JsonValue* cand = mix_of(candidate);
-  if (base == nullptr) {
-    return false;
-  }
-  if (cand == nullptr) {
-    Failf(r, "baseline has trace.records_by_type but the candidate does not");
-    return false;
-  }
+  const JsonValue& cand = Get(Get(candidate, "trace"), "records_by_type");
   bool equal = true;
-  auto check = [&](const std::string& type) {
-    double base_count = NumberOr(*base, type.c_str(), 0.0);
-    double cand_count = NumberOr(*cand, type.c_str(), 0.0);
-    if (cand_count != base_count) {
+  for (const auto& [type, base] : Get(Get(baseline, "trace"), "records_by_type").object) {
+    const double cand_count = Num(cand, type.c_str());
+    if (cand_count != base.number) {
       Failf(r, "trace records of type %s: %.0f vs baseline %.0f (the record mix is "
                "deterministic; a changed count is a changed run)",
-            type.c_str(), cand_count, base_count);
+            type.c_str(), cand_count, base.number);
       equal = false;
-    }
-  };
-  for (const auto& member : base->object) {
-    check(member.first);
-  }
-  for (const auto& member : cand->object) {
-    if (base->Find(member.first) == nullptr) {
-      check(member.first);
     }
   }
   return equal;
@@ -329,16 +243,10 @@ bool CompareRecordMix(const JsonValue& baseline, const JsonValue& candidate, Com
 
 void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
                   CompareResult* r) {
-  // The candidate must pass its own oracles before any baseline comparison.
-  double failed = NumberOr(candidate, "nodes_failed", -1);
-  if (failed != 0.0) {
-    Failf(r, "candidate has %.0f failed node(s): %s", failed,
-          StringOr(candidate, "first_failure", "?"));
-  }
   // The run configuration must match, or the aggregates are incomparable.
   for (const char* key : {"instances", "seed", "run_duration_ms", "slice_ms"}) {
-    double base = NumberOr(baseline, key, -1);
-    double cand = NumberOr(candidate, key, -2);
+    const double base = Num(baseline, key);
+    const double cand = Num(candidate, key);
     if (base != cand) {
       Failf(r, "%s differs: baseline %.0f vs candidate %.0f (regenerate the baseline if the "
                "fleet configuration changed)",
@@ -349,12 +257,8 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   // Deterministic aggregates: any drift means simulated behavior changed, so
   // hold them to the relative tolerance in both directions.
   for (const char* key : {"events_total", "events_per_virtual_sec"}) {
-    double base = NumberOr(baseline, key, -1);
-    double cand = NumberOr(candidate, key, -2);
-    if (base <= 0 || cand <= 0) {
-      Failf(r, "%s missing or non-positive", key);
-      continue;
-    }
+    const double base = Num(baseline, key);
+    const double cand = Num(candidate, key);
     if (std::fabs(cand - base) > base * kRelTolerance) {
       Failf(r, "%s drifted: %.0f vs baseline %.0f (%+.1f%%, tolerance %.0f%%; the fleet is "
                "deterministic — regenerate the baseline if the workload changed)",
@@ -369,97 +273,68 @@ void CompareFleet(const JsonValue& baseline, const JsonValue& candidate,
   // with a different digest means their contents, or the digest's
   // encoding, changed.
   const bool same_mix = CompareRecordMix(baseline, candidate, r);
-  if (std::string(StringOr(baseline, "fleet_digest", "?")) !=
-      StringOr(candidate, "fleet_digest", "??")) {
+  const std::string& base_digest = Get(baseline, "fleet_digest").string;
+  const std::string& cand_digest = Get(candidate, "fleet_digest").string;
+  if (base_digest != cand_digest) {
     Failf(r, "fleet_digest differs (baseline %s vs candidate %s): %s; if the change is "
              "intended, regenerate the baseline with "
              "EMERALDS_BENCH_JSON=BENCH_fleet.json build/bench/bench_fleet",
-          StringOr(baseline, "fleet_digest", "?"), StringOr(candidate, "fleet_digest", "??"),
+          base_digest.c_str(), cand_digest.c_str(),
           same_mix ? "the trace records are unchanged (trace.records_by_type is equal), so "
                      "their contents or the digest's encoding changed"
                    : "per-node traces changed");
   }
   for (const char* key : {"deadline_misses", "chain_overruns"}) {
-    double base = NumberOr(baseline, key, 0.0);
-    double cand = NumberOr(candidate, key, 0.0);
+    const double base = Num(baseline, key);
+    const double cand = Num(candidate, key);
     if (cand != base) {
       Notef(r, "%s: %.0f vs baseline %.0f (not gated)", key, cand, base);
     }
   }
   // Merged fleet telemetry percentiles: bucket-exact over the union of every
-  // node's samples and deterministic, so when both reports carry the section
-  // the chain e2e percentile tables are held to the same relative tolerance
-  // as the event aggregates.
-  const JsonValue* base_tel = baseline.Find("telemetry");
-  const JsonValue* cand_tel = candidate.Find("telemetry");
-  if (base_tel != nullptr && cand_tel == nullptr) {
-    Failf(r, "baseline has a telemetry section but the candidate does not");
-  } else if (base_tel != nullptr && cand_tel != nullptr) {
-    const JsonValue* base_chains = base_tel->Find("chains");
-    const JsonValue* cand_chains = cand_tel->Find("chains");
-    if (base_chains != nullptr && base_chains->type == JsonValue::Type::kArray &&
-        cand_chains != nullptr && cand_chains->type == JsonValue::Type::kArray) {
-      for (const JsonValue& bc : base_chains->array) {
-        const char* name = StringOr(bc, "name", "?");
-        const JsonValue* cc = nullptr;
-        for (const JsonValue& c : cand_chains->array) {
-          if (std::string(StringOr(c, "name", "")) == name) {
-            cc = &c;
-            break;
-          }
-        }
-        if (cc == nullptr) {
-          Failf(r, "telemetry chain \"%s\" missing from candidate", name);
-          continue;
-        }
-        const JsonValue* be = bc.Find("e2e");
-        const JsonValue* ce = cc->Find("e2e");
-        if (be == nullptr || ce == nullptr) {
-          Failf(r, "telemetry chain \"%s\" missing e2e histogram", name);
-          continue;
-        }
-        for (const char* key : {"p50_us", "p90_us", "p99_us"}) {
-          double base = NumberOr(*be, key, -1);
-          double cand = NumberOr(*ce, key, -2);
-          if (base < 0 || cand < 0) {
-            Failf(r, "telemetry chain \"%s\" missing %s", name, key);
-            continue;
-          }
-          if (std::fabs(cand - base) > base * kRelTolerance) {
-            Failf(r, "chain \"%s\" %s drifted: %.0f vs baseline %.0f (%+.1f%%, tolerance "
-                     "%.0f%%)",
-                  name, key, cand, base, base > 0 ? 100.0 * (cand - base) / base : 0.0,
-                  100.0 * kRelTolerance);
-          } else if (cand != base) {
-            Notef(r, "chain \"%s\" %s: %.0f vs baseline %.0f (within tolerance)", name, key,
-                  cand, base);
-          }
-        }
+  // node's samples and deterministic, so the chain e2e percentile tables are
+  // held to the same relative tolerance as the event aggregates.
+  const auto& cand_chains = Get(Get(candidate, "telemetry"), "chains").array;
+  for (const JsonValue& base_chain : Get(Get(baseline, "telemetry"), "chains").array) {
+    const std::string& name = Get(base_chain, "name").string;
+    const auto cand_chain =
+        std::find_if(cand_chains.begin(), cand_chains.end(),
+                     [&](const JsonValue& c) { return Get(c, "name").string == name; });
+    if (cand_chain == cand_chains.end()) {
+      Failf(r, "telemetry chain \"%s\" missing from candidate", name.c_str());
+      continue;
+    }
+    const JsonValue& be = Get(base_chain, "e2e");
+    const JsonValue& ce = Get(*cand_chain, "e2e");
+    for (const char* key : {"p50_us", "p90_us", "p99_us"}) {
+      const double base = Num(be, key);
+      const double cand = Num(ce, key);
+      if (std::fabs(cand - base) > base * kRelTolerance) {
+        Failf(r, "chain \"%s\" %s drifted: %.0f vs baseline %.0f (%+.1f%%, tolerance %.0f%%)",
+              name.c_str(), key, cand, base, base > 0 ? 100.0 * (cand - base) / base : 0.0,
+              100.0 * kRelTolerance);
+      } else if (cand != base) {
+        Notef(r, "chain \"%s\" %s: %.0f vs baseline %.0f (within tolerance)", name.c_str(), key,
+              cand, base);
       }
     }
   }
   // Trace memory per node is a deterministic work counter: the largest
   // node's window storage may not grow past the relative tolerance.
-  auto storage_bytes_max = [](const JsonValue& report) {
-    const JsonValue* trace = report.Find("trace");
-    return trace != nullptr ? NumberOr(*trace, "storage_bytes_max", -1) : -1;
-  };
-  double base_storage = storage_bytes_max(baseline);
-  double cand_storage = storage_bytes_max(candidate);
-  if (base_storage >= 0 && cand_storage < 0) {
-    Failf(r, "baseline has trace.storage_bytes_max but the candidate does not");
-  } else if (base_storage >= 0 && cand_storage > base_storage * (1.0 + kRelTolerance)) {
+  const double base_storage = Num(Get(baseline, "trace"), "storage_bytes_max");
+  const double cand_storage = Num(Get(candidate, "trace"), "storage_bytes_max");
+  if (cand_storage > base_storage * (1.0 + kRelTolerance)) {
     Failf(r, "trace.storage_bytes_max grew: %.0f vs baseline %.0f (%+.1f%%, tolerance %.0f%%)",
           cand_storage, base_storage,
           base_storage > 0 ? 100.0 * (cand_storage - base_storage) / base_storage : 0.0,
           100.0 * kRelTolerance);
-  } else if (base_storage >= 0 && cand_storage != base_storage) {
+  } else if (cand_storage != base_storage) {
     Notef(r, "trace.storage_bytes_max: %.0f vs baseline %.0f (within tolerance)", cand_storage,
           base_storage);
   }
   // Wall-clock throughput is machine-dependent: informational only.
-  double base_wps = NumberOr(baseline, "events_per_wall_sec", 0.0);
-  double cand_wps = NumberOr(candidate, "events_per_wall_sec", 0.0);
+  const double base_wps = Num(baseline, "events_per_wall_sec");
+  const double cand_wps = Num(candidate, "events_per_wall_sec");
   if (base_wps > 0 && cand_wps > 0 && std::fabs(cand_wps - base_wps) > 0.25 * base_wps) {
     Notef(r, "events_per_wall_sec %.0f vs baseline %.0f (not gated)", cand_wps, base_wps);
   }
@@ -471,37 +346,29 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
                 CompareResult* r) {
   // The run is pure virtual time, so the throughput integers are
   // deterministic: any drift means partitioned-SMP behavior changed.
-  const JsonValue* base_rows = baseline.Find("throughput");
-  const JsonValue* cand_rows = candidate.Find("throughput");
-  if (base_rows == nullptr || base_rows->type != JsonValue::Type::kArray ||
-      cand_rows == nullptr || cand_rows->type != JsonValue::Type::kArray) {
-    Failf(r, "throughput array missing");
+  const auto& base_rows = Get(baseline, "throughput").array;
+  const auto& cand_rows = Get(candidate, "throughput").array;
+  if (base_rows.size() != cand_rows.size()) {
+    Failf(r, "throughput row count differs: baseline %zu vs candidate %zu", base_rows.size(),
+          cand_rows.size());
     return;
   }
-  if (base_rows->array.size() != cand_rows->array.size()) {
-    Failf(r, "throughput row count differs: baseline %zu vs candidate %zu",
-          base_rows->array.size(), cand_rows->array.size());
-    return;
-  }
-  for (size_t i = 0; i < base_rows->array.size(); ++i) {
-    const JsonValue& base = base_rows->array[i];
-    const JsonValue& cand = cand_rows->array[i];
-    double cores = NumberOr(base, "num_cores", -1);
-    if (cores != NumberOr(cand, "num_cores", -2)) {
+  for (size_t i = 0; i < base_rows.size(); ++i) {
+    const JsonValue& base = base_rows[i];
+    const JsonValue& cand = cand_rows[i];
+    const double cores = Num(base, "num_cores");
+    if (cores != Num(cand, "num_cores")) {
       Failf(r, "row %zu: num_cores differs (baseline %.0f vs candidate %.0f)", i, cores,
-            NumberOr(cand, "num_cores", -2));
+            Num(cand, "num_cores"));
       continue;
-    }
-    if (!BoolOr(cand, "conserved", false)) {
-      Failf(r, "%.0f-core candidate run is not cycle-conserved", cores);
     }
     char what[32];
     std::snprintf(what, sizeof(what), "%.0f-core run", cores);
     const bool same_run = CompareDigest(
         base, cand, what, "EMERALDS_BENCH_JSON=BENCH_smp.json build/bench/bench_smp", r);
     for (const char* key : {"user_ns", "idle_ns", "ipis", "jobs_completed"}) {
-      double base_v = NumberOr(base, key, -1);
-      double cand_v = NumberOr(cand, key, -2);
+      const double base_v = Num(base, key);
+      const double cand_v = Num(cand, key);
       if (same_run && std::string(key) != "jobs_completed") {
         ExpectSameLedger(std::string(what) + " " + key, base_v, cand_v, r);
       } else if (std::fabs(cand_v - base_v) > std::fabs(base_v) * kRelTolerance) {
@@ -514,32 +381,25 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
       }
     }
   }
-  // The scaling floor is absolute, not a baseline delta.
-  double ratio2 = NumberOr(candidate, "ratio_2core", -1);
-  if (ratio2 < 1.7) {
-    Failf(r, "2-core user-cycle scaling is %.3fx (floor 1.7x)", ratio2);
-  }
-  double base_ratio2 = NumberOr(baseline, "ratio_2core", 0.0);
-  if (base_ratio2 > 0 && ratio2 < base_ratio2 * (1.0 - kRelTolerance)) {
+  // The checker holds the absolute 1.7x floor; the scaling may not fall
+  // against the baseline either.
+  const double ratio2 = Num(candidate, "ratio_2core");
+  const double base_ratio2 = Num(baseline, "ratio_2core");
+  if (ratio2 < base_ratio2 * (1.0 - kRelTolerance)) {
     Failf(r, "ratio_2core regressed: %.3f vs baseline %.3f", ratio2, base_ratio2);
   }
   // Admission counts are exact: the workloads and search are seeded.
-  const JsonValue* base_adm = baseline.Find("admission");
-  const JsonValue* cand_adm = candidate.Find("admission");
-  const JsonValue* base_pts =
-      base_adm != nullptr ? base_adm->Find("points") : nullptr;
-  const JsonValue* cand_pts =
-      cand_adm != nullptr ? cand_adm->Find("points") : nullptr;
-  if (base_pts == nullptr || base_pts->type != JsonValue::Type::kArray || cand_pts == nullptr ||
-      cand_pts->type != JsonValue::Type::kArray ||
-      base_pts->array.size() != cand_pts->array.size()) {
-    Failf(r, "admission points missing or count differs");
+  const auto& base_pts = Get(Get(baseline, "admission"), "points").array;
+  const auto& cand_pts = Get(Get(candidate, "admission"), "points").array;
+  if (base_pts.size() != cand_pts.size()) {
+    Failf(r, "admission point count differs: baseline %zu vs candidate %zu", base_pts.size(),
+          cand_pts.size());
     return;
   }
-  for (size_t i = 0; i < base_pts->array.size(); ++i) {
+  for (size_t i = 0; i < base_pts.size(); ++i) {
     for (const char* key : {"admitted_1core", "admitted_2core", "admitted_4core"}) {
-      double base_v = NumberOr(base_pts->array[i], key, -1);
-      double cand_v = NumberOr(cand_pts->array[i], key, -2);
+      const double base_v = Num(base_pts[i], key);
+      const double cand_v = Num(cand_pts[i], key);
       if (base_v != cand_v) {
         Failf(r, "admission point %zu: %s differs (%.0f vs baseline %.0f; the sweep is "
                  "seeded — regenerate the baseline if the search changed)",
@@ -553,29 +413,28 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
 
 CompareResult CompareReports(const JsonValue& baseline, const JsonValue& candidate) {
   CompareResult r;
-  const JsonValue* base_schema = baseline.Find("schema");
-  const JsonValue* cand_schema = candidate.Find("schema");
-  if (base_schema == nullptr || cand_schema == nullptr ||
-      base_schema->type != JsonValue::Type::kString ||
-      cand_schema->type != JsonValue::Type::kString) {
-    Failf(&r, "schema tag missing");
+  // Both reports pass their own check first, so every member read below is
+  // one the shape table requires.
+  const bool baseline_ok = PassesOwnCheck("baseline", baseline, &r);
+  if (!PassesOwnCheck("candidate", candidate, &r) || !baseline_ok) {
     return r;
   }
-  if (base_schema->string != cand_schema->string) {
-    Failf(&r, "schema mismatch: baseline %s vs candidate %s", base_schema->string.c_str(),
-          cand_schema->string.c_str());
+  const std::string& schema = Get(baseline, "schema").string;
+  if (schema != Get(candidate, "schema").string) {
+    Failf(&r, "schema mismatch: baseline %s vs candidate %s", schema.c_str(),
+          Get(candidate, "schema").string.c_str());
     return r;
   }
-  if (base_schema->string == "emeralds.obs.cycles/1") {
+  if (schema == "emeralds.obs.cycles/1") {
     CompareCycles(baseline, candidate, &r);
-  } else if (base_schema->string == "emeralds.bench.breakdown/1") {
+  } else if (schema == "emeralds.bench.breakdown/1") {
     CompareBreakdown(baseline, candidate, &r);
-  } else if (base_schema->string == "emeralds.fleet.run/1") {
+  } else if (schema == "emeralds.fleet.run/1") {
     CompareFleet(baseline, candidate, &r);
-  } else if (base_schema->string == "emeralds.bench.smp/1") {
+  } else if (schema == "emeralds.bench.smp/1") {
     CompareSmp(baseline, candidate, &r);
   } else {
-    Failf(&r, "schema %s is not gated by bench_compare", base_schema->string.c_str());
+    Failf(&r, "schema %s is not gated by bench_compare", schema.c_str());
   }
   r.ok = r.failures.empty();
   return r;

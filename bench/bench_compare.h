@@ -28,11 +28,12 @@
 //     most 3%; wall-clock events/sec is informational only.
 //   emeralds.bench.smp/1       — partitioned-SMP throughput and admission
 //     (BENCH_smp.json). Each core count's run digest must match exactly;
-//     its throughput integers are held to 3%, the 2-core scaling floor is
-//     absolute, and admission counts must match exactly.
-// Every comparison also re-requires the candidate's own invariants
-// (conservation, zero reference mismatches) so a report that fails its own
-// contract never passes the gate.
+//     its throughput integers are held to 3%, ratio_2core may not fall more
+//     than 3% below the baseline's, and admission counts must match exactly.
+// Both reports first pass CheckReport (bench_json_check.h), which holds their
+// own invariants (conservation, zero reference mismatches and failed nodes,
+// the 2-core scaling floor). A side that fails is named with its FAIL line(s)
+// and nothing is compared; every member compared is one the shape table requires.
 
 #ifndef BENCH_BENCH_COMPARE_H_
 #define BENCH_BENCH_COMPARE_H_

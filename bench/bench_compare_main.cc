@@ -2,8 +2,8 @@
 //
 //   bench_compare <baseline.json> <candidate.json>
 //
-// Exit status: 0 within tolerance, 1 regression (or the candidate violates
-// its own invariants), 2 usage / I/O / parse failure.
+// Exit status: 0 within tolerance, 1 regression (or a report fails its own
+// check), 2 usage / I/O / parse failure.
 
 #include <cstdio>
 #include <string>
@@ -36,6 +36,15 @@ int main(int argc, char** argv) {
           failure.find("does not parse") != std::string::npos) {
         return 2;
       }
+    }
+    // Reports that fail their own check (one FAIL line each) were not
+    // compared: name their files.
+    if (result.failures[0].find(" fails its own check: ") != std::string::npos) {
+      for (const std::string& failure : result.failures) {
+        std::fprintf(stderr, "bench_compare: %s fails its own check\n",
+                     failure.starts_with("baseline") ? baseline : candidate);
+      }
+      return 1;
     }
     std::fprintf(stderr, "bench_compare: %s regressed against %s\n", candidate, baseline);
     return 1;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "src/base/assert.h"
+#include "src/hal/cycles.h"
 #include "src/hal/trace.h"
 
 namespace emeralds {
@@ -63,16 +64,31 @@ constexpr const char* kReconciledFlags =
     "context_switches_match deadline_misses_match jobs_completed_match cse_early_pi_match "
     "headroom_low_match chain_events_match";
 
+// The space-separated names of `count` enumerators, as `name` spells them.
+template <typename Enum>
+std::string EnumNames(int count, const char* (*name)(Enum)) {
+  std::string names;
+  for (int i = 0; i < count; ++i) {
+    names += names.empty() ? "" : " ";
+    names += name(static_cast<Enum>(i));
+  }
+  return names;
+}
+
 // --- Sections embedded in several schemas ---
 
-constexpr Rule kCyclesRules[] = {
+// One ledger entry per cycle bucket, by name.
+const std::string kCycleBucketNames = EnumNames(kNumCycleBuckets, &CycleBucketToString);
+
+const Rule kCyclesRules[] = {
     {"", Kind::kNumber,
      "epoch_ns elapsed_ns ledger_total_ns residual_ns clock_unattributed_ns headroom_low_events"},
     {"", Kind::kBool, "conserved clock_conserved"},
-    {"", Kind::kArray, "sched_bands"},
-    {"buckets_ns", Kind::kNumber, "*"},
+    {"", Kind::kArray, "sched_bands cores"},
+    {"cores[]", Kind::kNumber, "ledger_total_ns"},
+    {"buckets_ns", Kind::kNumber, kCycleBucketNames.c_str()},
 };
-constexpr Shape kCycles = {nullptr, kCyclesRules};
+const Shape kCycles = {nullptr, kCyclesRules};
 
 constexpr Rule kChainsRules[] = {
     {"", Kind::kNumber, "chain_emits chain_consumes origins_minted orphan_hops unconsumed_emits"},
@@ -105,9 +121,9 @@ constexpr Rule kPostmortemRules[] = {
 constexpr Shape kPostmortem = {nullptr, kPostmortemRules};
 
 constexpr Rule kTelemetryRules[] = {
-    {"", Kind::kNumber, "jobs_completed deadline_misses chain_overruns stats_snapshot_drops"},
+    {"", Kind::kNumber, "stats_snapshot_drops"},
     {"", Kind::kNonEmptyArray, "core_cycles_us"},
-    {"headroom", Kind::kNumber, "min_us min_node low_events_total"},
+    {"headroom", Kind::kNumber, "min_us min_node"},
     {"cycles", Kind::kObject, "buckets_us shares"},
     {"", Kind::kObject, "response", &kHistogram},
     {"", Kind::kArray, "chains"},
@@ -115,6 +131,7 @@ constexpr Rule kTelemetryRules[] = {
     {"chains[]", Kind::kNumber,
      "deadline_min_us deadline_max_us completed overruns incomplete_instances"},
     {"chains[]", Kind::kObject, "e2e", &kHistogram},
+    {"chains[].e2e", Kind::kNumber, "p50_us p90_us"},
     {"chains[]", Kind::kArray, "hops"},
     {"chains[].hops[]", Kind::kObject, "queue exec", &kHistogram},
 };
@@ -200,14 +217,7 @@ constexpr Rule kTortureRules[] = {
 constexpr Shape kTorture = {"emeralds.fuzz.torture/1", kTortureRules};
 
 // One record count per trace event type, by name.
-const std::string kEventTypeNames = [] {
-  std::string names;
-  for (int t = 0; t < kNumTraceEventTypes; ++t) {
-    names += names.empty() ? "" : " ";
-    names += TraceEventTypeToString(static_cast<TraceEventType>(t));
-  }
-  return names;
-}();
+const std::string kEventTypeNames = EnumNames(kNumTraceEventTypes, &TraceEventTypeToString);
 
 const Rule kFleetRunRules[] = {
     {"", Kind::kNumber,
@@ -265,6 +275,7 @@ constexpr Rule kBreakdownRules[] = {
     {"", Kind::kNonEmptyArray, "points"},
     {"points[]", Kind::kNumber,
      "n wall_seconds workloads_per_sec eval_reduction reference_mismatches"},
+    {"points[].avg_breakdown_pct", Kind::kNumber, "*"},
     {"points[].evals", Kind::kNumber, "full_evals"},
 };
 constexpr Shape kBreakdown = {"emeralds.bench.breakdown/1", kBreakdownRules};
@@ -343,15 +354,6 @@ bool EachWord(std::string_view words, Fn&& fn) {
   }
   return true;
 }
-
-// A member the shape table guarantees to the gates.
-const JsonValue& Get(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  EM_ASSERT_MSG(v != nullptr, "a gate reads \"%s\", which no shape rule requires", key);
-  return *v;
-}
-
-double Num(const JsonValue& obj, const char* key) { return Get(obj, key).number; }
 
 bool Flag(const JsonValue& obj, const char* key) { return Get(obj, key).boolean; }
 
@@ -534,8 +536,8 @@ bool Checker::Member(const std::string& path, const JsonValue* v, const Rule& ru
 // --- Section gates ---
 
 // Conservation must be asserted AND the integers must back it up: residual
-// exactly zero, nothing unattributed on the clock, and the bucket sum equal
-// to the elapsed time.
+// exactly zero, nothing unattributed on the clock, and the sum of exactly one
+// entry per bucket equal to the elapsed time.
 bool Checker::CyclesGate(const JsonValue& cycles) {
   for (const char* key : {"conserved", "clock_conserved"}) {
     if (!Flag(cycles, key)) {
@@ -546,8 +548,13 @@ bool Checker::CyclesGate(const JsonValue& cycles) {
     return Fail("cycles residual_ns=%g clock_unattributed_ns=%g (must be 0)\n",
                 Num(cycles, "residual_ns"), Num(cycles, "clock_unattributed_ns"));
   }
+  const auto& buckets = Get(cycles, "buckets_ns").object;
+  if (buckets.size() != static_cast<size_t>(kNumCycleBuckets)) {
+    return Fail("cycles buckets_ns has %zu keys, want one per cycle bucket (%d)\n",
+                buckets.size(), kNumCycleBuckets);
+  }
   double sum = 0.0;
-  for (const auto& bucket : Get(cycles, "buckets_ns").object) {
+  for (const auto& bucket : buckets) {
     sum += bucket.second.number;
   }
   if (sum != Num(cycles, "elapsed_ns")) {
@@ -593,14 +600,25 @@ bool Checker::PostmortemGate(const JsonValue& pm, const char* ctx) {
   return true;
 }
 
-// The merged fleet telemetry must cover every node, so its counters equal
-// the report's own totals.
+// The merged fleet telemetry must cover every node: one response sample per
+// completed job, and the chains' completions and overruns summing to the
+// report's totals.
 bool Checker::TelemetryGate(const JsonValue& telemetry, const JsonValue& root) {
-  for (const char* key : {"jobs_completed", "deadline_misses", "chain_overruns"}) {
-    if (Num(telemetry, key) != Num(root, key)) {
-      return Fail("telemetry %s=%g but the report's total is %g\n", key, Num(telemetry, key),
-                  Num(root, key));
-    }
+  const double responses = Num(Get(telemetry, "response"), "count");
+  if (responses != Num(root, "jobs_completed")) {
+    return Fail("telemetry response count=%g but the report's jobs_completed is %g\n", responses,
+                Num(root, "jobs_completed"));
+  }
+  double completed = 0.0;
+  double overruns = 0.0;
+  for (const JsonValue& chain : Get(telemetry, "chains").array) {
+    completed += Num(chain, "completed");
+    overruns += Num(chain, "overruns");
+  }
+  if (completed != Num(root, "chain_completed") || overruns != Num(root, "chain_overruns")) {
+    return Fail("telemetry chains sum to %g completed, %g overruns but the report's totals are "
+                "%g, %g\n",
+                completed, overruns, Num(root, "chain_completed"), Num(root, "chain_overruns"));
   }
   return true;
 }
@@ -850,6 +868,14 @@ bool Checker::BreakdownGates(const char* path, const JsonValue& root) {
 }
 
 }  // namespace
+
+const JsonValue& Get(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.Find(key);
+  EM_ASSERT_MSG(v != nullptr, "a gate reads \"%s\", which no shape rule requires", key);
+  return *v;
+}
+
+double Num(const JsonValue& obj, const char* key) { return Get(obj, key).number; }
 
 JsonCheckResult CheckReport(const std::string& path, const JsonValue& root) {
   return Checker().Run(path.c_str(), root);

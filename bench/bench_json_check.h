@@ -22,16 +22,21 @@
 // chains, postmortem, telemetry, timeseries, alerts) are written once and
 // mounted where they appear. One walker enforces the table and names the
 // first failing path ("telemetry.chains[0].hops[0].queue.p99_us is
-// missing").
+// missing"). The table holds every member bench_compare reads: among them a
+// cycles section's per-core ledger totals and one bucket per cycle bucket, a
+// breakdown point's avg_breakdown_pct (an object of numbers) and a
+// telemetry chain's e2e p50 and p90.
 //
 // The semantic gates then run on members the table guarantees: conserved
-// flags with zero residual and zero unattributed time, bucket sums equal to
-// elapsed time, empty violation lists, no orphan hops and no unattributed
-// lateness on a complete window, torture's per-run oracles and its rule that
-// only --tiny-ring runs may drop trace records, telemetry totals equal to
-// the report totals, the window grid, telescoping sums and gap count, alert
-// order and fired count, zero failed fleet nodes, exactly one record count
-// per event type, the SMP 1.7x floor with zero per-core residuals and
+// flags with zero residual and zero unattributed time, exactly one bucket
+// per cycle bucket with a sum equal to elapsed time, empty violation lists,
+// no orphan hops and no unattributed lateness on a complete window,
+// torture's per-run oracles and its rule that only --tiny-ring runs may drop
+// trace records, merged telemetry that covers every node (its response count
+// equal to the report's completed jobs, its chains' completions and overruns
+// summing to the report's), the window grid, telescoping sums and gap count,
+// alert order and fired count, zero failed fleet nodes, exactly one record
+// count per event type, the SMP 1.7x floor with zero per-core residuals and
 // admission that never falls with more cores, and zero reference
 // mismatches. A black box is forensic, so it is checked for shape only.
 
@@ -58,6 +63,12 @@ JsonCheckResult CheckReport(const std::string& path, const JsonValue& root);
 // File variant: reads and parses `path`, then checks it. A file that cannot
 // be read or parsed fails.
 JsonCheckResult CheckReportFile(const std::string& path);
+
+// A member the shape table requires of a report that passed CheckReport: the
+// gates and bench_compare read members only through these, and reading one
+// that no rule requires asserts.
+const JsonValue& Get(const JsonValue& obj, const char* key);
+double Num(const JsonValue& obj, const char* key);
 
 }  // namespace bench
 }  // namespace emeralds

@@ -68,6 +68,16 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
+bool JsonNumberToInt(const JsonValue& v, int64_t* out) {
+  const double limit = 9223372036854775808.0;
+  if (v.type != JsonValue::Type::kNumber || v.number != std::trunc(v.number) ||
+      !(v.number >= -limit && v.number < limit)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(v.number);
+  return true;
+}
+
 namespace {
 
 class JsonParser {

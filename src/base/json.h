@@ -28,6 +28,11 @@ struct JsonValue {
   const JsonValue* Find(const std::string& key) const;
 };
 
+// The one conversion of a report number to an integer: `v` must be a number,
+// integral and below 2^63 in magnitude, the range a double converts to
+// int64_t without overflow. Returns false (and leaves *out alone) otherwise.
+bool JsonNumberToInt(const JsonValue& v, int64_t* out);
+
 // Strict recursive-descent parse of one complete JSON document. On failure
 // returns false and describes the problem (with a byte offset) in *error.
 bool JsonParse(const std::string& text, JsonValue* out, std::string* error);

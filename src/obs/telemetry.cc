@@ -12,9 +12,6 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
                                    const ChainAnalysis& chains) {
   NodeTelemetry t;
   const KernelStats& s = kernel.stats();
-  t.jobs_completed = s.jobs_completed;
-  t.deadline_misses = s.deadline_misses;
-  t.headroom_low_events = s.headroom_low_events;
   t.stats_snapshot_drops = s.stats_snapshot_drops;
   const CycleLedger ledger = s.cycles();
   for (int b = 0; b < kNumCycleBuckets; ++b) {
@@ -60,17 +57,12 @@ NodeTelemetry CollectNodeTelemetry(const Kernel& kernel, const TraceAnalysis& an
       hop.exec = h.exec;
       ct.hops.push_back(hop);
     }
-    t.chain_overruns += c.overruns;
     t.chains.push_back(std::move(ct));
   }
   return t;
 }
 
 void MergeNodeTelemetry(FleetTelemetry* fleet, const NodeTelemetry& node, int node_index) {
-  fleet->jobs_completed += node.jobs_completed;
-  fleet->deadline_misses += node.deadline_misses;
-  fleet->chain_overruns += node.chain_overruns;
-  fleet->headroom_low_total += node.headroom_low_events;
   if (node.headroom_seen &&
       (!fleet->headroom_seen || node.headroom_min < fleet->headroom_min)) {
     fleet->headroom_seen = true;
@@ -190,14 +182,10 @@ void AppendCycles(Json& j, const Duration (&cycles)[kNumCycleBuckets], Duration 
 
 void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
   j.OpenObject();
-  j.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
-  j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
-  j.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));
   j.Key("headroom");
   j.OpenObject();
   j.Bool("seen", t.headroom_seen);
   j.Number("min_us", t.headroom_seen ? t.headroom_min.micros_f() : 0.0);
-  j.Int("low_events", static_cast<int64_t>(t.headroom_low_events));
   j.CloseObject();
   j.Int("stats_snapshot_drops", static_cast<int64_t>(t.stats_snapshot_drops));
   AppendCycles(j, t.cycles, t.cycles_total);
@@ -215,15 +203,11 @@ void AppendNodeTelemetrySection(Json& j, const NodeTelemetry& t) {
 void AppendFleetTelemetrySection(Json& j, const FleetTelemetry& t) {
   j.OpenObject();
   j.String("schema", kFleetTelemetrySchema);
-  j.Int("jobs_completed", static_cast<int64_t>(t.jobs_completed));
-  j.Int("deadline_misses", static_cast<int64_t>(t.deadline_misses));
-  j.Int("chain_overruns", static_cast<int64_t>(t.chain_overruns));
   j.Key("headroom");
   j.OpenObject();
   j.Bool("seen", t.headroom_seen);
   j.Number("min_us", t.headroom_seen ? t.headroom_min.micros_f() : 0.0);
   j.Int("min_node", t.headroom_min_node);
-  j.Int("low_events_total", static_cast<int64_t>(t.headroom_low_total));
   j.CloseObject();
   j.Int("stats_snapshot_drops", static_cast<int64_t>(t.stats_snapshot_drops_total));
   AppendCycles(j, t.cycles, t.cycles_total);

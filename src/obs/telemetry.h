@@ -61,12 +61,9 @@ struct ChainTelemetry {
 
 // The compact block one node contributes to the fleet plane. Everything in
 // it merges losslessly: counters add, histograms bucket-sum, minima take
-// the min.
+// the min. The run totals (jobs, misses, chain overruns, low-headroom
+// events) live in NodeResult and the black box's stats, not here.
 struct NodeTelemetry {
-  uint64_t jobs_completed = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t chain_overruns = 0;
-  uint64_t headroom_low_events = 0;
   // Snapshot-ring evictions before the host drained them: the time-series
   // windows spanning these are lower bounds, so the loss is owned up to here.
   uint64_t stats_snapshot_drops = 0;
@@ -87,10 +84,6 @@ struct NodeTelemetry {
 // Fleet-wide merge of NodeTelemetry blocks plus the node with the least
 // headroom, which the report surfaces.
 struct FleetTelemetry {
-  uint64_t jobs_completed = 0;
-  uint64_t deadline_misses = 0;
-  uint64_t chain_overruns = 0;
-  uint64_t headroom_low_total = 0;
   bool headroom_seen = false;
   Duration headroom_min;
   int headroom_min_node = -1;

@@ -19,9 +19,11 @@
 // complete window is an error); --postmortem-json writes the same analysis
 // as a standalone emeralds.obs.postmortem/1 report (the CI artifact).
 //
-// Exit status: 0 clean; 1 usage / I/O / parse failure; 2 invariant
-// violations or a postmortem conservation failure; 3 reconciliation
-// mismatch or cycle-conservation failure against the run report.
+// Exit status: 0 clean; 1 usage / I/O / parse failure, or a run-report
+// integer that is not one (fractional, or 2^63 or more in magnitude); 2
+// invariant violations or a postmortem conservation failure; 3
+// reconciliation mismatch or cycle-conservation failure against the run
+// report.
 
 #include <cinttypes>
 #include <cstdio>
@@ -101,24 +103,43 @@ void PrintAnalysis(const TraceAnalysis& a) {
   }
 }
 
-int64_t RunReportInt(const JsonValue& root, const char* section, const char* key,
-                     bool* found) {
-  const JsonValue* s = root.Find(section);
-  const JsonValue* v = s != nullptr ? s->Find(key) : nullptr;
-  if (v == nullptr || v->type != JsonValue::Type::kNumber) {
-    *found = false;
-    return 0;
+// The run report's reader: every integer member goes through
+// JsonNumberToInt. A bad member is reported and clears `ok`, and Main then
+// exits 1.
+struct RunReportReader {
+  const char* path;
+  bool ok = true;
+
+  // `v`, the member `key`, as an integer in *out; false when it is bad.
+  bool Value(const JsonValue& v, const char* key, int64_t* out) {
+    if (JsonNumberToInt(v, out)) {
+      return true;
+    }
+    std::fprintf(stderr, "trace_inspect: %s: bad %s (want integer)\n", path, key);
+    ok = false;
+    return false;
   }
-  *found = true;
-  return static_cast<int64_t>(v->number);
-}
+  // Member `key` of `obj` as an integer: 0 when absent or bad.
+  int64_t Member(const JsonValue& obj, const char* key) {
+    int64_t value = 0;
+    if (const JsonValue* v = obj.Find(key)) {
+      Value(*v, key, &value);
+    }
+    return value;
+  }
+};
 
 // Compares one analyzer counter against the kernel counter in the report.
-bool CheckCounter(const JsonValue& root, const char* key, uint64_t analyzer_value) {
-  bool found = false;
-  int64_t kernel_value = RunReportInt(root, "kernel_stats", key, &found);
-  if (!found) {
+bool CheckCounter(RunReportReader& in, const JsonValue& root, const char* key,
+                  uint64_t analyzer_value) {
+  const JsonValue* stats = root.Find("kernel_stats");
+  const JsonValue* v = stats != nullptr ? stats->Find(key) : nullptr;
+  if (v == nullptr) {
     std::printf("reconcile %-18s: MISSING in run report\n", key);
+    return false;
+  }
+  int64_t kernel_value = 0;
+  if (!in.Value(*v, key, &kernel_value)) {
     return false;
   }
   bool match = kernel_value == static_cast<int64_t>(analyzer_value);
@@ -127,18 +148,12 @@ bool CheckCounter(const JsonValue& root, const char* key, uint64_t analyzer_valu
   return match;
 }
 
-int64_t ObjInt(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->type == JsonValue::Type::kNumber ? static_cast<int64_t>(v->number)
-                                                             : 0;
-}
-
 // Renders the run report's cycle-attribution section as the Table 1 /
 // Figure 3-style breakdown and re-checks the conservation invariant from
 // the JSON integers (bucket sum == elapsed, exact to the tick). Returns
 // false when the section is missing, the recomputed sum disagrees with
 // elapsed, or the report's own verdict is false.
-bool PrintCyclesBreakdown(const JsonValue& root) {
+bool PrintCyclesBreakdown(RunReportReader& in, const JsonValue& root) {
   const JsonValue* c = root.Find("cycles");
   if (c == nullptr || c->type != JsonValue::Type::kObject) {
     std::printf("cycles: section MISSING from run report\n");
@@ -149,13 +164,13 @@ bool PrintCyclesBreakdown(const JsonValue& root) {
     std::printf("cycles: buckets_ns MISSING from run report\n");
     return false;
   }
-  int64_t elapsed = ObjInt(*c, "elapsed_ns");
+  int64_t elapsed = in.Member(*c, "elapsed_ns");
   std::printf("cycle attribution (%.1f us elapsed since epoch %.1f us):\n", elapsed / 1e3,
-              ObjInt(*c, "epoch_ns") / 1e3);
+              in.Member(*c, "epoch_ns") / 1e3);
   int64_t sum = 0;
   for (const auto& kv : buckets->object) {
-    int64_t ns =
-        kv.second.type == JsonValue::Type::kNumber ? static_cast<int64_t>(kv.second.number) : 0;
+    int64_t ns = 0;
+    in.Value(kv.second, kv.first.c_str(), &ns);
     sum += ns;
     if (ns == 0) {
       continue;
@@ -171,8 +186,8 @@ bool PrintCyclesBreakdown(const JsonValue& root) {
       const JsonValue* label = b.Find("label");
       std::printf("    %-4s (band %lld): block %.1fus  unblock %.1fus  select %.1fus\n",
                   label != nullptr ? label->string.c_str() : "?",
-                  static_cast<long long>(ObjInt(b, "band")), ObjInt(b, "block_ns") / 1e3,
-                  ObjInt(b, "unblock_ns") / 1e3, ObjInt(b, "select_ns") / 1e3);
+                  static_cast<long long>(in.Member(b, "band")), in.Member(b, "block_ns") / 1e3,
+                  in.Member(b, "unblock_ns") / 1e3, in.Member(b, "select_ns") / 1e3);
     }
   }
   const JsonValue* verdict = c->Find("conserved");
@@ -182,7 +197,7 @@ bool PrintCyclesBreakdown(const JsonValue& root) {
   std::printf("  conservation: ledger %.1f us vs elapsed %.1f us -> %s (report: %s)\n",
               sum / 1e3, elapsed / 1e3, recomputed ? "exact" : "VIOLATED",
               reported ? "conserved" : "NOT conserved");
-  int64_t unattributed = ObjInt(*c, "clock_unattributed_ns");
+  int64_t unattributed = in.Member(*c, "clock_unattributed_ns");
   if (unattributed != 0) {
     std::printf("  WARNING: %.1f us advanced outside the kernel's charging paths\n",
                 unattributed / 1e3);
@@ -344,22 +359,26 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "trace_inspect: %s is not an %s report\n", run_path, kObsRunSchema);
       return 1;
     }
+    RunReportReader in{run_path};
     if (import.dropped > 0) {
       std::printf("reconcile: skipped (truncated window; kernel counters cover the full run)\n");
     } else {
       bool all = true;
-      all &= CheckCounter(root, "context_switches", analysis.context_switches);
-      all &= CheckCounter(root, "deadline_misses", analysis.deadline_misses);
-      all &= CheckCounter(root, "jobs_completed", analysis.jobs_completed);
-      all &= CheckCounter(root, "cse_early_pi", analysis.cse_early_pi);
+      all &= CheckCounter(in, root, "context_switches", analysis.context_switches);
+      all &= CheckCounter(in, root, "deadline_misses", analysis.deadline_misses);
+      all &= CheckCounter(in, root, "jobs_completed", analysis.jobs_completed);
+      all &= CheckCounter(in, root, "cse_early_pi", analysis.cse_early_pi);
       if (!all && status == 0) {
         status = 3;
       }
     }
     // The cycle breakdown and its conservation invariant hold regardless of
     // trace truncation: they come from the kernel's own counters.
-    if (!PrintCyclesBreakdown(root) && status == 0) {
+    if (!PrintCyclesBreakdown(in, root) && status == 0) {
       status = 3;
+    }
+    if (!in.ok) {
+      return 1;
     }
   }
 

@@ -3,8 +3,9 @@
 // of every other schema pass, and a mutant of a passing report that breaks
 // one gate fails with that gate's FAIL line. Each schema has at least one
 // substantive gate here: the timeseries grid and telescoping sums, the alert
-// stream's order and fired count, the telemetry totals, cycle conservation,
-// the fleet's failed nodes, torture trace drops outside --tiny-ring,
+// stream's order and fired count, telemetry that covers every node, cycle
+// conservation over one entry per bucket, the fleet's failed nodes, torture
+// trace drops outside --tiny-ring,
 // reconciliation and violation lists, lateness conservation (outside black
 // boxes), the SMP floor, residuals and admission, and reference mismatches.
 // Each schema also has a mutant with one member deleted, and the counts the
@@ -12,7 +13,6 @@
 
 #include "bench/bench_json_check.h"
 
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,61 +29,11 @@
 #include "src/obs/obs_report.h"
 #include "src/obs/postmortem.h"
 #include "src/obs/trace_replay.h"
+#include "tests/bench/report_fixtures.h"
 
 namespace emeralds {
 namespace bench {
 namespace {
-
-std::string SourcePath(const std::string& relative) {
-  return std::string(EMERALDS_SOURCE_DIR) + "/" + relative;
-}
-
-JsonValue Parse(const std::string& text) {
-  JsonValue root;
-  std::string error;
-  EXPECT_TRUE(JsonParse(text, &root, &error)) << error;
-  return root;
-}
-
-JsonValue Load(const std::string& relative) {
-  std::string text;
-  EXPECT_TRUE(ReadFile(SourcePath(relative), &text)) << relative;
-  return Parse(text);
-}
-
-// Mutable member lookup; fails the test when the member is missing.
-JsonValue& At(JsonValue& obj, const std::string& key) {
-  for (auto& [name, value] : obj.object) {
-    if (name == key) {
-      return value;
-    }
-  }
-  ADD_FAILURE() << "no member \"" << key << "\"";
-  static JsonValue missing;
-  return missing;
-}
-
-// The value at a dotted path such as "telemetry.chains[0].hops[1]"; fails
-// the test when a step is missing.
-JsonValue& AtPath(JsonValue& root, const std::string& path) {
-  JsonValue* v = &root;
-  std::stringstream steps(path);
-  std::string step;
-  while (std::getline(steps, step, '.')) {
-    const size_t bracket = step.find('[');
-    v = &At(*v, step.substr(0, bracket));
-    if (bracket != std::string::npos) {
-      const size_t index = std::stoul(step.substr(bracket + 1));
-      if (index >= v->array.size()) {
-        ADD_FAILURE() << path << ": no element " << index;
-        static JsonValue missing;
-        return missing;
-      }
-      v = &v->array[index];
-    }
-  }
-  return *v;
-}
 
 // Checks `mutant` and expects it to fail with a log containing `fail_line`.
 void ExpectRejected(const JsonValue& mutant, const std::string& fail_line) {
@@ -174,8 +124,13 @@ TEST(BenchJsonCheckTest, FractionalCountsFail) {
 
 TEST(BenchJsonCheckTest, TelemetryJobsThatAreNotTheReportTotalFail) {
   JsonValue report = Load("BENCH_fleet.json");
-  At(At(report, "telemetry"), "jobs_completed").number += 1;
-  ExpectRejected(report, "telemetry jobs_completed=");
+  AtPath(report, "telemetry.response.count").number += 1;
+  ExpectRejected(report, "telemetry response count=5672 but the report's jobs_completed is 5671");
+
+  report = Load("BENCH_fleet.json");
+  AtPath(report, "telemetry.chains[0].completed").number += 1;
+  ExpectRejected(report, "telemetry chains sum to 12517 completed, 1428 overruns but the "
+                         "report's totals are 12516, 1428");
 }
 
 TEST(BenchJsonCheckTest, FailedNodesFail) {
@@ -192,6 +147,18 @@ TEST(BenchJsonCheckTest, UnconservedLedgerFails) {
   ExpectRejected(report, "cycles conserved is false");
 }
 
+// Exactly one ledger entry per cycle bucket: a zero bucket may not go
+// missing, and no other key may join the sum.
+TEST(BenchJsonCheckTest, BucketsThatAreNotOnePerCycleBucketFail) {
+  JsonValue report = Load("BENCH_cycles.json");
+  ASSERT_EQ(AtPath(report, "cycles.buckets_ns.ipi").number, 0.0);
+  ExpectDeletionRejected(report, "cycles.buckets_ns.ipi");
+  JsonValue zero;
+  zero.type = JsonValue::Type::kNumber;
+  AtPath(report, "cycles.buckets_ns").object.emplace_back("extra", zero);
+  ExpectRejected(report, "cycles buckets_ns has 17 keys, want one per cycle bucket (16)");
+}
+
 TEST(BenchJsonCheckTest, NonzeroResidualFails) {
   JsonValue report = Load("BENCH_cycles.json");
   At(At(report, "cycles"), "residual_ns").number = 5;
@@ -200,8 +167,13 @@ TEST(BenchJsonCheckTest, NonzeroResidualFails) {
 
 TEST(BenchJsonCheckTest, DeletedMembersOfTheBaselinesFail) {
   ExpectDeletionRejected(Load("BENCH_breakdown.json"), "points[3].eval_reduction");
+  ExpectDeletionRejected(Load("BENCH_breakdown.json"), "points[3].avg_breakdown_pct");
   ExpectDeletionRejected(Load("BENCH_cycles.json"), "tasks[0].headroom_min_ns");
+  ExpectDeletionRejected(Load("BENCH_cycles.json"), "cycles.cores");
+  ExpectDeletionRejected(Load("BENCH_cycles.json"), "cycles.cores[0].ledger_total_ns");
   ExpectDeletionRejected(Load("BENCH_fleet.json"), "telemetry.chains[0].hops[0].queue.p99_us");
+  ExpectDeletionRejected(Load("BENCH_fleet.json"), "telemetry.chains[1].e2e.p50_us");
+  ExpectDeletionRejected(Load("BENCH_fleet.json"), "telemetry.chains[1].e2e.p90_us");
   ExpectDeletionRejected(Load("BENCH_smp.json"), "throughput[1].cores[1].ledger_total_ns");
 }
 

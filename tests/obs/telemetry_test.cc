@@ -140,9 +140,6 @@ TEST(HistogramMergeTest, PercentileBoundBoundsTheTruePercentile) {
 NodeTelemetry MakeNode(const char* chain_name, int64_t deadline_us, uint64_t overruns,
                        int64_t headroom_us) {
   NodeTelemetry t;
-  t.jobs_completed = 10;
-  t.deadline_misses = 1;
-  t.chain_overruns = overruns;
   t.headroom_seen = true;
   t.headroom_min = Microseconds(headroom_us);
   t.response.Add(Microseconds(100));
@@ -167,9 +164,6 @@ TEST(FleetTelemetryMergeTest, MergesChainsByNameAndTracksWorstNodes) {
   MergeNodeTelemetry(&fleet, MakeNode("pipe", 5000, 1, 80), 1);
   MergeNodeTelemetry(&fleet, MakeNode("tick", 5000, 0, 900), 2);
 
-  EXPECT_EQ(fleet.jobs_completed, 30u);
-  EXPECT_EQ(fleet.deadline_misses, 3u);
-  EXPECT_EQ(fleet.chain_overruns, 3u);
   EXPECT_EQ(fleet.response.count(), 3u);
 
   // Same-name chains merge (deadline range widens, counters add); distinct

@@ -41,7 +41,6 @@
 
 #include <cinttypes>
 #include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -64,20 +63,7 @@ namespace emeralds {
 namespace fleet {
 namespace {
 
-// The one conversion of a report number to an integer: it must be integral
-// and below 2^63 in magnitude, the range a double converts to int64_t
-// without overflow.
-bool ReportNumberToInt(const JsonValue& v, int64_t* out) {
-  const double limit = 9223372036854775808.0;
-  if (v.type != JsonValue::Type::kNumber || v.number != std::trunc(v.number) ||
-      !(v.number >= -limit && v.number < limit)) {
-    return false;
-  }
-  *out = static_cast<int64_t>(v.number);
-  return true;
-}
-
-// Table mode's reader: every integer member goes through ReportNumberToInt.
+// Table mode's reader: every integer member goes through JsonNumberToInt.
 // An absent member gives its fallback; a bad one is reported, gives its
 // fallback too, and makes PrintReport exit 1.
 struct ReportReader {
@@ -86,7 +72,7 @@ struct ReportReader {
 
   int64_t Int(const JsonValue* v, const char* key, int64_t fallback) {
     int64_t value = fallback;
-    if (v != nullptr && !ReportNumberToInt(*v, &value)) {
+    if (v != nullptr && !JsonNumberToInt(*v, &value)) {
       std::fprintf(stderr, "fleet_inspect: %s: bad %s (want integer)\n", path, key);
       ok = false;
     }
@@ -325,7 +311,7 @@ bool ReportInt(const JsonValue& root, const char* path, const char* key, int64_t
     return true;
   }
   int64_t value = 0;
-  if (ReportNumberToInt(*v, &value) && value >= min && value <= max) {
+  if (JsonNumberToInt(*v, &value) && value >= min && value <= max) {
     *out = value;
     return true;
   }
