@@ -82,26 +82,28 @@ void ExpectSameLedger(const std::string& what, double base, double cand, Compare
 // --- emeralds.obs.cycles/1 ---
 
 // Same-digest rows of array `key` in `base` and `cand`, matched by index:
-// each of `fields` must be equal.
-void CompareRowsExactly(const JsonValue& base, const JsonValue& cand, const char* key,
-                        std::initializer_list<const char*> fields, CompareResult* r) {
+// each of `fields` must be equal. A failure names the rows `what` + key.
+void CompareRowsExactly(const std::string& what, const JsonValue& base, const JsonValue& cand,
+                        const char* key, std::initializer_list<const char*> fields,
+                        CompareResult* r) {
   const auto& base_rows = Get(base, key).array;
   const auto& cand_rows = Get(cand, key).array;
   if (base_rows.size() != cand_rows.size()) {
-    Failf(r, "%s: %zu rows vs baseline %zu under an equal run digest", key, cand_rows.size(),
-          base_rows.size());
+    Failf(r, "%s%s: %zu rows vs baseline %zu under an equal run digest", what.c_str(), key,
+          cand_rows.size(), base_rows.size());
     return;
   }
   for (size_t i = 0; i < base_rows.size(); ++i) {
     for (const char* field : fields) {
-      ExpectSameLedger(std::string(key) + "[" + std::to_string(i) + "]." + field,
+      ExpectSameLedger(what + key + "[" + std::to_string(i) + "]." + field,
                        Num(base_rows[i], field), Num(cand_rows[i], field), r);
     }
   }
 }
 
-// Same-digest runs: every bucket, every core's ledger total and every task
-// row's user and overhead time must be equal.
+// Same-digest runs: every bucket, every core's ledger total, every
+// scheduler band's select, block and unblock time, and every task row's
+// user and overhead time must be equal.
 void CompareLedgersExactly(const JsonValue& baseline, const JsonValue& candidate,
                            CompareResult* r) {
   const JsonValue& base_c = Get(baseline, "cycles");
@@ -110,8 +112,10 @@ void CompareLedgersExactly(const JsonValue& baseline, const JsonValue& candidate
   for (const auto& [name, base] : Get(base_c, "buckets_ns").object) {
     ExpectSameLedger("bucket " + name, base.number, Num(cand_b, name.c_str()), r);
   }
-  CompareRowsExactly(base_c, cand_c, "cores", {"ledger_total_ns"}, r);
-  CompareRowsExactly(baseline, candidate, "tasks", {"user_ns", "overhead_ns"}, r);
+  CompareRowsExactly("", base_c, cand_c, "cores", {"ledger_total_ns"}, r);
+  CompareRowsExactly("", base_c, cand_c, "sched_bands", {"select_ns", "block_ns", "unblock_ns"},
+                     r);
+  CompareRowsExactly("", baseline, candidate, "tasks", {"user_ns", "overhead_ns"}, r);
 }
 
 void CompareCycles(const JsonValue& baseline, const JsonValue& candidate,
@@ -379,6 +383,9 @@ void CompareSmp(const JsonValue& baseline, const JsonValue& candidate,
         Notef(r, "%.0f-core %s: %.0f vs baseline %.0f (within tolerance)", cores, key, cand_v,
               base_v);
       }
+    }
+    if (same_run) {
+      CompareRowsExactly(std::string(what) + " ", base, cand, "cores", {"ledger_total_ns"}, r);
     }
   }
   // The checker holds the absolute 1.7x floor; the scaling may not fall

@@ -12,6 +12,9 @@
 //     buckets from tripping on one extra operation).
 //     The user and idle buckets are excluded: user time is the workload's,
 //     and idle is the complement that *shrinks* when the kernel regresses.
+//     Under an equal digest every ledger is held exactly: each bucket, each
+//     core's ledger total, each scheduler band's select, block and unblock
+//     time, and each task row's user and overhead time.
 //   emeralds.bench.breakdown/1 — CSD partition-search perf trajectory
 //     (BENCH_breakdown.json). Each point's avg_breakdown_pct must match
 //     exactly, policy by policy (the search is deterministic); work
@@ -28,8 +31,10 @@
 //     most 3%; wall-clock events/sec is informational only.
 //   emeralds.bench.smp/1       — partitioned-SMP throughput and admission
 //     (BENCH_smp.json). Each core count's run digest must match exactly;
-//     its throughput integers are held to 3%, ratio_2core may not fall more
-//     than 3% below the baseline's, and admission counts must match exactly.
+//     its throughput integers are held to 3%, and under an equal digest its
+//     user, idle and IPI counts and each core's ledger total exactly;
+//     ratio_2core may not fall more than 3% below the baseline's, and
+//     admission counts must match exactly.
 // Both reports first pass CheckReport (bench_json_check.h), which holds their
 // own invariants (conservation, zero reference mismatches and failed nodes,
 // the 2-core scaling floor). A side that fails is named with its FAIL line(s)

@@ -85,6 +85,7 @@ const Rule kCyclesRules[] = {
      "epoch_ns elapsed_ns ledger_total_ns residual_ns clock_unattributed_ns headroom_low_events"},
     {"", Kind::kBool, "conserved clock_conserved"},
     {"", Kind::kArray, "sched_bands cores"},
+    {"sched_bands[]", Kind::kNumber, "select_ns block_ns unblock_ns"},
     {"cores[]", Kind::kNumber, "ledger_total_ns"},
     {"buckets_ns", Kind::kNumber, kCycleBucketNames.c_str()},
 };
@@ -356,6 +357,13 @@ bool EachWord(std::string_view words, Fn&& fn) {
 }
 
 bool Flag(const JsonValue& obj, const char* key) { return Get(obj, key).boolean; }
+
+// `value` as a report writer prints it (JsonAppendNumber's %.10g).
+std::string Printed(double value) {
+  std::string text;
+  JsonAppendNumber(&text, value);
+  return text;
+}
 
 // One report's check. A rule or gate that rejects appends its FAIL line to
 // the log and ends the check; a report that passes gets one OK line.
@@ -811,9 +819,10 @@ bool Checker::BlackBoxGates(const char* path, const JsonValue& root) {
 }
 
 // Every throughput row conserves its ledger fleet-summed AND per core
-// (residuals exactly zero), the 2-core run delivers the 1.7x user-cycle floor
-// over 1-core at equal horizon (recomputed from the integers, not the
-// reported ratio), and partitioned-CSD admission never falls with more cores.
+// (residuals exactly zero, each core's ledger total its elapsed time), the
+// 2-core run delivers the 1.7x user-cycle floor over 1-core at equal horizon
+// (recomputed from the integers), the reported ratios print as the ones the
+// integers give, and partitioned-CSD admission never falls with more cores.
 bool Checker::SmpGates(const char* path, const JsonValue& root) {
   double user_by_cores[16] = {};
   for (const JsonValue& row : Get(root, "throughput").array) {
@@ -830,17 +839,30 @@ bool Checker::SmpGates(const char* path, const JsonValue& root) {
         return Fail("smp %g-core run, core %g: residual %g ns (must be 0)\n", cores,
                     Num(c, "core"), Num(c, "residual_ns"));
       }
+      if (Num(c, "ledger_total_ns") != Num(c, "elapsed_ns")) {
+        return Fail("smp %g-core run, core %g: ledger_total_ns %.0f is not elapsed_ns %.0f\n",
+                    cores, Num(c, "core"), Num(c, "ledger_total_ns"), Num(c, "elapsed_ns"));
+      }
     }
     if (cores >= 1 && cores < 16) {
       user_by_cores[static_cast<int>(cores)] = Num(row, "user_ns");
     }
   }
-  if (user_by_cores[1] <= 0.0 || user_by_cores[2] <= 0.0) {
-    return Fail("smp report lacks 1-core and 2-core throughput rows\n");
+  if (user_by_cores[1] <= 0.0 || user_by_cores[2] <= 0.0 || user_by_cores[4] <= 0.0) {
+    return Fail("smp report lacks 1-, 2- and 4-core throughput rows\n");
   }
   const double ratio2 = user_by_cores[2] / user_by_cores[1];
   if (ratio2 < 1.7) {
     return Fail("2-core user-cycle throughput is %.3fx 1-core (floor 1.7x)\n", ratio2);
+  }
+  for (int cores : {2, 4}) {
+    const std::string key = "ratio_" + std::to_string(cores) + "core";
+    const std::string reported = Printed(Num(root, key.c_str()));
+    const std::string recomputed = Printed(user_by_cores[cores] / user_by_cores[1]);
+    if (reported != recomputed) {
+      return Fail("%s %s is not the %d-core/1-core user-time ratio %s\n", key.c_str(),
+                  reported.c_str(), cores, recomputed.c_str());
+    }
   }
   const auto& points = Get(Get(root, "admission"), "points").array;
   for (const JsonValue& p : points) {

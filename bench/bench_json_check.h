@@ -23,9 +23,9 @@
 // mounted where they appear. One walker enforces the table and names the
 // first failing path ("telemetry.chains[0].hops[0].queue.p99_us is
 // missing"). The table holds every member bench_compare reads: among them a
-// cycles section's per-core ledger totals and one bucket per cycle bucket, a
-// breakdown point's avg_breakdown_pct (an object of numbers) and a
-// telemetry chain's e2e p50 and p90.
+// cycles section's per-core ledger totals, per-band scheduler times and one
+// bucket per cycle bucket, a breakdown point's avg_breakdown_pct (an object
+// of numbers) and a telemetry chain's e2e p50 and p90.
 //
 // The semantic gates then run on members the table guarantees: conserved
 // flags with zero residual and zero unattributed time, exactly one bucket
@@ -36,9 +36,11 @@
 // equal to the report's completed jobs, its chains' completions and overruns
 // summing to the report's), the window grid, telescoping sums and gap count,
 // alert order and fired count, zero failed fleet nodes, exactly one record
-// count per event type, the SMP 1.7x floor with zero per-core residuals and
-// admission that never falls with more cores, and zero reference
-// mismatches. A black box is forensic, so it is checked for shape only.
+// count per event type, the SMP 1.7x floor with zero per-core residuals,
+// each core's ledger total equal to its elapsed time, ratio_2core and
+// ratio_4core printed as the rows' user times give them, and admission that
+// never falls with more cores, and zero reference mismatches. A black box is
+// forensic, so it is checked for shape only.
 
 #ifndef BENCH_BENCH_JSON_CHECK_H_
 #define BENCH_BENCH_JSON_CHECK_H_

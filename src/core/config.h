@@ -137,7 +137,7 @@ struct KernelConfig {
   size_t max_regions = 16;
 
   // Trace window retention bound (0 disables event retention; counters
-  // still work). Storage grows with the records made, up to 2x the bound.
+  // still work). Storage grows with the records made, up to the bound.
   size_t trace_capacity = 4096;
 
   // Declared causal event chains (resolved against object/thread names at

@@ -105,6 +105,7 @@ class Kernel {
   const KernelStats& stats() const { return stats_; }
   // Snapshot ring; nullptr unless EnableStatsSampling() was called.
   const StatsSampler* stats_sampler() const { return stats_sampler_.get(); }
+  StatsSampler* stats_sampler() { return stats_sampler_.get(); }
   TraceSink& trace() { return trace_; }
   const TraceSink& trace() const { return trace_; }
   // Core 0's scheduler (the only core at num_cores=1); per-core overloads

@@ -187,12 +187,14 @@ StatsDelta MakeStatsDelta(Instant now, const KernelStats& current, const KernelS
 }
 
 bool StatsSampler::Sample(Instant now, const KernelStats& current) {
-  bool overwrote = samples_.push_overwrite(MakeStatsDelta(now, current, last_));
-  if (overwrote) {
+  bool unread = false;
+  if (samples_.push_overwrite(MakeStatsDelta(now, current, last_))) {
+    // The push evicted the oldest sample, global index dropped_.
+    unread = dropped_ >= read_through_;
     ++dropped_;
   }
   last_ = current;
-  return overwrote;
+  return unread;
 }
 
 }  // namespace emeralds

@@ -129,8 +129,9 @@ struct KernelStats {
   // the always-on streaming view. chain_e2e_overruns counts those e2e
   // latencies that exceeded the chain's deadline.
   uint64_t chain_e2e_overruns = 0;
-  // Snapshot ring overwrites: sampling outpaced the reader and an unread
-  // StatsDelta was evicted (satellite fix — previously silent).
+  // Snapshot ring overwrites of unread samples: sampling outpaced the
+  // reader and a StatsDelta it never read was evicted. With no reader
+  // (StatsSampler::MarkRead never called), every overwrite.
   uint64_t stats_snapshot_drops = 0;
   Log2Histogram response_hist;   // job response times (completion - release)
   Log2Histogram headroom_hist;   // per-job deadline headroom at completion
@@ -216,19 +217,26 @@ StatsDelta MakeStatsDelta(Instant now, const KernelStats& current, const KernelS
 // Bounded ring of periodic StatsDelta samples. The kernel drives Sample()
 // from a software timer when EnableStatsSampling() was called; storage is
 // allocated once at construction, and when the ring fills the oldest interval
-// is evicted (dropped() counts evictions, mirroring TraceSink).
+// is evicted (dropped() counts evictions, mirroring TraceSink). A sample's
+// global index is its position in the run: the retained ring holds indices
+// [dropped(), dropped() + size()).
 class StatsSampler {
  public:
   explicit StatsSampler(size_t capacity) : samples_(capacity > 0 ? capacity : 1) {}
 
   // Records the interval (last sample, now] as a delta of `current` against
   // the previous cumulative snapshot. Returns true when the push evicted an
-  // unread sample (the caller should count a stats_snapshot_drop).
+  // unread sample (the caller should count a stats_snapshot_drop): one at or
+  // past the read mark, so with no reader every eviction.
   bool Sample(Instant now, const KernelStats& current);
 
   size_t size() const { return samples_.size(); }
   const StatsDelta& at(size_t index) const { return samples_.at(index); }
   uint64_t dropped() const { return dropped_; }
+
+  // A reader has read every sample whose global index is below `through`;
+  // evicting one of those loses nothing.
+  void MarkRead(uint64_t through) { read_through_ = through; }
 
   // Cumulative counters at the previous sample: the base the *next* delta
   // will subtract from. The streaming timeseries layer uses it to synthesize
@@ -244,6 +252,7 @@ class StatsSampler {
   RingBuffer<StatsDelta> samples_;
   KernelStats last_;  // cumulative counters at the previous sample
   uint64_t dropped_ = 0;
+  uint64_t read_through_ = 0;
 };
 
 }  // namespace emeralds

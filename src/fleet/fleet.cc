@@ -303,7 +303,7 @@ void EvaluateNode(Node& node) {
 
   // Streaming plane: close the window series at the horizon, synthesizing
   // the tail interval; the sink sees the last windows.
-  node.ts->Finish(kernel);
+  node.ts->Finish(*node.kernel);
   r.timeseries_lost_samples = node.ts->lost_samples();
   r.host_evaluate_ns += ThreadCpuNs() - cpu_start;
 }

@@ -1,7 +1,9 @@
 #include "src/hal/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 namespace emeralds {
 
@@ -84,9 +86,61 @@ bool TraceEventTypeFromString(const char* name, TraceEventType* out) {
   return false;
 }
 
-void TraceSink::Compact() {
-  events_.erase(events_.begin(), events_.begin() + static_cast<std::ptrdiff_t>(first_));
-  first_ = 0;
+void TraceSink::RecordSlow(const TraceEvent& e) {
+  if (capacity_ == 0) {
+    ++recorded_;
+    return;
+  }
+  const size_t held = static_cast<size_t>(end_ - slots());
+  if (held < capacity_) {
+    // Double, as a vector would, so an unbounded window's storage is the
+    // power of two above its largest fill.
+    const size_t grown = held == 0 ? 1 : (held > capacity_ / 2 ? capacity_ : 2 * held);
+    auto* storage = static_cast<TraceEvent*>(::operator new(grown * sizeof(TraceEvent)));
+    std::copy(slots(), next_, storage);
+    next_ = storage + (next_ - slots());
+    end_ = storage + grown;
+    slots_.reset(storage);
+  } else {
+    // Full: the oldest record is in slot 0 (the first pass filled the slots
+    // in order, and every later pass ends here too), so overwrite it.
+    recorded_ += held;
+    next_ = slots();
+    wrapped_ = true;
+  }
+  *next_++ = e;
+}
+
+void TraceSink::RotateOldestFirst() const {
+  std::rotate(slots(), next_, end_);
+  recorded_ += static_cast<uint64_t>(next_ - slots());
+  next_ = slots();
+}
+
+void TraceSink::EmptyWindow() {
+  recorded_ += static_cast<uint64_t>(next_ - slots());
+  next_ = slots();
+  wrapped_ = false;
+}
+
+void TraceSink::Clear() {
+  EmptyWindow();
+  recorded_ = 0;
+  discarded_ = 0;
+  epochs_ = 0;
+}
+
+void TraceSink::Reset(Instant now) {
+  EmptyWindow();
+  discarded_ = recorded_;
+  ++epochs_;
+  Record(now, TraceEventType::kTraceEpoch, static_cast<int32_t>(epochs_), 0);
+}
+
+void TraceSink::Drain() {
+  EM_ASSERT_MSG(dropped() == 0, "drained a trace window that dropped records");
+  discarded_ += size();
+  EmptyWindow();
 }
 
 size_t WriteTraceCsv(std::FILE* out, std::span<const TraceEvent> events, uint64_t dropped) {
@@ -107,10 +161,10 @@ void TraceSink::Dump(std::FILE* out) const {
     std::fprintf(out, "%12.3fms  %-18s %4d %4d %4d\n", e.time.millis_f(),
                  TraceEventTypeToString(e.type), e.arg0, e.arg1, e.arg2);
   }
-  if (dropped_ > 0) {
+  if (dropped() > 0) {
     std::fprintf(out, "(%llu of %llu events dropped; window shows the most recent %zu)\n",
-                 static_cast<unsigned long long>(dropped_),
-                 static_cast<unsigned long long>(total_recorded_), size());
+                 static_cast<unsigned long long>(dropped()),
+                 static_cast<unsigned long long>(total_recorded()), size());
   }
 }
 

@@ -11,8 +11,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "src/base/assert.h"
 #include "src/base/time.h"
@@ -200,70 +200,70 @@ inline uint64_t FoldTraceEvent(uint64_t hash, const TraceEvent& e) {
 // obs::ImportTraceCsv reads back. Returns the number of data rows written.
 size_t WriteTraceCsv(std::FILE* out, std::span<const TraceEvent> events, uint64_t dropped);
 
-// The retained window is the last `capacity` records, oldest first, held
-// contiguously so replays read it in place (events()). `capacity` is only a
-// retention bound: until the window wraps, storage grows by push_back, so it
-// holds fewer than twice the records made and less than 2 * capacity. Once
-// the window is full, each record evicts the oldest by advancing first_, and
-// when first_ reaches `capacity` the evicted prefix is erased in one move.
-// The first eviction reserves 2 * capacity records, and the window plus an
-// evicted prefix never exceeds 2 * capacity - 1 records, so storage never
-// grows past 2 * capacity.
+// The retained window is the last `capacity` records. Recording is one
+// compare and one store into the next slot; growth, the wrap and a disabled
+// sink take the out-of-line slow path. Storage grows by doubling with the
+// records made, up to exactly `capacity` slots, and is never touched before a
+// record is written to it. A full window is a ring: each record overwrites
+// the oldest in place, so it allocates and moves nothing after its first
+// wrap. Readers see the window oldest first: at(i) indexes the ring, and
+// events() rotates a wrapped ring into place once and returns it as one span.
+// Rotating changes where the records sit, not the window, so events() is
+// const; like every other member it must not race with another call on the
+// same sink.
 class TraceSink {
  public:
   // `capacity` == 0 disables recording entirely (counting still works).
   explicit TraceSink(size_t capacity) : capacity_(capacity) {}
+  // The ring pointers point into storage the sink owns.
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
 
   void Record(Instant time, TraceEventType type, int32_t arg0, int32_t arg1,
               int32_t arg2 = 0) {
-    ++total_recorded_;
-    if (capacity_ == 0) {
-      ++dropped_;
+    if (next_ == end_) [[unlikely]] {
+      RecordSlow(TraceEvent{time, type, arg0, arg1, arg2});
       return;
     }
-    // Evicting inline matters: a wrapped window evicts on every record.
-    if (events_.size() - first_ == capacity_) {
-      ++dropped_;
-      if (events_.capacity() < 2 * capacity_) {
-        events_.reserve(2 * capacity_);
-      }
-      if (++first_ == capacity_) {
-        Compact();
-      }
-    }
-    events_.push_back(TraceEvent{time, type, arg0, arg1, arg2});
+    *next_++ = TraceEvent{time, type, arg0, arg1, arg2};
   }
 
   // Oldest-first access to the retained window.
-  size_t size() const { return events_.size() - first_; }
+  size_t size() const { return wrapped_ ? capacity_ : static_cast<size_t>(next_ - slots()); }
   const TraceEvent& at(size_t index) const {
     EM_ASSERT(index < size());
-    return events_[first_ + index];
+    // A wrapped ring's oldest record is the one the next record overwrites.
+    size_t slot = (wrapped_ ? static_cast<size_t>(next_ - slots()) : 0) + index;
+    if (slot >= capacity_) {
+      slot -= capacity_;
+    }
+    return slots()[slot];
   }
   std::span<const TraceEvent> events() const {
-    return std::span<const TraceEvent>(events_).subspan(first_);
+    if (wrapped_ && next_ != slots() && next_ != end_) {
+      RotateOldestFirst();
+    }
+    return std::span<const TraceEvent>(slots(), size());
   }
 
   // Bytes of event storage currently allocated (at most
-  // 2 * capacity * sizeof(TraceEvent)).
-  size_t storage_bytes() const { return events_.capacity() * sizeof(TraceEvent); }
+  // capacity * sizeof(TraceEvent)).
+  size_t storage_bytes() const {
+    return static_cast<size_t>(end_ - slots()) * sizeof(TraceEvent);
+  }
 
-  uint64_t total_recorded() const { return total_recorded_; }
+  uint64_t total_recorded() const { return recorded_ + static_cast<uint64_t>(next_ - slots()); }
 
-  // Events recorded but neither retained nor drained: window evictions plus
-  // everything recorded while retention is disabled. total_recorded() ==
-  // size() + dropped() + the records Drain() emptied. Non-zero means the
+  // Events recorded but neither retained, drained nor discarded by Reset():
+  // window evictions plus everything recorded while retention is disabled.
+  // It is derived, not counted: total_recorded() minus size() minus the
+  // records Drain() emptied and Reset() discarded. Non-zero means the
   // retained window is a *suffix* of the run and derived metrics
   // (histograms, invariant checks) describe only that window.
-  uint64_t dropped() const { return dropped_; }
+  uint64_t dropped() const { return total_recorded() - size() - discarded_; }
 
-  void Clear() {
-    events_.clear();
-    first_ = 0;
-    total_recorded_ = 0;
-    dropped_ = 0;
-    epochs_ = 0;
-  }
+  // Wipes the sink back to construction state; the storage stays.
+  void Clear();
 
   // Deliberate mid-run restart of the retained window: discards the window
   // contents, clears the dropped() counter (the discard was intentional, not
@@ -272,24 +272,14 @@ class TraceSink {
   // "events were lost to overflow". total_recorded() keeps counting across
   // resets. Unlike Clear(), which wipes the sink back to construction state,
   // Reset() is the one to call while a run is in flight.
-  void Reset(Instant now) {
-    events_.clear();
-    first_ = 0;
-    dropped_ = 0;
-    ++epochs_;
-    Record(now, TraceEventType::kTraceEpoch, static_cast<int32_t>(epochs_), 0);
-  }
+  void Reset(Instant now);
 
   // Empties the window once its consumer has read every record in it (a
   // fleet node feeds each slice's records to its evaluator), and keeps the
   // storage for the records that follow. Drained records count as neither
   // retained nor dropped. A sink that dropped records must not be drained:
   // its consumer would take a truncated run for a whole one.
-  void Drain() {
-    EM_ASSERT_MSG(dropped_ == 0, "drained a trace window that dropped records");
-    events_.clear();
-    first_ = 0;
-  }
+  void Drain();
 
   // Number of Reset() calls since construction / Clear().
   uint64_t epochs() const { return epochs_; }
@@ -301,17 +291,36 @@ class TraceSink {
   // Writes the retained window and its drop count with WriteTraceCsv, for
   // external plotting (Gantt charts of the schedule) and trace_inspect
   // replay. Returns the number of data rows written.
-  size_t ExportCsv(std::FILE* out) const { return WriteTraceCsv(out, events(), dropped_); }
+  size_t ExportCsv(std::FILE* out) const { return WriteTraceCsv(out, events(), dropped()); }
 
  private:
-  // Erases the evicted prefix [0, first_).
-  void Compact();
+  struct FreeSlots {
+    void operator()(TraceEvent* slots) const { ::operator delete(slots); }
+  };
+
+  TraceEvent* slots() const { return slots_.get(); }
+  // Stores `e` when next_ == end_: grows the storage, wraps a full window,
+  // or only counts the record on a disabled sink.
+  void RecordSlow(const TraceEvent& e);
+  // Moves a wrapped ring's oldest record to slot 0.
+  void RotateOldestFirst() const;
+  // Empties the window, keeping its storage; total_recorded() is unchanged.
+  void EmptyWindow();
 
   size_t capacity_;
-  std::vector<TraceEvent> events_;  // [first_, size) is the retained window
-  size_t first_ = 0;
-  uint64_t total_recorded_ = 0;
-  uint64_t dropped_ = 0;
+  // Raw storage: slots are written only by Record, never initialized ahead.
+  std::unique_ptr<TraceEvent, FreeSlots> slots_;
+  TraceEvent* end_ = nullptr;  // one past the last allocated slot
+  // The slot the next record goes to. Until the window wraps, the window is
+  // [slots(), next_); once wrapped_, all capacity_ slots hold it, oldest at
+  // next_ (or at slots() when next_ == end_).
+  mutable TraceEvent* next_ = nullptr;
+  bool wrapped_ = false;
+  // Records made before the current pass over the slots: total_recorded()
+  // adds next_ - slots().
+  mutable uint64_t recorded_ = 0;
+  // Records Drain() emptied and Reset() discarded.
+  uint64_t discarded_ = 0;
   uint64_t epochs_ = 0;
 };
 

@@ -108,11 +108,11 @@ void TimeseriesCollector::ProcessDelta(const StatsDelta& d) {
   last_sample_time_ = d.time;
 }
 
-void TimeseriesCollector::Collect(const Kernel& kernel) {
+void TimeseriesCollector::Collect(Kernel& kernel) {
   if (finished_) {
     return;
   }
-  const StatsSampler* sampler = kernel.stats_sampler();
+  StatsSampler* sampler = kernel.stats_sampler();
   if (sampler == nullptr) {
     return;
   }
@@ -129,9 +129,10 @@ void TimeseriesCollector::Collect(const Kernel& kernel) {
     ProcessDelta(sampler->at(i));
     ++consumed_;
   }
+  sampler->MarkRead(consumed_);
 }
 
-void TimeseriesCollector::Finish(const Kernel& kernel) {
+void TimeseriesCollector::Finish(Kernel& kernel) {
   if (finished_) {
     return;
   }

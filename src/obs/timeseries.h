@@ -79,7 +79,9 @@ struct TelemetryWindow {
 // Folds a kernel's StatsSampler ring into the window grid and hands each
 // closed window to the sink. Drive Collect() periodically on the host (the
 // fleet runner does it at every slice boundary) and Finish() once at the
-// horizon; both are read-only on the kernel and never perturb virtual time.
+// horizon. Neither perturbs virtual time: the one thing they write is the
+// sampler's read mark, so evicting a sample the collector already read is
+// not counted as a stats_snapshot_drop.
 class TimeseriesCollector {
  public:
   // Receives every closed window once, in index order from window 0.
@@ -90,12 +92,12 @@ class TimeseriesCollector {
   TimeseriesCollector(Duration window, WindowSink sink);
 
   // Drains snapshots that arrived since the last drain.
-  void Collect(const Kernel& kernel);
+  void Collect(Kernel& kernel);
 
   // Final drain + synthesizes the tail interval (last snapshot, horizon]
   // from the sampler's cumulative base, then closes every window through
   // the horizon. Call exactly once; Collect() is a no-op afterwards.
-  void Finish(const Kernel& kernel);
+  void Finish(Kernel& kernel);
 
   uint64_t lost_samples() const { return lost_samples_; }
 

@@ -184,6 +184,21 @@ TEST(BenchCompareCyclesTest, EqualDigestHoldsCoreAndTaskRowsExactly) {
   EXPECT_NE(r.failures[0].find("cores[0].ledger_total_ns"), std::string::npos) << r.failures[0];
 }
 
+// A scheduler band's time is not among the buckets, so only the band row
+// shows this move: under an equal digest it fails as a changed ledger.
+TEST(BenchCompareCyclesTest, EqualDigestHoldsSchedulerBandsExactly) {
+  JsonValue base = Load("BENCH_cycles.json");
+  JsonValue cand = base;
+  AtPath(cand, "cycles.sched_bands[0].select_ns").number *= 1.05;
+  CompareResult r = CompareReports(base, cand);
+  EXPECT_FALSE(r.ok);
+  ASSERT_EQ(r.failures.size(), 1u) << Joined(r.failures);
+  EXPECT_NE(r.failures[0].find("sched_bands[0].select_ns 4423230 vs baseline 4212600 under an "
+                               "equal run digest"),
+            std::string::npos)
+      << r.failures[0];
+}
+
 TEST(BenchCompareCyclesTest, SchemaMismatchFails) {
   CompareResult r = CompareReports(Load("BENCH_cycles.json"), Load("BENCH_smp.json"));
   EXPECT_FALSE(r.ok);
@@ -403,6 +418,29 @@ TEST(BenchCompareSmpTest, EqualDigestDemandsAnEqualLedger) {
   ASSERT_EQ(other.failures.size(), 1u) << Joined(other.failures);
   EXPECT_NE(other.failures[0].find("2-core run digest differs"), std::string::npos)
       << other.failures[0];
+}
+
+// A core ledger that is not its elapsed time fails the candidate's own
+// check; one moved together with its elapsed time passes that check, and
+// under an equal digest fails as a changed ledger.
+TEST(BenchCompareSmpTest, EqualDigestHoldsEachCoreLedgerExactly) {
+  JsonValue base = Load("BENCH_smp.json");
+  JsonValue cand = base;
+  AtPath(cand, "throughput[1].cores[0].ledger_total_ns").number *= 1.05;
+  CompareResult r = CompareReports(base, cand);
+  ASSERT_EQ(r.failures.size(), 1u) << Joined(r.failures);
+  EXPECT_NE(r.failures[0].find("candidate fails its own check: smp 2-core run, core 0: "
+                               "ledger_total_ns 2100000000 is not elapsed_ns 2000000000"),
+            std::string::npos)
+      << r.failures[0];
+
+  AtPath(cand, "throughput[1].cores[0].elapsed_ns").number *= 1.05;
+  r = CompareReports(base, cand);
+  ASSERT_EQ(r.failures.size(), 1u) << Joined(r.failures);
+  EXPECT_NE(r.failures[0].find("2-core run cores[0].ledger_total_ns 2100000000 vs baseline "
+                               "2000000000 under an equal run digest"),
+            std::string::npos)
+      << r.failures[0];
 }
 
 // --- reports that fail their own check ---

@@ -7,7 +7,8 @@
 // conservation over one entry per bucket, the fleet's failed nodes, torture
 // trace drops outside --tiny-ring,
 // reconciliation and violation lists, lateness conservation (outside black
-// boxes), the SMP floor, residuals and admission, and reference mismatches.
+// boxes), the SMP floor, residuals, core ledgers, ratios and admission, and
+// reference mismatches.
 // Each schema also has a mutant with one member deleted, and the counts the
 // checker compares with lengths must be non-negative integers.
 
@@ -171,6 +172,7 @@ TEST(BenchJsonCheckTest, DeletedMembersOfTheBaselinesFail) {
   ExpectDeletionRejected(Load("BENCH_cycles.json"), "tasks[0].headroom_min_ns");
   ExpectDeletionRejected(Load("BENCH_cycles.json"), "cycles.cores");
   ExpectDeletionRejected(Load("BENCH_cycles.json"), "cycles.cores[0].ledger_total_ns");
+  ExpectDeletionRejected(Load("BENCH_cycles.json"), "cycles.sched_bands[0].select_ns");
   ExpectDeletionRejected(Load("BENCH_fleet.json"), "telemetry.chains[0].hops[0].queue.p99_us");
   ExpectDeletionRejected(Load("BENCH_fleet.json"), "telemetry.chains[1].e2e.p50_us");
   ExpectDeletionRejected(Load("BENCH_fleet.json"), "telemetry.chains[1].e2e.p90_us");
@@ -207,6 +209,26 @@ TEST(BenchJsonCheckTest, NonzeroPerCoreResidualFails) {
   JsonValue report = Load("BENCH_smp.json");
   AtPath(report, "throughput[1].cores[0].residual_ns").number = 5;
   ExpectRejected(report, "smp 2-core run, core 0: residual 5 ns (must be 0)");
+}
+
+TEST(BenchJsonCheckTest, PerCoreLedgerThatIsNotElapsedTimeFails) {
+  JsonValue report = Load("BENCH_smp.json");
+  AtPath(report, "throughput[1].cores[0].ledger_total_ns").number *= 1.05;
+  ExpectRejected(report,
+                 "smp 2-core run, core 0: ledger_total_ns 2100000000 is not elapsed_ns 2000000000");
+}
+
+// The reported ratios are printed from the rows' user times, so they must
+// print exactly as the user times give them.
+TEST(BenchJsonCheckTest, ReportedRatioThatIsNotTheUserTimeRatioFails) {
+  JsonValue two = Load("BENCH_smp.json");
+  At(two, "ratio_2core").number *= 1.05;
+  ExpectRejected(two, "ratio_2core 2.098635447 is not the 2-core/1-core user-time ratio "
+                      "1.998700426");
+  JsonValue four = Load("BENCH_smp.json");
+  At(four, "ratio_4core").number *= 1.05;
+  ExpectRejected(four, "ratio_4core 2.531636795 is not the 4-core/1-core user-time ratio "
+                       "2.411082662");
 }
 
 // --- torture (a report built here) ---

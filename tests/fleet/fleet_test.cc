@@ -397,6 +397,33 @@ TEST(FleetTest, InspectNodeReproducesWindowsAndAlerts) {
   ExpectWindowsEqual(fleet.windows, merged, "inspect windows");
 }
 
+// A node samples its stats every 2 ms into a 128-sample ring, and its
+// collector drains the ring at every slice. Over 2 s the ring wraps many
+// times, but every sample it evicts was already read: no snapshot is lost,
+// so no drop is counted, neither by the fleet nor by a drill-down re-run
+// (whose kernel the black box reads).
+TEST(FleetTest, DrainedNodeCountsNoSnapshotDrops) {
+  FleetOptions opt;
+  opt.instances = 2;
+  opt.workers = 2;
+  opt.run_duration = Milliseconds(2000);
+  FleetResult fleet = RunFleet(opt);
+  EXPECT_EQ(fleet.timeseries_lost_samples, 0u);
+  EXPECT_EQ(fleet.telemetry.stats_snapshot_drops_total, 0u);
+  for (const obs::TelemetryWindow& w : fleet.windows) {
+    EXPECT_EQ(w.stats_snapshot_drops, 0u) << "window " << w.index;
+  }
+
+  uint64_t evicted = 0;
+  NodeResult node = InspectNode(opt, 0, [&](const Kernel& kernel, const NodeResult&) {
+    evicted = kernel.stats_sampler()->dropped();
+    EXPECT_EQ(kernel.stats().stats_snapshot_drops, 0u);
+  });
+  EXPECT_GT(evicted, 0u) << "the snapshot ring never wrapped";
+  EXPECT_EQ(node.timeseries_lost_samples, 0u);
+  EXPECT_EQ(node.telemetry.stats_snapshot_drops, 0u);
+}
+
 // The golden overloaded fleet run for 1 s, past the 64 windows a node once
 // kept: at any worker count the fleet series holds every window, 0 to 100,
 // its sums are the run totals, and its first 19 windows and the alerts

@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <deque>
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -339,8 +341,8 @@ bool SameEvent(const TraceEvent& a, const TraceEvent& b) {
 
 // Lockstep property test: a sink and a reference std::deque holding the last
 // `capacity` records take the same seeded Record/Reset/Clear sequence and
-// must agree on every observable after every step, through many evictions
-// and compactions of the window.
+// must agree on every observable after every step, through many wraps of
+// the ring, and storage never exceeds `capacity` records.
 TEST(TraceSinkTest, MatchesDequeReferenceInLockstep) {
   for (size_t capacity : {0, 1, 2, 3, 7, 64}) {
     SCOPED_TRACE(testing::Message() << "capacity " << capacity);
@@ -395,7 +397,7 @@ TEST(TraceSinkTest, MatchesDequeReferenceInLockstep) {
       ASSERT_EQ(sink.dropped(), dropped) << "step " << step;
       ASSERT_EQ(sink.total_recorded(), total) << "step " << step;
       ASSERT_EQ(sink.epochs(), epochs) << "step " << step;
-      ASSERT_LE(sink.storage_bytes(), 2 * capacity * sizeof(TraceEvent)) << "step " << step;
+      ASSERT_LE(sink.storage_bytes(), capacity * sizeof(TraceEvent)) << "step " << step;
     }
     if (capacity > 0) {
       EXPECT_GT(evictions, 20 * capacity);
@@ -645,6 +647,85 @@ TEST(TraceSinkTest, DrainKeepsStorageAndDropsNothing) {
   EXPECT_EQ(sink.at(0).arg1, 0);
   EXPECT_EQ(sink.storage_bytes(), storage);
   EXPECT_EQ(sink.total_recorded(), sink.size() + sink.dropped() + 300);
+}
+
+// What `write` puts in a temporary file.
+std::string Written(const std::function<void(std::FILE*)>& write) {
+  std::FILE* f = std::tmpfile();
+  EXPECT_NE(f, nullptr);
+  write(f);
+  std::string text = ReadAll(f);
+  std::fclose(f);
+  return text;
+}
+
+// After its first wrap a window is a ring over exactly `capacity` slots: it
+// allocates nothing more, and every reader agrees with a deque of the last
+// `capacity` records wherever it looks: right after the wrap, in mid-ring
+// and after more records, and after Reset and Clear.
+TEST(TraceSinkTest, WrappedRingAllocatesNothingAndReadsOldestFirst) {
+  constexpr size_t kCapacity = 8;
+  TraceSink sink(kCapacity);
+  std::deque<TraceEvent> window;
+  uint64_t dropped = 0;
+  int next = 0;
+  auto record = [&](int n) {
+    for (int k = 0; k < n; ++k, ++next) {
+      TraceEvent e{Instant() + Microseconds(next), TraceEventType::kIrq, next, -next, next % 3};
+      sink.Record(e.time, e.type, e.arg0, e.arg1, e.arg2);
+      if (window.size() == kCapacity) {
+        window.pop_front();
+        ++dropped;
+      }
+      window.push_back(e);
+    }
+  };
+  auto expect_window = [&](const char* when) {
+    SCOPED_TRACE(when);
+    ASSERT_EQ(sink.size(), window.size());
+    for (size_t i = 0; i < window.size(); ++i) {
+      EXPECT_TRUE(SameEvent(sink.at(i), window[i])) << "at " << i;
+    }
+    std::span<const TraceEvent> events = sink.events();
+    ASSERT_EQ(events.size(), window.size());
+    for (size_t i = 0; i < window.size(); ++i) {
+      EXPECT_TRUE(SameEvent(events[i], window[i])) << "events()[" << i << "]";
+    }
+    EXPECT_EQ(sink.dropped(), dropped);
+    const std::vector<TraceEvent> expected(window.begin(), window.end());
+    EXPECT_EQ(Written([&](std::FILE* f) { sink.ExportCsv(f); }),
+              Written([&](std::FILE* f) { WriteTraceCsv(f, expected, dropped); }));
+  };
+
+  record(kCapacity);
+  const size_t full = sink.storage_bytes();
+  EXPECT_EQ(full, kCapacity * sizeof(TraceEvent));
+  record(1);
+  expect_window("right after the first wrap");
+  const TraceEvent* storage = sink.events().data();
+  record(3);
+  expect_window("in mid-ring");
+  record(5);
+  expect_window("after a mid-ring read and more records");
+
+  const Instant reset_at = Instant() + Microseconds(next);
+  sink.Reset(reset_at);
+  window.assign(1, TraceEvent{reset_at, TraceEventType::kTraceEpoch, 1, 0, 0});
+  dropped = 0;
+  expect_window("after Reset");
+  record(2 * kCapacity + 3);
+  expect_window("after Reset and more wraps");
+
+  sink.Clear();
+  window.clear();
+  dropped = 0;
+  expect_window("after Clear");
+  record(kCapacity + 2);
+  expect_window("after Clear and a wrap");
+  EXPECT_EQ(sink.total_recorded(), kCapacity + 2);
+
+  EXPECT_EQ(sink.storage_bytes(), full);
+  EXPECT_EQ(sink.events().data(), storage);
 }
 
 // A consumer of a drained sink must have seen the whole run.

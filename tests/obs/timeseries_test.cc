@@ -242,8 +242,8 @@ TEST(TimeseriesCollectorTest, SnapshotLossIsGapMarkedNeverSilent) {
     any_gap = any_gap || w.gap;
   }
   EXPECT_TRUE(any_gap);
-  // The kernel-side drop counter surfaces the same loss.
-  EXPECT_GT(env.k().stats().stats_snapshot_drops, 0u);
+  // The kernel-side drop counter surfaces exactly the same loss.
+  EXPECT_EQ(env.k().stats().stats_snapshot_drops, collector.lost_samples());
 }
 
 // --- Fleet merge ---
